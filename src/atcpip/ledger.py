@@ -506,9 +506,6 @@ class Ledger:
             raise UnknownLicense(f"no committed license {license_id!r}")
         return found
 
-    def has_token(self, license_id):
-        return license_id in self._tokens
-
     def session_agreement(self, session_id):
         license_id = self._session_agreements.get(session_id)
         return self._tokens[license_id] if license_id else None
@@ -556,10 +553,13 @@ class Ledger:
         Secret keys do not travel with exports, so the result can verify
         chains and serve evidence but cannot sign or mint.
         """
-        entries = entries_from_export(value)
+        if not isinstance(value, list):
+            raise ParseError("ledger export must be a list of entries")
+        if not verify_entries(value):
+            raise TamperedLedger("exported ledger fails hash chain verification")
         book = cls(current_date)
-        for entry in entries:
-            book.append(entry.kind, entry.payload)
+        for item in value:
+            book.append(item["kind"], item["payload"])
         return book
 
 
@@ -593,20 +593,3 @@ def verify_entries(entries):
         previous = entry_hash
     return True
 
-
-def entries_from_export(value):
-    """Rebuild LedgerEntry objects from an exported list, verifying first."""
-    if not isinstance(value, list):
-        raise ParseError("ledger export must be a list of entries")
-    if not verify_entries(value):
-        raise TamperedLedger("exported ledger fails hash chain verification")
-    return [
-        LedgerEntry(
-            height=item["height"],
-            kind=item["kind"],
-            payload=item["payload"],
-            payload_hash=item["payload_hash"],
-            entry_hash=item["entry_hash"],
-        )
-        for item in value
-    ]

@@ -25,7 +25,6 @@ from .terms import (
     TermsEdit,
     apply_delta,
     diff,
-    terms_hash,
     validate,
 )
 
@@ -271,83 +270,3 @@ def arbiter_decide(tier, proposed, counter_terms):
             return ArbiterDecision.ESCALATE
     return ArbiterDecision.AUTO_ACCEPT
 
-
-# -- the whole loop ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    round: int
-    proposer_id: str
-    terms: object
-    terms_hash: str
-    draft_height: object = None  # ledger height or None when off-chain
-
-
-@dataclass(frozen=True)
-class NegotiationOutcome:
-    agreed: bool
-    terms: object
-    rounds: tuple
-    unconfirmed: bool = False
-    reason: str = ""
-
-
-def run_negotiation(
-    initial_terms,
-    provider_policy,
-    requester_policy,
-    provider_tier=None,
-    ledger=None,
-    session_id="negotiation",
-    provider_id="provider",
-    requester_id="requester",
-):
-    """Drive offer/counter/revision to an outcome, minting drafts when a
-    ledger is supplied. Every proposal, from either side, is one round."""
-    rounds = []
-
-    def propose(proposer, terms):
-        digest = terms_hash(terms)
-        height = None
-        if ledger is not None:
-            height = ledger.mint_draft(
-                session_id, ledger.next_round(session_id), proposer, terms
-            ).height
-        rounds.append(RoundRecord(len(rounds) + 1, proposer, terms, digest, height))
-
-    def outcome(agreed, terms, unconfirmed=False, reason=""):
-        return NegotiationOutcome(agreed, terms, tuple(rounds), unconfirmed, reason)
-
-    current = initial_terms
-    propose(provider_id, current)
-    counters_used = 0
-    revisions_used = 0
-    while True:
-        decision = evaluate_offer(requester_policy, current)
-        if isinstance(decision, Accept):
-            return outcome(True, current)
-        if isinstance(decision, Reject):
-            return outcome(False, current, reason=decision.reason)
-        if counters_used >= requester_policy.max_rounds:
-            # Requester will not counter again; the provider proceeds on its
-            # standing proposal without an explicit accept.
-            return outcome(False, current, unconfirmed=True, reason="requester went silent")
-        counters_used += 1
-        try:
-            countered = apply_delta(current, decision.delta)
-        except InvalidResult as exc:
-            return outcome(False, current, reason=f"counter does not validate: {exc}")
-        propose(requester_id, countered)
-        if provider_tier is not None and arbiter_decide(
-            provider_tier, current, countered
-        ) is ArbiterDecision.AUTO_ACCEPT:
-            revised = countered
-        else:
-            if revisions_used >= provider_policy.max_rounds:
-                return outcome(False, current, reason="provider rounds exhausted")
-            revisions_used += 1
-            revised = revise_terms(provider_policy, current, decision.delta)
-        if revised != countered:
-            propose(provider_id, revised)
-        current = revised

@@ -124,9 +124,6 @@ class WalletSystem:
             raise ValueError("opening balance must be a non-negative integer")
         self._balances[agent_id] = balance
 
-    def has_account(self, agent_id):
-        return agent_id in self._balances
-
     def balance(self, agent_id):
         self._require(agent_id)
         return self._balances[agent_id]

@@ -259,6 +259,7 @@ class ProviderSession:
     terms_hash: str = ""
     previous_license_id: Optional[str] = None
     round: int = 0
+    revisions_used: int = 0
     plan_amount: int = 0
     plan_value: Optional[dict] = None
     accepted: bool = False

@@ -449,12 +449,13 @@ class AgentRuntime:
         ):
             revised = countered
         else:
-            if session.round >= self.provider_policy.max_rounds:
+            if session.revisions_used >= self.provider_policy.max_rounds:
                 return [
                     InternalDecision(
                         "revision_reject", {"reason": "negotiation budget exhausted"}
                     )
                 ]
+            session.revisions_used += 1
             revised = revise_terms(self.provider_policy, session.terms, delta)
         echo = revised == countered or revised == session.terms
         return [

@@ -95,12 +95,6 @@ class NetworkSpec:
     latency_max: int = 1
     drop: tuple = ()  # ((action, probability), ...)
 
-    def drop_probability(self, action):
-        for name, probability in self.drop:
-            if name == action:
-                return probability
-        return Decimal("0.0000")
-
 
 @dataclass(frozen=True)
 class ScriptEvent:

@@ -26,17 +26,6 @@ from .runtime import AgentRuntime
 from .trust import CompatibilityRules, JurisdictionRegistry, ReputationBoard
 
 
-def _frame_value(message):
-    return {
-        "session_id": message.session_id,
-        "seq": message.seq,
-        "sender": message.sender,
-        "recipient": message.recipient,
-        "action": message.action,
-        "body": message.body,
-    }
-
-
 @dataclass
 class WorldState:
     """Everything left standing after a run."""
@@ -180,7 +169,7 @@ class Simulation:
                 "kind": "msg",
                 "tick": self.tick,
                 "status": "delivered",
-                "frame": _frame_value(message),
+                "frame": message.to_value(),
             }
         )
         runtime = self.runtimes[message.recipient]
@@ -202,7 +191,7 @@ class Simulation:
                         "kind": "msg",
                         "tick": self.tick,
                         "status": "dropped",
-                        "frame": _frame_value(message),
+                        "frame": message.to_value(),
                     }
                 )
                 continue

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import canon
 from .canon import fixed4
-from .errors import InvalidResult, InvalidTerms, MalformedDate, ParseError, UnknownPath
+from .errors import InvalidResult, InvalidTerms, ParseError, UnknownPath
 
 PERPETUAL = "perpetual"
 
@@ -357,13 +357,3 @@ def metadata_from_value(value):
     except TypeError as exc:
         raise ParseError(f"bad metadata document: {exc}") from None
 
-
-def is_expired(metadata, now_date):
-    """Strict comparison: a license is valid through its expiry date."""
-    if not is_iso_date(now_date):
-        raise MalformedDate(f"not a calendar date: {now_date!r}")
-    if metadata.expiry_date == PERPETUAL:
-        return False
-    if not is_iso_date(metadata.expiry_date):
-        raise MalformedDate(f"not a calendar date: {metadata.expiry_date!r}")
-    return metadata.expiry_date < now_date

@@ -14,19 +14,13 @@ from decimal import Decimal
 from atcpip import canon
 from atcpip.disputes import DisputeCourt
 from atcpip.ledger import ENTRY_KINDS, Ledger, verify_entries
-from atcpip.negotiation import (
-    Accept,
-    Counter,
-    NegotiationPolicy,
-    NumericBound,
-    evaluate_offer,
-    revise_terms,
-)
+from atcpip.negotiation import NegotiationPolicy, NumericBound
 from atcpip.payments import RoyaltyObligation, WalletSystem, compute_split
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_TERMS_FAILURE,
     NO_TOKEN_FAILURE,
+    RequesterState,
     SessionConfig,
 )
 from atcpip.runtime import AgentRuntime, CatalogItem
@@ -40,6 +34,7 @@ from atcpip.trust import (
     JurisdictionRegistry,
     ReputationBoard,
 )
+from conftest import negotiate
 
 US = JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB"))
 EU = JurisdictionProfile("EU", "civil_law", ("gdpr",), ("EU",))
@@ -697,17 +692,13 @@ def test_c11_overlapping_policies_converge_within_the_round_limit():
         )
         offer = LicenseTerms(name=f"deal-{trial}", duration="2030-01-01", **opening)
 
-        agreed = None
-        for _ in range(provider.max_rounds):
-            decision = evaluate_offer(requester, offer)
-            if isinstance(decision, Accept):
-                agreed = offer
-                break
-            assert isinstance(decision, Counter)
-            offer = revise_terms(provider, offer, decision.delta)
-        assert agreed is not None, f"trial {trial} never converged"
+        _, runtimes = negotiate(offer, provider, requester)
+        session = runtimes["requester"].session("s1")
+        assert session.state is RequesterState.COMPLETED, (
+            f"trial {trial} never converged: {runtimes['provider'].session('s1').reject_reason}"
+        )
         for field in ("royalty_rate", "rev_share", "upfront_fee"):
-            value = getattr(agreed, field)
+            value = getattr(session.accepted_terms, field)
             assert provider_bounds[field].contains(value)
             assert requester_bounds[field].contains(value)
     print("PASS 11 negotiation convergence: 1000/1000 overlapping policies agreed in bounds")

@@ -26,7 +26,6 @@ from atcpip.ledger import (
     Ledger,
     chain_entry_hash,
     derive_license_id,
-    entries_from_export,
     simulated_signature,
     verify_entries,
 )
@@ -259,7 +258,9 @@ def test_export_round_trip_reconstructs_state():
     with pytest.raises(TamperedLedger):
         tampered = book.export_entries()
         tampered[1]["payload"]["agent_id"] = "mallory"
-        entries_from_export(tampered)
+        Ledger.from_export(tampered)
+    with pytest.raises(ParseError):
+        Ledger.from_export({"entries": book.export_entries()})
 
 
 MUTATORS = [

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atcpip.errors import UnknownPath
-from atcpip.ledger import Ledger
 from atcpip.negotiation import (
     RISK_TIERS,
     Accept,
@@ -22,10 +21,10 @@ from atcpip.negotiation import (
     arbiter_decide,
     evaluate_offer,
     revise_terms,
-    run_negotiation,
 )
-from atcpip.terms import TermsDelta, TermsEdit, apply_delta
-from conftest import make_terms
+from atcpip.protocol import ProviderState, RequesterState
+from atcpip.terms import TermsDelta, TermsEdit, apply_delta, terms_hash
+from conftest import make_terms, negotiate, pump
 
 
 def requester_policy(**kwargs):
@@ -194,50 +193,62 @@ def test_tier_strictness_is_nested(royalty_delta, fee):
         assert not stricter or looser
 
 
-# -- full loop ----------------------------------------------------------------
+# -- full loop, run by two AgentRuntimes ---------------------------------------
+
+
+def agreed_terms(runtimes):
+    """Terms the requester accepted, or None when it never accepted."""
+    return runtimes["requester"].session("s1").accepted_terms
+
+
+def draft_proposers(ledger):
+    return [e.payload["proposer_id"] for e in ledger.entries() if e.kind == "draft_token"]
 
 
 def test_loop_converges_on_overlapping_bounds():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
-    outcome = run_negotiation(initial, provider_policy(), requester_policy())
-    assert outcome.agreed
-    assert outcome.terms.royalty_rate == Decimal("0.1000")
-    assert outcome.terms.upfront_fee == 20
-    assert requester_policy().complies(outcome.terms)
-    assert provider_policy().complies(outcome.terms)
-    assert [r.proposer_id for r in outcome.rounds] == ["provider", "requester"]
+    ledger, runtimes = negotiate(initial, provider_policy(), requester_policy())
+    agreed = agreed_terms(runtimes)
+    assert runtimes["requester"].session("s1").state is RequesterState.COMPLETED
+    assert agreed.royalty_rate == Decimal("0.1000")
+    assert agreed.upfront_fee == 20
+    assert requester_policy().complies(agreed)
+    assert provider_policy().complies(agreed)
+    assert draft_proposers(ledger) == ["provider", "requester"]
 
 
 def test_loop_rejection_on_non_negotiable():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
     stubborn = requester_policy(non_negotiable=frozenset({"royalty_rate"}))
-    outcome = run_negotiation(initial, provider_policy(), stubborn)
-    assert not outcome.agreed and not outcome.unconfirmed
+    _, runtimes = negotiate(initial, provider_policy(), stubborn)
+    assert agreed_terms(runtimes) is None
+    assert runtimes["requester"].session("s1").state is RequesterState.REJECTED
+    provider = runtimes["provider"].session("s1")
+    assert provider.state is ProviderState.REJECTED and not provider.unconfirmed
 
 
 def test_silent_requester_yields_unconfirmed_outcome():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
     mute = requester_policy(max_rounds=0)
-    outcome = run_negotiation(initial, provider_policy(), mute)
-    assert not outcome.agreed
-    assert outcome.unconfirmed
-    assert outcome.terms == initial
-    assert len(outcome.rounds) == 1
+    ledger, runtimes = negotiate(initial, provider_policy(), mute)
+    provider = runtimes["provider"].session("s1")
+    assert provider.state is ProviderState.TERMS_PROPOSED
+    pump(runtimes, runtimes["provider"].expire_timer("s1", "negotiation"))
+    assert agreed_terms(runtimes) is None
+    assert provider.unconfirmed
+    assert provider.terms == initial
+    assert draft_proposers(ledger) == ["provider"]
 
 
 def test_drafts_minted_per_proposal_with_ledger():
-    book = Ledger()
-    book.register_agent("provider", b"p")
-    book.register_agent("requester", b"r")
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
-    outcome = run_negotiation(
-        initial, provider_policy(), requester_policy(), ledger=book, session_id="s1"
-    )
-    assert outcome.agreed
-    drafts = [e for e in book.entries() if e.kind == "draft_token"]
+    ledger, runtimes = negotiate(initial, provider_policy(), requester_policy())
+    agreed = agreed_terms(runtimes)
+    assert agreed is not None
+    drafts = [e for e in ledger.entries() if e.kind == "draft_token"]
     assert [d.payload["round"] for d in drafts] == [1, 2]
     assert [d.payload["proposer_id"] for d in drafts] == ["provider", "requester"]
-    assert [r.draft_height for r in outcome.rounds] == [d.height for d in drafts]
+    assert [d.payload["terms_hash"] for d in drafts] == [terms_hash(initial), terms_hash(agreed)]
 
 
 def test_auto_accept_skips_provider_revision_budget():
@@ -245,11 +256,11 @@ def test_auto_accept_skips_provider_revision_budget():
     # provider has no revision budget left, but the tier absorbs the counter
     grumpy = provider_policy(max_rounds=0)
     picky = requester_policy()
-    blocked = run_negotiation(initial, grumpy, picky)
-    assert not blocked.agreed
-    tiered = run_negotiation(initial, grumpy, picky, provider_tier=RISK_TIERS["standard"])
-    assert tiered.agreed
-    assert tiered.terms.royalty_rate == Decimal("0.1000")
+    _, blocked = negotiate(initial, grumpy, picky)
+    assert agreed_terms(blocked) is None
+    assert blocked["provider"].session("s1").reject_reason == "negotiation budget exhausted"
+    _, tiered = negotiate(initial, grumpy, picky, tier="standard")
+    assert agreed_terms(tiered).royalty_rate == Decimal("0.1000")
 
 
 @settings(max_examples=200)
@@ -280,6 +291,7 @@ def test_random_overlapping_bounds_always_converge(r_lo, r_width, p_offset, p_wi
         royalty_rate=prov.bounds["royalty_rate"].clamp(Decimal(start).scaleb(-4)),
         rev_share="0",
     )
-    outcome = run_negotiation(initial, prov, req)
-    assert outcome.agreed
-    assert req.complies(outcome.terms) and prov.complies(outcome.terms)
+    _, runtimes = negotiate(initial, prov, req)
+    agreed = agreed_terms(runtimes)
+    assert agreed is not None
+    assert req.complies(agreed) and prov.complies(agreed)

@@ -1,11 +1,9 @@
 """Runtime: catalogs, gating, negotiation wiring, settlement, courtship."""
 
-from collections import deque
 from decimal import Decimal
 
 import pytest
 
-from atcpip.ledger import Ledger
 from atcpip.negotiation import (
     ChoiceBound,
     NegotiationPolicy,
@@ -13,7 +11,6 @@ from atcpip.negotiation import (
     RISK_TIERS,
     SetBound,
 )
-from atcpip.payments import WalletSystem
 from atcpip.ledger import token_to_value
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
@@ -25,64 +22,10 @@ from atcpip.protocol import (
     SessionConfig,
     message_from_value,
 )
-from atcpip.runtime import AgentRuntime, CatalogItem
+from atcpip.runtime import CatalogItem
 from atcpip.terms import terms_hash
-from atcpip.trust import (
-    CompatibilityRules,
-    JurisdictionProfile,
-    JurisdictionRegistry,
-    ReputationBoard,
-)
-from conftest import make_terms
-
-US = JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB"))
-EU = JurisdictionProfile("EU", "civil_law", ("gdpr",), ("EU",))
-
-
-def make_world(agents, rules=None, config=None):
-    """agents: {agent_id: kwargs}; returns (ledger, wallets, board, runtimes)."""
-    ledger = Ledger(current_date="2024-01-01")
-    wallets = WalletSystem(ledger)
-    board = ReputationBoard(ledger)
-    registry = JurisdictionRegistry((US, EU))
-    directory = {}
-    runtimes = {}
-    for agent_id, kwargs in agents.items():
-        kwargs = dict(kwargs)
-        jurisdiction = kwargs.pop("jurisdiction", "US")
-        balance = kwargs.pop("balance", 0)
-        items = kwargs.pop("items", ())
-        ledger.register_agent(agent_id, agent_id.encode() + b"-key")
-        wallets.open_account(agent_id, balance)
-        directory[agent_id] = jurisdiction
-        runtime = AgentRuntime(
-            agent_id,
-            ledger,
-            wallets,
-            board,
-            registry,
-            rules or CompatibilityRules(),
-            directory,
-            config=config,
-            **kwargs,
-        )
-        for item in items:
-            runtime.add_item(item)
-        runtimes[agent_id] = runtime
-    return ledger, wallets, board, runtimes
-
-
-def pump(runtimes, messages):
-    """Deliver messages directly until both sides go quiet."""
-    queue = deque(messages)
-    delivered = 0
-    while queue:
-        message = queue.popleft()
-        queue.extend(runtimes[message.recipient].receive_message(message))
-        delivered += 1
-        assert delivered < 200, "message storm"
-    return delivered
-
+from atcpip.trust import CompatibilityRules
+from conftest import make_terms, make_world, pump
 
 IP_TERMS = make_terms(
     name="dataset license",

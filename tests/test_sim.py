@@ -3,6 +3,8 @@
 import hashlib
 from decimal import Decimal
 
+import pytest
+
 from atcpip import canon
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
@@ -11,7 +13,7 @@ from atcpip.protocol import (
     ProviderState,
     RequesterState,
 )
-from atcpip.scenario import scenario_from_value
+from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
 from atcpip.sim import check_expectations, replay, run_scenario
 
@@ -318,3 +320,71 @@ def test_transcript_hash_is_stable_across_three_runs():
         hashlib.sha256(run_scenario(scenario)[0]).hexdigest() for _ in range(3)
     }
     assert len(hashes) == 1
+
+
+def lossy_jitter_value():
+    """Negotiating requesters on a jittery network that loses counters and
+    payment confirmations, so negotiation, settlement and delivery timers
+    all fire; no built-in scenario has drops or jitter."""
+    fee = {"bounds": {"upfront_fee": {"min": 0, "max": 3_600_000}}}
+    requests = [(0, "r1"), (0, "r2"), (1, "r3"), (4, "r1"), (6, "r2"), (9, "r1")]
+    return {
+        "name": "lossy_jitter",
+        "seed": 2,
+        "network": {
+            "latency": {"min": 1, "max": 3},
+            "drop": {
+                "counter_terms": Decimal("0.3000"),
+                "payment_confirmed": Decimal("0.3000"),
+            },
+        },
+        "agents": [
+            {
+                "id": "prov",
+                "tier": "conservative",
+                "policy": {"bounds": {"upfront_fee": {"min": 3_500_000, "max": 5_000_000}}},
+                "catalog": [
+                    {
+                        "content_id": "weather",
+                        "content": "temp,rain",
+                        "tags": ["dataset"],
+                        "terms": {"upfront_fee": 4_000_000, "duration": "2030-01-01"},
+                    }
+                ],
+            },
+            {"id": "r1", "balance": 20_000_000, "policy": fee},
+            {"id": "r2", "balance": 20_000_000, "policy": fee},
+            {"id": "r3", "balance": 20_000_000},
+        ],
+        "script": [
+            {
+                "tick": tick,
+                "action": "request",
+                "requester": requester,
+                "provider": "prov",
+                "content_id": "weather",
+                "session_id": f"s{index}",
+            }
+            for index, (tick, requester) in enumerate(requests)
+        ],
+    }
+
+
+# sha256 of each transcript; any change to transcript bytes shows up here.
+GOLDEN_DIGESTS = {
+    "uc1_dataset": "aace424c60b5ea6b970f1c34a3d456c43a1b72744d18bf8d839b14e62cad6b14",
+    "uc2_social_game": "1b342fc6949bca26624d5fec8b7021d6bcf030aaf844072a470f1ab31edcf83e",
+    "uc3_style_transfer": "298962b554e4ee380df41147ba0a34174297b64d9f4be13f850c037d9ff5c880",
+    "uc4_multihop": "d6c909e7c62c6308795a2f4e8354345185c2c70fcde847f6e9976faa26cb6976",
+    "lossy_jitter": "281da881b4e4f114cae942a5a7b38bdd369ed6e99f72dc9d514247fe67545f34",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_transcript_digests(name):
+    if name in BUILTIN_SCENARIOS:
+        scenario = scenario_from_bytes(builtin_bytes(name))
+    else:
+        scenario = scenario_from_value(lossy_jitter_value())
+    transcript, _ = run_scenario(scenario)
+    assert hashlib.sha256(transcript).hexdigest() == GOLDEN_DIGESTS[name]

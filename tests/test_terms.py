@@ -1,4 +1,4 @@
-"""Terms schema: normalization, validation, hashing, diff/apply, expiry."""
+"""Terms schema: normalization, validation, hashing, diff/apply, metadata."""
 
 import re
 from decimal import Decimal
@@ -11,7 +11,6 @@ from atcpip.errors import (
     CanonicalizationError,
     InvalidResult,
     InvalidTerms,
-    MalformedDate,
     ParseError,
     UnknownPath,
 )
@@ -22,7 +21,6 @@ from atcpip.terms import (
     TermsEdit,
     apply_delta,
     diff,
-    is_expired,
     metadata_from_value,
     terms_from_value,
     terms_hash,
@@ -197,7 +195,7 @@ def test_diff_then_hash_matches_target(a, b):
     assert terms_hash(apply_delta(a, diff(a, b))) == terms_hash(b)
 
 
-# -- metadata / expiry -------------------------------------------------------
+# -- metadata ----------------------------------------------------------------
 
 
 def _metadata(expiry="2025-06-30", previous=None):
@@ -226,20 +224,3 @@ def test_metadata_from_value_rejects_unknown_fields():
     with pytest.raises(ParseError):
         metadata_from_value(doc)
 
-
-def test_license_valid_through_expiry_date():
-    md = _metadata(expiry="2025-06-30")
-    assert not is_expired(md, "2025-06-29")
-    assert not is_expired(md, "2025-06-30")
-    assert is_expired(md, "2025-07-01")
-
-
-def test_perpetual_never_expires():
-    assert not is_expired(_metadata(expiry="perpetual"), "9999-12-31")
-
-
-def test_expiry_checks_reject_malformed_dates():
-    with pytest.raises(MalformedDate):
-        is_expired(_metadata(), "tomorrow")
-    with pytest.raises(MalformedDate):
-        is_expired(_metadata(expiry="never"), "2025-01-01")
