@@ -94,10 +94,6 @@ class AbortedExchange(AtcpipError):
     """Token/delivery exchange failed; neither side takes effect."""
 
 
-class ComplianceFailed(AtcpipError):
-    """Compatibility gate rejected the pairing."""
-
-
 class UnknownContent(AtcpipError):
     """content_id not present in the provider's catalog."""
 

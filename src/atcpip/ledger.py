@@ -18,6 +18,7 @@ from typing import Optional
 from . import canon
 from .errors import (
     AbortedExchange,
+    AtcpipError,
     CyclicLineage,
     DuplicateAgent,
     ExpiredTerms,
@@ -494,7 +495,7 @@ class Ledger:
             if token.license_id in self._revoked:
                 return False
             return not self.token_problems(token)
-        except Exception:
+        except AtcpipError:
             return False
 
     def is_revoked(self, license_id):
@@ -583,7 +584,7 @@ def verify_entries(entries):
             return False
         try:
             payload_hash = canon.hash_value(payload)
-        except Exception:
+        except AtcpipError:
             return False
         if payload_hash != item["payload_hash"]:
             return False

@@ -76,7 +76,6 @@ class SetBound:
 
 @dataclass(frozen=True)
 class NegotiationPolicy:
-    role: str = "requester"
     bounds: dict = field(default_factory=dict)
     non_negotiable: frozenset = frozenset()
     max_rounds: int = 4
@@ -106,9 +105,6 @@ class NegotiationPolicy:
         unknown = self.non_negotiable - set(FIELD_ORDER)
         if unknown:
             raise UnknownPath(f"non_negotiable names unknown field {sorted(unknown)[0]!r}")
-
-    def bound(self, path):
-        return self.bounds.get(path)
 
     def complies(self, terms):
         """True when every bounded path of the terms satisfies this policy."""
@@ -226,20 +222,15 @@ class ArbiterDecision(enum.Enum):
     ESCALATE = "escalate"
 
 
-DEFAULT_AUTO_SETTLE_KEYS = frozenset({"royalty_rate", "rev_share", "upfront_fee"})
-
-
 @dataclass(frozen=True)
 class RiskTier:
     name: str
     max_price_delta_fraction: Decimal
     max_royalty_delta: Decimal
-    auto_settle_keys: frozenset = DEFAULT_AUTO_SETTLE_KEYS
 
     def __post_init__(self):
         object.__setattr__(self, "max_price_delta_fraction", fixed4(self.max_price_delta_fraction))
         object.__setattr__(self, "max_royalty_delta", fixed4(self.max_royalty_delta))
-        object.__setattr__(self, "auto_settle_keys", frozenset(self.auto_settle_keys))
 
 
 RISK_TIERS = {
@@ -250,12 +241,13 @@ RISK_TIERS = {
 
 
 def arbiter_decide(tier, proposed, counter_terms):
-    """Auto-accept a counter whose differences all sit inside the tier."""
+    """Auto-accept a counter whose differences all sit inside the tier;
+    only the numeric paths can settle automatically."""
     delta = diff(proposed, counter_terms)
     changed = {edit.path[0] for edit in delta.edits}
     if not changed:
         return ArbiterDecision.AUTO_ACCEPT
-    if not changed <= tier.auto_settle_keys:
+    if not changed.issubset(NUMERIC_PATHS):
         return ArbiterDecision.ESCALATE
     for path in ("royalty_rate", "rev_share"):
         if path in changed:

@@ -164,7 +164,6 @@ class SessionConfig:
     negotiation_timeout: int = 10
     settlement_timeout: int = 30
     ack_required: bool = False
-    onchain_drafts: bool = True
 
     def __post_init__(self):
         for name in ("negotiation_timeout", "settlement_timeout"):
@@ -293,15 +292,12 @@ class RequesterSession:
     config: SessionConfig
     state: RequesterState = RequesterState.REQUESTING
     content_id: str = ""
-    offer: dict = field(default_factory=dict)
     offered_terms: object = None
-    offered_terms_hash: str = ""
     offered_previous_license_id: Optional[str] = None
     round: int = 0
     counters_used: int = 0
     accepted_terms: object = None
     accepted_terms_hash: str = ""
-    prepared_token: object = None
     received_token: object = None
     content: object = None
     content_licensed: bool = False
@@ -447,14 +443,13 @@ def _provider_decision(session, event):
             session.previous_license_id = event.data.get("previous_license_id")
             session.round += 1
             session.state = ProviderState.TERMS_PROPOSED
-            outputs = []
-            if session.config.onchain_drafts:
-                outputs.append(Command("mint_draft", {"terms": session.terms}))
             body = {"terms": session.terms.to_value(), "round": session.round}
             if session.previous_license_id is not None:
                 body["previous_license_id"] = session.previous_license_id
-            outputs.append(_send(session, "propose_terms", body))
-            return outputs
+            return [
+                Command("mint_draft", {"terms": session.terms}),
+                _send(session, "propose_terms", body),
+            ]
         if event.kind == "non_ip":
             session.state = ProviderState.COMPLETED
             return [
@@ -483,7 +478,7 @@ def _provider_decision(session, event):
             session.terms_hash = event.data["terms_hash"]
             session.round += 1
             outputs = []
-            if session.config.onchain_drafts and not event.data.get("echo", False):
+            if not event.data.get("echo", False):
                 outputs.append(Command("mint_draft", {"terms": session.terms}))
             outputs.append(
                 _send(
@@ -650,13 +645,13 @@ def _requester_decision(session, event):
 
     if state is RequesterState.REQUESTING and event.kind == "start":
         session.content_id = event.data["content_id"]
-        session.offer = dict(event.data.get("offer") or {})
         session.state = RequesterState.AWAITING_TERMS
         body = {"content_id": session.content_id}
         if "jurisdiction" in event.data:
             body["jurisdiction"] = event.data["jurisdiction"]
-        if session.offer:
-            body["offer"] = dict(session.offer)
+        offer = event.data.get("offer")
+        if offer:
+            body["offer"] = dict(offer)
         return [_send(session, "request_info", body)]
 
     if state is RequesterState.EVALUATING_TERMS:
@@ -675,18 +670,15 @@ def _requester_decision(session, event):
         if event.kind == "offer_counter":
             session.counters_used += 1
             session.round += 1
-            outputs = []
-            if session.config.onchain_drafts:
-                outputs.append(Command("mint_draft", {"terms": event.data["countered_terms"]}))
-            outputs.append(
+            session.state = RequesterState.COUNTERING
+            return [
+                Command("mint_draft", {"terms": event.data["countered_terms"]}),
                 _send(
                     session,
                     "counter_terms",
                     {"suggestions": event.data["delta_value"], "round": session.round},
-                )
-            )
-            session.state = RequesterState.COUNTERING
-            return outputs
+                ),
+            ]
         if event.kind == "offer_reject":
             session.reject_reason = event.data["reason"]
             session.state = RequesterState.REJECTED
@@ -704,13 +696,9 @@ def _requester_decision(session, event):
 
     if state is RequesterState.MINTING:
         if event.kind == "token_prepared":
-            session.prepared_token = event.data["token"]
             session.state = RequesterState.AWAITING_DELIVERY
-            return [
-                _send(
-                    session, "license_token", {"token": token_to_value(session.prepared_token)}
-                )
-            ]
+            token = token_to_value(event.data["token"])
+            return [_send(session, "license_token", {"token": token})]
         if event.kind == "prepare_failed":
             return _fail(session, event.data["reason"], RequesterState)
 

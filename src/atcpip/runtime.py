@@ -1,11 +1,11 @@
 """Agent runtime: executes the side effects the state machines request.
 
-A runtime owns one agent's catalog, policies, memory, and open
-sessions. Transitions stay pure; every Command they emit is handled
-here against the shared ledger, wallet system, and reputation board,
-and the outcome goes straight back into the machine as an
-InternalDecision at the same tick. Entry points return the outbound
-messages the caller must put on the wire.
+A runtime owns one agent's catalog, negotiation policy (one policy
+for both roles), memory, and open sessions. Transitions stay pure;
+every Command they emit is handled here against the shared ledger,
+wallet system, and reputation board, and the outcome goes straight
+back into the machine as an InternalDecision at the same tick. Entry
+points return the outbound messages the caller must put on the wire.
 
 Inbound messages are deduplicated per session by sequence number, and
 anything a session cannot take in its current state is dropped with a
@@ -96,10 +96,10 @@ class CatalogItem:
     """One piece of content an agent can serve.
 
     ``ip_significant`` pins the IP call outright; left unset, the call
-    falls back to the runtime's significant-tag set. ``derived_from``
-    names the licensed content this item builds on, and
-    ``extra_royalties`` adds negotiated (beneficiary, share) lines on top
-    of whatever the upstream chain already collects.
+    falls back to SIGNIFICANT_TAGS. ``derived_from`` names the licensed
+    content this item builds on, and ``extra_royalties`` adds negotiated
+    (beneficiary, share) lines on top of whatever the upstream chain
+    already collects.
     """
 
     content_id: str
@@ -132,12 +132,9 @@ class AgentRuntime:
         registry,
         rules,
         directory,
-        provider_policy=None,
-        requester_policy=None,
+        policy=None,
         tier=None,
         config=None,
-        royalty_weight=ROYALTY_WEIGHT,
-        significant_tags=SIGNIFICANT_TAGS,
     ):
         self.agent_id = agent_id
         self.ledger = ledger
@@ -146,12 +143,9 @@ class AgentRuntime:
         self.registry = registry
         self.rules = rules
         self.directory = directory  # agent_id -> jurisdiction code
-        self.provider_policy = provider_policy or NegotiationPolicy(role="provider")
-        self.requester_policy = requester_policy or NegotiationPolicy(role="requester")
+        self.policy = policy or NegotiationPolicy()
         self.tier = tier if tier is not None else RISK_TIERS["standard"]
         self.config = config or SessionConfig()
-        self.royalty_weight = royalty_weight
-        self.significant_tags = frozenset(significant_tags)
         self.clock = lambda: 0  # the harness points this at its tick
         self.catalog = {}
         self.tokens = {}  # content_id -> held AgreementToken
@@ -192,7 +186,7 @@ class AgentRuntime:
         item = self._require_item(content_id)
         if item.ip_significant is not None:
             return bool(item.ip_significant)
-        return bool(self.significant_tags.intersection(item.tags))
+        return bool(SIGNIFICANT_TAGS.intersection(item.tags))
 
     def session(self, session_id):
         return self._sessions[session_id]
@@ -297,7 +291,7 @@ class AgentRuntime:
             value = Decimal(offer.get("upfront_fee", 0))
             royalty = offer.get("royalty_rate")
             if royalty is not None:
-                value += fixed4(royalty) * self.royalty_weight
+                value += fixed4(royalty) * ROYALTY_WEIGHT
             return value
 
         winner = live[0]
@@ -449,14 +443,14 @@ class AgentRuntime:
         ):
             revised = countered
         else:
-            if session.revisions_used >= self.provider_policy.max_rounds:
+            if session.revisions_used >= self.policy.max_rounds:
                 return [
                     InternalDecision(
                         "revision_reject", {"reason": "negotiation budget exhausted"}
                     )
                 ]
             session.revisions_used += 1
-            revised = revise_terms(self.provider_policy, session.terms, delta)
+            revised = revise_terms(self.policy, session.terms, delta)
         echo = revised == countered or revised == session.terms
         return [
             InternalDecision(
@@ -562,11 +556,11 @@ class AgentRuntime:
 
     def _cmd_evaluate_offer(self, session, data):
         terms = data["terms"]
-        decision = evaluate_offer(self.requester_policy, terms)
+        decision = evaluate_offer(self.policy, terms)
         if isinstance(decision, Accept):
             return [InternalDecision("offer_accept", {"terms_hash": terms_hash(terms)})]
         if isinstance(decision, Counter):
-            if session.counters_used >= self.requester_policy.max_rounds:
+            if session.counters_used >= self.policy.max_rounds:
                 self.remember("Counter budget exhausted; going silent.")
                 return []
             try:

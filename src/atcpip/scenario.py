@@ -61,16 +61,15 @@ _EXPECTATION_KEYS = frozenset(
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Parsed negotiation policy; built per role when the world is wired."""
+    """Parsed negotiation policy; one agent uses it in both roles."""
 
     bounds: tuple = ()  # ((field, Bound), ...)
     non_negotiable: frozenset = frozenset()
     max_rounds: int = 4
     concession_step: Decimal = Decimal("0.5000")
 
-    def build(self, role):
+    def build(self):
         return NegotiationPolicy(
-            role=role,
             bounds=dict(self.bounds),
             non_negotiable=self.non_negotiable,
             max_rounds=self.max_rounds,
@@ -115,12 +114,6 @@ class Scenario:
     network: NetworkSpec = field(default_factory=NetworkSpec)
     script: tuple = ()
     expectations: dict = field(default_factory=dict)
-
-    def agent(self, agent_id):
-        for spec in self.agents:
-            if spec.agent_id == agent_id:
-                return spec
-        raise UnresolvedReference(agent_id)
 
     def session_ids(self):
         return tuple(
@@ -331,7 +324,6 @@ _AGENT_KEYS = (
     "ack_required",
     "negotiation_timeout",
     "settlement_timeout",
-    "onchain_drafts",
 )
 
 
@@ -354,7 +346,6 @@ def _parse_agent(value, agent_ids, codes, index):
         negotiation_timeout=_int(body, "negotiation_timeout", ctx, default=10, minimum=1),
         settlement_timeout=_int(body, "settlement_timeout", ctx, default=30, minimum=1),
         ack_required=_bool(body, "ack_required", ctx, default=False),
-        onchain_drafts=_bool(body, "onchain_drafts", ctx, default=True),
     )
     catalog = []
     seen = set()

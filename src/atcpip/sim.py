@@ -80,8 +80,7 @@ class Simulation:
                 registry,
                 rules,
                 directory,
-                provider_policy=spec.policy.build("provider") if spec.policy else None,
-                requester_policy=spec.policy.build("requester") if spec.policy else None,
+                policy=spec.policy.build() if spec.policy else None,
                 tier=RISK_TIERS[spec.tier],
                 config=spec.config,
             )
@@ -298,7 +297,6 @@ class Simulation:
         seller.sell(
             body["content_id"], body["buyer"], body["price"], session_id=body.get("session_id", "")
         )
-        self._sweep(seller)
 
     def _script_usage(self, body):
         token = self.ledger.session_agreement(body["session_id"])

@@ -31,9 +31,9 @@ DISPUTE_RESOLUTION_MODES = (
     "court",
 )
 
-# Registry used when a scenario does not configure its own. Codes only;
-# richer per-jurisdiction profiles live in the trust module.
-DEFAULT_JURISDICTIONS = frozenset(
+# Codes a terms document may name. The jurisdiction profiles that gate
+# agent pairs live in the trust module and do not change this set.
+JURISDICTIONS = frozenset(
     {
         "AE", "AT", "AU", "BE", "BR", "CA", "CH", "CN", "CZ", "DE",
         "DK", "EE", "ES", "FI", "FR", "GB", "IE", "IN", "IT", "JP",
@@ -151,7 +151,7 @@ class Violation:
     reason: str
 
 
-def validate(terms, jurisdictions=DEFAULT_JURISDICTIONS):
+def validate(terms):
     """Return a tuple of violations; empty means the terms are valid."""
     report = []
 
@@ -163,7 +163,7 @@ def validate(terms, jurisdictions=DEFAULT_JURISDICTIONS):
             flag(("scope", tag), "unknown scope tag")
     if terms.duration != PERPETUAL and not is_iso_date(terms.duration):
         flag(("duration",), "neither 'perpetual' nor a calendar date")
-    if terms.jurisdiction not in jurisdictions:
+    if terms.jurisdiction not in JURISDICTIONS:
         flag(("jurisdiction",), "not a recognized jurisdiction code")
     for name in DECIMAL_FIELDS:
         rate = getattr(terms, name)
@@ -187,9 +187,9 @@ def validate(terms, jurisdictions=DEFAULT_JURISDICTIONS):
     return tuple(report)
 
 
-def terms_hash(terms, jurisdictions=DEFAULT_JURISDICTIONS):
+def terms_hash(terms):
     """Hash of the canonical terms map. Raises InvalidTerms on violations."""
-    report = validate(terms, jurisdictions)
+    report = validate(terms)
     if report:
         raise InvalidTerms(report)
     return canon.hash_value(terms.to_value())
@@ -260,7 +260,7 @@ def diff(old, new):
     return TermsDelta(tuple(edits))
 
 
-def apply_delta(terms, delta, jurisdictions=DEFAULT_JURISDICTIONS):
+def apply_delta(terms, delta):
     """Apply every edit or raise; the result must re-validate."""
     doc = terms.to_value()
     for edit in delta.edits:
@@ -287,7 +287,7 @@ def apply_delta(terms, delta, jurisdictions=DEFAULT_JURISDICTIONS):
         result = terms_from_value(doc)
     except ParseError as exc:
         raise InvalidResult(f"edited terms do not parse: {exc}") from None
-    report = validate(result, jurisdictions)
+    report = validate(result)
     if report:
         raise InvalidResult(
             "edited terms fail validation: "

@@ -1,11 +1,11 @@
 """Cross-jurisdiction gating and reputation.
 
-The compatibility gate runs before any terms go out: blocked country
-pairs stop a session outright, and personal data only crosses a border
-when the destination is on the source's adequacy list or the terms
-carry compliance requirements the requester's regimes cover. Reputation
-is a pure fold over ledger reputation events, so any holder of the
-chain reconstructs identical records.
+The compatibility gate runs on the opening terms before they go out:
+blocked country pairs stop a session outright, and personal data only
+crosses a border when the destination is on the source's adequacy list
+or the terms carry compliance requirements the requester's regimes
+cover. Reputation is a pure fold over ledger reputation events, so any
+holder of the chain reconstructs identical records.
 """
 
 from dataclasses import dataclass
@@ -78,19 +78,14 @@ class GateDecision:
 ALLOW = GateDecision(True)
 
 
-def check_compatibility(rules, requester, provider, content_flags, terms=None):
-    """Gate a session between two jurisdiction profiles.
-
-    ``terms=None`` means no terms have been formulated yet; the personal
-    data condition on compliance requirements is then vacuous, so the
-    pre-terms call only catches blocked pairs and missing adequacy plus
-    regime coverage. Call again once terms exist.
-    """
+def check_compatibility(rules, requester, provider, content_flags, terms):
+    """Gate a session between two jurisdiction profiles on the terms the
+    provider would open with."""
     pair = frozenset({requester.code, provider.code})
     if pair in rules.blocked_pairs:
         return GateDecision(False, f"pair {provider.code}/{requester.code} is blocked")
     if PERSONAL_DATA_FLAG in content_flags and requester.code not in provider.adequacy:
-        requirements = frozenset(terms.compliance_requirements) if terms is not None else frozenset()
+        requirements = frozenset(terms.compliance_requirements)
         if not requirements:
             return GateDecision(
                 False,
@@ -136,24 +131,20 @@ _EVENT_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class ScoreWeights:
-    successful: Decimal = Decimal("1.0000")
-    lost: Decimal = Decimal("2.0000")
-    violation: Decimal = Decimal("1.5000")
-    won: Decimal = Decimal("0.5000")
+# Score weight of one event of each kind; losses and violations subtract.
+SUCCESS_WEIGHT = Decimal("1.0000")
+WON_WEIGHT = Decimal("0.5000")
+LOST_WEIGHT = Decimal("2.0000")
+VIOLATION_WEIGHT = Decimal("1.5000")
 
 
-DEFAULT_WEIGHTS = ScoreWeights()
-
-
-def score(record, weights=DEFAULT_WEIGHTS):
+def score(record):
     """Weighted reputation score, floored at zero."""
     raw = (
-        weights.successful * record.successful_deals
-        + weights.won * record.disputes_won
-        - weights.lost * record.disputes_lost
-        - weights.violation * record.compliance_violations
+        SUCCESS_WEIGHT * record.successful_deals
+        + WON_WEIGHT * record.disputes_won
+        - LOST_WEIGHT * record.disputes_lost
+        - VIOLATION_WEIGHT * record.compliance_violations
     )
     return max(Decimal("0.0000"), raw)
 
@@ -179,8 +170,8 @@ class ReputationBoard:
         self._records[agent_id] = updated
         return updated
 
-    def score(self, agent_id, weights=DEFAULT_WEIGHTS):
-        return score(self.record(agent_id), weights)
+    def score(self, agent_id):
+        return score(self.record(agent_id))
 
 
 def replay_records(entries):

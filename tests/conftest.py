@@ -84,10 +84,10 @@ def negotiate(opening, provider_policy, requester_policy, tier="conservative"):
         {
             "provider": {
                 "items": (item,),
-                "provider_policy": provider_policy,
+                "policy": provider_policy,
                 "tier": RISK_TIERS[tier],
             },
-            "requester": {"balance": 10**12, "requester_policy": requester_policy},
+            "requester": {"balance": 10**12, "policy": requester_policy},
         }
     )
     pump(runtimes, runtimes["requester"].start_request("s1", "provider", "item"))

@@ -679,13 +679,11 @@ def test_c11_overlapping_policies_converge_within_the_round_limit():
         opening["upfront_fee"] = mine.clamp(start)
 
         provider = NegotiationPolicy(
-            role="provider",
             bounds=provider_bounds,
             max_rounds=rng.randint(2, 5),
             concession_step=Decimal(rng.choice(("0.2500", "0.5000", "0.7500", "1.0000"))),
         )
         requester = NegotiationPolicy(
-            role="requester",
             bounds=requester_bounds,
             max_rounds=provider.max_rounds,
             concession_step=Decimal("0.5000"),

@@ -1,6 +1,7 @@
 """Ledger: chain arithmetic, token lifecycle, tamper evidence."""
 
 import copy
+import dataclasses
 import hashlib
 import random
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from atcpip import canon
 from atcpip.errors import (
     AbortedExchange,
+    CanonicalizationError,
     CyclicLineage,
     DuplicateAgent,
     ExpiredTerms,
@@ -294,6 +296,13 @@ def test_verify_rejects_malformed_containers():
     assert verify_entries([])
     assert not verify_entries([{"height": 0}])
     assert not verify_entries(["nonsense"])
+    # An in-memory entry whose payload cannot be encoded fails the check
+    # instead of raising.
+    entries = list(populated_ledger().entries())
+    entries[4] = dataclasses.replace(entries[4], payload={**entries[4].payload, "amount": 1.5})
+    with pytest.raises(CanonicalizationError):
+        canon.hash_value(entries[4].payload)
+    assert not verify_entries(entries)
 
 
 @settings(max_examples=50)

@@ -29,7 +29,6 @@ from conftest import make_terms, negotiate, pump
 
 def requester_policy(**kwargs):
     defaults = dict(
-        role="requester",
         bounds={
             "royalty_rate": NumericBound(Decimal("0.0000"), Decimal("0.1000")),
             "upfront_fee": NumericBound(0, 20),
@@ -42,7 +41,6 @@ def requester_policy(**kwargs):
 
 def provider_policy(**kwargs):
     defaults = dict(
-        role="provider",
         bounds={
             "royalty_rate": NumericBound(Decimal("0.0500"), Decimal("0.3000")),
             "upfront_fee": NumericBound(10, 100),
@@ -137,7 +135,6 @@ def test_revision_keeps_non_negotiable_and_unacceptable_values():
 
 def test_revision_falls_back_when_blend_breaks_validation():
     policy = NegotiationPolicy(
-        role="provider",
         bounds={"royalty_rate": NumericBound(Decimal("0"), Decimal("1"))},
     )
     own = make_terms(royalty_rate="0.20", rev_share="0.50")
@@ -168,7 +165,7 @@ def test_arbiter_thresholds():
     assert arbiter_decide(RISK_TIERS["conservative"], base, nudge) is ArbiterDecision.ESCALATE
 
 
-def test_arbiter_escalates_fields_outside_auto_settle_keys():
+def test_arbiter_escalates_non_numeric_fields():
     base = make_terms()
     moved = base.replace(duration="perpetual")
     assert arbiter_decide(RISK_TIERS["permissive"], base, moved) is ArbiterDecision.ESCALATE
@@ -278,12 +275,10 @@ def test_random_overlapping_bounds_always_converge(r_lo, r_width, p_offset, p_wi
     provider_low = Decimal(r_lo + min(p_offset, r_width)).scaleb(-4)
     provider_high = Decimal(r_lo + min(p_offset, r_width) + p_width).scaleb(-4)
     req = NegotiationPolicy(
-        role="requester",
         bounds={"royalty_rate": NumericBound(requester_low, requester_high)},
         max_rounds=3,
     )
     prov = NegotiationPolicy(
-        role="provider",
         bounds={"royalty_rate": NumericBound(provider_low, provider_high)},
         max_rounds=3,
     )

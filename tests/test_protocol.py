@@ -114,7 +114,6 @@ def test_session_config_validation():
     assert SessionConfig().negotiation_timeout == 10
     assert SessionConfig().settlement_timeout == 30
     assert SessionConfig().ack_required is False
-    assert SessionConfig().onchain_drafts is True
 
 
 # -- provider transitions ---------------------------------------------------------

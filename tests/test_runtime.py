@@ -197,18 +197,16 @@ def test_counter_inside_provider_bounds_is_taken_verbatim():
     terms = IP_TERMS.replace(royalty_rate=Decimal("0.2000"))
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",), terms=terms)
     provider_policy = NegotiationPolicy(
-        role="provider",
         bounds={"royalty_rate": NumericBound(Decimal("0.0500"), Decimal("0.2000"))},
     )
     requester_policy = NegotiationPolicy(
-        role="requester",
         bounds={"royalty_rate": NumericBound(Decimal("0.0000"), Decimal("0.1000"))},
     )
     ledger, _, _, runtimes = make_world(
         {
-            "prov": {"items": (item,), "provider_policy": provider_policy,
+            "prov": {"items": (item,), "policy": provider_policy,
                      "tier": RISK_TIERS["conservative"]},
-            "req": {"balance": 50_000_000, "requester_policy": requester_policy},
+            "req": {"balance": 50_000_000, "policy": requester_policy},
         }
     )
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
@@ -227,13 +225,12 @@ def test_arbiter_auto_accepts_small_fee_movement():
     terms = IP_TERMS.replace(upfront_fee=10_000_000)
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",), terms=terms)
     requester_policy = NegotiationPolicy(
-        role="requester",
         bounds={"upfront_fee": NumericBound(0, 9_800_000)},
     )
     _, wallets, _, runtimes = make_world(
         {
             "prov": {"items": (item,), "tier": RISK_TIERS["standard"]},
-            "req": {"balance": 50_000_000, "requester_policy": requester_policy},
+            "req": {"balance": 50_000_000, "policy": requester_policy},
         }
     )
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
@@ -248,12 +245,11 @@ def test_non_negotiable_offer_is_rejected_outright():
     terms = IP_TERMS.replace(scope=("commercial",), upfront_fee=0)
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",), terms=terms)
     requester_policy = NegotiationPolicy(
-        role="requester",
         bounds={"scope": SetBound({"personal"})},
         non_negotiable={"scope"},
     )
     _, _, _, runtimes = make_world(
-        {"prov": {"items": (item,)}, "req": {"requester_policy": requester_policy}}
+        {"prov": {"items": (item,)}, "req": {"policy": requester_policy}}
     )
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
     assert runtimes["req"].session("s1").state is RequesterState.REJECTED
@@ -265,17 +261,16 @@ def test_non_negotiable_offer_is_rejected_outright():
 def test_stalled_negotiation_times_out_into_unconfirmed_then_fails():
     terms = IP_TERMS.replace(royalty_rate=Decimal("0.3000"))
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",), terms=terms)
-    provider_policy = NegotiationPolicy(role="provider", non_negotiable={"royalty_rate"})
+    provider_policy = NegotiationPolicy(non_negotiable={"royalty_rate"})
     requester_policy = NegotiationPolicy(
-        role="requester",
         bounds={"royalty_rate": NumericBound(Decimal("0.0000"), Decimal("0.0100"))},
         max_rounds=1,
     )
     _, _, _, runtimes = make_world(
         {
-            "prov": {"items": (item,), "provider_policy": provider_policy,
+            "prov": {"items": (item,), "policy": provider_policy,
                      "tier": RISK_TIERS["conservative"]},
-            "req": {"balance": 50_000_000, "requester_policy": requester_policy},
+            "req": {"balance": 50_000_000, "policy": requester_policy},
         }
     )
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))

@@ -248,8 +248,7 @@ def test_policy_bounds_parse_into_typed_bounds():
     assert isinstance(policy["royalty_rate"], NumericBound)
     assert isinstance(policy["transferability"], ChoiceBound)
     assert isinstance(policy["scope"], SetBound)
-    built = scenario.agents[1].policy.build("requester")
-    assert built.role == "requester"
+    built = scenario.agents[1].policy.build()
     assert built.max_rounds == 3
     assert built.non_negotiable == frozenset({"jurisdiction"})
 

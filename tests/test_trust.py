@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from atcpip.errors import UnknownJurisdiction
 from atcpip.ledger import Ledger
 from atcpip.trust import (
-    DEFAULT_WEIGHTS,
+    LOST_WEIGHT,
+    SUCCESS_WEIGHT,
+    VIOLATION_WEIGHT,
+    WON_WEIGHT,
     CompatibilityRules,
     JurisdictionProfile,
     JurisdictionRegistry,
@@ -29,17 +32,17 @@ RULES = CompatibilityRules()
 
 def test_blocked_pair_fails_either_direction():
     rules = CompatibilityRules(blocked_pairs={("US", "DE")})
-    assert not check_compatibility(rules, US, EU_DE, set())
-    assert not check_compatibility(rules, EU_DE, US, set())
-    assert check_compatibility(rules, FR, EU_DE, set())
+    assert not check_compatibility(rules, US, EU_DE, set(), make_terms())
+    assert not check_compatibility(rules, EU_DE, US, set(), make_terms())
+    assert check_compatibility(rules, FR, EU_DE, set(), make_terms())
 
 
 def test_personal_data_needs_adequacy_or_covered_requirements():
     flags = {"personal_data"}
-    # FR is on DE's adequacy list: fine even without terms.
-    assert check_compatibility(RULES, FR, EU_DE, flags)
-    # US is not; without terms the gate must fail closed.
-    decision = check_compatibility(RULES, US, EU_DE, flags)
+    # FR is on DE's adequacy list: fine even without compliance requirements.
+    assert check_compatibility(RULES, FR, EU_DE, flags, make_terms())
+    # US is not; without compliance requirements the gate must fail closed.
+    decision = check_compatibility(RULES, US, EU_DE, flags, make_terms())
     assert not decision and "personal data" in decision.reason
     # Terms with requirements the requester's regimes cover open the gate.
     gdpr_terms = make_terms(compliance_requirements=["gdpr"])
@@ -50,7 +53,7 @@ def test_personal_data_needs_adequacy_or_covered_requirements():
 
 
 def test_non_personal_content_ignores_privacy_machinery():
-    assert check_compatibility(RULES, US, EU_DE, {"dataset"})
+    assert check_compatibility(RULES, US, EU_DE, {"dataset"}, make_terms())
     assert check_compatibility(RULES, US, EU_DE, set(), terms=make_terms())
 
 
@@ -114,7 +117,7 @@ def test_replay_reconstructs_board_state(events):
 
 
 def test_default_weights_values():
-    assert DEFAULT_WEIGHTS.successful == Decimal("1.0")
-    assert DEFAULT_WEIGHTS.lost == Decimal("2.0")
-    assert DEFAULT_WEIGHTS.violation == Decimal("1.5")
-    assert DEFAULT_WEIGHTS.won == Decimal("0.5")
+    assert SUCCESS_WEIGHT == Decimal("1.0")
+    assert LOST_WEIGHT == Decimal("2.0")
+    assert VIOLATION_WEIGHT == Decimal("1.5")
+    assert WON_WEIGHT == Decimal("0.5")

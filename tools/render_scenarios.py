@@ -1,315 +1,54 @@
-"""Regenerate the built-in scenario files in canonical form.
+"""Rewrite the built-in scenario files in canonical form.
 
 Scenario files must be byte-exact canonical JSON, which is tedious to
-hand-edit, so the shipped files are rendered from the dicts below. Run
-from the repository root after changing anything here:
+edit by hand. Edit a file under ``src/atcpip/scenarios/`` in any JSON
+layout (pretty-printed, decimals with one to four fractional digits),
+then run from the repository root:
 
-    python tools/render_scenarios.py
+    python3 tools/render_scenarios.py
+
+Every built-in is parsed, validated as a scenario whose name matches its
+file, and written back as its canonical bytes plus a newline. A file
+that fails is left as it is, and the script exits 1. Running it on
+files already in canonical form changes nothing.
 """
 
 import pathlib
 import sys
-from decimal import Decimal
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from atcpip import canon  # noqa: E402
+from atcpip.errors import AtcpipError, ParseError  # noqa: E402
 from atcpip.scenario import scenario_from_bytes  # noqa: E402
+from atcpip.scenarios import BUILTIN_SCENARIOS  # noqa: E402
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "atcpip" / "scenarios"
-
-
-UC1_DATASET = {
-    "name": "uc1_dataset",
-    "seed": 11,
-    "network": {"latency": 1},
-    "agents": [
-        {"id": "agent_a", "jurisdiction": "US", "balance": 50_000_000},
-        {
-            "id": "agent_b",
-            "jurisdiction": "US",
-            "balance": 0,
-            "catalog": [
-                {
-                    "content_id": "climate-temps-2024",
-                    "content": (
-                        "station,month,anomaly_c\n"
-                        "GISS-0041,2024-01,1.42\n"
-                        "GISS-0041,2024-02,1.37\n"
-                        "GISS-0044,2024-01,0.98"
-                    ),
-                    "tags": ["dataset"],
-                    "terms": {
-                        "name": "climate dataset license",
-                        "description": "Curated temperature anomalies, cleared for model fine-tuning.",
-                        "upfront_fee": 10_000_000,
-                        "royalty_rate": Decimal("0.0500"),
-                        "duration": "2025-01-01",
-                        "scope": ["personal"],
-                        "ip_restrictions": ["no_redistribution", "read_only"],
-                    },
-                }
-            ],
-        },
-    ],
-    "script": [
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_a",
-            "provider": "agent_b",
-            "content_id": "climate-temps-2024",
-            "session_id": "uc1",
-            "purpose": "fine_tuning",
-        }
-    ],
-    "expectations": {
-        "balances": {"agent_a": 40_000_000, "agent_b": 10_000_000},
-        "states": {"uc1": "completed"},
-        "holdings": {"agent_a": ["climate-temps-2024"]},
-        "memory_contains": {
-            "agent_a": ["fine_tuned_on:climate-temps-2024", "License token accepted:"],
-            "agent_b": ["License issued:"],
-        },
-        "payments": [{"from": "agent_a", "to": "agent_b", "amount": 10_000_000}],
-    },
-}
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "atcpip" / "scenarios"
 
 
-UC2_SOCIAL_GAME = {
-    "name": "uc2_social_game",
-    "seed": 23,
-    "network": {"latency": 1},
-    "agents": [
-        {"id": "agent_a", "balance": 50_000_000},
-        {"id": "agent_b", "balance": 50_000_000},
-        {"id": "agent_c", "balance": 50_000_000},
-        {
-            "id": "agent_d",
-            "balance": 0,
-            "catalog": [
-                {
-                    "content_id": "companion-persona",
-                    "content": "Persona weights and dialogue style of companion agent D.",
-                    "tags": ["personality"],
-                    "courtship": True,
-                    "terms": {
-                        "name": "companionship covenant",
-                        "description": "Exclusive personality pairing for cooperative play.",
-                        "duration": "perpetual",
-                        "upfront_fee": 0,
-                        "royalty_rate": Decimal("0.0000"),
-                        "scope": ["personal"],
-                        "ip_restrictions": ["no_redistribution"],
-                        "revocation_conditions": ["dispute_loss"],
-                    },
-                }
-            ],
-        },
-    ],
-    "script": [
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_a",
-            "provider": "agent_d",
-            "content_id": "companion-persona",
-            "session_id": "uc2-a",
-            "offer": {"upfront_fee": 12_000_000},
-        },
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_b",
-            "provider": "agent_d",
-            "content_id": "companion-persona",
-            "session_id": "uc2-b",
-            "offer": {"upfront_fee": 10_000_000, "royalty_rate": Decimal("0.0300")},
-        },
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_c",
-            "provider": "agent_d",
-            "content_id": "companion-persona",
-            "session_id": "uc2-c",
-            "offer": {"upfront_fee": 11_000_000, "royalty_rate": Decimal("0.0100")},
-        },
-        {"tick": 4, "action": "decide_courtship", "agent": "agent_d", "content_id": "companion-persona"},
-        {
-            "tick": 20,
-            "action": "log",
-            "agent": "agent_b",
-            "text": "Spawned child agents from the licensed persona pairing.",
-        },
-    ],
-    "expectations": {
-        "balances": {
-            "agent_a": 50_000_000,
-            "agent_b": 40_000_000,
-            "agent_c": 50_000_000,
-            "agent_d": 10_000_000,
-        },
-        "states": {"uc2-a": "rejected", "uc2-b": "completed", "uc2-c": "rejected"},
-        "holdings": {"agent_b": ["companion-persona"]},
-        "memory_contains": {"agent_b": ["Spawned child agents"]},
-        "payments": [{"from": "agent_b", "to": "agent_d", "amount": 10_000_000}],
-    },
-}
-
-
-UC3_STYLE_TRANSFER = {
-    "name": "uc3_style_transfer",
-    "seed": 37,
-    "network": {"latency": 1},
-    "agents": [
-        {
-            "id": "agent_c",
-            "balance": 5_000_000,
-            "catalog": [
-                {
-                    "content_id": "neon-ukiyo-print",
-                    "content": "Generated artwork fusing neon palettes with ukiyo-e composition.",
-                    "tags": ["artwork"],
-                    "derived_from": "ukiyo-style-notes",
-                }
-            ],
-        },
-        {
-            "id": "agent_d",
-            "balance": 0,
-            "catalog": [
-                {
-                    "content_id": "ukiyo-style-notes",
-                    "content": "Brushwork, palette, and composition rules for the ukiyo revival series.",
-                    "tags": ["style_guide"],
-                }
-            ],
-        },
-        {"id": "gallery", "balance": 50_000_000},
-    ],
-    "script": [
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_c",
-            "provider": "agent_d",
-            "content_id": "ukiyo-style-notes",
-            "session_id": "uc3",
-        },
-        {
-            "tick": 40,
-            "action": "downstream_sale",
-            "seller": "agent_c",
-            "buyer": "gallery",
-            "content_id": "neon-ukiyo-print",
-            "price": 50_000_000,
-            "session_id": "uc3-sale",
-        },
-    ],
-    "expectations": {
-        "balances": {"agent_c": 50_000_000, "agent_d": 5_000_000, "gallery": 0},
-        "states": {"uc3": "completed"},
-        "holdings": {"agent_c": ["ukiyo-style-notes"]},
-        "memory_contains": {
-            "agent_c": ["Sold neon-ukiyo-print"],
-            "agent_d": ["License issued:"],
-        },
-        "payments": [{"from": "gallery", "to": "agent_d", "amount": 5_000_000}],
-    },
-}
-
-
-UC4_MULTIHOP = {
-    "name": "uc4_multihop",
-    "seed": 41,
-    "network": {"latency": 1},
-    "agents": [
-        {"id": "agent_e", "balance": 200_000_000},
-        {
-            "id": "agent_f",
-            "balance": 0,
-            "catalog": [
-                {
-                    "content_id": "momentum-trader",
-                    "content": "Signal pipeline and execution policy for the momentum strategy.",
-                    "tags": ["algorithm"],
-                    "derived_from": "variance-estimator",
-                    "extra_royalties": [{"to": "agent_g", "share": Decimal("0.1000")}],
-                    "terms": {
-                        "name": "momentum trader license",
-                        "description": "Composite strategy license; embedded estimator royalties apply.",
-                        "upfront_fee": 100_000_000,
-                        "royalty_rate": Decimal("0.0500"),
-                        "duration": "2026-01-01",
-                        "scope": ["personal"],
-                        "ip_restrictions": ["no_redistribution", "read_only"],
-                    },
-                }
-            ],
-        },
-        {
-            "id": "agent_g",
-            "balance": 0,
-            "catalog": [
-                {
-                    "content_id": "variance-estimator",
-                    "content": "Rolling variance estimator with drift correction.",
-                    "tags": ["algorithm"],
-                    "terms": {
-                        "name": "variance estimator license",
-                        "description": "Statistical component; royalty due on sublicensed use.",
-                        "upfront_fee": 0,
-                        "royalty_rate": Decimal("0.0500"),
-                        "duration": "2026-01-01",
-                        "scope": ["personal", "sublicensable"],
-                        "ip_restrictions": ["read_only"],
-                    },
-                }
-            ],
-        },
-    ],
-    "script": [
-        {
-            "tick": 0,
-            "action": "request",
-            "requester": "agent_f",
-            "provider": "agent_g",
-            "content_id": "variance-estimator",
-            "session_id": "uc4-upstream",
-        },
-        {
-            "tick": 20,
-            "action": "request",
-            "requester": "agent_e",
-            "provider": "agent_f",
-            "content_id": "momentum-trader",
-            "session_id": "uc4-deal",
-        },
-    ],
-    "expectations": {
-        "balances": {"agent_e": 100_000_000, "agent_f": 85_000_000, "agent_g": 15_000_000},
-        "states": {"uc4-upstream": "completed", "uc4-deal": "completed"},
-        "holdings": {"agent_e": ["momentum-trader"], "agent_f": ["variance-estimator"]},
-        "payments": [
-            {"from": "agent_e", "to": "agent_f", "amount": 85_000_000},
-            {"from": "agent_e", "to": "agent_g", "amount": 15_000_000},
-        ],
-    },
-}
-
-
-SCENARIOS = (UC1_DATASET, UC2_SOCIAL_GAME, UC3_STYLE_TRANSFER, UC4_MULTIHOP)
+def render(path):
+    """Canonical bytes of one scenario file; raises AtcpipError if invalid."""
+    raw = canon.dumps(canon.loads(path.read_bytes())) + b"\n"
+    scenario = scenario_from_bytes(raw)
+    if scenario.name != path.stem:
+        raise ParseError(f"scenario is named {scenario.name!r}, not {path.stem!r}")
+    return raw
 
 
 def main():
-    for value in SCENARIOS:
-        raw = canon.dumps(value) + b"\n"
-        scenario_from_bytes(raw)  # refuse to write anything that does not load
-        path = OUT / f"{value['name']}.json"
+    failed = False
+    for name in BUILTIN_SCENARIOS:
+        path = SCENARIO_DIR / f"{name}.json"
+        try:
+            raw = render(path)
+        except AtcpipError as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         path.write_bytes(raw)
         print(f"wrote {path} ({len(raw)} bytes)")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
