@@ -30,15 +30,7 @@ from .errors import (
     UnknownAgent,
     UnknownLicense,
 )
-from .terms import (
-    PERPETUAL,
-    LicenseMetadata,
-    is_iso_date,
-    metadata_from_value,
-    terms_from_value,
-    terms_hash,
-    validate,
-)
+from .terms import PERPETUAL, is_iso_date, terms_from_value, terms_hash, validate
 
 GENESIS_HASH = "0" * 64
 LICENSE_ID_LENGTH = 32
@@ -67,6 +59,73 @@ class LedgerEntry:
 
 
 @dataclass(frozen=True)
+class LicenseMetadata:
+    """Identity portion of an agreement token."""
+
+    license_id: str
+    issuer_id: str
+    holder_id: str
+    issue_date: int  # ledger height at mint time
+    expiry_date: str  # calendar date or "perpetual"
+    version: int
+    link_to_terms: str  # terms hash
+    signature: str
+    previous_license_id: Optional[str] = None
+
+    def to_value(self):
+        out = {
+            "license_id": self.license_id,
+            "issuer_id": self.issuer_id,
+            "holder_id": self.holder_id,
+            "issue_date": self.issue_date,
+            "expiry_date": self.expiry_date,
+            "version": self.version,
+            "link_to_terms": self.link_to_terms,
+            "signature": self.signature,
+        }
+        if self.previous_license_id is not None:
+            out["previous_license_id"] = self.previous_license_id
+        return out
+
+
+def metadata_from_value(value):
+    if not isinstance(value, dict):
+        raise ParseError("license metadata must be a map")
+    required = {
+        "license_id", "issuer_id", "holder_id", "issue_date",
+        "expiry_date", "version", "link_to_terms", "signature",
+    }
+    missing = required - set(value)
+    if missing:
+        raise ParseError(f"missing metadata field {sorted(missing)[0]!r}")
+    extra = set(value) - required - {"previous_license_id"}
+    if extra:
+        raise ParseError(f"unknown metadata field {sorted(extra)[0]!r}")
+    try:
+        return LicenseMetadata(
+            license_id=value["license_id"],
+            issuer_id=value["issuer_id"],
+            holder_id=value["holder_id"],
+            issue_date=value["issue_date"],
+            expiry_date=value["expiry_date"],
+            version=value["version"],
+            link_to_terms=value["link_to_terms"],
+            signature=value["signature"],
+            previous_license_id=value.get("previous_license_id"),
+        )
+    except TypeError as exc:
+        raise ParseError(f"bad metadata document: {exc}") from None
+
+
+def _identity_value(metadata):
+    """The fields a license id is derived from: metadata without
+    license_id and signature."""
+    out = metadata.to_value()
+    del out["license_id"], out["signature"]
+    return out
+
+
+@dataclass(frozen=True)
 class AgreementToken:
     """A licence bound to its terms and (once committed) a ledger entry."""
 
@@ -80,15 +139,6 @@ class AgreementToken:
     @property
     def license_id(self):
         return self.metadata.license_id
-
-
-@dataclass(frozen=True)
-class DraftToken:
-    session_id: str
-    round: int
-    proposer_id: str
-    terms_hash: str
-    height: int
 
 
 def token_to_value(token):
@@ -251,14 +301,8 @@ class Ledger:
                     self._session_rounds[session_id] = round_number
 
             elif kind == "agreement_token":
-                token = AgreementToken(
-                    metadata=metadata_from_value(payload["metadata"]),
-                    terms=terms_from_value(payload["terms"]),
-                    terms_hash=payload["terms_hash"],
-                    requester_signature=payload["requester_signature"],
-                    session_id=payload["session_id"],
-                    height=height,
-                )
+                value = {key: item for key, item in payload.items() if key != "kind"}
+                token = replace(token_from_value(value), height=height)
 
                 def apply():
                     self._tokens[token.license_id] = token
@@ -301,18 +345,16 @@ class Ledger:
                 f"session {session_id!r} expects round {self.next_round(session_id)},"
                 f" got {round_number}"
             )
-        digest = terms_hash(terms)
-        entry = self.append(
+        return self.append(
             "draft_token",
             {
                 "session_id": session_id,
                 "round": round_number,
                 "proposer_id": proposer_id,
                 "terms": terms.to_value(),
-                "terms_hash": digest,
+                "terms_hash": terms_hash(terms),
             },
         )
-        return DraftToken(session_id, round_number, proposer_id, digest, entry.height)
 
     # -- agreement tokens -------------------------------------------------------
 
@@ -360,19 +402,8 @@ class Ledger:
                 raise UnknownLicense(f"previous license {previous_license_id!r} not on ledger")
             version = previous.metadata.version + 1
         digest = terms_hash(terms)
-        identity = {
-            "issuer_id": issuer_id,
-            "holder_id": requester_id,
-            "issue_date": self.height,
-            "expiry_date": expiry_date,
-            "version": version,
-            "link_to_terms": digest,
-        }
-        if previous_license_id is not None:
-            identity["previous_license_id"] = previous_license_id
-        license_id = derive_license_id(identity, digest)
         metadata = LicenseMetadata(
-            license_id=license_id,
+            license_id="",
             issuer_id=issuer_id,
             holder_id=requester_id,
             issue_date=self.height,
@@ -381,6 +412,9 @@ class Ledger:
             link_to_terms=digest,
             signature="",
             previous_license_id=previous_license_id,
+        )
+        metadata = replace(
+            metadata, license_id=derive_license_id(_identity_value(metadata), digest)
         )
         signature = self.keys.sign(
             requester_id, _metadata_signing_bytes(metadata, digest)
@@ -412,10 +446,7 @@ class Ledger:
             problems.append("terms_hash does not match terms")
         if md.link_to_terms != token.terms_hash:
             problems.append("link_to_terms does not match terms_hash")
-        identity = md.to_value()
-        identity.pop("license_id")
-        identity.pop("signature")
-        if derive_license_id(identity, md.link_to_terms) != md.license_id:
+        if derive_license_id(_identity_value(md), md.link_to_terms) != md.license_id:
             problems.append("license_id does not match identity fields")
         if md.signature != token.requester_signature:
             problems.append("metadata signature differs from requester signature")
@@ -441,16 +472,7 @@ class Ledger:
             raise AbortedExchange(f"license {token.license_id!r} already committed")
         if token.session_id and token.session_id in self._session_agreements:
             raise AbortedExchange(f"session {token.session_id!r} already has an agreement")
-        entry = self.append(
-            "agreement_token",
-            {
-                "session_id": token.session_id,
-                "metadata": token.metadata.to_value(),
-                "terms": token.terms.to_value(),
-                "terms_hash": token.terms_hash,
-                "requester_signature": token.requester_signature,
-            },
-        )
+        self.append("agreement_token", token_to_value(token))
         return self._tokens[token.license_id]
 
     def mint_agreement(
@@ -480,17 +502,10 @@ class Ledger:
                 return False
             if canon.hash_value(entry.payload) != entry.payload_hash:
                 return False
-            md_value = token.metadata.to_value()
-            if entry.payload.get("metadata") != md_value:
+            recorded = {key: item for key, item in entry.payload.items() if key != "kind"}
+            if recorded != token_to_value(replace(token, height=None)):
                 return False
-            if entry.payload.get("terms_hash") != token.terms_hash:
-                return False
-            if entry.payload.get("requester_signature") != token.requester_signature:
-                return False
-            digest = terms_hash(terms)
-            if digest != token.terms_hash:
-                return False
-            if entry.payload.get("terms") != terms.to_value():
+            if recorded["terms"] != terms.to_value():
                 return False
             if token.license_id in self._revoked:
                 return False

@@ -21,6 +21,7 @@ from .canon import fixed4
 from .errors import InvalidResult, UnknownPath
 from .terms import (
     FIELD_ORDER,
+    TAG_FIELDS,
     TermsDelta,
     TermsEdit,
     apply_delta,
@@ -30,7 +31,6 @@ from .terms import (
 
 NUMERIC_PATHS = ("royalty_rate", "rev_share", "upfront_fee")
 CHOICE_PATHS = ("transferability", "dispute_resolution", "duration", "jurisdiction", "governing_law")
-SET_PATHS = ("scope", "ip_restrictions", "compliance_requirements", "revocation_conditions")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class NegotiationPolicy:
             if path in NUMERIC_PATHS:
                 if not isinstance(bound, NumericBound):
                     raise TypeError(f"{path} takes a NumericBound")
-            elif path in SET_PATHS:
+            elif path in TAG_FIELDS:
                 if not isinstance(bound, SetBound):
                     raise TypeError(f"{path} takes a SetBound")
             elif path in CHOICE_PATHS:

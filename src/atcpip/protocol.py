@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import canon
-from .errors import AbortedExchange, MalformedFrame, ParseError, ProtocolViolation
+from .errors import MalformedFrame, ParseError, ProtocolViolation
 from .ledger import token_from_value, token_to_value
 from .terms import terms_from_value
 
@@ -708,17 +708,3 @@ def _requester_decision(session, event):
 
     raise _violation(session, event)
 
-
-# -- atomic exchange ----------------------------------------------------------------
-
-
-def atomic_exchange(ledger, token, expected_terms_hash):
-    """Commit the requester's prepared token against the agreed terms.
-
-    Either the commit lands on the ledger and the caller must emit the
-    paired delivery at the same tick, or AbortedExchange propagates and
-    nothing was written. There is no third outcome.
-    """
-    if token.terms_hash != expected_terms_hash:
-        raise AbortedExchange("token terms differ from the agreed terms")
-    return ledger.commit_agreement(token)

@@ -13,10 +13,9 @@ memory note rather than crashing the agent.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 
-from . import protocol
 from .canon import fixed4
 from .errors import (
     AbortedExchange,
@@ -38,7 +37,6 @@ from .negotiation import (
 )
 from .payments import RoyaltyObligation, SplitPlan, aggregate_obligations, compute_split
 from .protocol import (
-    Command,
     InternalDecision,
     PROVIDER_TIMERS,
     ProtocolMessage,
@@ -499,11 +497,12 @@ class AgentRuntime:
             and token.metadata.holder_id == session.requester_id
             and token.session_id == session.session_id
             and token.metadata.previous_license_id == session.previous_license_id
+            and token.terms_hash == session.terms_hash
         )
         if not fits:
             return [InternalDecision("exchange_aborted")]
         try:
-            committed = protocol.atomic_exchange(self.ledger, token, session.terms_hash)
+            committed = self.ledger.commit_agreement(token)
         except AbortedExchange:
             return [InternalDecision("exchange_aborted")]
         item = self._require_item(session.content_id)

@@ -53,6 +53,7 @@ class Simulation:
         self._lines = []
         self._session_state = {}  # (agent_id, session_id) -> last seen state
         self._epoch = {}  # (agent_id, session_id) -> live timer epoch
+        self._queued = {}  # (tick, recipient, session_id) -> messages in the queue
         breaks = list(scenario.clock_date_map)
         self.ledger = Ledger(current_date=breaks[0][1])
         self._date_breaks = breaks[1:]
@@ -138,7 +139,12 @@ class Simulation:
             self.tick = tick
             self._advance_date(tick)
             if payload[0] == "msg":
-                self._deliver(payload[1])
+                message = payload[1]
+                key = (tick, message.recipient, message.session_id)
+                left = self._queued.pop(key) - 1
+                if left:
+                    self._queued[key] = left
+                self._deliver(message)
             elif payload[0] == "timer":
                 self._fire_timer(*payload[1:])
             else:
@@ -172,13 +178,17 @@ class Simulation:
             }
         )
         runtime = self.runtimes[message.recipient]
-        try:
-            outbound = runtime.receive_message(message)
-        except AtcpipError as exc:
-            runtime.remember(f"Message handling failed: {exc}")
-            outbound = []
-        self._route(outbound)
+        self._route(self._act(runtime, "Message", runtime.receive_message, message))
         self._sweep(runtime, message.session_id)
+
+    def _act(self, runtime, what, handler, *args):
+        """Run an agent entry point; a typed error becomes a memory note
+        and sends nothing, so one agent's failure cannot end the run."""
+        try:
+            return handler(*args)
+        except AtcpipError as exc:
+            runtime.remember(f"{what} handling failed: {exc}")
+            return []
 
     def _route(self, messages):
         low, high = self._latency
@@ -195,6 +205,8 @@ class Simulation:
                 )
                 continue
             latency = low if low == high else self.rng.randint(low, high)
+            key = (self.tick + latency, message.recipient, message.session_id)
+            self._queued[key] = self._queued.get(key, 0) + 1
             self._push(self.tick + latency, ("msg", message))
 
     def _sweep(self, runtime, touched_session_id=None):
@@ -238,26 +250,15 @@ class Simulation:
     def _fire_timer(self, agent_id, session_id, kind, epoch):
         if self._epoch.get((agent_id, session_id)) != epoch:
             return
-        if self._delivery_pending(agent_id, session_id):
+        if self._queued.get((self.tick, agent_id, session_id)):
             # A message for this wait lands on the deadline tick itself.
             # Arrival wins the tie: requeue the deadline behind it, where
             # the restarted wait will mark it stale.
             self._push(self.tick, ("timer", agent_id, session_id, kind, epoch))
             return
         runtime = self.runtimes[agent_id]
-        self._route(runtime.expire_timer(session_id, kind))
+        self._route(self._act(runtime, "Timer", runtime.expire_timer, session_id, kind))
         self._sweep(runtime, session_id)
-
-    def _delivery_pending(self, agent_id, session_id):
-        for tick, _, payload in self._queue:
-            if (
-                tick == self.tick
-                and payload[0] == "msg"
-                and payload[1].recipient == agent_id
-                and payload[1].session_id == session_id
-            ):
-                return True
-        return False
 
     # -- scripted events ------------------------------------------------------------
 

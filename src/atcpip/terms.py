@@ -11,7 +11,6 @@ four-digit decimals); ``validate`` flags domain problems; ``diff`` and
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from decimal import Decimal
-from typing import Optional
 
 from . import canon
 from .canon import fixed4
@@ -294,66 +293,4 @@ def apply_delta(terms, delta):
             + "; ".join(f"{'.'.join(v.path) or '<terms>'}: {v.reason}" for v in report)
         )
     return result
-
-
-# -- license metadata --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LicenseMetadata:
-    """Identity portion of an agreement token."""
-
-    license_id: str
-    issuer_id: str
-    holder_id: str
-    issue_date: int  # ledger height at mint time
-    expiry_date: str  # calendar date or "perpetual"
-    version: int
-    link_to_terms: str  # terms hash
-    signature: str
-    previous_license_id: Optional[str] = None
-
-    def to_value(self):
-        out = {
-            "license_id": self.license_id,
-            "issuer_id": self.issuer_id,
-            "holder_id": self.holder_id,
-            "issue_date": self.issue_date,
-            "expiry_date": self.expiry_date,
-            "version": self.version,
-            "link_to_terms": self.link_to_terms,
-            "signature": self.signature,
-        }
-        if self.previous_license_id is not None:
-            out["previous_license_id"] = self.previous_license_id
-        return out
-
-
-def metadata_from_value(value):
-    if not isinstance(value, dict):
-        raise ParseError("license metadata must be a map")
-    required = {
-        "license_id", "issuer_id", "holder_id", "issue_date",
-        "expiry_date", "version", "link_to_terms", "signature",
-    }
-    missing = required - set(value)
-    if missing:
-        raise ParseError(f"missing metadata field {sorted(missing)[0]!r}")
-    extra = set(value) - required - {"previous_license_id"}
-    if extra:
-        raise ParseError(f"unknown metadata field {sorted(extra)[0]!r}")
-    try:
-        return LicenseMetadata(
-            license_id=value["license_id"],
-            issuer_id=value["issuer_id"],
-            holder_id=value["holder_id"],
-            issue_date=value["issue_date"],
-            expiry_date=value["expiry_date"],
-            version=value["version"],
-            link_to_terms=value["link_to_terms"],
-            signature=value["signature"],
-            previous_license_id=value.get("previous_license_id"),
-        )
-    except TypeError as exc:
-        raise ParseError(f"bad metadata document: {exc}") from None
 

@@ -15,14 +15,6 @@ from .errors import UnknownJurisdiction
 
 PERSONAL_DATA_FLAG = "personal_data"
 
-REPUTATION_EVENTS = (
-    "deal_completed",
-    "dispute_won",
-    "dispute_lost",
-    "compliance_violation",
-)
-
-
 @dataclass(frozen=True)
 class JurisdictionProfile:
     code: str

@@ -4,7 +4,6 @@ import pathlib
 import shutil
 import subprocess
 import sys
-from decimal import Decimal
 
 import pytest
 

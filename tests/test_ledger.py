@@ -3,7 +3,6 @@
 import copy
 import dataclasses
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +25,11 @@ from atcpip.errors import (
 from atcpip.ledger import (
     GENESIS_HASH,
     Ledger,
-    chain_entry_hash,
+    LicenseMetadata,
     derive_license_id,
+    metadata_from_value,
     simulated_signature,
+    token_to_value,
     verify_entries,
 )
 from atcpip.terms import terms_hash
@@ -200,6 +201,21 @@ def test_cyclic_lineage_detected_on_crafted_entries():
         book.chain_of_ownership(token.license_id)
 
 
+def test_agreement_payload_is_the_token_wire_form():
+    book = fresh_ledger()
+    terms = make_terms()
+    prepared = book.prepare_agreement("requester", "provider", terms, "2025-01-01", session_id="s")
+    token = book.commit_agreement(prepared)
+    payload = dict(book.entry(token.height).payload)
+    assert payload.pop("kind") == "agreement_token"
+    assert payload == token_to_value(prepared)
+    assert not book.verify_token(dataclasses.replace(token, session_id="other"), terms)
+    height = book.height
+    with pytest.raises(ParseError, match="unknown token field 'note'"):
+        book.append("agreement_token", {**payload, "note": "x"})
+    assert book.height == height
+
+
 def test_verify_token_rejects_foreign_terms_and_revocation():
     book = fresh_ledger()
     terms = make_terms()
@@ -211,13 +227,43 @@ def test_verify_token_rejects_foreign_terms_and_revocation():
     assert not book.verify_token(token, terms)
 
 
+# -- metadata ----------------------------------------------------------------
+
+
+def _metadata(expiry="2025-06-30", previous=None):
+    return LicenseMetadata(
+        license_id="a" * 32,
+        issuer_id="provider",
+        holder_id="requester",
+        issue_date=3,
+        expiry_date=expiry,
+        version=1,
+        link_to_terms="b" * 64,
+        signature="c" * 64,
+        previous_license_id=previous,
+    )
+
+
+def test_metadata_value_omits_absent_previous_license():
+    assert "previous_license_id" not in _metadata().to_value()
+    assert _metadata(previous="d" * 32).to_value()["previous_license_id"] == "d" * 32
+    assert metadata_from_value(_metadata(previous="d" * 32).to_value()) == _metadata(previous="d" * 32)
+
+
+def test_metadata_from_value_rejects_unknown_fields():
+    doc = _metadata().to_value()
+    doc["extra"] = 1
+    with pytest.raises(ParseError):
+        metadata_from_value(doc)
+
+
 # -- draft tokens -------------------------------------------------------------
 
 
 def test_draft_rounds_increment_by_one():
     book = fresh_ledger()
     draft = book.mint_draft("s1", 1, "provider", make_terms())
-    assert draft.round == 1 and draft.height == 2
+    assert draft.payload["round"] == 1 and draft.height == 2
     book.mint_draft("s1", 2, "requester", make_terms(upfront_fee=3))
     with pytest.raises(NonMonotonicRound):
         book.mint_draft("s1", 2, "provider", make_terms())

@@ -16,7 +16,6 @@ from atcpip.negotiation import (
     NegotiationPolicy,
     NumericBound,
     Reject,
-    RiskTier,
     SetBound,
     arbiter_decide,
     evaluate_offer,

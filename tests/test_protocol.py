@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from atcpip.errors import AbortedExchange, MalformedFrame, ProtocolViolation
+from atcpip.errors import MalformedFrame, ProtocolViolation
 from atcpip.ledger import Ledger, token_to_value
 from atcpip.protocol import (
     NO_DELIVERY_FAILURE,
@@ -20,7 +20,6 @@ from atcpip.protocol import (
     RequesterState,
     SessionConfig,
     TimerExpired,
-    atomic_exchange,
     decode_message,
     encode_message,
     provider_transition,
@@ -415,24 +414,3 @@ def test_stale_timer_kind_is_a_violation():
     with pytest.raises(ProtocolViolation):
         requester_transition(session, TimerExpired("settlement"))
 
-
-# -- atomic exchange ------------------------------------------------------------------
-
-
-def test_atomic_exchange_commits_or_nothing():
-    book = Ledger()
-    book.register_agent("provider", b"p")
-    book.register_agent("requester", b"r")
-    terms = make_terms()
-    prepared = book.prepare_agreement("requester", "provider", terms, "2025-01-01",
-                                      session_id="s1")
-    committed = atomic_exchange(book, prepared, terms_hash(terms))
-    assert committed.height is not None
-    assert book.verify_token(committed, terms)
-
-    other = book.prepare_agreement("requester", "provider", terms, "2025-01-01",
-                                   session_id="s2")
-    height = book.height
-    with pytest.raises(AbortedExchange):
-        atomic_exchange(book, other, "f" * 64)
-    assert book.height == height

@@ -2,10 +2,7 @@
 
 from decimal import Decimal
 
-import pytest
-
 from atcpip.negotiation import (
-    ChoiceBound,
     NegotiationPolicy,
     NumericBound,
     RISK_TIERS,

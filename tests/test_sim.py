@@ -8,6 +8,7 @@ import pytest
 from atcpip import canon
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
+    NO_PAYMENT_REQUEST_FAILURE,
     NO_TERMS_FAILURE,
     NO_TOKEN_FAILURE,
     ProviderState,
@@ -175,6 +176,28 @@ def test_dropping_payment_confirmation_fails_the_provider_with_payment_message()
         if line["agent"] == "prov"
     ]
     assert [line["tick"] for line in failed] == [30]
+
+
+def test_handler_error_on_a_timer_becomes_a_memory_note():
+    """Royalty lines past the whole price make the settlement command
+    raise when the provider's negotiation timer moves it on; the run must
+    survive that the way it survives the same error on a message."""
+    value = two_party_value(
+        network={"latency": 0, "drop": {"accept_terms": Decimal("1.0000")}}
+    )
+    item = value["agents"][0]["catalog"][0]
+    item["terms"]["upfront_fee"] = 1000
+    item["extra_royalties"] = [
+        {"to": "a", "share": Decimal("0.6000")},
+        {"to": "b", "share": Decimal("0.6000")},
+    ]
+    value["agents"] += [{"id": "a", "balance": 0}, {"id": "b", "balance": 0}]
+    _, world = run_scenario(scenario_from_value(value))
+    assert world.conservation_intact()
+    provider = world.runtimes["prov"]
+    assert provider.session("s1").failure_reason == NO_PAYMENT_FAILURE
+    assert world.runtimes["req"].session("s1").failure_reason == NO_PAYMENT_REQUEST_FAILURE
+    assert any(text.startswith("Timer handling failed:") for text in provider.memory_texts())
 
 
 def test_dropping_terms_times_out_the_requester_after_the_listen_window():

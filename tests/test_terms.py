@@ -1,4 +1,4 @@
-"""Terms schema: normalization, validation, hashing, diff/apply, metadata."""
+"""Terms schema: normalization, validation, hashing, diff/apply."""
 
 import re
 from decimal import Decimal
@@ -15,13 +15,10 @@ from atcpip.errors import (
     UnknownPath,
 )
 from atcpip.terms import (
-    LicenseMetadata,
-    LicenseTerms,
     TermsDelta,
     TermsEdit,
     apply_delta,
     diff,
-    metadata_from_value,
     terms_from_value,
     terms_hash,
     validate,
@@ -193,34 +190,4 @@ def test_apply_diff_round_trips(a, b):
 @given(valid_terms(), valid_terms())
 def test_diff_then_hash_matches_target(a, b):
     assert terms_hash(apply_delta(a, diff(a, b))) == terms_hash(b)
-
-
-# -- metadata ----------------------------------------------------------------
-
-
-def _metadata(expiry="2025-06-30", previous=None):
-    return LicenseMetadata(
-        license_id="a" * 32,
-        issuer_id="provider",
-        holder_id="requester",
-        issue_date=3,
-        expiry_date=expiry,
-        version=1,
-        link_to_terms="b" * 64,
-        signature="c" * 64,
-        previous_license_id=previous,
-    )
-
-
-def test_metadata_value_omits_absent_previous_license():
-    assert "previous_license_id" not in _metadata().to_value()
-    assert _metadata(previous="d" * 32).to_value()["previous_license_id"] == "d" * 32
-    assert metadata_from_value(_metadata(previous="d" * 32).to_value()) == _metadata(previous="d" * 32)
-
-
-def test_metadata_from_value_rejects_unknown_fields():
-    doc = _metadata().to_value()
-    doc["extra"] = 1
-    with pytest.raises(ParseError):
-        metadata_from_value(doc)
 
