@@ -2,9 +2,16 @@
 
 ``dumps`` here is the single source of bytes for every hash, signature,
 ledger entry, wire frame, and transcript line in the package. Import
-order: the Cython extension if built, otherwise the pure encoder.
-ATCPIP_PURE_CANON=1 forces the fallback (useful for benchmarking and
-for debugging encoder discrepancies).
+order: the Cython extension if built, otherwise the pure encoder, which
+escapes strings with the stdlib's C escaper
+(``json.encoder.encode_basestring``). ATCPIP_PURE_CANON=1 forces the
+fallback (useful for benchmarking and for debugging encoder
+discrepancies).
+
+Callers that already hold a value's canonical bytes splice them into a
+larger document instead of encoding the value again: the simulator
+builds each ``ledger`` transcript line around the payload bytes that
+``Ledger.append`` hashed.
 """
 
 import hashlib

@@ -3,13 +3,30 @@
 One byte form per value, project wide. Rules:
 
 - maps sort keys by code point (equals UTF-8 byte order), no whitespace
-- strings are UTF-8 with the minimal escape set (quote, backslash,
-  controls below 0x20; short escapes where JSON has them, else \\u00xx
-  lowercase); everything else stays raw, never \\uXXXX-escaped
+- strings are UTF-8 with the minimal escape set below; every other
+  code point stays raw, never \\uXXXX-escaped; a lone surrogate
+  (U+D800..U+DFFF) has no UTF-8 form and raises
 - integers are 64-bit signed
 - decimals are fixed-point with exactly four fractional digits and no
   exponent; negative zero normalizes to 0.0000
 - floats and nulls are not values; encoding them raises, parsing null raises
+
+String escapes, the whole set:
+
+    code point                  bytes
+    U+0022 quotation mark       \\"
+    U+005C reverse solidus      \\\\
+    U+0008 backspace            \\b
+    U+000C form feed            \\f
+    U+000A line feed            \\n
+    U+000D carriage return      \\r
+    U+0009 tab                  \\t
+    any other U+0000..U+001F    \\u00xx, two lowercase hex digits
+
+That set is exactly what the stdlib's C escaper
+``json.encoder.encode_basestring`` (the one behind
+``json.dumps(..., ensure_ascii=False)``) produces, so strings go through
+it.
 
 The compiled twin in _speedups must stay byte-identical; its test suite
 cross-checks the two on randomized values.
@@ -17,7 +34,8 @@ cross-checks the two on randomized values.
 
 import json
 import re
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation
+from json.encoder import encode_basestring as encode_str
 
 from ..errors import CanonicalizationError, ParseError
 
@@ -26,28 +44,9 @@ INT_MAX = 2**63 - 1
 
 QUANTUM = Decimal("0.0001")
 ZERO4 = Decimal("0.0000")
-
-_SHORT_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\b": "\\b",
-    "\f": "\\f",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-_ESCAPE_MAP = {c: _SHORT_ESCAPES.get(c, "\\u%04x" % ord(c)) for c in map(chr, range(0x20))}
-_ESCAPE_MAP['"'] = '\\"'
-_ESCAPE_MAP["\\"] = "\\\\"
-_ESCAPE_RE = re.compile(r'[\x00-\x1f"\\]')
-
-
-def _escape_char(match):
-    return _ESCAPE_MAP[match.group(0)]
-
-
-def encode_str(value):
-    return '"' + _ESCAPE_RE.sub(_escape_char, value) + '"'
+# One 60-digit context for every quantize, built once rather than per
+# call; a value that needs more digits is out of range.
+_QUANTIZE_CONTEXT = Context(prec=60)
 
 
 def fixed4(value):
@@ -75,9 +74,7 @@ def _quantize4(dec):
     if not dec.is_finite():
         raise CanonicalizationError(f"decimal must be finite, got {dec}")
     try:
-        with localcontext() as ctx:
-            ctx.prec = 60
-            quantized = dec.quantize(QUANTUM)
+        quantized = dec.quantize(QUANTUM, context=_QUANTIZE_CONTEXT)
     except InvalidOperation:
         raise CanonicalizationError(f"decimal out of range: {dec}") from None
     if quantized != dec:
@@ -96,21 +93,16 @@ def _encode(value, parts):
     kind = type(value)
     if kind is str:
         parts.append(encode_str(value))
-    elif kind is bool:
-        parts.append("true" if value else "false")
+    elif kind is dict:
+        _encode_map(value, parts)
     elif kind is int:
         if value < INT_MIN or value > INT_MAX:
             raise CanonicalizationError(f"integer out of 64-bit range: {value}")
         parts.append(str(value))
-    elif kind is dict:
-        _encode_map(value, parts)
+    elif kind is bool:
+        parts.append("true" if value else "false")
     elif kind is list or kind is tuple:
-        parts.append("[")
-        for index, item in enumerate(value):
-            if index:
-                parts.append(",")
-            _encode(item, parts)
-        parts.append("]")
+        _encode_list(value, parts)
     elif kind is Decimal:
         parts.append(format_decimal(value))
     else:
@@ -132,12 +124,7 @@ def _encode_other(value, parts):
     elif isinstance(value, dict):
         _encode_map(value, parts)
     elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for index, item in enumerate(value):
-            if index:
-                parts.append(",")
-            _encode(item, parts)
-        parts.append("]")
+        _encode_list(value, parts)
     elif value is None:
         raise CanonicalizationError("null is not a canonical value; omit the key instead")
     elif isinstance(value, float):
@@ -146,21 +133,34 @@ def _encode_other(value, parts):
         raise CanonicalizationError(f"unencodable type {type(value).__name__}")
 
 
+def _encode_list(value, parts):
+    if not value:
+        parts.append("[]")
+        return
+    separator = "["
+    for item in value:
+        parts.append(separator)
+        separator = ","
+        _encode(item, parts)
+    parts.append("]")
+
+
 def _encode_map(value, parts):
-    keys = list(value.keys())
-    for key in keys:
+    for key in value:
         if not isinstance(key, str):
             raise CanonicalizationError(f"map keys must be strings, got {type(key).__name__}")
-    keys.sort()
-    parts.append("{")
-    first = True
-    for key in keys:
-        if not first:
-            parts.append(",")
-        first = False
-        parts.append(encode_str(key))
-        parts.append(":")
-        _encode(value[key], parts)
+    if not value:
+        parts.append("{}")
+        return
+    separator = "{"
+    for key in sorted(value):
+        item = value[key]
+        if type(item) is str:
+            parts.append(separator + encode_str(key) + ":" + encode_str(item))
+        else:
+            parts.append(separator + encode_str(key) + ":")
+            _encode(item, parts)
+        separator = ","
     parts.append("}")
 
 
@@ -184,9 +184,7 @@ def _parse_decimal_token(token):
             "fractional digits and no exponent"
         )
     try:
-        with localcontext() as ctx:
-            ctx.prec = 60
-            dec = Decimal(token).quantize(QUANTUM)
+        dec = Decimal(token).quantize(QUANTUM, context=_QUANTIZE_CONTEXT)
     except InvalidOperation:
         raise ParseError(f"decimal out of range: {token}") from None
     return ZERO4 if dec == 0 else dec

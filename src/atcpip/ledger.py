@@ -247,7 +247,8 @@ class Ledger:
         self._session_agreements = {}  # session_id -> license_id
         self._session_rounds = {}  # session_id -> last draft round
         self._revoked = set()
-        self.on_append = None  # hook(entry), used by the simulator transcript
+        # hook(entry, canonical payload bytes), used by the simulator transcript
+        self.on_append = None
 
     # -- chain primitives ---------------------------------------------------
 
@@ -278,7 +279,8 @@ class Ledger:
         # Parse whatever the indexes will need before touching the chain,
         # so a malformed payload cannot leave a half-applied append.
         apply_index = self._prepare_index(kind, payload, height=len(self._entries))
-        payload_hash = canon.hash_value(payload)
+        encoded = canon.dumps(payload)
+        payload_hash = canon.sha256_hex(encoded)
         entry = LedgerEntry(
             height=len(self._entries),
             kind=kind,
@@ -289,7 +291,7 @@ class Ledger:
         self._entries.append(entry)
         apply_index()
         if self.on_append is not None:
-            self.on_append(entry)
+            self.on_append(entry, encoded)
         return entry
 
     def _prepare_index(self, kind, payload, height):

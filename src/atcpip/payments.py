@@ -37,9 +37,6 @@ class SplitPlan:
     price: int
     lines: tuple  # ((recipient_id, amount), ...)
 
-    def amount_for(self, recipient_id):
-        return sum(amount for rid, amount in self.lines if rid == recipient_id)
-
     def to_value(self):
         return {
             "amount": self.price,

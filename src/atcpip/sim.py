@@ -106,8 +106,21 @@ class Simulation:
         heapq.heappush(self._queue, (tick, self._counter, payload))
         self._counter += 1
 
-    def _on_ledger(self, entry):
-        self._emit({"kind": "ledger", "tick": self.tick, "entry": entry.to_value()})
+    def _on_ledger(self, entry, payload):
+        # canon.dumps of {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
+        # built around the payload bytes the ledger has already encoded.
+        self._lines.append(
+            b'{"entry":{"entry_hash":"%s","height":%d,"kind":"%s","payload":%s,'
+            b'"payload_hash":"%s"},"kind":"ledger","tick":%d}'
+            % (
+                entry.entry_hash.encode("ascii"),
+                entry.height,
+                entry.kind.encode("ascii"),
+                payload,
+                entry.payload_hash.encode("ascii"),
+                self.tick,
+            )
+        )
 
     def _on_transfer(self, from_id, to_id, amount, purpose):
         self._emit(

@@ -11,6 +11,7 @@ four-digit decimals); ``validate`` flags domain problems; ``diff`` and
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from decimal import Decimal
+from functools import cached_property
 
 from . import canon
 from .canon import fixed4
@@ -109,14 +110,21 @@ class LicenseTerms:
 
     def to_value(self):
         """Canonical map form (tag tuples become lists)."""
-        out = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = list(value) if isinstance(value, tuple) else value
+        out = {name: getattr(self, name) for name in FIELD_ORDER}
+        for name in TAG_FIELDS:
+            out[name] = list(out[name])
         return out
 
     def replace(self, **changes):
         return replace(self, **changes)
+
+    @cached_property
+    def _digest(self):
+        # Kept in the instance __dict__, outside the dataclass fields, so
+        # it takes no part in ==, hash() or to_value(). The fields are
+        # frozen, and replace() builds a new instance, which hashes its
+        # own fields.
+        return canon.hash_value(self.to_value())
 
 
 FIELD_ORDER = tuple(spec.name for spec in fields(LicenseTerms))
@@ -187,11 +195,14 @@ def validate(terms):
 
 
 def terms_hash(terms):
-    """Hash of the canonical terms map. Raises InvalidTerms on violations."""
+    """Hash of the canonical terms map. Raises InvalidTerms on violations.
+
+    Validation runs on every call; the digest is computed once per
+    instance."""
     report = validate(terms)
     if report:
         raise InvalidTerms(report)
-    return canon.hash_value(terms.to_value())
+    return terms._digest
 
 
 # -- structural diffs --------------------------------------------------------

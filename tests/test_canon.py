@@ -91,6 +91,42 @@ def test_string_escapes(dumps):
     assert dumps("café") == "\"café\"".encode("utf-8")
 
 
+# The escape table of the canon.pure docstring, written out as the spec:
+# these code points, and no others, are escaped.
+NAMED_ESCAPES = {
+    0x22: b'\\"',
+    0x5C: b"\\\\",
+    0x08: b"\\b",
+    0x0C: b"\\f",
+    0x0A: b"\\n",
+    0x0D: b"\\r",
+    0x09: b"\\t",
+}
+SURROGATES = range(0xD800, 0xE000)
+
+
+def spec_bytes(code_point):
+    if code_point in NAMED_ESCAPES:
+        return NAMED_ESCAPES[code_point]
+    if code_point < 0x20:
+        return b"\\u%04x" % code_point
+    return chr(code_point).encode("utf-8")
+
+
+def test_every_code_point_encodes_per_the_escape_table(dumps):
+    code_points = [cp for cp in range(0x110000) if cp not in SURROGATES]
+    expected = b'"' + b"".join(map(spec_bytes, code_points)) + b'"'
+    assert dumps("".join(map(chr, code_points))) == expected
+
+
+def test_every_lone_surrogate_raises(dumps):
+    for code_point in SURROGATES:
+        with pytest.raises(CanonicalizationError):
+            dumps(chr(code_point))
+        with pytest.raises(CanonicalizationError):
+            dumps({"k": ["a" + chr(code_point)]})
+
+
 def test_tuple_encodes_as_list(dumps):
     assert dumps((1, 2)) == b"[1,2]"
 

@@ -403,11 +403,31 @@ GOLDEN_DIGESTS = {
 }
 
 
+def golden_scenario(name):
+    if name in BUILTIN_SCENARIOS:
+        return scenario_from_bytes(builtin_bytes(name))
+    return scenario_from_value(lossy_jitter_value())
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
 def test_golden_transcript_digests(name):
-    if name in BUILTIN_SCENARIOS:
-        scenario = scenario_from_bytes(builtin_bytes(name))
-    else:
-        scenario = scenario_from_value(lossy_jitter_value())
-    transcript, _ = run_scenario(scenario)
+    transcript, _ = run_scenario(golden_scenario(name))
     assert hashlib.sha256(transcript).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_golden_transcript_lines_are_canonical(name):
+    # Ledger lines are spliced around payload bytes rather than encoded
+    # whole; each must still be the canonical encoding of what it says.
+    transcript, _ = run_scenario(golden_scenario(name))
+    lines = transcript.split(b"\n")
+    assert lines.pop() == b""
+    ledger_lines = 0
+    for line in lines:
+        value = canon.loads(line)
+        assert canon.dumps(value) == line
+        if value["kind"] == "ledger":
+            ledger_lines += 1
+            entry = value["entry"]
+            assert entry["payload_hash"] == canon.sha256_hex(canon.dumps(entry["payload"]))
+    assert ledger_lines > 0

@@ -1,5 +1,6 @@
 """Terms schema: normalization, validation, hashing, diff/apply."""
 
+import dataclasses
 import re
 from decimal import Decimal
 
@@ -15,6 +16,7 @@ from atcpip.errors import (
     UnknownPath,
 )
 from atcpip.terms import (
+    FIELD_ORDER,
     TermsDelta,
     TermsEdit,
     apply_delta,
@@ -110,6 +112,39 @@ def test_validate_flags_unknown_modes_and_negative_fee():
 def test_terms_hash_refuses_invalid_terms():
     with pytest.raises(InvalidTerms):
         terms_hash(make_terms(royalty_rate="1.5"))
+
+
+def test_terms_hash_refuses_invalid_terms_on_every_call():
+    bad = make_terms(royalty_rate="1.5")
+    for _ in range(3):
+        with pytest.raises(InvalidTerms):
+            terms_hash(bad)
+    bad._digest  # an instance holding its digest is still validated
+    with pytest.raises(InvalidTerms):
+        terms_hash(bad)
+
+
+def test_edited_and_rebuilt_terms_hash_their_own_fields():
+    base = make_terms(upfront_fee=5)
+    base_hash = terms_hash(base)
+    edited = [
+        base.replace(upfront_fee=6),
+        dataclasses.replace(base, scope=["commercial"]),
+        terms_from_value(dict(base.to_value(), royalty_rate=Decimal("0.2500"))),
+    ]
+    for terms in edited:
+        assert terms_hash(terms) == canon.hash_value(terms.to_value()) != base_hash
+    assert terms_hash(terms_from_value(base.to_value())) == base_hash
+    assert terms_hash(base) == canon.hash_value(base.to_value())
+
+
+def test_cached_digest_stays_out_of_value_equality_and_hash():
+    hashed, fresh = make_terms(upfront_fee=5), make_terms(upfront_fee=5)
+    terms_hash(hashed)
+    assert list(hashed.to_value()) == list(FIELD_ORDER)
+    assert hashed.to_value() == fresh.to_value()
+    assert hashed == fresh and hash(hashed) == hash(fresh)
+    assert terms_from_value(hashed.to_value()) == hashed
 
 
 def test_from_value_round_trip():
