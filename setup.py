@@ -1,24 +1,5 @@
-"""Build hook for the optional compiled canonical-JSON encoder.
+"""Kept for the offline ``python setup.py develop`` install; pyproject.toml holds the metadata."""
 
-The package is fully functional without the extension; ``atcpip.canon``
-falls back to the pure-Python encoder when the build is skipped (set
-ATCPIP_NO_EXTENSION=1) or the import fails.
-"""
+from setuptools import setup
 
-import os
-
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("ATCPIP_NO_EXTENSION") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("atcpip.canon._speedups", ["src/atcpip/canon/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -1,6 +1,7 @@
-"""Pure-Python canonical JSON codec.
+"""Canonical JSON codec: the one byte form, project wide.
 
-One byte form per value, project wide. Rules:
+``dumps`` is the single source of bytes for every hash, signature,
+ledger entry, wire frame, and transcript line in the package. Rules:
 
 - maps sort keys by code point (equals UTF-8 byte order), no whitespace
 - strings are UTF-8 with the minimal escape set below; every other
@@ -28,16 +29,19 @@ That set is exactly what the stdlib's C escaper
 ``json.dumps(..., ensure_ascii=False)``) produces, so strings go through
 it.
 
-The compiled twin in _speedups must stay byte-identical; its test suite
-cross-checks the two on randomized values.
+Callers that already hold a value's canonical bytes splice them into a
+larger document instead of encoding the value again: the simulator
+builds each ``ledger`` transcript line around the payload bytes that
+``Ledger.append`` hashed.
 """
 
+import hashlib
 import json
 import re
 from decimal import Context, Decimal, InvalidOperation
 from json.encoder import encode_basestring as encode_str
 
-from ..errors import CanonicalizationError, ParseError
+from .errors import CanonicalizationError, ParseError
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -249,3 +253,32 @@ def loads(data):
         raise ParseError(f"not valid JSON: {exc}") from None
     _reject_null(value)
     return value
+
+
+def sha256_hex(data):
+    """Hex digest of raw bytes."""
+    return hashlib.sha256(data).hexdigest()
+
+
+def hash_value(value):
+    """Hex digest of a value's canonical bytes."""
+    return hashlib.sha256(dumps(value)).hexdigest()
+
+
+# One encoder ships; the name stays because perfbench prints it with
+# every result.
+BACKEND = "pure"
+
+__all__ = [
+    "BACKEND",
+    "INT_MAX",
+    "INT_MIN",
+    "QUANTUM",
+    "ZERO4",
+    "dumps",
+    "fixed4",
+    "format_decimal",
+    "hash_value",
+    "loads",
+    "sha256_hex",
+]

@@ -477,20 +477,6 @@ class Ledger:
         self.append("agreement_token", token_to_value(token))
         return self._tokens[token.license_id]
 
-    def mint_agreement(
-        self,
-        requester_id,
-        issuer_id,
-        terms,
-        expiry_date,
-        previous_license_id=None,
-        session_id="",
-    ):
-        token = self.prepare_agreement(
-            requester_id, issuer_id, terms, expiry_date, previous_license_id, session_id
-        )
-        return self.commit_agreement(token)
-
     # -- verification -----------------------------------------------------------
 
     def verify_token(self, token, terms):
@@ -514,9 +500,6 @@ class Ledger:
             return not self.token_problems(token)
         except AtcpipError:
             return False
-
-    def is_revoked(self, license_id):
-        return license_id in self._revoked
 
     def token(self, license_id):
         found = self._tokens.get(license_id)
@@ -544,13 +527,6 @@ class Ledger:
             cursor = token.metadata.previous_license_id
         chain.reverse()
         return chain
-
-    def history(self, session_id):
-        return [
-            entry
-            for entry in self._entries
-            if entry.payload.get("session_id") == session_id
-        ]
 
     def verify_chain(self):
         return verify_entries(self._entries)

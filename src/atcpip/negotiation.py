@@ -106,10 +106,6 @@ class NegotiationPolicy:
         if unknown:
             raise UnknownPath(f"non_negotiable names unknown field {sorted(unknown)[0]!r}")
 
-    def complies(self, terms):
-        """True when every bounded path of the terms satisfies this policy."""
-        return not _bound_violations(self, terms)
-
 
 def _bound_violations(policy, terms):
     """(path, target_value) for every bounded path that is out of bounds."""

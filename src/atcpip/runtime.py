@@ -177,9 +177,6 @@ class AgentRuntime:
     def memory_texts(self):
         return [record.text for record in self.memory if record.kind == "log"]
 
-    def transaction_records(self):
-        return [record for record in self.memory if record.kind == "transaction"]
-
     def is_ip_significant(self, content_id):
         item = self._require_item(content_id)
         if item.ip_significant is not None:

@@ -292,6 +292,11 @@ def _parse_item(value, agent_id, agent_ids, ctx):
         if beneficiary not in agent_ids:
             raise UnresolvedReference(beneficiary)
         royalties.append((beneficiary, _rate(_get(line, "share", line_ctx), f"{line_ctx}: share")))
+    total = sum(share for _, share in royalties)
+    if total > 1:
+        raise ParseError(
+            f"{ctx}: extra_royalties of {content_id!r} sum to {total}, more than the whole price"
+        )
     ip_significant = body.get("ip_significant")
     if ip_significant is not None and not isinstance(ip_significant, bool):
         raise ParseError(f"{ctx}: field 'ip_significant' must be a boolean")

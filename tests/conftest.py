@@ -29,6 +29,20 @@ def terms():
     return make_terms()
 
 
+def mint_agreement(
+    ledger, requester_id, issuer_id, terms, expiry_date, previous_license_id=None, session_id=""
+):
+    """Prepare and commit an agreement token in one step."""
+    token = ledger.prepare_agreement(
+        requester_id, issuer_id, terms, expiry_date, previous_license_id, session_id
+    )
+    return ledger.commit_agreement(token)
+
+
+def transaction_records(runtime):
+    return [record for record in runtime.memory if record.kind == "transaction"]
+
+
 def make_world(agents, rules=None, config=None):
     """agents: {agent_id: kwargs}; returns (ledger, wallets, board, runtimes)."""
     ledger = Ledger(current_date="2024-01-01")

@@ -34,7 +34,7 @@ from atcpip.trust import (
     JurisdictionRegistry,
     ReputationBoard,
 )
-from conftest import negotiate
+from conftest import mint_agreement, negotiate, transaction_records
 
 US = JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB"))
 EU = JurisdictionProfile("EU", "civil_law", ("gdpr",), ("EU",))
@@ -218,8 +218,8 @@ def test_c04_dataset_deal_completes_with_verified_token_and_matching_records():
     token = requester.tokens["climate-temps-2024"]
     assert world.ledger.verify_token(token, token.terms) is True
     assert _deltas(world)["agent_b"] == 10_000_000
-    mine = requester.transaction_records()
-    theirs = provider.transaction_records()
+    mine = transaction_records(requester)
+    theirs = transaction_records(provider)
     assert len(mine) == 1 and len(theirs) == 1
     assert mine[0].license_id == theirs[0].license_id == token.license_id
     assert mine[0].terms_hash == theirs[0].terms_hash == token.terms_hash
@@ -425,8 +425,8 @@ def test_c07_token_verification_rejects_any_terms_edit():
     ledger.register_agent("holder", b"holder-key")
     for trial in range(1000):
         base = _random_terms(rng, f"ip-{trial}")
-        token = ledger.mint_agreement(
-            "holder", "issuer", base, base.duration, session_id=f"mint-{trial}"
+        token = mint_agreement(
+            ledger, "holder", "issuer", base, base.duration, session_id=f"mint-{trial}"
         )
         mutated = _mutate_terms(rng, base)
         assert mutated != base
@@ -628,7 +628,7 @@ def test_c10_misrepresentation_verdicts_match_brute_force():
             ledger.mint_draft("case", ledger.next_round("case"), proposer, terms)
             drafts.append(terms)
         final = _mutate_terms(rng, drafts[-1]) if rng.random() < 0.4 else drafts[-1]
-        ledger.mint_agreement("holder", "issuer", final, final.duration, session_id="case")
+        mint_agreement(ledger, "holder", "issuer", final, final.duration, session_id="case")
 
         claimant, respondent = rng.choice((("holder", "issuer"), ("issuer", "holder")))
         pool = drafts + [final, _random_terms(rng, f"other-{trial}")]

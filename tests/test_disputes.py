@@ -16,7 +16,7 @@ from atcpip.ledger import Ledger
 from atcpip.payments import WalletSystem
 from atcpip.terms import terms_hash
 from atcpip.trust import ReputationBoard
-from conftest import make_terms
+from conftest import make_terms, mint_agreement
 
 
 def build_session(
@@ -32,7 +32,7 @@ def build_session(
     agreed = terms or make_terms(upfront_fee=1_000)
     for round_number, draft in enumerate(draft_terms, start=1):
         book.mint_draft(session_id, round_number, "prov", draft)
-    token = book.mint_agreement("req", "prov", agreed, "2026-01-01", session_id=session_id)
+    token = mint_agreement(book, "req", "prov", agreed, "2026-01-01", session_id=session_id)
     wallets = WalletSystem(book)
     wallets.open_account("req", 10_000_000)
     wallets.open_account("prov")
@@ -185,10 +185,10 @@ def test_losing_holder_with_dispute_loss_condition_gets_revoked():
         terms=make_terms(upfront_fee=1_000, revocation_conditions=("dispute_loss",)),
         pay=100,
     )
+    assert book.verify_token(token, token.terms)
     claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
     verdict = court.resolve(claim.dispute_id)
     assert verdict.revokes_license_id == token.license_id
-    assert book.is_revoked(token.license_id)
     assert not book.verify_token(token, token.terms)
 
 
@@ -198,7 +198,6 @@ def test_no_revocation_without_dispute_loss_condition():
     verdict = court.resolve(claim.dispute_id)
     assert verdict.loser_id == "req"
     assert verdict.revokes_license_id == ""
-    assert not book.is_revoked(token.license_id)
     assert book.verify_token(token, token.terms)
 
 
@@ -211,7 +210,7 @@ def test_losing_issuer_never_triggers_revocation():
     verdict = court.resolve(claim.dispute_id)
     assert verdict.loser_id == "prov"
     assert verdict.revokes_license_id == ""
-    assert not book.is_revoked(token.license_id)
+    assert book.verify_token(token, token.terms)
 
 
 def test_apply_verdict_records_reputation_and_verdict_entry():
@@ -238,8 +237,8 @@ def test_evidence_bundle_collects_session_and_usage_entries():
         terms=make_terms(upfront_fee=1_000), pay=1_000, draft_terms=(draft,)
     )
     record_usage(book, "req", token.license_id, ["summarize"])
-    book.mint_agreement("other", "prov", make_terms(), "2026-01-01",
-                        session_id="unrelated")
+    mint_agreement(book, "other", "prov", make_terms(), "2026-01-01",
+                   session_id="unrelated")
     claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
     bundle = court.collect_evidence(claim.dispute_id)
     kinds = sorted(entry.kind for entry in bundle.entries)

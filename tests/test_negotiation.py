@@ -208,8 +208,8 @@ def test_loop_converges_on_overlapping_bounds():
     assert runtimes["requester"].session("s1").state is RequesterState.COMPLETED
     assert agreed.royalty_rate == Decimal("0.1000")
     assert agreed.upfront_fee == 20
-    assert requester_policy().complies(agreed)
-    assert provider_policy().complies(agreed)
+    assert isinstance(evaluate_offer(requester_policy(), agreed), Accept)
+    assert isinstance(evaluate_offer(provider_policy(), agreed), Accept)
     assert draft_proposers(ledger) == ["provider", "requester"]
 
 
@@ -288,4 +288,5 @@ def test_random_overlapping_bounds_always_converge(r_lo, r_width, p_offset, p_wi
     _, runtimes = negotiate(initial, prov, req)
     agreed = agreed_terms(runtimes)
     assert agreed is not None
-    assert req.complies(agreed) and prov.complies(agreed)
+    assert isinstance(evaluate_offer(req, agreed), Accept)
+    assert isinstance(evaluate_offer(prov, agreed), Accept)

@@ -15,7 +15,7 @@ from atcpip.payments import (
     compute_split,
     share_units,
 )
-from conftest import make_terms
+from conftest import make_terms, mint_agreement
 
 CREDIT = 1_000_000
 
@@ -106,11 +106,11 @@ def lineage_of_two():
     book = Ledger()
     for agent in ("g", "f", "e"):
         book.register_agent(agent, agent.encode())
-    root = book.mint_agreement(
-        "f", "g", make_terms(royalty_rate="0.05", rev_share="0.10"), "perpetual"
+    root = mint_agreement(
+        book, "f", "g", make_terms(royalty_rate="0.05", rev_share="0.10"), "perpetual"
     )
-    child = book.mint_agreement(
-        "e", "f", make_terms(royalty_rate="0.02", rev_share="0.00"), "perpetual",
+    child = mint_agreement(
+        book, "e", "f", make_terms(royalty_rate="0.02", rev_share="0.00"), "perpetual",
         previous_license_id=root.license_id,
     )
     return book.chain_of_ownership(child.license_id)

@@ -27,7 +27,7 @@ from atcpip.protocol import (
     requester_transition,
 )
 from atcpip.terms import terms_hash
-from conftest import make_terms
+from conftest import make_terms, mint_agreement
 
 
 def msg(action, body, sender="requester", recipient="provider", seq=0, session="s1"):
@@ -179,7 +179,7 @@ def test_provider_delivery_and_ack_paths():
     book.register_agent("provider", b"p")
     book.register_agent("requester", b"r")
     terms = make_terms()
-    token = book.mint_agreement("requester", "provider", terms, "2025-01-01", session_id="s1")
+    token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
     session = provider_session(state=ProviderState.DELIVERING, content_id="c")
     outputs = provider_transition(
@@ -365,7 +365,7 @@ def test_requester_delivery_checks_token_binding():
     book.register_agent("provider", b"p")
     book.register_agent("requester", b"r")
     terms = make_terms()
-    token = book.mint_agreement("requester", "provider", terms, "2025-01-01", session_id="s1")
+    token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
     session = requester_session(state=RequesterState.AWAITING_DELIVERY)
     session.accepted_terms = terms

@@ -22,7 +22,7 @@ from atcpip.protocol import (
 from atcpip.runtime import CatalogItem
 from atcpip.terms import terms_hash
 from atcpip.trust import CompatibilityRules
-from conftest import make_terms, make_world, pump
+from conftest import make_terms, make_world, pump, transaction_records
 
 IP_TERMS = make_terms(
     name="dataset license",
@@ -67,8 +67,8 @@ def test_full_deal_completes_with_token_payment_and_reputation():
 
 def test_both_sides_keep_matching_transaction_records():
     _, _, _, runtimes = run_simple_deal()
-    prov_records = runtimes["prov"].transaction_records()
-    req_records = runtimes["req"].transaction_records()
+    prov_records = transaction_records(runtimes["prov"])
+    req_records = transaction_records(runtimes["req"])
     assert len(prov_records) == 1 and len(req_records) == 1
     mine, theirs = prov_records[0], req_records[0]
     assert mine.terms_hash == theirs.terms_hash == terms_hash(IP_TERMS)
@@ -83,8 +83,8 @@ def test_acknowledged_flag_follows_the_ack_exchange():
     _, _, _, runtimes = run_simple_deal(config=SessionConfig(ack_required=True))
     assert runtimes["prov"].session("s1").state is ProviderState.COMPLETED
     assert runtimes["req"].session("s1").state is RequesterState.COMPLETED
-    assert runtimes["prov"].transaction_records()[0].acknowledged is True
-    assert runtimes["req"].transaction_records()[0].acknowledged is True
+    assert transaction_records(runtimes["prov"])[0].acknowledged is True
+    assert transaction_records(runtimes["req"])[0].acknowledged is True
 
 
 def test_fine_tuning_purpose_logs_the_upgrade_event():

@@ -207,6 +207,26 @@ def test_extra_royalty_beneficiary_must_resolve():
         scenario_from_value(value)
 
 
+def test_extra_royalties_summing_past_one_are_rejected():
+    value = base_value()
+    value["agents"][0]["catalog"][0]["extra_royalties"] = [
+        {"to": "req", "share": Decimal("0.6000")},
+        {"to": "prov", "share": Decimal("0.5000")},
+    ]
+    with pytest.raises(ParseError, match=r"catalog\[0\]: extra_royalties of 'weather' sum to 1.1000"):
+        scenario_from_value(value)
+
+
+def test_extra_royalties_summing_to_exactly_one_load():
+    value = base_value()
+    value["agents"][0]["catalog"][0]["extra_royalties"] = [
+        {"to": "req", "share": Decimal("0.6000")},
+        {"to": "prov", "share": Decimal("0.4000")},
+    ]
+    item = scenario_from_value(value).agents[0].catalog[0]
+    assert item.extra_royalties == (("req", Decimal("0.6000")), ("prov", Decimal("0.4000")))
+
+
 def test_unknown_jurisdiction_code_rejected():
     value = base_value()
     value["agents"][0]["jurisdiction"] = "ATLANTIS"

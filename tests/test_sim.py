@@ -1,6 +1,8 @@
 """Simulator: determinism, timers, loss handling, conservation, replay."""
 
 import hashlib
+import pathlib
+import types
 from decimal import Decimal
 
 import pytest
@@ -179,22 +181,42 @@ def test_dropping_payment_confirmation_fails_the_provider_with_payment_message()
 
 
 def test_handler_error_on_a_timer_becomes_a_memory_note():
-    """Royalty lines past the whole price make the settlement command
-    raise when the provider's negotiation timer moves it on; the run must
-    survive that the way it survives the same error on a message."""
+    """An upstream royalty of 0.6 plus an extra line of 0.6 oversubscribes
+    the price. The loader sees only the extra line, so the settlement
+    command raises when the provider's negotiation timer moves it on; the
+    run must survive that the way it survives the same error on a
+    message."""
     value = two_party_value(
         network={"latency": 0, "drop": {"accept_terms": Decimal("1.0000")}}
     )
+    value["agents"][0]["balance"] = 10_000
     item = value["agents"][0]["catalog"][0]
     item["terms"]["upfront_fee"] = 1000
-    item["extra_royalties"] = [
-        {"to": "a", "share": Decimal("0.6000")},
-        {"to": "b", "share": Decimal("0.6000")},
-    ]
-    value["agents"] += [{"id": "a", "balance": 0}, {"id": "b", "balance": 0}]
+    item["derived_from"] = "base"
+    item["extra_royalties"] = [{"to": "a", "share": Decimal("0.6000")}]
+    upstream = {
+        "content_id": "base",
+        "content": "x",
+        "tags": ["dataset"],
+        "terms": {"upfront_fee": 100, "royalty_rate": Decimal("0.6000"), "duration": "2030-01-01"},
+    }
+    value["agents"] += [{"id": "up", "balance": 0, "catalog": [upstream]}, {"id": "a", "balance": 0}]
+    value["script"].insert(
+        0,
+        {
+            "tick": 0,
+            "action": "request",
+            "requester": "prov",
+            "provider": "up",
+            "content_id": "base",
+            "session_id": "s0",
+        },
+    )
+    value["script"][1]["tick"] = 50
     _, world = run_scenario(scenario_from_value(value))
     assert world.conservation_intact()
     provider = world.runtimes["prov"]
+    assert provider.session("s0").state is RequesterState.COMPLETED
     assert provider.session("s1").failure_reason == NO_PAYMENT_FAILURE
     assert world.runtimes["req"].session("s1").failure_reason == NO_PAYMENT_REQUEST_FAILURE
     assert any(text.startswith("Timer handling failed:") for text in provider.memory_texts())
@@ -282,7 +304,9 @@ def test_usage_and_dispute_script_events_reach_the_ledger():
     kinds = [entry.kind for entry in world.ledger.entries()]
     assert "dispute" in kinds and "verdict" in kinds
     token = world.runtimes["req"].tokens["weather"]
-    assert world.ledger.is_revoked(token.license_id)
+    verdict = [entry for entry in world.ledger.entries() if entry.kind == "verdict"][-1]
+    assert verdict.payload["revokes_license_id"] == token.license_id
+    assert not world.ledger.verify_token(token, token.terms)
     assert world.board.record("prov").disputes_won == 1
     assert world.board.record("req").disputes_lost == 1
 
@@ -400,12 +424,27 @@ GOLDEN_DIGESTS = {
     "uc3_style_transfer": "298962b554e4ee380df41147ba0a34174297b64d9f4be13f850c037d9ff5c880",
     "uc4_multihop": "d6c909e7c62c6308795a2f4e8354345185c2c70fcde847f6e9976faa26cb6976",
     "lossy_jitter": "281da881b4e4f114cae942a5a7b38bdd369ed6e99f72dc9d514247fe67545f34",
+    "market_60_1": "378ea715f70c787aa67dafb3e4dd1b74ef9b8ccc3e41fd269215c6358df8d98a",
 }
+
+WORLDS_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "worlds.py"
+
+
+def generated_market_value():
+    """The benchmark generator's ``market(60, 1)`` world: 60 sessions
+    between generated agents on a jittery, lossy network, where many
+    frames arrive out of order. The generator runs from its path, so
+    nothing is imported from or written into perfbench/."""
+    worlds = types.ModuleType("worlds")
+    exec(compile(WORLDS_PY.read_text(), str(WORLDS_PY), "exec"), vars(worlds))
+    return worlds.market(60, 1)
 
 
 def golden_scenario(name):
     if name in BUILTIN_SCENARIOS:
         return scenario_from_bytes(builtin_bytes(name))
+    if name == "market_60_1":
+        return scenario_from_bytes(canon.dumps(generated_market_value()))
     return scenario_from_value(lossy_jitter_value())
 
 
