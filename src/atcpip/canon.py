@@ -206,23 +206,29 @@ def _reject_constant(token):
 
 
 def _pairs_hook(pairs):
-    result = {}
-    for key, value in pairs:
-        if key in result:
-            raise ParseError(f"duplicate map key {key!r}")
-        result[key] = value
+    # Maps are built innermost first, so every map inside a value here
+    # has already passed this hook; only lists still need walking.
+    result = dict(pairs)
+    if len(result) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"duplicate map key {key!r}")
+            seen.add(key)
+    for value in result.values():
+        if value is None:
+            raise ParseError("null is not a canonical value")
+        if type(value) is list:
+            _reject_null_items(value)
     return result
 
 
-def _reject_null(value):
-    if value is None:
-        raise ParseError("null is not a canonical value")
-    if isinstance(value, list):
-        for item in value:
-            _reject_null(item)
-    elif isinstance(value, dict):
-        for item in value.values():
-            _reject_null(item)
+def _reject_null_items(items):
+    for item in items:
+        if item is None:
+            raise ParseError("null is not a canonical value")
+        if type(item) is list:
+            _reject_null_items(item)
 
 
 def loads(data):
@@ -251,7 +257,10 @@ def loads(data):
         )
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    _reject_null(value)
+    if value is None:
+        raise ParseError("null is not a canonical value")
+    if type(value) is list:
+        _reject_null_items(value)
     return value
 
 

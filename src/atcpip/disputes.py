@@ -211,25 +211,21 @@ class DisputeCourt:
         return claim
 
     def collect_evidence(self, dispute_id):
-        """Session entries plus usage events, only from an intact chain."""
+        """Session entries plus usage events, in height order, only from
+        an intact chain: the whole chain is rehashed first, then the
+        ledger's evidence indexes are read."""
         claim = self.claim(dispute_id)
         self._ledger.require_intact()
         token = self._ledger.session_agreement(claim.session_id)
-        related = []
-        for entry in self._ledger.entries():
-            if entry.payload.get("session_id") == claim.session_id:
-                related.append(entry)
-            elif (
-                entry.kind == "reputation_event"
-                and entry.payload.get("event") == USAGE_EVENT
-                and entry.payload.get("license_id") == token.license_id
-            ):
-                related.append(entry)
+        related = {entry.height: entry for entry in self._ledger.session_entries(claim.session_id)}
+        for entry in self._ledger.license_events(token.license_id):
+            if entry.payload.get("event") == USAGE_EVENT:
+                related[entry.height] = entry
         return EvidenceBundle(
             claim=claim,
             license_id=token.license_id,
             terms_hash=token.terms_hash,
-            entries=tuple(related),
+            entries=tuple(related[height] for height in sorted(related)),
         )
 
     # -- arbitration ----------------------------------------------------------

@@ -12,6 +12,7 @@ token, ``commit_agreement`` re-verifies everything and appends. A token
 is only ever valid if its entry is on an intact chain.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -38,6 +39,7 @@ LICENSE_ID_LENGTH = 32
 ENTRY_KINDS = frozenset(
     {"agreement_token", "draft_token", "payment", "dispute", "verdict", "reputation_event"}
 )
+ENTRY_FIELDS = frozenset({"height", "kind", "payload", "payload_hash", "entry_hash"})
 
 
 @dataclass(frozen=True)
@@ -230,11 +232,12 @@ def _metadata_signing_bytes(metadata, link_to_terms):
 
 
 class Ledger:
-    """Append-only entry list plus the token indexes derived from it.
+    """Append-only entry list plus the indexes derived from it.
 
-    All indexes (committed tokens, per-session draft rounds, revocations)
-    are maintained inside ``append`` itself, so replaying an exported
-    entry list through ``append_raw`` reconstructs the same state.
+    All indexes (committed tokens, per-session draft rounds, revocations,
+    and the heights that dispute evidence is read from) are maintained
+    inside the one append path, so replaying an exported entry list
+    through it (``from_export``) reconstructs the same state.
     """
 
     def __init__(self, current_date="2024-01-01"):
@@ -247,6 +250,9 @@ class Ledger:
         self._session_agreements = {}  # session_id -> license_id
         self._session_rounds = {}  # session_id -> last draft round
         self._revoked = set()
+        # evidence indexes, heights in ascending order
+        self._session_heights = defaultdict(list)  # payload session_id -> heights
+        self._license_events = defaultdict(list)  # reputation_event license_id -> heights
         # hook(entry, canonical payload bytes), used by the simulator transcript
         self.on_append = None
 
@@ -269,6 +275,17 @@ class Ledger:
         return self._entries[-1].entry_hash if self._entries else GENESIS_HASH
 
     def append(self, kind, payload):
+        return self._append(kind, payload)
+
+    def _append(self, kind, payload, walked=None, token=None):
+        """The one append path.
+
+        ``walked`` is the chain walk's ``(encoded, payload_hash,
+        entry_hash)`` for this payload at this height, so an import does
+        not encode or hash it again; ``token`` is the verified token an
+        ``agreement_token`` payload was built from, so its index entry is
+        not parsed back out of the payload.
+        """
         if kind not in ENTRY_KINDS:
             raise ParseError(f"unknown entry kind {kind!r}")
         if not isinstance(payload, dict):
@@ -276,25 +293,37 @@ class Ledger:
         if payload.get("kind", kind) != kind:
             raise ParseError("payload kind field contradicts entry kind")
         payload = {"kind": kind, **payload}
+        height = len(self._entries)
         # Parse whatever the indexes will need before touching the chain,
         # so a malformed payload cannot leave a half-applied append.
-        apply_index = self._prepare_index(kind, payload, height=len(self._entries))
-        encoded = canon.dumps(payload)
-        payload_hash = canon.sha256_hex(encoded)
+        apply_index = self._prepare_index(kind, payload, height, token)
+        if walked is None:
+            encoded = canon.dumps(payload)
+            payload_hash = canon.sha256_hex(encoded)
+            entry_hash = chain_entry_hash(self.tip_hash(), payload_hash)
+        else:
+            encoded, payload_hash, entry_hash = walked
         entry = LedgerEntry(
-            height=len(self._entries),
+            height=height,
             kind=kind,
             payload=payload,
             payload_hash=payload_hash,
-            entry_hash=chain_entry_hash(self.tip_hash(), payload_hash),
+            entry_hash=entry_hash,
         )
         self._entries.append(entry)
         apply_index()
+        session_id = payload.get("session_id")
+        if isinstance(session_id, str):
+            self._session_heights[session_id].append(height)
+        if kind == "reputation_event":
+            license_id = payload.get("license_id")
+            if isinstance(license_id, str):
+                self._license_events[license_id].append(height)
         if self.on_append is not None:
             self.on_append(entry, encoded)
         return entry
 
-    def _prepare_index(self, kind, payload, height):
+    def _prepare_index(self, kind, payload, height, token):
         try:
             if kind == "draft_token":
                 session_id, round_number = payload["session_id"], payload["round"]
@@ -303,8 +332,10 @@ class Ledger:
                     self._session_rounds[session_id] = round_number
 
             elif kind == "agreement_token":
-                value = {key: item for key, item in payload.items() if key != "kind"}
-                token = replace(token_from_value(value), height=height)
+                if token is None:
+                    value = {key: item for key, item in payload.items() if key != "kind"}
+                    token = token_from_value(value)
+                token = replace(token, height=height)
 
                 def apply():
                     self._tokens[token.license_id] = token
@@ -474,7 +505,7 @@ class Ledger:
             raise AbortedExchange(f"license {token.license_id!r} already committed")
         if token.session_id and token.session_id in self._session_agreements:
             raise AbortedExchange(f"session {token.session_id!r} already has an agreement")
-        self.append("agreement_token", token_to_value(token))
+        self._append("agreement_token", token_to_value(token), token=token)
         return self._tokens[token.license_id]
 
     # -- verification -----------------------------------------------------------
@@ -511,6 +542,15 @@ class Ledger:
         license_id = self._session_agreements.get(session_id)
         return self._tokens[license_id] if license_id else None
 
+    def session_entries(self, session_id):
+        """Entries whose payload names ``session_id``, in height order."""
+        return [self._entries[height] for height in self._session_heights.get(session_id, ())]
+
+    def license_events(self, license_id):
+        """``reputation_event`` entries whose payload names ``license_id``,
+        in height order."""
+        return [self._entries[height] for height in self._license_events.get(license_id, ())]
+
     def chain_of_ownership(self, license_id):
         """Lineage root first, ending at license_id."""
         chain = []
@@ -532,58 +572,89 @@ class Ledger:
         return verify_entries(self._entries)
 
     def require_intact(self):
-        if not self.verify_chain():
-            raise TamperedLedger("hash chain verification failed")
+        for _ in _walk(self._entries):
+            pass
 
     # -- export / import ----------------------------------------------------------
 
     def export_entries(self):
+        """Exported maps of every entry. Each ``payload`` is the live map
+        the ledger holds, not a copy: editing it edits the chain, and
+        ``verify_chain`` then fails."""
         return [entry.to_value() for entry in self._entries]
 
     @classmethod
     def from_export(cls, value, current_date="2024-01-01"):
         """Rebuild a ledger (indexes included) from an exported entry list.
 
-        Secret keys do not travel with exports, so the result can verify
-        chains and serve evidence but cannot sign or mint.
+        Each entry is appended with the bytes and hashes the chain walk
+        computed for it. Secret keys do not travel with exports, so the
+        result can verify chains and serve evidence but cannot sign or
+        mint.
         """
         if not isinstance(value, list):
             raise ParseError("ledger export must be a list of entries")
-        if not verify_entries(value):
-            raise TamperedLedger("exported ledger fails hash chain verification")
         book = cls(current_date)
-        for item in value:
-            book.append(item["kind"], item["payload"])
+        steps = _walk(value)
+        try:
+            for kind, payload, *walked in steps:
+                book._append(kind, payload, walked)
+        except Exception:
+            # A break anywhere in the export is reported as tampering,
+            # ahead of whatever an earlier entry failed on.
+            for _ in steps:
+                pass
+            raise
         return book
 
 
-def verify_entries(entries):
-    """Recompute the whole chain; accepts LedgerEntry objects or exported maps."""
+def _walk(entries):
+    """Recompute the chain over LedgerEntry objects or exported maps.
+
+    Yields ``(kind, payload, encoded, payload_hash, entry_hash)`` for each
+    entry that extends the chain, ``encoded`` being the payload's
+    canonical bytes and both hashes recomputed from them; raises
+    TamperedLedger at the first entry that does not.
+    """
     previous = GENESIS_HASH
     for position, item in enumerate(entries):
         if isinstance(item, LedgerEntry):
-            item = item.to_value()
-        elif not isinstance(item, dict):
-            return False
-        expected_keys = {"height", "kind", "payload", "payload_hash", "entry_hash"}
-        if set(item) != expected_keys:
-            return False
-        payload = item["payload"]
-        if not isinstance(payload, dict):
-            return False
-        if item["height"] != position:
-            return False
-        if item["kind"] not in ENTRY_KINDS or payload.get("kind") != item["kind"]:
-            return False
+            height, kind, payload = item.height, item.kind, item.payload
+            recorded_payload_hash, recorded_entry_hash = item.payload_hash, item.entry_hash
+        elif isinstance(item, dict) and item.keys() == ENTRY_FIELDS:
+            height, kind, payload = item["height"], item["kind"], item["payload"]
+            recorded_payload_hash = item["payload_hash"]
+            recorded_entry_hash = item["entry_hash"]
+        else:
+            raise TamperedLedger(f"entry {position} is not a ledger entry")
+        if height != position:
+            raise TamperedLedger(f"entry {position} records height {height!r}")
+        if (
+            not isinstance(kind, str)
+            or kind not in ENTRY_KINDS
+            or not isinstance(payload, dict)
+            or payload.get("kind") != kind
+        ):
+            raise TamperedLedger(f"entry {position} has no valid kind or payload map")
         try:
-            payload_hash = canon.hash_value(payload)
+            encoded = canon.dumps(payload)
         except AtcpipError:
-            return False
-        if payload_hash != item["payload_hash"]:
-            return False
+            raise TamperedLedger(f"entry {position} payload is not canonical") from None
+        payload_hash = canon.sha256_hex(encoded)
+        if payload_hash != recorded_payload_hash:
+            raise TamperedLedger(f"entry {position} payload hash does not match")
         entry_hash = chain_entry_hash(previous, payload_hash)
-        if entry_hash != item["entry_hash"]:
-            return False
+        if entry_hash != recorded_entry_hash:
+            raise TamperedLedger(f"entry {position} does not extend the chain")
         previous = entry_hash
-    return True
+        yield kind, payload, encoded, payload_hash, entry_hash
 
+
+def verify_entries(entries):
+    """True when every entry extends the chain (see ``_walk``)."""
+    try:
+        for _ in _walk(entries):
+            pass
+    except TamperedLedger:
+        return False
+    return True

@@ -57,3 +57,19 @@ def test_benchmark_runs_a_small_traced_market_world(tmp_path):
     for section in ("end_to_end", "per_layer"):
         missing = {metric["name"] for metric in declared[section]} - set(result[section])
         assert not missing, f"{section} metrics not produced: {sorted(missing)}"
+
+
+def test_benchmark_selftest_passes(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "perfbench" / "selftest.py")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -169,6 +169,12 @@ def test_loads_round_trip_basics():
         "",
         "92233720368547758080",
         "0.5e2",
+        "[1,null]",
+        "[[null]]",
+        '{"a":[null]}',
+        '{"a":[[1],[null]]}',
+        '[{"a":null}]',
+        '{"a":{"b":null}}',
     ],
 )
 def test_loads_rejects_non_canonical_tokens(text):

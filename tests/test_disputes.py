@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from atcpip.disputes import DisputeCourt, record_usage
+from atcpip import canon
+from atcpip.disputes import USAGE_EVENT, DisputeCourt, record_usage
 from atcpip.errors import (
     InvalidParties,
     ParseError,
@@ -14,9 +15,12 @@ from atcpip.errors import (
 )
 from atcpip.ledger import Ledger
 from atcpip.payments import WalletSystem
+from atcpip.scenario import scenario_from_bytes
+from atcpip.sim import run_scenario
 from atcpip.terms import terms_hash
 from atcpip.trust import ReputationBoard
 from conftest import make_terms, mint_agreement
+from test_sim import GOLDEN_DIGESTS, golden_scenario, load_worlds
 
 
 def build_session(
@@ -264,6 +268,72 @@ def test_evidence_refuses_a_tampered_chain():
         court.collect_evidence(claim.dispute_id)
     with pytest.raises(TamperedLedger):
         court.arbitrate(claim.dispute_id)
+
+
+def test_evidence_rehashes_entries_outside_the_evidence():
+    # Rehashing only the evidence, or only the entries appended since the
+    # last clean check, would serve evidence from this chain.
+    book, court, _ = build_session(pay=1_000)
+    mint_agreement(book, "other", "prov", make_terms(upfront_fee=5), "2026-01-01",
+                   session_id="sess-2")
+    claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
+    evidence = {entry.height for entry in court.collect_evidence(claim.dispute_id).entries}
+    exported = book.export_entries()
+    victim = book.session_agreement("sess-2").height
+    assert victim not in evidence
+    exported[victim]["payload"]["terms"]["upfront_fee"] = 0
+    with pytest.raises(TamperedLedger):
+        court.collect_evidence(claim.dispute_id)
+    with pytest.raises(TamperedLedger):
+        court.arbitrate(claim.dispute_id)
+
+
+def scanned_evidence(ledger, claim):
+    """The whole-chain scan collect_evidence used to run, kept as the
+    oracle for the ledger's evidence indexes."""
+    token = ledger.session_agreement(claim.session_id)
+    return tuple(
+        entry
+        for entry in ledger.entries()
+        if entry.payload.get("session_id") == claim.session_id
+        or (
+            entry.kind == "reputation_event"
+            and entry.payload.get("event") == USAGE_EVENT
+            and entry.payload.get("license_id") == token.license_id
+        )
+    )
+
+
+def evidence_world(name):
+    if name == "market_60_1_usage":
+        return scenario_from_bytes(canon.dumps(load_worlds().market(60, 1, usage_events=20)))
+    return golden_scenario(name)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS) + ["market_60_1_usage"])
+def test_indexed_evidence_matches_a_whole_chain_scan(name):
+    scenario = evidence_world(name)
+    _, world = run_scenario(scenario)
+    book, court = world.ledger, world.court
+    agreed = [sid for sid in scenario.session_ids() if book.session_agreement(sid)]
+    assert agreed
+    for session_id in agreed:
+        token = book.session_agreement(session_id)
+        court.file_dispute(session_id, token.metadata.issuer_id, token.metadata.holder_id,
+                           "usage_violation")
+    disputes = [entry.payload["dispute_id"] for entry in book.entries() if entry.kind == "dispute"]
+    clone = Ledger.from_export(book.export_entries())
+    clone_court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    usage_seen = False
+    for dispute_id in disputes:
+        live = court.collect_evidence(dispute_id)
+        assert live.entries == scanned_evidence(book, live.claim)
+        imported = clone_court.collect_evidence(dispute_id)
+        assert imported.entries == scanned_evidence(clone, imported.claim)
+        assert imported.to_value() == live.to_value()
+        usage_seen |= any(entry.kind == "reputation_event" for entry in live.entries)
+    if name == "market_60_1_usage":
+        assert usage_seen
 
 
 def test_verdicts_match_a_brute_force_payment_oracle():

@@ -26,6 +26,7 @@ from atcpip.ledger import (
     GENESIS_HASH,
     Ledger,
     LicenseMetadata,
+    chain_entry_hash,
     derive_license_id,
     metadata_from_value,
     simulated_signature,
@@ -335,12 +336,42 @@ def test_any_single_mutation_breaks_verification(mutate):
     assert verify_entries(exported)
     mutate(exported)
     assert not verify_entries(exported)
+    with pytest.raises(TamperedLedger):
+        Ledger.from_export(exported)
+
+
+def chained(payloads):
+    """Export maps with correct hashes around raw payloads, bypassing the
+    checks that append runs."""
+    exported, previous = [], GENESIS_HASH
+    for height, payload in enumerate(payloads):
+        payload_hash = canon.hash_value(payload)
+        previous = chain_entry_hash(previous, payload_hash)
+        exported.append({"height": height, "kind": payload["kind"], "payload": payload,
+                         "payload_hash": payload_hash, "entry_hash": previous})
+    return exported
+
+
+def test_import_reports_tampering_ahead_of_a_parse_error():
+    registered = {"kind": "reputation_event", "agent_id": "a", "event": "registered"}
+    roundless = {"kind": "draft_token", "session_id": "s1"}
+    exported = chained([registered, roundless, registered])
+    assert verify_entries(exported)
+    with pytest.raises(ParseError):
+        Ledger.from_export(exported)
+    exported[2]["payload"] = {**registered, "agent_id": "b"}
+    with pytest.raises(TamperedLedger):
+        Ledger.from_export(exported)
 
 
 def test_verify_rejects_malformed_containers():
     assert verify_entries([])
     assert not verify_entries([{"height": 0}])
     assert not verify_entries(["nonsense"])
+    unhashable_kind = chained([{"kind": ["payment"]}])
+    assert not verify_entries(unhashable_kind)
+    with pytest.raises(TamperedLedger):
+        Ledger.from_export(unhashable_kind)
     # An in-memory entry whose payload cannot be encoded fails the check
     # instead of raising.
     entries = list(populated_ledger().entries())

@@ -430,14 +430,19 @@ GOLDEN_DIGESTS = {
 WORLDS_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "worlds.py"
 
 
+def load_worlds():
+    """The benchmark's world generator, run from its path, so nothing is
+    imported from or written into perfbench/."""
+    worlds = types.ModuleType("worlds")
+    exec(compile(WORLDS_PY.read_text(), str(WORLDS_PY), "exec"), vars(worlds))
+    return worlds
+
+
 def generated_market_value():
     """The benchmark generator's ``market(60, 1)`` world: 60 sessions
     between generated agents on a jittery, lossy network, where many
-    frames arrive out of order. The generator runs from its path, so
-    nothing is imported from or written into perfbench/."""
-    worlds = types.ModuleType("worlds")
-    exec(compile(WORLDS_PY.read_text(), str(WORLDS_PY), "exec"), vars(worlds))
-    return worlds.market(60, 1)
+    frames arrive out of order."""
+    return load_worlds().market(60, 1)
 
 
 def golden_scenario(name):
