@@ -176,6 +176,12 @@ class DisputeCourt:
         except KeyError:
             raise UnknownDispute(f"no dispute {dispute_id!r}") from None
 
+    def _agreement(self, session_id):
+        token = self._ledger.session_agreement(session_id)
+        if token is None:
+            raise UnknownLicense(f"session {session_id!r} has no agreement to dispute")
+        return token
+
     def file_dispute(
         self,
         session_id,
@@ -187,9 +193,7 @@ class DisputeCourt:
     ):
         if kind not in DISPUTE_KINDS:
             raise ParseError(f"unknown dispute kind {kind!r}")
-        token = self._ledger.session_agreement(session_id)
-        if token is None:
-            raise UnknownLicense(f"session {session_id!r} has no agreement to dispute")
+        token = self._agreement(session_id)
         parties = {token.metadata.issuer_id, token.metadata.holder_id}
         if {claimant_id, respondent_id} != parties or claimant_id == respondent_id:
             raise InvalidParties(
@@ -216,7 +220,7 @@ class DisputeCourt:
         ledger's evidence indexes are read."""
         claim = self.claim(dispute_id)
         self._ledger.require_intact()
-        token = self._ledger.session_agreement(claim.session_id)
+        token = self._agreement(claim.session_id)
         related = {entry.height: entry for entry in self._ledger.session_entries(claim.session_id)}
         for entry in self._ledger.license_events(token.license_id):
             if entry.payload.get("event") == USAGE_EVENT:
@@ -243,7 +247,7 @@ class DisputeCourt:
             claimant_wins, rationale = self._judge_usage_violation(claim, evidence)
         winner = claim.claimant_id if claimant_wins else claim.respondent_id
         loser = claim.respondent_id if claimant_wins else claim.claimant_id
-        token = self._ledger.session_agreement(claim.session_id)
+        token = self._agreement(claim.session_id)
         revokes = ""
         if (
             loser == token.metadata.holder_id

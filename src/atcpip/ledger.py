@@ -568,9 +568,6 @@ class Ledger:
         chain.reverse()
         return chain
 
-    def verify_chain(self):
-        return verify_entries(self._entries)
-
     def require_intact(self):
         for _ in _walk(self._entries):
             pass
@@ -580,7 +577,7 @@ class Ledger:
     def export_entries(self):
         """Exported maps of every entry. Each ``payload`` is the live map
         the ledger holds, not a copy: editing it edits the chain, and
-        ``verify_chain`` then fails."""
+        ``verify_entries(ledger.entries())`` then fails."""
         return [entry.to_value() for entry in self._entries]
 
     @classmethod

@@ -71,6 +71,8 @@ class SetBound:
     allowed: frozenset
 
     def __post_init__(self):
+        if not self.allowed:
+            raise ValueError("set bound needs at least one allowed tag")
         object.__setattr__(self, "allowed", frozenset(self.allowed))
 
 
@@ -86,8 +88,9 @@ class NegotiationPolicy:
         object.__setattr__(self, "concession_step", fixed4(self.concession_step))
         if not Decimal(0) < self.concession_step <= 1:
             raise ValueError("concession_step must be in (0, 1]")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
+        rounds = self.max_rounds
+        if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+            raise ValueError("max_rounds must be a non-negative integer")
         for path, bound in self.bounds.items():
             if path not in FIELD_ORDER:
                 raise UnknownPath(f"policy bounds unknown field {path!r}")

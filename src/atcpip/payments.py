@@ -145,18 +145,6 @@ class WalletSystem:
             self.on_transfer(from_id, to_id, amount, purpose)
         return entry
 
-    def transfer(self, from_id, to_id, amount, purpose="transfer", session_id=""):
-        if isinstance(amount, bool) or not isinstance(amount, int) or amount < 0:
-            raise ValueError(f"amount must be a non-negative integer, got {amount!r}")
-        self._require(from_id)
-        self._require(to_id)
-        if self._balances[from_id] < amount:
-            raise InsufficientFunds(
-                f"{from_id!r} holds {self._balances[from_id]}, needs {amount}"
-            )
-        self._move(from_id, to_id, amount)
-        return self._record(from_id, to_id, amount, purpose, session_id)
-
     def settle(self, payer_id, plan, purpose="settlement", session_id=""):
         """Pay out a whole split or nothing.
 

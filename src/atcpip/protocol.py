@@ -260,8 +260,6 @@ class ProviderSession:
     round: int = 0
     revisions_used: int = 0
     plan_amount: int = 0
-    plan_value: Optional[dict] = None
-    accepted: bool = False
     unconfirmed: bool = False
     committed_token: object = None
     acknowledged: bool = False
@@ -374,7 +372,6 @@ def provider_transition(session, event):
             if event.action == "accept_terms":
                 if event.body["terms_hash"] != session.terms_hash:
                     raise _violation(session, event)
-                session.accepted = True
                 return _provider_enter_settlement(session)
 
         if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
@@ -495,7 +492,6 @@ def _provider_decision(session, event):
 
     if state is ProviderState.AWAITING_PAYMENT and event.kind == "payment_plan":
         session.plan_amount = event.data["amount"]
-        session.plan_value = event.data["plan_value"]
         return [
             _send(
                 session,
@@ -575,9 +571,7 @@ def requester_transition(session, event):
                 or amount != session.accepted_terms.upfront_fee
             ):
                 raise _violation(session, event)
-            if not isinstance(split, list) or any(
-                not isinstance(line, dict) or set(line) != {"to", "amount"} for line in split
-            ):
+            if not isinstance(split, list) or not all(map(_is_split_line, split)):
                 raise _violation(session, event)
             if sum(line["amount"] for line in split) != amount:
                 raise _violation(session, event)
@@ -631,6 +625,21 @@ def _parse_terms(session, value):
         return terms_from_value(value)
     except ParseError as exc:
         raise ProtocolViolation(f"terms in message do not parse: {exc}") from None
+
+
+def _is_split_line(line):
+    """One payout line from the wire: a named payee and a whole,
+    non-negative amount. The requester pays exactly these lines."""
+    if not isinstance(line, dict) or set(line) != {"to", "amount"}:
+        return False
+    payee, amount = line["to"], line["amount"]
+    return (
+        isinstance(payee, str)
+        and bool(payee)
+        and isinstance(amount, int)
+        and not isinstance(amount, bool)
+        and amount >= 0
+    )
 
 
 def _parse_token(session, value):

@@ -18,18 +18,11 @@ from decimal import Decimal
 from . import canon
 from .canon import fixed4
 from .disputes import DISPUTE_KINDS
-from .errors import ParseError, UnknownJurisdiction, UnresolvedReference
+from .errors import AtcpipError, ParseError, UnknownJurisdiction, UnresolvedReference
 from .negotiation import ChoiceBound, NegotiationPolicy, NumericBound, RISK_TIERS, SetBound
 from .protocol import ACTIONS, ProviderState, RequesterState, SessionConfig
 from .runtime import CatalogItem
-from .terms import (
-    DECIMAL_FIELDS,
-    FIELD_ORDER,
-    LicenseTerms,
-    TAG_FIELDS,
-    is_iso_date,
-    validate,
-)
+from .terms import LicenseTerms, TAG_FIELDS, is_iso_date, terms_from_value, validate
 from .trust import JurisdictionProfile
 
 DEFAULT_START_DATE = "2024-01-01"
@@ -54,27 +47,12 @@ STATE_NAMES = frozenset(state.value for state in ProviderState) | frozenset(
     state.value for state in RequesterState
 )
 
+# Spread under every partial terms section, never written to.
+_DEFAULT_TERMS = LicenseTerms().to_value()
+
 _EXPECTATION_KEYS = frozenset(
     {"balances", "states", "holdings", "memory_contains", "payments"}
 )
-
-
-@dataclass(frozen=True)
-class PolicySpec:
-    """Parsed negotiation policy; one agent uses it in both roles."""
-
-    bounds: tuple = ()  # ((field, Bound), ...)
-    non_negotiable: frozenset = frozenset()
-    max_rounds: int = 4
-    concession_step: Decimal = Decimal("0.5000")
-
-    def build(self):
-        return NegotiationPolicy(
-            bounds=dict(self.bounds),
-            non_negotiable=self.non_negotiable,
-            max_rounds=self.max_rounds,
-            concession_step=self.concession_step,
-        )
 
 
 @dataclass(frozen=True)
@@ -84,7 +62,7 @@ class AgentSpec:
     balance: int = 0
     tier: str = "standard"
     config: SessionConfig = field(default_factory=SessionConfig)
-    policy: PolicySpec = None
+    policy: NegotiationPolicy = None
     catalog: tuple = ()  # CatalogItem instances
 
 
@@ -194,22 +172,18 @@ def _rate(value, ctx):
 # -- section parsers -------------------------------------------------------------
 
 
+def _build(ctx, constructor, *args, **kwargs):
+    """Construct a runtime object; the checks it makes fail as ParseError."""
+    try:
+        return constructor(*args, **kwargs)
+    except (AtcpipError, TypeError, ValueError) as exc:
+        raise ParseError(f"{ctx}: {exc}") from None
+
+
 def _parse_partial_terms(value, ctx):
     """A terms section may state only the fields it cares about; the rest
     keep the conservative defaults."""
-    body = _map(value, ctx)
-    unknown = set(body) - set(FIELD_ORDER)
-    if unknown:
-        raise ParseError(f"{ctx}: unknown terms field {sorted(unknown)[0]!r}")
-    kwargs = {}
-    for name, item in body.items():
-        if name in DECIMAL_FIELDS and isinstance(item, (int, Decimal)) and not isinstance(item, bool):
-            item = fixed4(item)
-        kwargs[name] = item
-    try:
-        terms = LicenseTerms(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{ctx}: bad terms section: {exc}") from None
+    terms = _build(ctx, terms_from_value, {**_DEFAULT_TERMS, **_map(value, ctx)})
     report = validate(terms)
     if report:
         first = report[0]
@@ -219,22 +193,17 @@ def _parse_partial_terms(value, ctx):
 
 
 def _parse_bound(name, value, ctx):
-    body = _map(value, f"{ctx}: bound for {name!r}")
+    body = _map(value, ctx)
     if "allowed" in body:
-        _reject_unknown(body, ("allowed",), f"{ctx}: bound for {name!r}")
-        allowed = _list(body["allowed"], f"{ctx}: allowed values for {name!r}")
-        if not allowed:
-            raise ParseError(f"{ctx}: bound for {name!r} allows nothing")
+        _reject_unknown(body, ("allowed",), ctx)
         if name in TAG_FIELDS:
-            return SetBound(frozenset(allowed))
-        return ChoiceBound(tuple(allowed))
-    _reject_unknown(body, ("min", "max"), f"{ctx}: bound for {name!r}")
-    minimum = _get(body, "min", f"{ctx}: bound for {name!r}")
-    maximum = _get(body, "max", f"{ctx}: bound for {name!r}")
-    try:
-        return NumericBound(minimum, maximum)
-    except (ValueError, ArithmeticError, TypeError) as exc:
-        raise ParseError(f"{ctx}: bound for {name!r}: {exc}") from None
+            return _build(ctx, SetBound, _str_list(body["allowed"], f"{ctx}: allowed"))
+        return _build(ctx, ChoiceBound, tuple(_list(body["allowed"], f"{ctx}: allowed")))
+    _reject_unknown(body, ("min", "max"), ctx)
+    edges = [_get(body, key, ctx) for key in ("min", "max")]
+    if any(isinstance(edge, bool) or not isinstance(edge, (int, Decimal)) for edge in edges):
+        raise ParseError(f"{ctx}: min and max must be numbers")
+    return _build(ctx, NumericBound, *edges)
 
 
 def _parse_policy(value, ctx):
@@ -242,26 +211,18 @@ def _parse_policy(value, ctx):
     _reject_unknown(
         body, ("bounds", "non_negotiable", "max_rounds", "concession_step"), ctx
     )
-    bounds = []
-    for name, bound_value in _map(body.get("bounds", {}), f"{ctx}: bounds").items():
-        if name not in FIELD_ORDER:
-            raise ParseError(f"{ctx}: bound names unknown terms field {name!r}")
-        bounds.append((name, _parse_bound(name, bound_value, ctx)))
-    non_negotiable = _str_list(body.get("non_negotiable", []), f"{ctx}: non_negotiable")
-    for name in non_negotiable:
-        if name not in FIELD_ORDER:
-            raise ParseError(f"{ctx}: non_negotiable names unknown terms field {name!r}")
-    max_rounds = _int(body, "max_rounds", ctx, default=4, minimum=0)
     step = body.get("concession_step", Decimal("0.5000"))
     if isinstance(step, bool) or not isinstance(step, (int, Decimal)):
         raise ParseError(f"{ctx}: concession_step must be a number")
-    step = fixed4(step)
-    if not Decimal(0) < step <= 1:
-        raise ParseError(f"{ctx}: concession_step must lie in (0, 1]")
-    return PolicySpec(
-        bounds=tuple(sorted(bounds)),
-        non_negotiable=frozenset(non_negotiable),
-        max_rounds=max_rounds,
+    return _build(
+        ctx,
+        NegotiationPolicy,
+        bounds={
+            name: _parse_bound(name, bound, f"{ctx}: bound for {name!r}")
+            for name, bound in _map(body.get("bounds", {}), f"{ctx}: bounds").items()
+        },
+        non_negotiable=_str_list(body.get("non_negotiable", []), f"{ctx}: non_negotiable"),
+        max_rounds=body.get("max_rounds", 4),
         concession_step=step,
     )
 
@@ -303,20 +264,19 @@ def _parse_item(value, agent_id, agent_ids, ctx):
     terms = body.get("terms")
     if terms is not None:
         terms = _parse_partial_terms(terms, f"{ctx}: terms")
-    try:
-        return CatalogItem(
-            content_id=content_id,
-            content=_str(body, "content", ctx, default=""),
-            tags=_str_list(body.get("tags", []), f"{ctx}: tags"),
-            flags=_str_list(body.get("flags", []), f"{ctx}: flags"),
-            terms=terms,
-            ip_significant=ip_significant,
-            derived_from=_str(body, "derived_from", ctx, default=""),
-            extra_royalties=tuple(royalties),
-            courtship=_bool(body, "courtship", ctx, default=False),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{ctx}: {exc}") from None
+    return _build(
+        ctx,
+        CatalogItem,
+        content_id=content_id,
+        content=_str(body, "content", ctx, default=""),
+        tags=_str_list(body.get("tags", []), f"{ctx}: tags"),
+        flags=_str_list(body.get("flags", []), f"{ctx}: flags"),
+        terms=terms,
+        ip_significant=ip_significant,
+        derived_from=_str(body, "derived_from", ctx, default=""),
+        extra_royalties=tuple(royalties),
+        courtship=_bool(body, "courtship", ctx, default=False),
+    )
 
 
 _AGENT_KEYS = (

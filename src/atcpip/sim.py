@@ -81,7 +81,7 @@ class Simulation:
                 registry,
                 rules,
                 directory,
-                policy=spec.policy.build() if spec.policy else None,
+                policy=spec.policy,
                 tier=RISK_TIERS[spec.tier],
                 config=spec.config,
             )

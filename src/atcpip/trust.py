@@ -42,9 +42,6 @@ class JurisdictionRegistry:
         except KeyError:
             raise UnknownJurisdiction(f"no profile for jurisdiction {code!r}") from None
 
-    def codes(self):
-        return frozenset(self._profiles)
-
 
 @dataclass(frozen=True)
 class CompatibilityRules:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from atcpip import canon
+from atcpip.cli import main
 from atcpip.disputes import USAGE_EVENT, DisputeCourt, record_usage
 from atcpip.errors import (
     InvalidParties,
@@ -14,13 +15,18 @@ from atcpip.errors import (
     UnknownLicense,
 )
 from atcpip.ledger import Ledger
-from atcpip.payments import WalletSystem
+from atcpip.payments import SplitPlan, WalletSystem
 from atcpip.scenario import scenario_from_bytes
 from atcpip.sim import run_scenario
 from atcpip.terms import terms_hash
 from atcpip.trust import ReputationBoard
 from conftest import make_terms, mint_agreement
 from test_sim import GOLDEN_DIGESTS, golden_scenario, load_worlds
+
+
+def pay_provider(wallets, payer_id, amount, session_id, purpose="settlement"):
+    """One payment line from ``payer_id`` to "prov", recorded for the session."""
+    wallets.settle(payer_id, SplitPlan(amount, (("prov", amount),)), purpose, session_id)
 
 
 def build_session(
@@ -41,7 +47,7 @@ def build_session(
     wallets.open_account("req", 10_000_000)
     wallets.open_account("prov")
     if pay is not None:
-        wallets.transfer("req", "prov", pay, purpose="license_fee", session_id=session_id)
+        pay_provider(wallets, "req", pay, session_id, purpose="license_fee")
     court = DisputeCourt(book, ReputationBoard(book))
     return book, court, token
 
@@ -155,7 +161,7 @@ def test_payments_outside_the_session_do_not_count():
     wallets = WalletSystem(book)
     wallets.open_account("stranger", 5_000)
     wallets.open_account("prov")
-    wallets.transfer("stranger", "prov", 5_000, session_id="some-other-session")
+    pay_provider(wallets, "stranger", 5_000, "some-other-session")
     claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
     assert court.arbitrate(claim.dispute_id).rationale == "payments_deficient"
 
@@ -346,7 +352,7 @@ def test_verdicts_match_a_brute_force_payment_oracle():
         wallets.open_account("payer", 10_000_000)
         wallets.open_account("prov")
         for amount in installments:
-            wallets.transfer("payer", "prov", amount, session_id="sess-1")
+            pay_provider(wallets, "payer", amount, "sess-1")
         claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
         verdict = court.arbitrate(claim.dispute_id)
         expected = "prov" if sum(installments) < fee else "req"
@@ -358,3 +364,28 @@ def test_terms_hash_of_final_terms_matches_token():
     claim = court.file_dispute("sess-1", "req", "prov", "misrepresentation",
                                asserted_terms_hash=terms_hash(token.terms))
     assert court.arbitrate(claim.dispute_id).rationale == "record_matches_assertion"
+
+
+def test_dispute_over_a_session_without_agreement_is_a_typed_error(tmp_path, capsys):
+    book = Ledger(current_date="2024-01-01")
+    book.register_agent("prov", b"prov-key")
+    book.append(
+        "dispute",
+        {
+            "dispute_id": "d1",
+            "session_id": "nope",
+            "claimant_id": "prov",
+            "respondent_id": "req",
+            "claim": "payment_default",
+        },
+    )
+    clone = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
+    court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    with pytest.raises(UnknownLicense, match="nope"):
+        court.collect_evidence("d1")
+    with pytest.raises(UnknownLicense, match="nope"):
+        court.arbitrate("d1")
+    export = tmp_path / "ledger.json"
+    export.write_bytes(canon.dumps(book.export_entries()) + b"\n")
+    assert main(["export-evidence", "--ledger", str(export), "--dispute", "d1"]) == 2
+    assert "error: session 'nope' has no agreement" in capsys.readouterr().err

@@ -1,11 +1,13 @@
-"""Every imported name in the package and its tests is used, and the
-package reads no environment variables.
+"""Every imported name in the package and its tests is used, every
+attribute the package stores is read, and the package reads no
+environment variables.
 
 No linter ships with the repository, so this walks the sources with
 ``ast``: a name bound by an import must be read somewhere in the same
-module, or listed in its ``__all__``. Behaviour is set by arguments and
-scenario files only, so no module under ``src/`` may read ``os.environ``
-or ``os.getenv``.
+module, or listed in its ``__all__``. An attribute assigned under
+``src/`` must be read somewhere under ``src/`` or ``tests/``. Behaviour
+is set by arguments and scenario files only, so no module under
+``src/`` may read ``os.environ`` or ``os.getenv``.
 """
 
 import ast
@@ -31,6 +33,31 @@ def unused_imports(source):
         ):
             used.update(item.value for item in node.value.elts)
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def write_only_attributes(sources, readers=()):
+    """(label, line, name) for each attribute that a module in ``sources``
+    (label -> text) stores and that no module in ``sources`` or
+    ``readers`` (texts) loads. A string constant passed to ``getattr``
+    counts as a load."""
+    stored, loaded = {}, set()
+    for label, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, (label, node.lineno))
+    for source in [*sources.values(), *readers]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loaded.add(node.args[1].value)
+    return sorted((*where, name) for name, where in stored.items() if name not in loaded)
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
@@ -64,6 +91,28 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert not found, "\n".join(found)
+
+
+def test_write_only_attributes_are_found():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.kept = self.lost = 0\n"
+        "        self.named = self.tested = 1\n"
+        "    def kept_value(self):\n"
+        "        self.lost += 1\n"
+        "        return self.kept + getattr(self, 'named')\n"
+    )
+    assert write_only_attributes({"a.py": source}, ["assert A().tested"]) == [("a.py", 3, "lost")]
+
+
+def test_no_write_only_attributes():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text() for path in sorted(ROOT.glob("src/**/*.py"))
+    }
+    readers = [path.read_text() for path in sorted(ROOT.glob("tests/*.py"))]
+    found = write_only_attributes(sources, readers)
+    assert not found, "\n".join(f"{label}:{line}: {name}" for label, line, name in found)
 
 
 def test_environment_reads_are_found():

@@ -138,29 +138,6 @@ def wallet_fixture():
     return book, wallet
 
 
-def test_transfer_moves_and_records():
-    book, wallet = wallet_fixture()
-    entry = wallet.transfer("alice", "bob", 30, purpose="fee", session_id="s1")
-    assert (wallet.balance("alice"), wallet.balance("bob")) == (70, 30)
-    assert entry.kind == "payment"
-    assert entry.payload == {
-        "kind": "payment", "from": "alice", "to": "bob",
-        "amount": 30, "purpose": "fee", "session_id": "s1",
-    }
-
-
-def test_transfer_failures_change_nothing():
-    book, wallet = wallet_fixture()
-    with pytest.raises(InsufficientFunds):
-        wallet.transfer("alice", "bob", 101)
-    with pytest.raises(UnknownAccount):
-        wallet.transfer("alice", "mallory", 1)
-    with pytest.raises(ValueError):
-        wallet.transfer("alice", "bob", -5)
-    assert wallet.balance("alice") == 100 and wallet.balance("bob") == 0
-    assert len(book) == 0
-
-
 def test_duplicate_account_rejected():
     _, wallet = wallet_fixture()
     with pytest.raises(UnknownAccount):
@@ -170,7 +147,12 @@ def test_duplicate_account_rejected():
 def test_settle_writes_one_entry_per_line():
     book, wallet = wallet_fixture()
     plan = compute_split(100, "bob", [obligation("carol", "0.15")])
-    entries = wallet.settle("alice", plan, session_id="s9")
+    entries = wallet.settle("alice", plan, purpose="fee", session_id="s9")
+    assert entries[0].kind == "payment"
+    assert entries[0].payload == {
+        "kind": "payment", "from": "alice", "to": "carol",
+        "amount": 15, "purpose": "fee", "session_id": "s9",
+    }
     assert [e.payload["to"] for e in entries] == ["carol", "bob"]
     assert [e.payload["amount"] for e in entries] == [15, 85]
     assert wallet.balances() == {"alice": 0, "bob": 85, "carol": 15}

@@ -354,10 +354,26 @@ def test_requester_validates_payment_request():
                      sender="provider", recipient="requester")
     with pytest.raises(ProtocolViolation):
         requester_transition(session, bad_amount)
-    bad_split = msg("payment_required", {"amount": 10, "split": [{"to": "p", "amount": 9}]},
-                    sender="provider", recipient="requester")
-    with pytest.raises(ProtocolViolation):
-        requester_transition(session, bad_split)
+    for split in (
+        [{"to": "p", "amount": 9}],
+        [{"to": "p", "amount": 110}, {"to": "bystander", "amount": -100}],
+        [{"to": "p", "amount": "10"}],
+        [{"to": "p", "amount": 9}, {"to": "q", "amount": True}],
+        [{"to": "", "amount": 10}],
+        [{"to": 7, "amount": 10}],
+        [{"to": "p", "amount": 10, "memo": "x"}],
+        [["p", 10]],
+        {"p": 10},
+    ):
+        bad_split = msg("payment_required", {"amount": 10, "split": split},
+                        sender="provider", recipient="requester")
+        with pytest.raises(ProtocolViolation):
+            requester_transition(session, bad_split)
+    assert session.state is RequesterState.PAYING
+    good = msg("payment_required", {"amount": 10, "split": [{"to": "q", "amount": 0},
+                                                            {"to": "p", "amount": 10}]},
+               sender="provider", recipient="requester")
+    assert requester_transition(session, good)[0].kind == "settle"
 
 
 def test_requester_delivery_checks_token_binding():

@@ -1,19 +1,22 @@
 """Scenario loading: strict canonical parsing and reference resolution."""
 
 import copy
+import random
 from decimal import Decimal
 
 import pytest
 
 from atcpip import canon
 from atcpip.errors import ParseError, UnknownJurisdiction, UnresolvedReference
-from atcpip.negotiation import ChoiceBound, NumericBound, SetBound
+from atcpip.negotiation import NUMERIC_PATHS, ChoiceBound, NumericBound, SetBound
 from atcpip.scenario import (
     load_scenario,
     scenario_from_bytes,
     scenario_from_value,
 )
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
+from atcpip.sim import run_scenario
+from atcpip.terms import FIELD_ORDER
 
 
 def base_value():
@@ -268,7 +271,7 @@ def test_policy_bounds_parse_into_typed_bounds():
     assert isinstance(policy["royalty_rate"], NumericBound)
     assert isinstance(policy["transferability"], ChoiceBound)
     assert isinstance(policy["scope"], SetBound)
-    built = scenario.agents[1].policy.build()
+    built = scenario.agents[1].policy
     assert built.max_rounds == 3
     assert built.non_negotiable == frozenset({"jurisdiction"})
 
@@ -281,6 +284,70 @@ def test_policy_rejects_unknown_bound_field_and_bad_step():
     value["agents"][1]["policy"] = {"concession_step": Decimal("0.0000")}
     with pytest.raises(ParseError, match="concession_step"):
         scenario_from_value(value)
+
+
+# Bound values a canonical file can hold: plausible numbers and words,
+# and values of a type no bound takes.
+NUMBERS = (
+    0, 1, 7, 1_000_000, 2_000_000,
+    Decimal("0.0000"), Decimal("0.0500"), Decimal("0.1000"), Decimal("0.5000"), Decimal("1.0000"),
+)
+WORDS = (
+    "personal", "commercial", "read_only", "no_training", "dispute_loss", "perpetual",
+    "2030-01-01", "transferable", "non_transferable", "court", "onchain_arbitration", "US", "XX",
+)
+MISTYPED = (True, False, -3, "", "0.5", "a", [], ["personal"], {"min": 0}, Decimal("2.0000"))
+
+
+def pick(rng, pool):
+    return rng.choice(MISTYPED) if rng.random() < 0.1 else rng.choice(pool)
+
+
+def random_bound(rng, name):
+    numeric = name in NUMERIC_PATHS
+    if rng.random() < 0.2:
+        numeric = not numeric
+    if numeric:
+        edges = [pick(rng, NUMBERS), pick(rng, NUMBERS)]
+        if all(isinstance(edge, (int, Decimal)) for edge in edges):
+            edges.sort()
+        return {"min": edges[0], "max": edges[1]}
+    return {"allowed": [pick(rng, WORDS) for _ in range(rng.choice((0, 1, 2, 2, 3)))]}
+
+
+def random_policy(rng, field):
+    names = [field, *rng.sample(FIELD_ORDER + ("colour",), rng.choice((0, 0, 1)))]
+    policy = {"bounds": {name: random_bound(rng, name) for name in names}}
+    if rng.random() < 0.1:
+        policy["non_negotiable"] = [rng.choice(FIELD_ORDER), rng.choice(("colour", 5, "scope"))]
+    if rng.random() < 0.15:
+        policy["max_rounds"] = rng.choice((0, 1, 2, 3, -1, True, "3"))
+    if rng.random() < 0.15:
+        policy["concession_step"] = rng.choice(
+            (Decimal("0.2500"), Decimal("0.7500"), 1, 0, Decimal("1.5000"), True, "0.5")
+        )
+    return policy
+
+
+def test_any_policy_document_loads_and_runs_or_fails_to_parse():
+    """The loader builds the policy the runtime uses, so a policy that
+    loads cannot fail later: every document either raises ParseError at
+    load or runs to the end."""
+    rng = random.Random(0x9011C7)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for trial in range(600):
+        field = FIELD_ORDER[trial % len(FIELD_ORDER)]
+        value = base_value()
+        for agent in rng.sample(value["agents"], rng.choice((1, 1, 2))):
+            agent["policy"] = random_policy(rng, field)
+        try:
+            scenario = scenario_from_bytes(canon.dumps(value))
+        except ParseError:
+            outcomes["rejected"] += 1
+            continue
+        run_scenario(scenario)
+        outcomes["loaded"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_expectation_payment_parties_must_resolve():
