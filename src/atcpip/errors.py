@@ -58,6 +58,10 @@ class InsufficientFunds(AtcpipError):
     """Debit would push a balance below zero."""
 
 
+class BalanceOverflow(AtcpipError):
+    """Credit would push a balance past the 64-bit integer range."""
+
+
 class OverSubscribed(AtcpipError):
     """Royalty shares on one payment sum past 100 percent."""
 

@@ -97,6 +97,10 @@ class NegotiationPolicy:
             if path in NUMERIC_PATHS:
                 if not isinstance(bound, NumericBound):
                     raise TypeError(f"{path} takes a NumericBound")
+                if path == "upfront_fee" and not all(
+                    type(edge) is int for edge in (bound.minimum, bound.maximum)
+                ):
+                    raise ValueError("upfront_fee bound edges must be whole numbers")
             elif path in TAG_FIELDS:
                 if not isinstance(bound, SetBound):
                     raise TypeError(f"{path} takes a SetBound")

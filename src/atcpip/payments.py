@@ -9,8 +9,8 @@ provider, which keeps every split conserving the price to the unit.
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .canon import fixed4
-from .errors import InsufficientFunds, OverSubscribed, UnknownAccount
+from .canon import INT_MAX, fixed4
+from .errors import BalanceOverflow, InsufficientFunds, OverSubscribed, UnknownAccount
 
 SHARE_UNITS = 10_000
 
@@ -21,7 +21,6 @@ ROYALTY_EVENTS = ("sublicense", "downstream_sale")
 class RoyaltyObligation:
     beneficiary: str
     share: Decimal  # fraction of the price, four-digit fixed point
-    source_license_id: str
 
     def __post_init__(self):
         object.__setattr__(self, "share", fixed4(self.share))
@@ -94,13 +93,7 @@ def aggregate_obligations(lineage, event):
     for token in lineage:
         share = getattr(token.terms, field)
         if share > 0:
-            obligations.append(
-                RoyaltyObligation(
-                    beneficiary=token.metadata.issuer_id,
-                    share=share,
-                    source_license_id=token.license_id,
-                )
-            )
+            obligations.append(RoyaltyObligation(beneficiary=token.metadata.issuer_id, share=share))
     if sum(share_units(o.share) for o in obligations) > SHARE_UNITS:
         raise OverSubscribed("lineage royalties exceed the whole price")
     return obligations
@@ -117,8 +110,8 @@ class WalletSystem:
     def open_account(self, agent_id, balance=0):
         if agent_id in self._balances:
             raise UnknownAccount(f"account {agent_id!r} already open")
-        if isinstance(balance, bool) or not isinstance(balance, int) or balance < 0:
-            raise ValueError("opening balance must be a non-negative integer")
+        if isinstance(balance, bool) or not isinstance(balance, int) or not 0 <= balance <= INT_MAX:
+            raise ValueError("opening balance must be a non-negative 64-bit integer")
         self._balances[agent_id] = balance
 
     def balance(self, agent_id):
@@ -148,9 +141,12 @@ class WalletSystem:
     def settle(self, payer_id, plan, purpose="settlement", session_id=""):
         """Pay out a whole split or nothing.
 
-        Balance movements happen first and roll back on any failure;
-        ledger entries are only written once every movement succeeded,
-        so a failed settle leaves neither balances nor chain touched.
+        A split that would leave a balance past the 64-bit range, which
+        no ledger or transcript line can carry, raises before anything
+        moves. Balance movements happen next and roll back on any
+        failure; ledger entries are only written once every movement
+        succeeded, so a failed settle leaves neither balances nor chain
+        touched.
         """
         self._require(payer_id)
         for recipient_id, _ in plan.lines:
@@ -162,6 +158,13 @@ class WalletSystem:
         snapshot = {payer_id: self._balances[payer_id]}
         for recipient_id, _ in plan.lines:
             snapshot.setdefault(recipient_id, self._balances[recipient_id])
+        after = dict(snapshot)
+        for recipient_id, amount in plan.lines:
+            after[payer_id] -= amount
+            after[recipient_id] += amount
+        for agent_id, balance in after.items():
+            if balance > INT_MAX:
+                raise BalanceOverflow(f"{agent_id!r} would hold {balance}, past the 64-bit range")
         try:
             for recipient_id, amount in plan.lines:
                 self._move(payer_id, recipient_id, amount)

@@ -1,13 +1,15 @@
 """Licensing session protocol.
 
 Twelve wire actions drive a provider and a requester state machine
-through negotiation, payment, token minting, and delivery. Transitions
-are pure: they take a session plus one event (an inbound message, a
-timer expiry, or an internal decision injected by the agent runtime)
-and return outbound messages and side-effect commands. Everything that
-touches a ledger, wallet, or policy happens in the runtime, which feeds
-the result back in as the next internal decision. That keeps every
-state change replayable from the event log alone.
+through negotiation, payment, token minting, and delivery. A transition
+takes a session, one inbound event (a message or a timer expiry), and
+the agent runtime that owns the session. Where the next step needs the
+agent (judging terms, paying, minting, remembering), the transition
+calls the runtime, and the runtime answers by calling one of the step
+functions here (``provider_propose``, ``requester_accept``, ...). Steps
+set the new state and build the outbound messages, so every session
+state change happens in this module, and every call returns the
+messages to send in the order they were numbered.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
@@ -229,22 +231,6 @@ class TimerExpired:
     kind: str  # "negotiation" | "settlement" | "ack"
 
 
-@dataclass(frozen=True)
-class InternalDecision:
-    """Outcome of a command, fed back by the runtime at the same tick."""
-
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Command:
-    """Side effect for the runtime: evaluate, settle, mint, record, log."""
-
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
 @dataclass
 class ProviderSession:
     session_id: str
@@ -339,17 +325,18 @@ def _violation(session, event):
     )
 
 
-def _fail(session, reason, state_enum):
+def _fail(session, agent, reason, state_enum):
     session.failure_reason = reason
     session.state = state_enum.FAILED
-    return [Command("log_memory", {"text": f"Session failed: {reason}"})]
+    agent.remember(f"Session failed: {reason}")
+    return []
 
 
 # -- provider transition --------------------------------------------------------
 
 
-def provider_transition(session, event):
-    """Apply one event; returns outbound messages and commands in order."""
+def provider_transition(session, event, agent):
+    """Apply one inbound message or timer expiry; returns outbound messages in order."""
     state = session.state
 
     if isinstance(event, ProtocolMessage):
@@ -362,17 +349,17 @@ def provider_transition(session, event):
             session.content_id = event.body["content_id"]
             session.request_body = dict(event.body)
             session.state = ProviderState.EVALUATING
-            return [Command("evaluate_request", {"body": dict(event.body)})]
+            return agent.evaluate_request(session)
 
         if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
             if event.action == "counter_terms":
                 session.round = max(session.round, _round_of(event))
                 session.state = ProviderState.NEGOTIATING
-                return [Command("evaluate_counter", {"suggestions": event.body["suggestions"]})]
+                return agent.evaluate_counter(session, event.body["suggestions"])
             if event.action == "accept_terms":
                 if event.body["terms_hash"] != session.terms_hash:
                     raise _violation(session, event)
-                return _provider_enter_settlement(session)
+                return _provider_enter_settlement(session, agent)
 
         if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
             if event.body["amount"] != session.plan_amount:
@@ -382,12 +369,13 @@ def provider_transition(session, event):
 
         if state is ProviderState.AWAITING_TOKEN and event.action == "license_token":
             session.state = ProviderState.DELIVERING
-            return [Command("atomic_exchange", {"token": event.body["token"]})]
+            return agent.atomic_exchange(session, event.body["token"])
 
         if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
             session.acknowledged = True
             session.state = ProviderState.COMPLETED
-            return [Command("record_transaction", {})]
+            agent.record_issue(session)
+            return []
 
         raise _violation(session, event)
 
@@ -398,19 +386,16 @@ def provider_transition(session, event):
         if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
             # Silent requester: proceed on the standing terms, unconfirmed.
             session.unconfirmed = True
-            return _provider_enter_settlement(session)
+            return _provider_enter_settlement(session, agent)
         if state is ProviderState.AWAITING_PAYMENT:
-            return _fail(session, NO_PAYMENT_FAILURE, ProviderState)
+            return _fail(session, agent, NO_PAYMENT_FAILURE, ProviderState)
         if state is ProviderState.AWAITING_TOKEN:
-            return _fail(session, NO_TOKEN_FAILURE, ProviderState)
-        if state is ProviderState.AWAITING_ACK:
-            session.acknowledged = False
-            session.state = ProviderState.COMPLETED
-            return [Command("record_transaction", {})]
-        raise _violation(session, event)
-
-    if isinstance(event, InternalDecision):
-        return _provider_decision(session, event)
+            return _fail(session, agent, NO_TOKEN_FAILURE, ProviderState)
+        # Awaiting an ack that never came: the deal stands, unacknowledged.
+        session.acknowledged = False
+        session.state = ProviderState.COMPLETED
+        agent.record_issue(session)
+        return []
 
     raise _violation(session, event)
 
@@ -422,115 +407,88 @@ def _round_of(event):
     return round_number
 
 
-def _provider_enter_settlement(session):
+def _provider_enter_settlement(session, agent):
     if session.terms is not None and session.terms.upfront_fee > 0:
         session.state = ProviderState.AWAITING_PAYMENT
-        return [Command("request_payment", {})]
+        plan = agent.payment_plan(session)
+        session.plan_amount = plan.price
+        return [_send(session, "payment_required", plan.to_value())]
     session.state = ProviderState.AWAITING_TOKEN
     return []
 
 
-def _provider_decision(session, event):
-    state = session.state
+# -- provider steps: the runtime's decisions, applied ---------------------------
 
-    if state is ProviderState.EVALUATING:
-        if event.kind == "propose":
-            session.terms = event.data["terms"]
-            session.terms_hash = event.data["terms_hash"]
-            session.previous_license_id = event.data.get("previous_license_id")
-            session.round += 1
-            session.state = ProviderState.TERMS_PROPOSED
-            body = {"terms": session.terms.to_value(), "round": session.round}
-            if session.previous_license_id is not None:
-                body["previous_license_id"] = session.previous_license_id
-            return [
-                Command("mint_draft", {"terms": session.terms}),
-                _send(session, "propose_terms", body),
-            ]
-        if event.kind == "non_ip":
-            session.state = ProviderState.COMPLETED
-            return [
-                _send(
-                    session,
-                    "non_ip_notice",
-                    {
-                        "content_id": session.content_id,
-                        "content": event.data["content"],
-                        "note": NON_IP_NOTE,
-                    },
-                ),
-                Command("log_memory", {"text": NON_IP_MEMORY}),
-            ]
-        if event.kind == "gate_fail":
-            session.reject_reason = event.data["reason"]
-            session.state = ProviderState.REJECTED
-            return [_send(session, "reject", {"reason": event.data["reason"]})]
-        if event.kind == "hold":
-            # Courtship: the decision comes later via a scheduled event.
-            return []
 
-    if state is ProviderState.NEGOTIATING:
-        if event.kind == "revised":
-            session.terms = event.data["terms"]
-            session.terms_hash = event.data["terms_hash"]
-            session.round += 1
-            outputs = []
-            if not event.data.get("echo", False):
-                outputs.append(Command("mint_draft", {"terms": session.terms}))
-            outputs.append(
-                _send(
-                    session,
-                    "final_terms",
-                    {"terms": session.terms.to_value(), "round": session.round},
-                )
-            )
-            return outputs
-        if event.kind == "revision_reject":
-            session.reject_reason = event.data["reason"]
-            session.state = ProviderState.REJECTED
-            return [_send(session, "reject", {"reason": event.data["reason"]})]
+def provider_propose(session, agent, terms, digest, previous_license_id=None):
+    """Offer opening terms: mint them as a draft, then send them."""
+    session.terms = terms
+    session.terms_hash = digest
+    session.previous_license_id = previous_license_id
+    session.round += 1
+    session.state = ProviderState.TERMS_PROPOSED
+    body = {"terms": terms.to_value(), "round": session.round}
+    if previous_license_id is not None:
+        body["previous_license_id"] = previous_license_id
+    agent.mint_draft(session, terms)
+    return [_send(session, "propose_terms", body)]
 
-    if state is ProviderState.AWAITING_PAYMENT and event.kind == "payment_plan":
-        session.plan_amount = event.data["amount"]
-        return [
-            _send(
-                session,
-                "payment_required",
-                {"amount": event.data["amount"], "split": event.data["plan_value"]["split"]},
-            )
-        ]
 
-    if state is ProviderState.DELIVERING:
-        if event.kind == "exchange_committed":
-            session.committed_token = event.data["token"]
-            outputs = [
-                _send(
-                    session,
-                    "deliver_ip",
-                    {
-                        "content_id": session.content_id,
-                        "content": event.data["content"],
-                        "token": token_to_value(event.data["token"]),
-                    },
-                )
-            ]
-            if session.config.ack_required:
-                session.state = ProviderState.AWAITING_ACK
-            else:
-                session.state = ProviderState.COMPLETED
-                outputs.append(Command("record_transaction", {}))
-            return outputs
-        if event.kind == "exchange_aborted":
-            return _fail(session, NO_TOKEN_FAILURE, ProviderState)
+def provider_refuse(session, reason):
+    session.reject_reason = reason
+    session.state = ProviderState.REJECTED
+    return [_send(session, "reject", {"reason": reason})]
 
-    raise _violation(session, event)
+
+def provider_non_ip(session, agent, content):
+    """Ship content that needs no license and close the session."""
+    session.state = ProviderState.COMPLETED
+    notice = _send(
+        session,
+        "non_ip_notice",
+        {"content_id": session.content_id, "content": content, "note": NON_IP_NOTE},
+    )
+    agent.remember(NON_IP_MEMORY)
+    return [notice]
+
+
+def provider_revise(session, agent, terms, digest, echo):
+    """Answer a counter with final terms; ``echo`` terms (the counter
+    itself or the standing offer) are not minted again."""
+    session.terms = terms
+    session.terms_hash = digest
+    session.round += 1
+    if not echo:
+        agent.mint_draft(session, terms)
+    return [_send(session, "final_terms", {"terms": terms.to_value(), "round": session.round})]
+
+
+def provider_deliver(session, agent, token, content):
+    """Deliver against the committed token; record the deal unless the
+    requester still owes an acknowledgement."""
+    session.committed_token = token
+    delivery = _send(
+        session,
+        "deliver_ip",
+        {"content_id": session.content_id, "content": content, "token": token_to_value(token)},
+    )
+    if session.config.ack_required:
+        session.state = ProviderState.AWAITING_ACK
+    else:
+        session.state = ProviderState.COMPLETED
+        agent.record_issue(session)
+    return [delivery]
+
+
+def provider_abort(session, agent):
+    return _fail(session, agent, NO_TOKEN_FAILURE, ProviderState)
 
 
 # -- requester transition ---------------------------------------------------------
 
 
-def requester_transition(session, event):
-    """Apply one event; returns outbound messages and commands in order."""
+def requester_transition(session, event, agent):
+    """Apply one inbound message or timer expiry; returns outbound messages in order."""
     state = session.state
 
     if isinstance(event, ProtocolMessage):
@@ -543,13 +501,8 @@ def requester_transition(session, event):
             session.content = event.body["content"]
             session.content_licensed = False
             session.state = RequesterState.COMPLETED
-            return [
-                Command(
-                    "receive_content",
-                    {"content_id": event.body["content_id"], "content": event.body["content"],
-                     "licensed": False},
-                )
-            ]
+            agent.receive_content(event.body["content_id"], event.body["content"])
+            return []
 
         if (
             state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
@@ -559,7 +512,7 @@ def requester_transition(session, event):
             session.offered_previous_license_id = event.body.get("previous_license_id")
             session.round = max(session.round, _round_of(event))
             session.state = RequesterState.EVALUATING_TERMS
-            return [Command("evaluate_offer", {"terms": session.offered_terms})]
+            return agent.answer_offer(session, session.offered_terms)
 
         if state is RequesterState.PAYING and event.action == "payment_required":
             amount = event.body["amount"]
@@ -575,7 +528,7 @@ def requester_transition(session, event):
                 raise _violation(session, event)
             if sum(line["amount"] for line in split) != amount:
                 raise _violation(session, event)
-            return [Command("settle", {"amount": amount, "split": split})]
+            return agent.settle(session, amount, split)
 
         if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
             token = _parse_token(session, event.body["token"])
@@ -590,12 +543,8 @@ def requester_transition(session, event):
                 outputs.append(
                     _send(session, "acknowledge_receipt", {"license_id": token.license_id})
                 )
-            outputs.append(
-                Command(
-                    "record_transaction",
-                    {"content_id": event.body["content_id"], "content": event.body["content"]},
-                )
-            )
+            agent.record_license(session)
+            session.state = RequesterState.COMPLETED
             return outputs
 
         raise _violation(session, event)
@@ -605,17 +554,13 @@ def requester_transition(session, event):
         if expected is None or expected[0] != event.kind:
             raise _violation(session, event)
         if state is RequesterState.AWAITING_TERMS:
-            return _fail(session, NO_TERMS_FAILURE, RequesterState)
+            return _fail(session, agent, NO_TERMS_FAILURE, RequesterState)
         if state is RequesterState.COUNTERING:
-            return _fail(session, NO_FINAL_TERMS_FAILURE, RequesterState)
+            return _fail(session, agent, NO_FINAL_TERMS_FAILURE, RequesterState)
         if state is RequesterState.PAYING:
-            return _fail(session, NO_PAYMENT_REQUEST_FAILURE, RequesterState)
-        if state is RequesterState.AWAITING_DELIVERY:
-            return _fail(session, NO_DELIVERY_FAILURE, RequesterState)
-        raise _violation(session, event)
-
-    if isinstance(event, InternalDecision):
-        return _requester_decision(session, event)
+            return _fail(session, agent, NO_PAYMENT_REQUEST_FAILURE, RequesterState)
+        # Awaiting delivery, the last state with a timer.
+        return _fail(session, agent, NO_DELIVERY_FAILURE, RequesterState)
 
     raise _violation(session, event)
 
@@ -649,71 +594,58 @@ def _parse_token(session, value):
         raise ProtocolViolation(f"token in message does not parse: {exc}") from None
 
 
-def _requester_decision(session, event):
-    state = session.state
+# -- requester steps: the runtime's decisions, applied ----------------------------
 
-    if state is RequesterState.REQUESTING and event.kind == "start":
-        session.content_id = event.data["content_id"]
-        session.state = RequesterState.AWAITING_TERMS
-        body = {"content_id": session.content_id}
-        if "jurisdiction" in event.data:
-            body["jurisdiction"] = event.data["jurisdiction"]
-        offer = event.data.get("offer")
-        if offer:
-            body["offer"] = dict(offer)
-        return [_send(session, "request_info", body)]
 
-    if state is RequesterState.EVALUATING_TERMS:
-        if event.kind == "offer_accept":
-            session.accepted_terms = session.offered_terms
-            session.accepted_terms_hash = event.data["terms_hash"]
-            outputs = [
-                _send(session, "accept_terms", {"terms_hash": session.accepted_terms_hash})
-            ]
-            if session.accepted_terms.upfront_fee > 0:
-                session.state = RequesterState.PAYING
-            else:
-                session.state = RequesterState.MINTING
-                outputs.append(Command("prepare_token", {}))
-            return outputs
-        if event.kind == "offer_counter":
-            session.counters_used += 1
-            session.round += 1
-            session.state = RequesterState.COUNTERING
-            return [
-                Command("mint_draft", {"terms": event.data["countered_terms"]}),
-                _send(
-                    session,
-                    "counter_terms",
-                    {"suggestions": event.data["delta_value"], "round": session.round},
-                ),
-            ]
-        if event.kind == "offer_reject":
-            session.reject_reason = event.data["reason"]
-            session.state = RequesterState.REJECTED
-            return [_send(session, "reject", {"reason": event.data["reason"]})]
+def requester_open(session, content_id, jurisdiction=None, offer=None):
+    session.content_id = content_id
+    session.state = RequesterState.AWAITING_TERMS
+    body = {"content_id": content_id}
+    if jurisdiction:
+        body["jurisdiction"] = jurisdiction
+    if offer:
+        body["offer"] = dict(offer)
+    return [_send(session, "request_info", body)]
 
-    if state is RequesterState.PAYING:
-        if event.kind == "payment_settled":
-            session.state = RequesterState.MINTING
-            return [
-                _send(session, "payment_confirmed", {"amount": event.data["amount"]}),
-                Command("prepare_token", {}),
-            ]
-        if event.kind == "payment_failed":
-            return _fail(session, event.data["reason"], RequesterState)
 
-    if state is RequesterState.MINTING:
-        if event.kind == "token_prepared":
-            session.state = RequesterState.AWAITING_DELIVERY
-            token = token_to_value(event.data["token"])
-            return [_send(session, "license_token", {"token": token})]
-        if event.kind == "prepare_failed":
-            return _fail(session, event.data["reason"], RequesterState)
+def requester_accept(session, agent, digest):
+    """Accept the offer; free terms go straight on to minting."""
+    session.accepted_terms = session.offered_terms
+    session.accepted_terms_hash = digest
+    acceptance = _send(session, "accept_terms", {"terms_hash": digest})
+    if session.accepted_terms.upfront_fee > 0:
+        session.state = RequesterState.PAYING
+        return [acceptance]
+    session.state = RequesterState.MINTING
+    return [acceptance, *agent.prepare_token(session)]
 
-    if state is RequesterState.ACKNOWLEDGING and event.kind == "finalize":
-        session.state = RequesterState.COMPLETED
-        return []
 
-    raise _violation(session, event)
+def requester_counter(session, agent, delta_value, countered):
+    """Mint the countered terms as a draft, then send the edits."""
+    session.counters_used += 1
+    session.round += 1
+    session.state = RequesterState.COUNTERING
+    agent.mint_draft(session, countered)
+    return [_send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})]
 
+
+def requester_refuse(session, reason):
+    session.reject_reason = reason
+    session.state = RequesterState.REJECTED
+    return [_send(session, "reject", {"reason": reason})]
+
+
+def requester_paid(session, agent, amount):
+    """Confirm the payment, then prepare the token."""
+    session.state = RequesterState.MINTING
+    confirmation = _send(session, "payment_confirmed", {"amount": amount})
+    return [confirmation, *agent.prepare_token(session)]
+
+
+def requester_present(session, token):
+    session.state = RequesterState.AWAITING_DELIVERY
+    return [_send(session, "license_token", {"token": token_to_value(token)})]
+
+
+def requester_fail(session, agent, reason):
+    return _fail(session, agent, reason, RequesterState)

@@ -1,18 +1,19 @@
-"""Agent runtime: executes the side effects the state machines request.
+"""Agent runtime: the agent behind both protocol state machines.
 
 A runtime owns one agent's catalog, negotiation policy (one policy
-for both roles), memory, and open sessions. Transitions stay pure;
-every Command they emit is handled here against the shared ledger,
-wallet system, and reputation board, and the outcome goes straight
-back into the machine as an InternalDecision at the same tick. Entry
-points return the outbound messages the caller must put on the wire.
+for both roles), memory, and open sessions. A transition calls its
+public decision methods (``evaluate_request``, ``answer_offer``,
+``settle``, ...) directly; each one works against the shared ledger,
+wallet system, and reputation board and applies its outcome through
+one protocol step function, which owns the state change and the
+outbound message. Entry points return the outbound messages the caller
+must put on the wire.
 
 Inbound messages are deduplicated per session by sequence number, and
 anything a session cannot take in its current state is dropped with a
 memory note rather than crashing the agent.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -37,15 +38,26 @@ from .negotiation import (
 )
 from .payments import RoyaltyObligation, SplitPlan, aggregate_obligations, compute_split
 from .protocol import (
-    InternalDecision,
     PROVIDER_TIMERS,
-    ProtocolMessage,
     ProviderSession,
     REQUESTER_TIMERS,
     RequesterSession,
     SessionConfig,
     TimerExpired,
+    provider_abort,
+    provider_deliver,
+    provider_non_ip,
+    provider_propose,
+    provider_refuse,
+    provider_revise,
     provider_transition,
+    requester_accept,
+    requester_counter,
+    requester_fail,
+    requester_open,
+    requester_paid,
+    requester_present,
+    requester_refuse,
     requester_transition,
 )
 from .terms import LicenseTerms, apply_delta, delta_from_value, terms_hash, validate
@@ -216,13 +228,7 @@ class AgentRuntime:
         self._sessions[session_id] = session
         if purpose:
             self._purposes[session_id] = purpose
-        data = {"content_id": content_id}
-        if offer:
-            data["offer"] = dict(offer)
-        jurisdiction = self.directory.get(self.agent_id)
-        if jurisdiction:
-            data["jurisdiction"] = jurisdiction
-        return self._dispatch(session, InternalDecision("start", data))
+        return requester_open(session, content_id, self.directory.get(self.agent_id), offer)
 
     def receive_message(self, message):
         if message.recipient != self.agent_id:
@@ -245,8 +251,9 @@ class AgentRuntime:
                 f" in session {message.session_id}."
             )
             return []
+        transition = provider_transition if session.role == "provider" else requester_transition
         try:
-            outbound = self._dispatch(session, message)
+            outbound = transition(session, message, self)
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
@@ -257,8 +264,9 @@ class AgentRuntime:
         session = self._sessions[session_id]
         if session.terminal():
             return []
+        transition = provider_transition if session.role == "provider" else requester_transition
         try:
-            return self._dispatch(session, TimerExpired(kind))
+            return transition(session, TimerExpired(kind), self)
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
@@ -297,11 +305,9 @@ class AgentRuntime:
         outbound = []
         for session in live:
             if session is winner:
-                offer = session.request_body.get("offer", {})
-                decision = self._propose_decision(item, session, offer)
+                outbound.extend(self._propose(item, session))
             else:
-                decision = InternalDecision("gate_fail", {"reason": "another offer was selected"})
-            outbound.extend(self._dispatch(session, decision))
+                outbound.extend(provider_refuse(session, "another offer was selected"))
         return outbound
 
     # -- downstream sales -------------------------------------------------------
@@ -319,55 +325,29 @@ class AgentRuntime:
         self.remember(f"Sold {content_id} for {price}; split across {len(plan.lines)} parties.")
         return plan
 
-    # -- command execution ------------------------------------------------------
+    # -- provider decisions ------------------------------------------------------
 
-    def _dispatch(self, session, event):
-        transition = provider_transition if session.role == "provider" else requester_transition
-        queue = deque([event])
-        outbound = []
-        while queue:
-            current = queue.popleft()
-            for output in transition(session, current):
-                if isinstance(output, ProtocolMessage):
-                    outbound.append(output)
-                else:
-                    queue.extend(self._handle(session, output))
-        return outbound
-
-    def _handle(self, session, command):
-        handler = getattr(self, f"_cmd_{command.kind}", None)
-        if handler is None:
-            raise ProtocolViolation(f"runtime has no handler for command {command.kind!r}")
-        return handler(session, command.data)
-
-    def _cmd_log_memory(self, session, data):
-        self.remember(data["text"])
-        return []
-
-    # provider side
-
-    def _cmd_evaluate_request(self, session, data):
-        body = data["body"]
+    def evaluate_request(self, session):
+        """Refuse the request, ship non-IP content, hold the session for
+        courtship, or propose opening terms."""
         item = self.catalog.get(session.content_id)
         if item is None:
-            return [
-                InternalDecision(
-                    "gate_fail", {"reason": f"no such content: {session.content_id}"}
-                )
-            ]
-        gate = self._gate(session, body, item)
+            return provider_refuse(session, f"no such content: {session.content_id}")
+        gate = self._gate(session, item)
         if not gate:
-            return [InternalDecision("gate_fail", {"reason": gate.reason})]
+            return provider_refuse(session, gate.reason)
         if not self.is_ip_significant(item.content_id):
-            return [InternalDecision("non_ip", {"content": item.content})]
+            return provider_non_ip(session, self, item.content)
         if item.courtship:
             self._courtship.setdefault(item.content_id, []).append(session.session_id)
-            return [InternalDecision("hold")]
-        return [self._propose_decision(item, session, body.get("offer", {}))]
+            return []
+        return self._propose(item, session)
 
-    def _gate(self, session, body, item):
+    def _gate(self, session, item):
         provider_code = self.directory.get(self.agent_id)
-        requester_code = body.get("jurisdiction") or self.directory.get(session.requester_id)
+        requester_code = session.request_body.get("jurisdiction") or self.directory.get(
+            session.requester_id
+        )
         if provider_code is None or requester_code is None:
             return GateDecision(False, "jurisdiction unknown for one of the parties")
         opening = self._opening_terms(item, {})
@@ -395,16 +375,18 @@ class AgentRuntime:
             terms = terms.replace(**overrides)
         return terms
 
-    def _propose_decision(self, item, session, offer):
-        terms = self._opening_terms(item, offer)
+    def _propose(self, item, session):
+        terms = self._opening_terms(item, session.request_body.get("offer", {}))
         report = validate(terms)
         if report:
-            return InternalDecision("gate_fail", {"reason": f"terms invalid: {report[0].reason}"})
-        data = {"terms": terms, "terms_hash": terms_hash(terms)}
-        previous = self._previous_license_id(item, session.requester_id)
-        if previous is not None:
-            data["previous_license_id"] = previous
-        return InternalDecision("propose", data)
+            return provider_refuse(session, f"terms invalid: {report[0].reason}")
+        return provider_propose(
+            session,
+            self,
+            terms,
+            terms_hash(terms),
+            self._previous_license_id(item, session.requester_id),
+        )
 
     def _previous_license_id(self, item, requester_id):
         """Renewals chain onto the last license issued to the same holder;
@@ -418,15 +400,15 @@ class AgentRuntime:
                 return held.license_id
         return None
 
-    def _cmd_mint_draft(self, session, data):
-        terms = data["terms"]
+    def mint_draft(self, session, terms):
         round_number = self.ledger.next_round(session.session_id)
         self.ledger.mint_draft(session.session_id, round_number, self.agent_id, terms)
-        return []
 
-    def _cmd_evaluate_counter(self, session, data):
+    def evaluate_counter(self, session, suggestions):
+        """Take the counter as it stands when the risk tier allows it,
+        otherwise revise toward it or refuse once the budget is spent."""
         try:
-            delta = delta_from_value(data["suggestions"])
+            delta = delta_from_value(suggestions)
         except ParseError as exc:
             raise ProtocolViolation(f"counter suggestions do not parse: {exc}") from None
         try:
@@ -439,22 +421,14 @@ class AgentRuntime:
             revised = countered
         else:
             if session.revisions_used >= self.policy.max_rounds:
-                return [
-                    InternalDecision(
-                        "revision_reject", {"reason": "negotiation budget exhausted"}
-                    )
-                ]
+                return provider_refuse(session, "negotiation budget exhausted")
             session.revisions_used += 1
             revised = revise_terms(self.policy, session.terms, delta)
         echo = revised == countered or revised == session.terms
-        return [
-            InternalDecision(
-                "revised",
-                {"terms": revised, "terms_hash": terms_hash(revised), "echo": echo},
-            )
-        ]
+        return provider_revise(session, self, revised, terms_hash(revised), echo)
 
-    def _cmd_request_payment(self, session, data):
+    def payment_plan(self, session):
+        """SplitPlan for the agreed fee: upstream royalties first."""
         item = self._require_item(session.content_id)
         price = session.terms.upfront_fee
         obligations = []
@@ -462,12 +436,7 @@ class AgentRuntime:
             lineage = self.ledger.chain_of_ownership(session.previous_license_id)
             obligations.extend(aggregate_obligations(lineage, "sublicense"))
         obligations.extend(self._extra_obligations(item))
-        plan = compute_split(price, self.agent_id, obligations)
-        return [
-            InternalDecision(
-                "payment_plan", {"amount": plan.price, "plan_value": plan.to_value()}
-            )
-        ]
+        return compute_split(price, self.agent_id, obligations)
 
     def _derivation_obligations(self, item, event):
         held = self.tokens.get(item.derived_from) if item.derived_from else None
@@ -480,15 +449,16 @@ class AgentRuntime:
 
     def _extra_obligations(self, item):
         return [
-            RoyaltyObligation(beneficiary=beneficiary, share=share, source_license_id="")
+            RoyaltyObligation(beneficiary=beneficiary, share=share)
             for beneficiary, share in item.extra_royalties
         ]
 
-    def _cmd_atomic_exchange(self, session, data):
+    def atomic_exchange(self, session, token_value):
+        """Commit the requester's token and deliver, or abort the session."""
         try:
-            token = token_from_value(data["token"])
+            token = token_from_value(token_value)
         except ParseError:
-            return [InternalDecision("exchange_aborted")]
+            return provider_abort(session, self)
         fits = (
             token.metadata.issuer_id == session.provider_id
             and token.metadata.holder_id == session.requester_id
@@ -497,40 +467,38 @@ class AgentRuntime:
             and token.terms_hash == session.terms_hash
         )
         if not fits:
-            return [InternalDecision("exchange_aborted")]
+            return provider_abort(session, self)
         try:
             committed = self.ledger.commit_agreement(token)
         except AbortedExchange:
-            return [InternalDecision("exchange_aborted")]
+            return provider_abort(session, self)
         item = self._require_item(session.content_id)
-        return [
-            InternalDecision(
-                "exchange_committed", {"token": committed, "content": item.content}
-            )
-        ]
+        return provider_deliver(session, self, committed, item.content)
 
-    def _cmd_record_transaction(self, session, data):
-        if session.role == "provider":
-            token = session.committed_token
-            if token is not None:
-                self.issued[(session.content_id, session.requester_id)] = token
-                self.remember(f"License issued: {token.license_id}")
-                self._store(
-                    MemoryRecord(
-                        kind="transaction",
-                        tick=self.clock(),
-                        requester_id=session.requester_id,
-                        content_id=session.content_id,
-                        terms_hash=session.terms_hash,
-                        license_id=token.license_id,
-                        acknowledged=session.acknowledged,
-                    )
+    def record_issue(self, session):
+        token = session.committed_token
+        if token is not None:
+            self.issued[(session.content_id, session.requester_id)] = token
+            self.remember(f"License issued: {token.license_id}")
+            self._store(
+                MemoryRecord(
+                    kind="transaction",
+                    tick=self.clock(),
+                    requester_id=session.requester_id,
+                    content_id=session.content_id,
+                    terms_hash=session.terms_hash,
+                    license_id=token.license_id,
+                    acknowledged=session.acknowledged,
                 )
-            self.board.record_outcome(self.agent_id, "deal_completed")
-            return []
+            )
+        self.board.record_outcome(self.agent_id, "deal_completed")
+
+    # -- requester decisions -----------------------------------------------------
+
+    def record_license(self, session):
         token = session.received_token
         self.tokens[session.content_id] = token
-        self.inventory[session.content_id] = {"content": data["content"], "licensed": True}
+        self.inventory[session.content_id] = {"content": session.content, "licensed": True}
         self.remember(f"License token accepted: {token.license_id}")
         self._store(
             MemoryRecord(
@@ -546,15 +514,13 @@ class AgentRuntime:
         if self._purposes.get(session.session_id) == "fine_tuning":
             self.remember(f"fine_tuned_on:{session.content_id}")
         self.board.record_outcome(self.agent_id, "deal_completed")
-        return [InternalDecision("finalize")]
 
-    # requester side
-
-    def _cmd_evaluate_offer(self, session, data):
-        terms = data["terms"]
+    def answer_offer(self, session, terms):
+        """Accept, counter, or refuse offered terms; a counter that runs
+        past the budget or does not validate leaves the session silent."""
         decision = evaluate_offer(self.policy, terms)
         if isinstance(decision, Accept):
-            return [InternalDecision("offer_accept", {"terms_hash": terms_hash(terms)})]
+            return requester_accept(session, self, terms_hash(terms))
         if isinstance(decision, Counter):
             if session.counters_used >= self.policy.max_rounds:
                 self.remember("Counter budget exhausted; going silent.")
@@ -564,28 +530,21 @@ class AgentRuntime:
             except AtcpipError:
                 self.remember("Own counter does not validate; going silent.")
                 return []
-            return [
-                InternalDecision(
-                    "offer_counter",
-                    {"delta_value": decision.delta.to_value(), "countered_terms": countered},
-                )
-            ]
-        return [InternalDecision("offer_reject", {"reason": decision.reason})]
+            return requester_counter(session, self, decision.delta.to_value(), countered)
+        return requester_refuse(session, decision.reason)
 
-    def _cmd_settle(self, session, data):
-        plan = SplitPlan(
-            price=data["amount"],
-            lines=tuple((line["to"], line["amount"]) for line in data["split"]),
-        )
+    def settle(self, session, amount, split):
+        """Pay the provider's split from this agent's wallet."""
+        plan = SplitPlan(price=amount, lines=tuple((line["to"], line["amount"]) for line in split))
         try:
             self.wallets.settle(
                 self.agent_id, plan, purpose="license_fee", session_id=session.session_id
             )
         except AtcpipError as exc:
-            return [InternalDecision("payment_failed", {"reason": str(exc)})]
-        return [InternalDecision("payment_settled", {"amount": plan.price})]
+            return requester_fail(session, self, str(exc))
+        return requester_paid(session, self, plan.price)
 
-    def _cmd_prepare_token(self, session, data):
+    def prepare_token(self, session):
         terms = session.accepted_terms
         try:
             token = self.ledger.prepare_agreement(
@@ -597,16 +556,12 @@ class AgentRuntime:
                 session_id=session.session_id,
             )
         except AtcpipError as exc:
-            return [InternalDecision("prepare_failed", {"reason": str(exc)})]
-        return [InternalDecision("token_prepared", {"token": token})]
+            return requester_fail(session, self, str(exc))
+        return requester_present(session, token)
 
-    def _cmd_receive_content(self, session, data):
-        self.inventory[data["content_id"]] = {
-            "content": data["content"],
-            "licensed": data["licensed"],
-        }
-        self.remember(f"Received non-IP content: {data['content_id']}")
-        return []
+    def receive_content(self, content_id, content):
+        self.inventory[content_id] = {"content": content, "licensed": False}
+        self.remember(f"Received non-IP content: {content_id}")
 
     def _require_item(self, content_id):
         item = self.catalog.get(content_id)

@@ -124,6 +124,8 @@ def _int(mapping, key, ctx, default=_MISSING, minimum=0):
         raise ParseError(f"{ctx}: field {key!r} must be an integer")
     if value < minimum:
         raise ParseError(f"{ctx}: field {key!r} must be >= {minimum}")
+    if value > canon.INT_MAX:
+        raise ParseError(f"{ctx}: field {key!r} out of 64-bit range")
     return value
 
 
@@ -549,8 +551,6 @@ def scenario_from_value(value):
     _reject_unknown(body, _TOP_KEYS, "scenario")
     name = _str(body, "name", "scenario")
     seed = _int(body, "seed", "scenario", default=0)
-    if seed > canon.INT_MAX:
-        raise ParseError("scenario: seed out of 64-bit range")
     max_ticks = _int(body, "max_ticks", "scenario", default=DEFAULT_MAX_TICKS, minimum=1)
     clock = _parse_clock(body.get("clock_date_map", {"0": DEFAULT_START_DATE}))
     if "jurisdictions" in body:

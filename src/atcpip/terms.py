@@ -143,7 +143,9 @@ def terms_from_value(value):
     kwargs = {}
     for name in FIELD_ORDER:
         item = value[name]
-        if name in DECIMAL_FIELDS and isinstance(item, (int, Decimal)) and not isinstance(item, bool):
+        if name in DECIMAL_FIELDS:
+            if isinstance(item, bool) or not isinstance(item, (int, Decimal)):
+                raise ParseError(f"{name} must be a number, got {item!r}")
             item = fixed4(item)
         kwargs[name] = item
     try:

@@ -449,11 +449,7 @@ def test_c08_royalty_split_conserves_every_price():
             units = rng.randrange(0, remaining + 1)
             remaining -= units
             obligations.append(
-                RoyaltyObligation(
-                    rng.choice(beneficiaries),
-                    Decimal(units) * Decimal("0.0001"),
-                    f"lic-{trial}",
-                )
+                RoyaltyObligation(rng.choice(beneficiaries), Decimal(units) * Decimal("0.0001"))
             )
         plan = compute_split(price, "prov", obligations)
         assert sum(amount for _, amount in plan.lines) == price

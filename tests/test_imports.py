@@ -5,9 +5,12 @@ environment variables.
 No linter ships with the repository, so this walks the sources with
 ``ast``: a name bound by an import must be read somewhere in the same
 module, or listed in its ``__all__``. An attribute assigned under
-``src/`` must be read somewhere under ``src/`` or ``tests/``. Behaviour
+``src/``, or a field annotated in a class body there, must be read
+somewhere under ``src/`` or ``tests/``. Behaviour
 is set by arguments and scenario files only, so no module under
-``src/`` may read ``os.environ`` or ``os.getenv``.
+``src/`` may read ``os.environ`` or ``os.getenv``. Session state
+changes belong to the protocol, so no module under ``src/`` but
+``protocol.py`` may assign an attribute named ``state``.
 """
 
 import ast
@@ -39,16 +42,25 @@ def write_only_attributes(sources, readers=()):
     """(label, line, name) for each attribute that a module in ``sources``
     (label -> text) stores and that no module in ``sources`` or
     ``readers`` (texts) loads. A string constant passed to ``getattr``
-    counts as a load."""
-    stored, loaded = {}, set()
+    counts as a load. A field annotated in a class body counts as a
+    store, and any string constant naming it as a load, which covers
+    ``getattr`` over a tuple of field names."""
+    stored, loaded, fields, strings = {}, set(), set(), set()
     for label, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 stored.setdefault(node.attr, (label, node.lineno))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        stored.setdefault(item.target.id, (label, item.lineno))
+                        fields.add(item.target.id)
     for source in [*sources.values(), *readers]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -57,6 +69,7 @@ def write_only_attributes(sources, readers=()):
                 and isinstance(node.args[1], ast.Constant)
             ):
                 loaded.add(node.args[1].value)
+    loaded |= fields & strings
     return sorted((*where, name) for name, where in stored.items() if name not in loaded)
 
 
@@ -77,6 +90,26 @@ def environment_reads(source):
             for alias in node.names:
                 if alias.name in ENVIRONMENT_READERS:
                     found.append((node.lineno, f"from os import {alias.name}"))
+    return sorted(found)
+
+
+def state_assignments(source):
+    """Lines that assign an attribute named ``state``, by statement or
+    through ``setattr``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr == "state":
+                found.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == "state"
+        ):
+            found.append(node.lineno)
     return sorted(found)
 
 
@@ -102,8 +135,17 @@ def test_write_only_attributes_are_found():
         "    def kept_value(self):\n"
         "        self.lost += 1\n"
         "        return self.kept + getattr(self, 'named')\n"
+        "class B:\n"
+        "    shown: int\n"
+        "    listed: int\n"
+        "    hidden: int = 0\n"
+        "    plain = 'lost'\n"
+        "print(B().shown, [getattr(B(), name) for name in ('listed',)])\n"
     )
-    assert write_only_attributes({"a.py": source}, ["assert A().tested"]) == [("a.py", 3, "lost")]
+    assert write_only_attributes({"a.py": source}, ["assert A().tested"]) == [
+        ("a.py", 3, "lost"),
+        ("a.py", 11, "hidden"),
+    ]
 
 
 def test_no_write_only_attributes():
@@ -132,4 +174,25 @@ def test_package_reads_no_environment_variables():
     for path in sorted(ROOT.glob("src/**/*.py")):
         for line, expression in environment_reads(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}: {expression}")
+    assert not found, "\n".join(found)
+
+
+def test_state_assignments_are_found():
+    source = (
+        "session.state = 1\n"
+        "a.b.state += 1\n"
+        "setattr(session, 'state', 2)\n"
+        "print(session.state)\n"
+        "state = session.other = 3\n"
+    )
+    assert state_assignments(source) == [1, 2, 3]
+
+
+def test_only_the_protocol_changes_session_state():
+    found = []
+    for path in sorted(ROOT.glob("src/**/*.py")):
+        if path.name == "protocol.py":
+            continue
+        for line in state_assignments(path.read_text()):
+            found.append(f"{path.relative_to(ROOT)}:{line}")
     assert not found, "\n".join(found)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from atcpip.errors import InsufficientFunds, OverSubscribed, UnknownAccount
+from atcpip.canon import INT_MAX
+from atcpip.errors import BalanceOverflow, InsufficientFunds, OverSubscribed, UnknownAccount
 from atcpip.ledger import Ledger
 from atcpip.payments import (
     RoyaltyObligation,
@@ -20,8 +21,8 @@ from conftest import make_terms, mint_agreement
 CREDIT = 1_000_000
 
 
-def obligation(beneficiary, share, source="a" * 32):
-    return RoyaltyObligation(beneficiary, Decimal(share), source)
+def obligation(beneficiary, share):
+    return RoyaltyObligation(beneficiary, Decimal(share))
 
 
 def test_split_merges_same_beneficiary_before_flooring():
@@ -142,6 +143,23 @@ def test_duplicate_account_rejected():
     _, wallet = wallet_fixture()
     with pytest.raises(UnknownAccount):
         wallet.open_account("alice")
+
+
+def test_opening_balance_must_fit_64_bits():
+    _, wallet = wallet_fixture()
+    wallet.open_account("dave", INT_MAX)
+    with pytest.raises(ValueError):
+        wallet.open_account("erin", INT_MAX + 1)
+
+
+def test_settle_past_the_64_bit_range_changes_nothing():
+    book, wallet = wallet_fixture()
+    wallet.open_account("rich", INT_MAX - 10)
+    plan = compute_split(100, "rich", [obligation("carol", "0.15")])
+    with pytest.raises(BalanceOverflow):
+        wallet.settle("alice", plan)
+    assert wallet.balances() == {"alice": 100, "bob": 0, "carol": 0, "rich": INT_MAX - 10}
+    assert len(book) == 0
 
 
 def test_settle_writes_one_entry_per_line():

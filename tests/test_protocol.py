@@ -6,13 +6,12 @@ import pytest
 
 from atcpip.errors import MalformedFrame, ProtocolViolation
 from atcpip.ledger import Ledger, token_to_value
+from atcpip.payments import SplitPlan
 from atcpip.protocol import (
     NO_DELIVERY_FAILURE,
     NO_PAYMENT_FAILURE,
     NO_TOKEN_FAILURE,
     NON_IP_NOTE,
-    Command,
-    InternalDecision,
     ProtocolMessage,
     ProviderSession,
     ProviderState,
@@ -22,8 +21,15 @@ from atcpip.protocol import (
     TimerExpired,
     decode_message,
     encode_message,
+    provider_abort,
+    provider_deliver,
+    provider_propose,
     provider_transition,
     read_frame,
+    requester_accept,
+    requester_counter,
+    requester_open,
+    requester_paid,
     requester_transition,
 )
 from atcpip.terms import terms_hash
@@ -118,6 +124,25 @@ def test_session_config_validation():
 # -- provider transitions ---------------------------------------------------------
 
 
+class RecordingAgent:
+    """Stands in for the runtime behind one session. Each call a
+    transition or step makes on it is recorded as (method, session state,
+    messages the session had numbered, other arguments) and answered with
+    no messages; ``payment_plan`` answers with ``plan``."""
+
+    def __init__(self, session, plan=None):
+        self.session, self.plan, self.calls = session, plan, []
+
+    def __getattr__(self, name):
+        def call(*args):
+            if args and args[0] is self.session:
+                args = args[1:]
+            self.calls.append((name, self.session.state, self.session.out_seq, *args))
+            return self.plan if name == "payment_plan" else []
+
+        return call
+
+
 def provider_session(**kwargs):
     return ProviderSession("s1", "provider", "requester", SessionConfig(), **kwargs)
 
@@ -128,50 +153,49 @@ def paid_terms():
 
 def test_provider_happy_path_states():
     session = provider_session()
-    outputs = provider_transition(session, msg("request_info", {"content_id": "data-1"}))
+    agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
+    outputs = provider_transition(session, msg("request_info", {"content_id": "data-1"}), agent)
     assert session.state is ProviderState.EVALUATING
-    assert outputs == [Command("evaluate_request", {"body": {"content_id": "data-1"}})]
+    assert outputs == [] and session.request_body == {"content_id": "data-1"}
+    assert agent.calls == [("evaluate_request", ProviderState.EVALUATING, 0)]
 
     terms = paid_terms()
     digest = terms_hash(terms)
-    outputs = provider_transition(
-        session, InternalDecision("propose", {"terms": terms, "terms_hash": digest})
-    )
+    outputs = provider_propose(session, agent, terms, digest)
     assert session.state is ProviderState.TERMS_PROPOSED
-    assert outputs[0] == Command("mint_draft", {"terms": terms})
-    proposal = outputs[1]
+    # The draft is minted before the proposal takes seq 0.
+    assert agent.calls[-1] == ("mint_draft", ProviderState.TERMS_PROPOSED, 0, terms)
+    [proposal] = outputs
     assert proposal.action == "propose_terms" and proposal.body["round"] == 1
+    assert proposal.seq == 0 and "previous_license_id" not in proposal.body
 
-    outputs = provider_transition(session, msg("accept_terms", {"terms_hash": digest}))
+    outputs = provider_transition(session, msg("accept_terms", {"terms_hash": digest}), agent)
     assert session.state is ProviderState.AWAITING_PAYMENT
-    assert outputs == [Command("request_payment", {})]
-
-    plan_value = {"amount": 10, "split": [{"to": "provider", "amount": 10}]}
-    outputs = provider_transition(
-        session, InternalDecision("payment_plan", {"amount": 10, "plan_value": plan_value})
-    )
+    assert agent.calls[-1] == ("payment_plan", ProviderState.AWAITING_PAYMENT, 1)
     assert outputs[0].action == "payment_required"
-    assert outputs[0].body == {"amount": 10, "split": plan_value["split"]}
+    assert outputs[0].body == {"amount": 10, "split": [{"to": "provider", "amount": 10}]}
 
-    provider_transition(session, msg("payment_confirmed", {"amount": 10}, seq=1))
+    provider_transition(session, msg("payment_confirmed", {"amount": 10}, seq=1), agent)
     assert session.state is ProviderState.AWAITING_TOKEN
 
     outputs = provider_transition(
-        session, msg("license_token", {"token": {"fake": True}}, seq=2)
+        session, msg("license_token", {"token": {"fake": True}}, seq=2), agent
     )
     assert session.state is ProviderState.DELIVERING
-    assert outputs == [Command("atomic_exchange", {"token": {"fake": True}})]
+    assert outputs == []
+    assert agent.calls[-1] == ("atomic_exchange", ProviderState.DELIVERING, 2, {"fake": True})
 
 
 def test_provider_zero_fee_skips_payment():
     session = provider_session()
-    provider_transition(session, msg("request_info", {"content_id": "c"}))
+    agent = RecordingAgent(session)
+    provider_transition(session, msg("request_info", {"content_id": "c"}), agent)
     terms = make_terms(upfront_fee=0)
-    provider_transition(
-        session, InternalDecision("propose", {"terms": terms, "terms_hash": terms_hash(terms)})
-    )
-    provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}))
+    provider_propose(session, agent, terms, terms_hash(terms))
+    outputs = provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}),
+                                  agent)
     assert session.state is ProviderState.AWAITING_TOKEN
+    assert outputs == [] and "payment_plan" not in [call[0] for call in agent.calls]
 
 
 def test_provider_delivery_and_ack_paths():
@@ -182,41 +206,49 @@ def test_provider_delivery_and_ack_paths():
     token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
     session = provider_session(state=ProviderState.DELIVERING, content_id="c")
-    outputs = provider_transition(
-        session, InternalDecision("exchange_committed", {"token": token, "content": "bytes"})
-    )
+    agent = RecordingAgent(session)
+    outputs = provider_deliver(session, agent, token, "bytes")
     assert session.state is ProviderState.COMPLETED
     assert outputs[0].action == "deliver_ip"
     assert outputs[0].body["token"] == token_to_value(token)
-    assert outputs[1] == Command("record_transaction", {})
+    # The deal is recorded after the delivery took its seq.
+    assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
 
     acky = ProviderSession("s2", "provider", "requester", SessionConfig(ack_required=True),
                            state=ProviderState.DELIVERING, content_id="c")
-    provider_transition(acky, InternalDecision("exchange_committed",
-                                               {"token": token, "content": "bytes"}))
+    agent = RecordingAgent(acky)
+    provider_deliver(acky, agent, token, "bytes")
     assert acky.state is ProviderState.AWAITING_ACK
-    outputs = provider_transition(acky, msg("acknowledge_receipt", {"license_id": "x"}))
+    assert agent.calls == []
+    outputs = provider_transition(acky, msg("acknowledge_receipt", {"license_id": "x"}), agent)
     assert acky.state is ProviderState.COMPLETED and acky.acknowledged
-    assert outputs == [Command("record_transaction", {})]
+    assert outputs == []
+    assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
 
 
 def test_provider_ack_timeout_still_completes():
     session = ProviderSession("s1", "provider", "requester", SessionConfig(ack_required=True),
                               state=ProviderState.AWAITING_ACK)
-    outputs = provider_transition(session, TimerExpired("ack"))
+    agent = RecordingAgent(session)
+    outputs = provider_transition(session, TimerExpired("ack"), agent)
     assert session.state is ProviderState.COMPLETED
     assert not session.acknowledged
-    assert outputs == [Command("record_transaction", {})]
+    assert outputs == []
+    assert agent.calls == [("record_issue", ProviderState.COMPLETED, 0)]
 
 
 def test_provider_timeout_failures_use_fixed_reasons():
     session = provider_session(state=ProviderState.AWAITING_TOKEN)
-    provider_transition(session, TimerExpired("settlement"))
+    agent = RecordingAgent(session)
+    provider_transition(session, TimerExpired("settlement"), agent)
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
+    assert agent.calls == [
+        ("remember", ProviderState.FAILED, 0, f"Session failed: {NO_TOKEN_FAILURE}")
+    ]
 
     session = provider_session(state=ProviderState.AWAITING_PAYMENT)
-    provider_transition(session, TimerExpired("settlement"))
+    provider_transition(session, TimerExpired("settlement"), RecordingAgent(session))
     assert session.failure_reason == NO_PAYMENT_FAILURE
 
 
@@ -224,15 +256,18 @@ def test_provider_negotiation_timeout_defaults_to_standing_terms():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
     session.terms_hash = terms_hash(session.terms)
-    outputs = provider_transition(session, TimerExpired("negotiation"))
+    agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
+    outputs = provider_transition(session, TimerExpired("negotiation"), agent)
     assert session.unconfirmed
     assert session.state is ProviderState.AWAITING_PAYMENT
-    assert outputs == [Command("request_payment", {})]
+    assert agent.calls == [("payment_plan", ProviderState.AWAITING_PAYMENT, 0)]
+    assert [message.action for message in outputs] == ["payment_required"]
+    assert session.plan_amount == 10
 
 
 def test_provider_exchange_abort_fails_session():
     session = provider_session(state=ProviderState.DELIVERING)
-    provider_transition(session, InternalDecision("exchange_aborted", {}))
+    assert provider_abort(session, RecordingAgent(session)) == []
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
 
@@ -241,37 +276,44 @@ def test_provider_rejects_wrong_accept_hash_and_terminal_events():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
     session.terms_hash = terms_hash(session.terms)
+    agent = RecordingAgent(session)
     with pytest.raises(ProtocolViolation):
-        provider_transition(session, msg("accept_terms", {"terms_hash": "f" * 64}))
+        provider_transition(session, msg("accept_terms", {"terms_hash": "f" * 64}), agent)
     done = provider_session(state=ProviderState.COMPLETED)
     with pytest.raises(ProtocolViolation):
-        provider_transition(done, msg("request_info", {"content_id": "c"}))
+        provider_transition(done, msg("request_info", {"content_id": "c"}), RecordingAgent(done))
     with pytest.raises(ProtocolViolation):
-        provider_transition(done, TimerExpired("negotiation"))
+        provider_transition(done, TimerExpired("negotiation"), RecordingAgent(done))
+    assert agent.calls == [] and session.state is ProviderState.TERMS_PROPOSED
 
 
 def test_reject_message_closes_either_side():
     provider = provider_session(state=ProviderState.AWAITING_TOKEN)
-    provider_transition(provider, msg("reject", {"reason": "changed my mind"}))
+    provider_transition(provider, msg("reject", {"reason": "changed my mind"}),
+                        RecordingAgent(provider))
     assert provider.state is ProviderState.REJECTED
     assert provider.reject_reason == "changed my mind"
 
     requester = requester_session(state=RequesterState.AWAITING_TERMS)
     requester_transition(requester, msg("reject", {"reason": "not for sale"},
-                                        sender="provider", recipient="requester"))
+                                        sender="provider", recipient="requester"),
+                         RecordingAgent(requester))
     assert requester.state is RequesterState.REJECTED
 
 
 def test_non_ip_notice_completes_without_license():
     session = requester_session(state=RequesterState.AWAITING_TERMS)
+    agent = RecordingAgent(session)
     outputs = requester_transition(
         session,
         msg("non_ip_notice", {"content_id": "c", "content": "plain text", "note": NON_IP_NOTE},
             sender="provider", recipient="requester"),
+        agent,
     )
     assert session.state is RequesterState.COMPLETED
     assert not session.content_licensed
-    assert outputs[0].kind == "receive_content"
+    assert outputs == []
+    assert agent.calls == [("receive_content", RequesterState.COMPLETED, 0, "c", "plain text")]
 
 
 # -- requester transitions ----------------------------------------------------------
@@ -283,9 +325,8 @@ def requester_session(**kwargs):
 
 def test_requester_happy_path_states():
     session = requester_session()
-    outputs = requester_transition(
-        session, InternalDecision("start", {"content_id": "data-1"})
-    )
+    agent = RecordingAgent(session)
+    outputs = requester_open(session, "data-1")
     assert session.state is RequesterState.AWAITING_TERMS
     assert outputs[0].action == "request_info"
     assert outputs[0].body == {"content_id": "data-1"}
@@ -295,53 +336,55 @@ def test_requester_happy_path_states():
         session,
         msg("propose_terms", {"terms": terms.to_value(), "round": 1},
             sender="provider", recipient="requester"),
+        agent,
     )
     assert session.state is RequesterState.EVALUATING_TERMS
-    assert outputs == [Command("evaluate_offer", {"terms": terms})]
+    assert outputs == []
+    assert agent.calls == [("answer_offer", RequesterState.EVALUATING_TERMS, 1, terms)]
 
     digest = terms_hash(terms)
-    outputs = requester_transition(
-        session, InternalDecision("offer_accept", {"terms_hash": digest})
-    )
+    outputs = requester_accept(session, agent, digest)
     assert session.state is RequesterState.PAYING
-    assert outputs[0].action == "accept_terms"
+    assert [message.action for message in outputs] == ["accept_terms"]
 
+    split = [{"to": "provider", "amount": 10}]
     outputs = requester_transition(
         session,
-        msg("payment_required",
-            {"amount": 10, "split": [{"to": "provider", "amount": 10}]},
+        msg("payment_required", {"amount": 10, "split": split},
             sender="provider", recipient="requester", seq=1),
+        agent,
     )
-    assert outputs == [Command("settle", {"amount": 10,
-                                          "split": [{"to": "provider", "amount": 10}]})]
+    assert outputs == []
+    assert agent.calls[-1] == ("settle", RequesterState.PAYING, 2, 10, split)
 
-    outputs = requester_transition(session, InternalDecision("payment_settled", {"amount": 10}))
+    outputs = requester_paid(session, agent, 10)
     assert session.state is RequesterState.MINTING
     assert outputs[0].action == "payment_confirmed"
-    assert outputs[1] == Command("prepare_token", {})
+    # The token is prepared after the confirmation took its seq.
+    assert agent.calls[-1] == ("prepare_token", RequesterState.MINTING, 3)
 
 
 def test_requester_counter_flow():
     session = requester_session(state=RequesterState.EVALUATING_TERMS)
     session.offered_terms = make_terms(royalty_rate="0.30")
     countered = session.offered_terms.replace(royalty_rate=Decimal("0.1000"))
-    outputs = requester_transition(
+    agent = RecordingAgent(session)
+    outputs = requester_counter(
         session,
-        InternalDecision(
-            "offer_counter",
-            {"delta_value": [{"path": ["royalty_rate"], "op": "set", "value": Decimal("0.1000")}],
-             "countered_terms": countered},
-        ),
+        agent,
+        [{"path": ["royalty_rate"], "op": "set", "value": Decimal("0.1000")}],
+        countered,
     )
     assert session.state is RequesterState.COUNTERING
     assert session.counters_used == 1
-    assert outputs[0] == Command("mint_draft", {"terms": countered})
-    assert outputs[1].action == "counter_terms"
-    assert outputs[1].body["round"] == 1
+    # The countered draft is minted before the counter takes seq 0.
+    assert agent.calls == [("mint_draft", RequesterState.COUNTERING, 0, countered)]
+    assert outputs[0].action == "counter_terms" and outputs[0].seq == 0
+    assert outputs[0].body["round"] == 1
 
     final = msg("final_terms", {"terms": countered.to_value(), "round": 2},
                 sender="provider", recipient="requester", seq=1)
-    outputs = requester_transition(session, final)
+    outputs = requester_transition(session, final, agent)
     assert session.state is RequesterState.EVALUATING_TERMS
     assert session.round == 2
 
@@ -350,10 +393,11 @@ def test_requester_validates_payment_request():
     session = requester_session(state=RequesterState.PAYING)
     session.accepted_terms = paid_terms()
     session.accepted_terms_hash = terms_hash(session.accepted_terms)
+    agent = RecordingAgent(session)
     bad_amount = msg("payment_required", {"amount": 11, "split": [{"to": "p", "amount": 11}]},
                      sender="provider", recipient="requester")
     with pytest.raises(ProtocolViolation):
-        requester_transition(session, bad_amount)
+        requester_transition(session, bad_amount, agent)
     for split in (
         [{"to": "p", "amount": 9}],
         [{"to": "p", "amount": 110}, {"to": "bystander", "amount": -100}],
@@ -368,12 +412,14 @@ def test_requester_validates_payment_request():
         bad_split = msg("payment_required", {"amount": 10, "split": split},
                         sender="provider", recipient="requester")
         with pytest.raises(ProtocolViolation):
-            requester_transition(session, bad_split)
+            requester_transition(session, bad_split, agent)
     assert session.state is RequesterState.PAYING
-    good = msg("payment_required", {"amount": 10, "split": [{"to": "q", "amount": 0},
-                                                            {"to": "p", "amount": 10}]},
+    assert agent.calls == []
+    good_split = [{"to": "q", "amount": 0}, {"to": "p", "amount": 10}]
+    good = msg("payment_required", {"amount": 10, "split": good_split},
                sender="provider", recipient="requester")
-    assert requester_transition(session, good)[0].kind == "settle"
+    requester_transition(session, good, agent)
+    assert agent.calls == [("settle", RequesterState.PAYING, 0, 10, good_split)]
 
 
 def test_requester_delivery_checks_token_binding():
@@ -386,14 +432,15 @@ def test_requester_delivery_checks_token_binding():
     session = requester_session(state=RequesterState.AWAITING_DELIVERY)
     session.accepted_terms = terms
     session.accepted_terms_hash = terms_hash(terms)
+    agent = RecordingAgent(session)
     delivery = msg("deliver_ip",
                    {"content_id": "c", "content": "bytes", "token": token_to_value(token)},
                    sender="provider", recipient="requester")
-    outputs = requester_transition(session, delivery)
-    assert session.state is RequesterState.ACKNOWLEDGING
+    outputs = requester_transition(session, delivery, agent)
     assert session.received_token.license_id == token.license_id
-    assert outputs[-1].kind == "record_transaction"
-    requester_transition(session, InternalDecision("finalize", {}))
+    assert outputs == []
+    # The license is recorded while acknowledging, then the session completes.
+    assert agent.calls == [("record_license", RequesterState.ACKNOWLEDGING, 0)]
     assert session.state is RequesterState.COMPLETED
 
     # uncommitted token (no height) must be refused
@@ -407,6 +454,7 @@ def test_requester_delivery_checks_token_binding():
             stale,
             msg("deliver_ip", {"content_id": "c", "content": "b", "token": uncommitted},
                 sender="provider", recipient="requester"),
+            RecordingAgent(stale),
         )
 
 
@@ -420,7 +468,7 @@ def test_requester_timeout_reasons():
         session = requester_session(state=state)
         kind = "negotiation" if state in (RequesterState.AWAITING_TERMS,
                                           RequesterState.COUNTERING) else "settlement"
-        requester_transition(session, TimerExpired(kind))
+        requester_transition(session, TimerExpired(kind), RecordingAgent(session))
         assert session.state is RequesterState.FAILED
         assert session.failure_reason == reason
 
@@ -428,5 +476,4 @@ def test_requester_timeout_reasons():
 def test_stale_timer_kind_is_a_violation():
     session = requester_session(state=RequesterState.AWAITING_TERMS)
     with pytest.raises(ProtocolViolation):
-        requester_transition(session, TimerExpired("settlement"))
-
+        requester_transition(session, TimerExpired("settlement"), RecordingAgent(session))

@@ -137,6 +137,17 @@ def test_duplicate_content_across_catalogs_rejected():
         scenario_from_value(value)
 
 
+def test_integers_past_64_bits_are_rejected():
+    value = base_value()
+    value["seed"] = 2**63
+    with pytest.raises(ParseError, match="seed"):
+        scenario_from_value(value)
+    value = base_value()
+    value["agents"][0]["balance"] = 2**63
+    with pytest.raises(ParseError, match="balance"):
+        scenario_from_value(value)
+
+
 def test_unknown_top_level_field_rejected():
     value = base_value()
     value["sched"] = []
@@ -179,10 +190,11 @@ def test_latency_range_must_be_ordered():
 
 
 def test_invalid_catalog_terms_rejected_with_field():
-    value = base_value()
-    value["agents"][0]["catalog"][0]["terms"]["royalty_rate"] = Decimal("2.0000")
-    with pytest.raises(ParseError, match="royalty_rate"):
-        scenario_from_value(value)
+    for rate in (Decimal("2.0000"), "0.1"):
+        value = base_value()
+        value["agents"][0]["catalog"][0]["terms"]["royalty_rate"] = rate
+        with pytest.raises(ParseError, match="royalty_rate"):
+            scenario_from_value(value)
 
 
 def test_unknown_terms_field_rejected():
@@ -283,6 +295,11 @@ def test_policy_rejects_unknown_bound_field_and_bad_step():
         scenario_from_value(value)
     value["agents"][1]["policy"] = {"concession_step": Decimal("0.0000")}
     with pytest.raises(ParseError, match="concession_step"):
+        scenario_from_value(value)
+    value["agents"][1]["policy"] = {
+        "bounds": {"upfront_fee": {"min": 0, "max": Decimal("900000.0000")}}
+    }
+    with pytest.raises(ParseError, match="upfront_fee"):
         scenario_from_value(value)
 
 

@@ -110,6 +110,21 @@ def test_completed_deal_moves_the_fee_and_conserves_total():
     assert world.runtimes["prov"].session("s1").state is ProviderState.COMPLETED
 
 
+def test_settle_past_the_64_bit_range_moves_no_money():
+    value = two_party_value()
+    value["agents"][0]["balance"] = canon.INT_MAX - 10
+    value["agents"][0]["catalog"][0]["terms"]["upfront_fee"] = 1_000
+    value["agents"][1]["balance"] = 5_000
+    transcript, world = run_scenario(scenario_from_value(value))
+    assert [entry.kind for entry in world.ledger.entries()].count("payment") == 0
+    assert world.wallets.balances() == {"prov": canon.INT_MAX - 10, "req": 5_000}
+    requester = world.runtimes["req"].session("s1")
+    assert requester.state is RequesterState.FAILED
+    assert "past the 64-bit range" in requester.failure_reason
+    assert world.runtimes["prov"].session("s1").failure_reason == NO_PAYMENT_FAILURE
+    assert not [line for line in transcript_lines(transcript) if line["kind"] == "balance"]
+
+
 def test_liveness_under_lossless_network_with_half_timeout_latency():
     value = two_party_value(network={"latency": 5})
     value["agents"][1]["balance"] = 10_000_000

@@ -161,6 +161,11 @@ def test_from_value_rejects_unknown_and_missing_fields():
     del doc["royalty_rate"]
     with pytest.raises(ParseError):
         terms_from_value(doc)
+    for name in ("royalty_rate", "rev_share"):
+        doc = make_terms().to_value()
+        doc[name] = "0.1"
+        with pytest.raises(ParseError, match=name):
+            terms_from_value(doc)
 
 
 # -- diff / apply ------------------------------------------------------------
