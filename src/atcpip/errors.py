@@ -18,12 +18,12 @@ class ParseError(AtcpipError):
 
 
 class InvalidTerms(AtcpipError):
-    """License terms fail validation where valid terms are required."""
+    """License terms break a domain rule, so they cannot be built."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        detail = "; ".join(f"{'.'.join(v.path) or '<terms>'}: {v.reason}" for v in self.violations)
-        super().__init__(f"terms failed validation: {detail}")
+        self.detail = "; ".join(f"{'.'.join(v.path) or '<terms>'}: {v.reason}" for v in violations)
+        super().__init__(f"terms failed validation: {self.detail}")
 
 
 class UnknownPath(AtcpipError):
@@ -31,7 +31,7 @@ class UnknownPath(AtcpipError):
 
 
 class InvalidResult(AtcpipError):
-    """Applying an edit produced terms that no longer validate."""
+    """Applying an edit produced terms that cannot be built."""
 
 
 class MalformedDate(AtcpipError):

@@ -18,16 +18,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .canon import fixed4
-from .errors import InvalidResult, UnknownPath
-from .terms import (
-    FIELD_ORDER,
-    TAG_FIELDS,
-    TermsDelta,
-    TermsEdit,
-    apply_delta,
-    diff,
-    validate,
-)
+from .errors import InvalidResult, InvalidTerms, UnknownPath
+from .terms import FIELD_ORDER, TAG_FIELDS, TermsDelta, TermsEdit, apply_delta, diff
 
 NUMERIC_PATHS = ("royalty_rate", "rev_share", "upfront_fee")
 CHOICE_PATHS = ("transferability", "dispute_resolution", "duration", "jurisdiction", "governing_law")
@@ -209,12 +201,12 @@ def revise_terms(policy, own_terms, counter_delta):
             changes[path] = proposed if proposed in bound.allowed else own
     if not changes:
         return own_terms
-    revised = own_terms.replace(**changes)
-    if validate(revised):
+    try:
+        return own_terms.replace(**changes)
+    except InvalidTerms:
         # Cross-field constraints can break even though each change was
         # individually in bounds; hold the standing offer instead.
         return own_terms
-    return revised
 
 
 # -- risk tiers ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import canon
-from .errors import MalformedFrame, ParseError, ProtocolViolation
+from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
 from .ledger import token_from_value, token_to_value
 from .terms import terms_from_value
 
@@ -568,7 +568,7 @@ def requester_transition(session, event, agent):
 def _parse_terms(session, value):
     try:
         return terms_from_value(value)
-    except ParseError as exc:
+    except (ParseError, InvalidTerms) as exc:
         raise ProtocolViolation(f"terms in message do not parse: {exc}") from None
 
 
@@ -590,7 +590,7 @@ def _is_split_line(line):
 def _parse_token(session, value):
     try:
         return token_from_value(value)
-    except ParseError as exc:
+    except (ParseError, InvalidTerms) as exc:
         raise ProtocolViolation(f"token in message does not parse: {exc}") from None
 
 

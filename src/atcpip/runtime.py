@@ -21,6 +21,7 @@ from .canon import fixed4
 from .errors import (
     AbortedExchange,
     AtcpipError,
+    InvalidTerms,
     ParseError,
     ProtocolViolation,
     UnknownContent,
@@ -60,7 +61,7 @@ from .protocol import (
     requester_refuse,
     requester_transition,
 )
-from .terms import LicenseTerms, apply_delta, delta_from_value, terms_hash, validate
+from .terms import LicenseTerms, apply_delta, delta_from_value, terms_hash
 from .trust import GateDecision, check_compatibility
 
 # Tags that make untagged-by-flag content licensable IP; anything else
@@ -170,10 +171,6 @@ class AgentRuntime:
     # -- bookkeeping ----------------------------------------------------------
 
     def add_item(self, item):
-        if item.terms is not None:
-            report = validate(item.terms)
-            if report:
-                raise ValueError(f"catalog terms for {item.content_id!r} invalid: {report}")
         self.catalog[item.content_id] = item
 
     def remember(self, text):
@@ -376,10 +373,10 @@ class AgentRuntime:
         return terms
 
     def _propose(self, item, session):
-        terms = self._opening_terms(item, session.request_body.get("offer", {}))
-        report = validate(terms)
-        if report:
-            return provider_refuse(session, f"terms invalid: {report[0].reason}")
+        try:
+            terms = self._opening_terms(item, session.request_body.get("offer", {}))
+        except InvalidTerms as exc:
+            return provider_refuse(session, f"terms invalid: {exc.violations[0].reason}")
         return provider_propose(
             session,
             self,
@@ -457,7 +454,7 @@ class AgentRuntime:
         """Commit the requester's token and deliver, or abort the session."""
         try:
             token = token_from_value(token_value)
-        except ParseError:
+        except (ParseError, InvalidTerms):
             return provider_abort(session, self)
         fits = (
             token.metadata.issuer_id == session.provider_id

@@ -18,11 +18,11 @@ from decimal import Decimal
 from . import canon
 from .canon import fixed4
 from .disputes import DISPUTE_KINDS
-from .errors import AtcpipError, ParseError, UnknownJurisdiction, UnresolvedReference
+from .errors import AtcpipError, InvalidTerms, ParseError, UnknownJurisdiction, UnresolvedReference
 from .negotiation import ChoiceBound, NegotiationPolicy, NumericBound, RISK_TIERS, SetBound
 from .protocol import ACTIONS, ProviderState, RequesterState, SessionConfig
 from .runtime import CatalogItem
-from .terms import LicenseTerms, TAG_FIELDS, is_iso_date, terms_from_value, validate
+from .terms import LicenseTerms, TAG_FIELDS, is_iso_date, terms_from_value
 from .trust import JurisdictionProfile
 
 DEFAULT_START_DATE = "2024-01-01"
@@ -185,13 +185,15 @@ def _build(ctx, constructor, *args, **kwargs):
 def _parse_partial_terms(value, ctx):
     """A terms section may state only the fields it cares about; the rest
     keep the conservative defaults."""
-    terms = _build(ctx, terms_from_value, {**_DEFAULT_TERMS, **_map(value, ctx)})
-    report = validate(terms)
-    if report:
-        first = report[0]
+    doc = {**_DEFAULT_TERMS, **_map(value, ctx)}
+    try:
+        return terms_from_value(doc)
+    except InvalidTerms as exc:
+        first = exc.violations[0]
         where = ".".join(first.path) or "terms"
-        raise ParseError(f"{ctx}: invalid terms: {where}: {first.reason}")
-    return terms
+        raise ParseError(f"{ctx}: invalid terms: {where}: {first.reason}") from None
+    except AtcpipError as exc:
+        raise ParseError(f"{ctx}: {exc}") from None
 
 
 def _parse_bound(name, value, ctx):

@@ -4,7 +4,12 @@ The terms document is the unit that gets negotiated, hashed, and bound
 into tokens, so everything here is geared toward one property: equal
 terms always produce equal canonical bytes. Construction normalizes
 representation (tag lists become sorted unique tuples, rates become
-four-digit decimals); ``validate`` flags domain problems; ``diff`` and
+four-digit decimals) and validates: a type error raises TypeError, and
+a value outside the domain (tags, dates, jurisdictions, modes, ranges)
+raises InvalidTerms with the whole violation report. Every route that
+builds terms (the constructor, ``replace``, ``terms_from_value``,
+``apply_delta``) goes through that check, so a ``LicenseTerms`` that
+exists is valid and there is no separate ``validate``. ``diff`` and
 ``apply_delta`` give negotiation a structural edit language.
 """
 
@@ -47,8 +52,9 @@ BOOL_FIELDS = ("onchain_enforcement", "offchain_enforcement", "chain_of_ownershi
 
 
 def is_iso_date(text):
-    """True for a plain YYYY-MM-DD calendar date."""
-    if not isinstance(text, str) or len(text) != 10:
+    """True for a plain YYYY-MM-DD calendar date (not an ISO week date
+    such as 2025-W01-1, which ``date.fromisoformat`` also takes)."""
+    if not isinstance(text, str) or len(text) != 10 or text[4] != "-" or text[7] != "-":
         return False
     try:
         date.fromisoformat(text)
@@ -107,6 +113,9 @@ class LicenseTerms:
                 raise TypeError(f"{name} must be a bool")
         if isinstance(self.upfront_fee, bool) or not isinstance(self.upfront_fee, int):
             raise TypeError("upfront_fee must be an integer micro-credit amount")
+        report = _violations(self)
+        if report:
+            raise InvalidTerms(report)
 
     def to_value(self):
         """Canonical map form (tag tuples become lists)."""
@@ -160,8 +169,8 @@ class Violation:
     reason: str
 
 
-def validate(terms):
-    """Return a tuple of violations; empty means the terms are valid."""
+def _violations(terms):
+    """Domain violations of type-checked terms; empty means valid."""
     report = []
 
     def flag(path, reason):
@@ -197,13 +206,7 @@ def validate(terms):
 
 
 def terms_hash(terms):
-    """Hash of the canonical terms map. Raises InvalidTerms on violations.
-
-    Validation runs on every call; the digest is computed once per
-    instance."""
-    report = validate(terms)
-    if report:
-        raise InvalidTerms(report)
+    """Hash of the canonical terms map, computed once per instance."""
     return terms._digest
 
 
@@ -273,7 +276,7 @@ def diff(old, new):
 
 
 def apply_delta(terms, delta):
-    """Apply every edit or raise; the result must re-validate."""
+    """Apply every edit or raise; the result must be valid terms."""
     doc = terms.to_value()
     for edit in delta.edits:
         if not edit.path or edit.path[0] not in FIELD_ORDER:
@@ -296,14 +299,9 @@ def apply_delta(terms, delta):
         else:
             raise UnknownPath(f"path too deep for {name}: {list(edit.path)}")
     try:
-        result = terms_from_value(doc)
+        return terms_from_value(doc)
     except ParseError as exc:
         raise InvalidResult(f"edited terms do not parse: {exc}") from None
-    report = validate(result)
-    if report:
-        raise InvalidResult(
-            "edited terms fail validation: "
-            + "; ".join(f"{'.'.join(v.path) or '<terms>'}: {v.reason}" for v in report)
-        )
-    return result
+    except InvalidTerms as exc:
+        raise InvalidResult(f"edited terms fail validation: {exc.detail}") from None
 

@@ -1,5 +1,6 @@
 """Hypothesis strategies shared across test modules."""
 
+from datetime import date
 from decimal import Decimal
 
 from hypothesis import strategies as st
@@ -44,4 +45,45 @@ def valid_terms(max_fee=10**9):
         chain_of_ownership=st.booleans(),
         rev_share=rate4(),
         upfront_fee=st.integers(min_value=0, max_value=max_fee),
+    )
+
+
+def any_terms_fields():
+    """Keyword arguments for LicenseTerms with well-typed values, in or
+    out of the domain: unknown and empty tags, malformed and week dates,
+    unknown codes and modes, rates from -0.5 to 1.5 and fees past 64
+    bits either way."""
+    extra_tags = ["", "resale"]
+
+    def tags(pool):
+        return st.lists(st.sampled_from(sorted(pool) + extra_tags), max_size=3)
+
+    return st.fixed_dictionaries(
+        {
+            "name": st.text(max_size=8),
+            "description": st.text(max_size=8),
+            "scope": tags(SCOPE_TAGS),
+            "duration": st.one_of(
+                st.sampled_from(["perpetual", "soon", "", "2025-13-40", "2025-W01-1", "20250101"]),
+                st.dates().map(date.isoformat),
+                st.text(alphabet="0123456789-W", max_size=11),
+            ),
+            "jurisdiction": st.sampled_from(["US", "DE", "JP", "ZZ", "us", ""]),
+            "governing_law": st.sampled_from(["US", "EU", "ZZ"]),
+            "royalty_rate": st.integers(-5000, 15000).map(lambda units: Decimal(units).scaleb(-4)),
+            "rev_share": st.integers(-5000, 15000).map(lambda units: Decimal(units).scaleb(-4)),
+            "transferability": st.sampled_from([*TRANSFERABILITY_MODES, "maybe"]),
+            "dispute_resolution": st.sampled_from([*DISPUTE_RESOLUTION_MODES, "shouting"]),
+            "revocation_conditions": tags({"breach", "dispute_loss"}),
+            "compliance_requirements": tags({"gdpr", "ccpa"}),
+            "ip_restrictions": tags({"read_only", "no_training"}),
+            "onchain_enforcement": st.booleans(),
+            "offchain_enforcement": st.booleans(),
+            "chain_of_ownership": st.booleans(),
+            "upfront_fee": st.one_of(
+                st.integers(-10, 10**9),
+                st.integers(2**63 - 3, 2**63 + 3),
+                st.integers(-(2**70), 2**70),
+            ),
+        }
     )

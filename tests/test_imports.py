@@ -10,7 +10,9 @@ somewhere under ``src/`` or ``tests/``. Behaviour
 is set by arguments and scenario files only, so no module under
 ``src/`` may read ``os.environ`` or ``os.getenv``. Session state
 changes belong to the protocol, so no module under ``src/`` but
-``protocol.py`` may assign an attribute named ``state``.
+``protocol.py`` may assign an attribute named ``state``. A public
+function or method under ``src/`` must be called or named somewhere
+under ``src/``, so helpers that only tests call do not come back.
 """
 
 import ast
@@ -113,6 +115,35 @@ def state_assignments(source):
     return sorted(found)
 
 
+def unreferenced_functions(sources):
+    """(label, line, name) for each public module-level function and
+    public method of a module-level class in ``sources`` (label -> text)
+    whose name appears in no module there as a name or an attribute. The
+    ``def`` statement itself is not a reference."""
+    defined, referenced = [], set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        members = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                members += [item for item in node.body if isinstance(item, ast.FunctionDef)]
+        defined += [(label, node.lineno, node.name) for node in members]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(
+        (label, line, name)
+        for label, line, name in defined
+        if not name.startswith("_") and name not in referenced
+    )
+
+
+# Kept for the wire transport and as the reputation oracle; tests call them.
+UNREFERENCED_ON_PURPOSE = {"encode_message", "decode_message", "replay_records"}
+
+
 def test_unused_imports_are_found():
     source = "import os\nfrom a import b, c as d\nimport e.f\n__all__ = ['d']\nprint(e)\n"
     assert unused_imports(source) == [(1, "os"), (2, "b")]
@@ -195,4 +226,42 @@ def test_only_the_protocol_changes_session_state():
             continue
         for line in state_assignments(path.read_text()):
             found.append(f"{path.relative_to(ROOT)}:{line}")
+    assert not found, "\n".join(found)
+
+
+def test_unreferenced_functions_are_found():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def only_tests():\n"
+        "    return used()\n"
+        "def _private():\n"
+        "    return 0\n"
+        "class A:\n"
+        "    def called(self):\n"
+        "        return self.helper\n"
+        "    def helper(self):\n"
+        "        def nested():\n"
+        "            return 2\n"
+        "        return nested\n"
+        "    def orphan(self):\n"
+        "        return A().called()\n"
+        "    def __repr__(self):\n"
+        "        return 'A'\n"
+    )
+    assert unreferenced_functions({"a.py": source}) == [
+        ("a.py", 3, "only_tests"),
+        ("a.py", 14, "orphan"),
+    ]
+
+
+def test_every_public_function_is_referenced_in_the_package():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text() for path in sorted(ROOT.glob("src/**/*.py"))
+    }
+    found = [
+        f"{label}:{line}: {name}"
+        for label, line, name in unreferenced_functions(sources)
+        if name not in UNREFERENCED_ON_PURPOSE
+    ]
     assert not found, "\n".join(found)

@@ -15,6 +15,7 @@ from atcpip.errors import (
     CyclicLineage,
     DuplicateAgent,
     ExpiredTerms,
+    InvalidTerms,
     MalformedDate,
     NonMonotonicRound,
     ParseError,
@@ -362,6 +363,19 @@ def test_import_reports_tampering_ahead_of_a_parse_error():
     exported[2]["payload"] = {**registered, "agent_id": "b"}
     with pytest.raises(TamperedLedger):
         Ledger.from_export(exported)
+
+
+def test_import_refuses_agreement_terms_that_break_a_rule():
+    payloads = [entry["payload"] for entry in populated_ledger().export_entries()]
+    assert Ledger.from_export(chained(payloads))
+    payloads[3]["terms"]["rev_share"] = canon.fixed4("0.99")
+    exported = chained(payloads)
+    assert verify_entries(exported)
+    with pytest.raises(InvalidTerms) as exc:
+        Ledger.from_export(exported)
+    assert [(v.path, v.reason) for v in exc.value.violations] == [
+        ((), "royalty_rate + rev_share > 1")
+    ]
 
 
 def test_verify_rejects_malformed_containers():

@@ -33,7 +33,8 @@ from atcpip.protocol import (
     requester_transition,
 )
 from atcpip.terms import terms_hash
-from conftest import make_terms, mint_agreement
+from atcpip.runtime import CatalogItem
+from conftest import make_terms, make_world, mint_agreement
 
 
 def msg(action, body, sender="requester", recipient="provider", seq=0, session="s1"):
@@ -471,6 +472,39 @@ def test_requester_timeout_reasons():
         requester_transition(session, TimerExpired(kind), RecordingAgent(session))
         assert session.state is RequesterState.FAILED
         assert session.failure_reason == reason
+
+
+def test_terms_breaking_a_rule_are_a_protocol_violation_on_receipt():
+    _, _, _, runtimes = make_world({"req": {}})
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", "item")
+    bad = dict(make_terms().to_value(), royalty_rate=Decimal("1.5000"))
+    proposal = msg("propose_terms", {"terms": bad, "round": 1}, sender="prov", recipient="req")
+    assert requester.receive_message(proposal) == []
+    assert requester.session("s1").state is RequesterState.AWAITING_TERMS
+    note = requester.memory_texts()[-1]
+    assert note.startswith("Protocol violation: terms in message do not parse: ")
+    assert note.endswith("royalty_rate: out of range [0,1]")
+
+
+def test_token_whose_terms_break_a_rule_makes_the_provider_abort():
+    item = CatalogItem("item", "content", tags=("dataset",), terms=make_terms())
+    ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    provider, requester = runtimes["prov"], runtimes["req"]
+    [request] = requester.start_request("s1", "prov", "item")
+    [proposal] = provider.receive_message(request)
+    acceptance, token_message = requester.receive_message(proposal)
+    provider.receive_message(acceptance)
+    assert provider.session("s1").state is ProviderState.AWAITING_TOKEN
+    token = dict(token_message.body["token"])
+    token["terms"] = dict(token["terms"], jurisdiction="ZZ")
+    tampered = msg("license_token", {"token": token}, sender="req", recipient="prov",
+                   seq=token_message.seq)
+    assert provider.receive_message(tampered) == []
+    session = provider.session("s1")
+    assert session.state is ProviderState.FAILED
+    assert session.failure_reason == NO_TOKEN_FAILURE
+    assert ledger.session_agreement("s1") is None
 
 
 def test_stale_timer_kind_is_a_violation():

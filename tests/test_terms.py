@@ -1,11 +1,14 @@
-"""Terms schema: normalization, validation, hashing, diff/apply."""
+"""Terms schema: normalization, validation at construction, hashing, diff/apply."""
 
 import dataclasses
 import re
+from collections import Counter
+from datetime import datetime
 from decimal import Decimal
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from atcpip import canon
 from atcpip.errors import (
@@ -16,17 +19,22 @@ from atcpip.errors import (
     UnknownPath,
 )
 from atcpip.terms import (
+    DISPUTE_RESOLUTION_MODES,
     FIELD_ORDER,
+    JURISDICTIONS,
+    SCOPE_TAGS,
+    TAG_FIELDS,
+    TRANSFERABILITY_MODES,
+    LicenseTerms,
     TermsDelta,
     TermsEdit,
     apply_delta,
     diff,
     terms_from_value,
     terms_hash,
-    validate,
 )
 from conftest import make_terms
-from strategies import valid_terms
+from strategies import any_terms_fields, valid_terms
 
 
 def test_tag_fields_normalize_to_sorted_unique_tuples():
@@ -61,7 +69,14 @@ def test_wrong_scalar_types_rejected():
 
 
 def test_default_terms_are_valid():
-    assert validate(make_terms()) == ()
+    assert make_terms() == LicenseTerms()
+
+
+def violations(**overrides):
+    """(path, reason) pairs that refuse terms built with ``overrides``."""
+    with pytest.raises(InvalidTerms) as exc:
+        make_terms(**overrides)
+    return [(v.path, v.reason) for v in exc.value.violations]
 
 
 def test_equal_terms_hash_equal_regardless_of_input_order():
@@ -72,41 +87,41 @@ def test_equal_terms_hash_equal_regardless_of_input_order():
 
 
 def test_validate_flags_out_of_range_royalty():
-    report = validate(make_terms(royalty_rate="1.5"))
-    assert [(v.path, v.reason) for v in report] == [(("royalty_rate",), "out of range [0,1]")]
+    assert violations(royalty_rate="1.5") == [(("royalty_rate",), "out of range [0,1]")]
 
 
 def test_validate_flags_rate_sum_over_one():
-    report = validate(make_terms(royalty_rate="0.6", rev_share="0.6"))
-    assert any(v.reason == "royalty_rate + rev_share > 1" for v in report)
+    report = violations(royalty_rate="0.6", rev_share="0.6")
+    assert any(reason == "royalty_rate + rev_share > 1" for _, reason in report)
 
 
 def test_validate_flags_unknown_scope_tag():
-    report = validate(make_terms(scope=["personal", "resale"]))
-    assert (("scope", "resale"), "unknown scope tag") in [(v.path, v.reason) for v in report]
+    report = violations(scope=["personal", "resale"])
+    assert (("scope", "resale"), "unknown scope tag") in report
 
 
-@pytest.mark.parametrize("duration", ["soon", "2025-13-40", "2025/01/01", "20250101", ""])
+@pytest.mark.parametrize(
+    "duration", ["soon", "2025-13-40", "2025/01/01", "20250101", "", "2025-W01-1"]
+)
 def test_validate_flags_bad_duration(duration):
-    assert any(v.path == ("duration",) for v in validate(make_terms(duration=duration)))
+    assert any(path == ("duration",) for path, _ in violations(duration=duration))
 
 
 def test_validate_accepts_perpetual_duration():
-    assert validate(make_terms(duration="perpetual")) == ()
+    assert make_terms(duration="perpetual").duration == "perpetual"
 
 
 def test_validate_flags_unknown_jurisdiction():
-    assert any(v.path == ("jurisdiction",) for v in validate(make_terms(jurisdiction="ZZ")))
-    assert validate(make_terms(jurisdiction="JP")) == ()
+    assert any(path == ("jurisdiction",) for path, _ in violations(jurisdiction="ZZ"))
+    assert make_terms(jurisdiction="JP").jurisdiction == "JP"
 
 
 def test_validate_flags_unknown_modes_and_negative_fee():
-    assert any(v.path == ("transferability",) for v in validate(make_terms(transferability="maybe")))
+    assert any(path == ("transferability",) for path, _ in violations(transferability="maybe"))
     assert any(
-        v.path == ("dispute_resolution",)
-        for v in validate(make_terms(dispute_resolution="shouting"))
+        path == ("dispute_resolution",) for path, _ in violations(dispute_resolution="shouting")
     )
-    assert any(v.path == ("upfront_fee",) for v in validate(make_terms(upfront_fee=-1)))
+    assert any(path == ("upfront_fee",) for path, _ in violations(upfront_fee=-1))
 
 
 def test_terms_hash_refuses_invalid_terms():
@@ -114,14 +129,24 @@ def test_terms_hash_refuses_invalid_terms():
         terms_hash(make_terms(royalty_rate="1.5"))
 
 
-def test_terms_hash_refuses_invalid_terms_on_every_call():
-    bad = make_terms(royalty_rate="1.5")
-    for _ in range(3):
-        with pytest.raises(InvalidTerms):
-            terms_hash(bad)
-    bad._digest  # an instance holding its digest is still validated
-    with pytest.raises(InvalidTerms):
-        terms_hash(bad)
+def test_no_route_builds_invalid_terms():
+    base = make_terms()
+    bad_value = dict(base.to_value(), royalty_rate=Decimal("1.5000"))
+    routes = [
+        lambda: LicenseTerms(royalty_rate=Decimal("1.5")),
+        lambda: base.replace(royalty_rate=Decimal("1.5")),
+        lambda: dataclasses.replace(base, royalty_rate=Decimal("1.5")),
+        lambda: terms_from_value(bad_value),
+    ]
+    for route in routes:
+        with pytest.raises(InvalidTerms) as exc:
+            route()
+        assert [(v.path, v.reason) for v in exc.value.violations] == [
+            (("royalty_rate",), "out of range [0,1]")
+        ]
+    edit = TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("1.5000")),))
+    with pytest.raises(InvalidResult, match=r"^edited terms fail validation: royalty_rate: out of"):
+        apply_delta(base, edit)
 
 
 def test_edited_and_rebuilt_terms_hash_their_own_fields():
@@ -231,3 +256,85 @@ def test_apply_diff_round_trips(a, b):
 def test_diff_then_hash_matches_target(a, b):
     assert terms_hash(apply_delta(a, diff(a, b))) == terms_hash(b)
 
+
+
+# -- the domain rules, restated ------------------------------------------------
+
+
+def oracle_paths(fields):
+    """Paths a terms document with these well-typed field values breaks:
+    scope tags come from a fixed set; other tags are non-empty; duration
+    is 'perpetual' or a YYYY-MM-DD calendar date; the jurisdiction is a
+    known code; both rates lie in [0, 1] and, when they do, sum to at
+    most 1; the two modes are known; the fee fits a signed 64-bit int."""
+    paths = [("scope", tag) for tag in set(fields["scope"]) if tag not in SCOPE_TAGS]
+    for name in ("revocation_conditions", "compliance_requirements", "ip_restrictions"):
+        paths += [(name, "") for tag in set(fields[name]) if tag == ""]
+    duration = fields["duration"]
+    if duration != "perpetual":
+        try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", duration):
+                raise ValueError(duration)
+            datetime.strptime(duration, "%Y-%m-%d")
+        except ValueError:
+            paths.append(("duration",))
+    if fields["jurisdiction"] not in JURISDICTIONS:
+        paths.append(("jurisdiction",))
+    rates = [Decimal(fields[name]) for name in ("royalty_rate", "rev_share")]
+    for name, rate in zip(("royalty_rate", "rev_share"), rates):
+        if not 0 <= rate <= 1:
+            paths.append((name,))
+    if all(0 <= rate <= 1 for rate in rates) and sum(rates) > 1:
+        paths.append(())
+    if fields["transferability"] not in TRANSFERABILITY_MODES:
+        paths.append(("transferability",))
+    if fields["dispute_resolution"] not in DISPUTE_RESOLUTION_MODES:
+        paths.append(("dispute_resolution",))
+    if not 0 <= fields["upfront_fee"] < 2**63:
+        paths.append(("upfront_fee",))
+    return Counter(paths)
+
+
+def test_oracle_flags_what_it_states():
+    assert oracle_paths(make_terms().to_value()) == Counter()
+    fields = dict(make_terms().to_value(), scope=["personal", "resale", ""], duration="2025-02-29",
+                  royalty_rate=Decimal("0.7"), rev_share=Decimal("0.4"), upfront_fee=2**63)
+    assert oracle_paths(fields) == Counter(
+        [("scope", "resale"), ("scope", ""), ("duration",), (), ("upfront_fee",)]
+    )
+
+
+@given(any_terms_fields())
+def test_construction_refuses_exactly_what_the_oracle_flags(fields):
+    expected = oracle_paths(fields)
+    try:
+        built = LicenseTerms(**fields)
+    except InvalidTerms as exc:
+        assert Counter(v.path for v in exc.violations) == expected
+    else:
+        assert not expected
+        assert oracle_paths(built.to_value()) == Counter()
+
+
+@st.composite
+def edit_lists(draw):
+    values = draw(any_terms_fields())
+    edits = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(FIELD_ORDER))
+        if name in TAG_FIELDS and draw(st.booleans()):
+            tag = draw(st.sampled_from(["", "resale", "personal", "commercial", "breach"]))
+            op = draw(st.sampled_from(["set", "remove"]))
+            edits.append(TermsEdit((name, tag), op, True if op == "set" else None))
+        else:
+            edits.append(TermsEdit((name,), "set", values[name]))
+    return TermsDelta(tuple(edits))
+
+
+@given(valid_terms(), edit_lists())
+def test_apply_delta_never_returns_terms_the_oracle_rejects(base, delta):
+    try:
+        edited = apply_delta(base, delta)
+    except (InvalidResult, UnknownPath):
+        return
+    assert oracle_paths(edited.to_value()) == Counter()
