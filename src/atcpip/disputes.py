@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InvalidParties,
+    InvalidTerms,
     ParseError,
     UnknownDispute,
     UnknownLicense,
@@ -262,9 +263,16 @@ class DisputeCourt:
             if _clause_in_terms(claim.asserted_clause, _final_terms(evidence)):
                 return False, "clause_present_in_final"
             for entry in evidence.entries:
-                if entry.kind == "draft_token" and _clause_in_terms(
-                    claim.asserted_clause, terms_from_value(entry.payload["terms"])
-                ):
+                if entry.kind != "draft_token":
+                    continue
+                try:
+                    draft = terms_from_value(entry.payload.get("terms"))
+                except (ParseError, InvalidTerms):
+                    # Import checks agreement terms only; a draft whose
+                    # terms are missing or do not build is no evidence
+                    # of a clause.
+                    continue
+                if _clause_in_terms(claim.asserted_clause, draft):
                     return True, "clause_dropped_from_drafts"
             return False, "clause_absent_from_record"
         if claim.asserted_terms_hash != evidence.terms_hash:

@@ -27,7 +27,7 @@ class InvalidTerms(AtcpipError):
 
 
 class UnknownPath(AtcpipError):
-    """A terms edit names a path outside the schema."""
+    """A negotiation policy names a field outside the terms schema."""
 
 
 class InvalidResult(AtcpipError):

@@ -1,10 +1,11 @@
 """Term negotiation: policy evaluation, counters, concessions, arbitration.
 
 Policies bound what an agent will sign. ``evaluate_offer`` answers with
-accept, a counter delta clamped into the evaluator's own bounds, or a
-rejection when a non-negotiable path is out of bounds. ``revise_terms``
-is the other side of the loop: accept in-bound counter values verbatim,
-otherwise concede partway toward them. When both parties' numeric
+accept, a counter delta that sets each out-of-bounds field to a value
+inside the evaluator's own bounds, or a rejection when a non-negotiable
+field is out of bounds. ``revise_terms`` is the other side of the loop:
+given the countered terms, it takes in-bound counter values verbatim
+and otherwise concedes partway toward them. When both parties' numeric
 bounds overlap, a counter always lands inside the proposer's bounds as
 well, which is what makes the loop converge instead of oscillating.
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .canon import fixed4
-from .errors import InvalidResult, InvalidTerms, UnknownPath
-from .terms import FIELD_ORDER, TAG_FIELDS, TermsDelta, TermsEdit, apply_delta, diff
+from .errors import InvalidTerms, UnknownPath
+from .terms import FIELD_ORDER, TAG_FIELDS, TermsDelta
 
 NUMERIC_PATHS = ("royalty_rate", "rev_share", "upfront_fee")
 CHOICE_PATHS = ("transferability", "dispute_resolution", "duration", "jurisdiction", "governing_law")
@@ -150,8 +151,7 @@ def evaluate_offer(policy, terms):
             return Reject(f"{path} is out of bounds and not negotiable")
     if not violations:
         return Accept()
-    edits = tuple(TermsEdit((path,), "set", target) for path, target in violations)
-    return Counter(TermsDelta(edits))
+    return Counter(TermsDelta(tuple(violations)))
 
 
 def _concede(own, proposed, step):
@@ -163,26 +163,23 @@ def _concede(own, proposed, step):
     return own + int(moved.to_integral_value(rounding=ROUND_HALF_EVEN))
 
 
-def revise_terms(policy, own_terms, counter_delta):
-    """Fold a counter into the standing offer under the policy.
+def _changed_fields(old, new):
+    """Names of the fields whose values differ, in schema order."""
+    return [name for name in FIELD_ORDER if getattr(old, name) != getattr(new, name)]
+
+
+def revise_terms(policy, own_terms, countered):
+    """Fold the countered terms into the standing offer under the policy.
 
     In-bound counter values are taken verbatim; out-of-bound numerics
     move by concession_step toward the counter, clamped to the bound;
     non-negotiable and unacceptable enum values keep their own value.
-    Falls back to the standing offer if the counter or the blend fails
-    validation; unknown paths still raise.
+    Falls back to the standing offer if the blend fails validation.
     """
-    try:
-        candidate = apply_delta(own_terms, counter_delta)
-    except InvalidResult:
-        return own_terms
     changes = {}
-    for edit in counter_delta.edits:
-        path = edit.path[0]
-        proposed = getattr(candidate, path)
+    for path in _changed_fields(own_terms, countered):
+        proposed = getattr(countered, path)
         own = getattr(own_terms, path)
-        if proposed == own:
-            continue
         if path in policy.non_negotiable:
             changes[path] = own
             continue
@@ -238,8 +235,7 @@ RISK_TIERS = {
 def arbiter_decide(tier, proposed, counter_terms):
     """Auto-accept a counter whose differences all sit inside the tier;
     only the numeric paths can settle automatically."""
-    delta = diff(proposed, counter_terms)
-    changed = {edit.path[0] for edit in delta.edits}
+    changed = set(_changed_fields(proposed, counter_terms))
     if not changed:
         return ArbiterDecision.AUTO_ACCEPT
     if not changed.issubset(NUMERIC_PATHS):

@@ -125,10 +125,6 @@ class WalletSystem:
         if agent_id not in self._balances:
             raise UnknownAccount(f"no account for {agent_id!r}")
 
-    def _move(self, from_id, to_id, amount):
-        self._balances[from_id] -= amount
-        self._balances[to_id] += amount
-
     def _record(self, from_id, to_id, amount, purpose, session_id):
         payload = {"from": from_id, "to": to_id, "amount": amount, "purpose": purpose}
         if session_id:
@@ -141,11 +137,11 @@ class WalletSystem:
     def settle(self, payer_id, plan, purpose="settlement", session_id=""):
         """Pay out a whole split or nothing.
 
-        A split that would leave a balance past the 64-bit range, which
-        no ledger or transcript line can carry, raises before anything
-        moves. Balance movements happen next and roll back on any
-        failure; ledger entries are only written once every movement
-        succeeded, so a failed settle leaves neither balances nor chain
+        The balances after the split are worked out first. A split that
+        would leave a balance past the 64-bit range, which no ledger or
+        transcript line can carry, raises before anything moves; then
+        the new balances are stored in one update and the ledger entries
+        written, so a failed settle leaves neither balances nor chain
         touched.
         """
         self._require(payer_id)
@@ -155,22 +151,16 @@ class WalletSystem:
             raise InsufficientFunds(
                 f"{payer_id!r} holds {self._balances[payer_id]}, needs {plan.price}"
             )
-        snapshot = {payer_id: self._balances[payer_id]}
+        after = {payer_id: self._balances[payer_id]}
         for recipient_id, _ in plan.lines:
-            snapshot.setdefault(recipient_id, self._balances[recipient_id])
-        after = dict(snapshot)
+            after.setdefault(recipient_id, self._balances[recipient_id])
         for recipient_id, amount in plan.lines:
             after[payer_id] -= amount
             after[recipient_id] += amount
         for agent_id, balance in after.items():
             if balance > INT_MAX:
                 raise BalanceOverflow(f"{agent_id!r} would hold {balance}, past the 64-bit range")
-        try:
-            for recipient_id, amount in plan.lines:
-                self._move(payer_id, recipient_id, amount)
-        except BaseException:
-            self._balances.update(snapshot)
-            raise
+        self._balances.update(after)
         return [
             self._record(payer_id, recipient_id, amount, purpose, session_id)
             for recipient_id, amount in plan.lines

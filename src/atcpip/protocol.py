@@ -23,7 +23,7 @@ from typing import Optional
 from . import canon
 from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
 from .ledger import token_from_value, token_to_value
-from .terms import terms_from_value
+from .terms import delta_from_value, terms_from_value
 
 ACTIONS = (
     "request_info",
@@ -353,9 +353,10 @@ def provider_transition(session, event, agent):
 
         if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
             if event.action == "counter_terms":
+                delta = _parse_delta(event.body["suggestions"])
                 session.round = max(session.round, _round_of(event))
                 session.state = ProviderState.NEGOTIATING
-                return agent.evaluate_counter(session, event.body["suggestions"])
+                return agent.evaluate_counter(session, delta)
             if event.action == "accept_terms":
                 if event.body["terms_hash"] != session.terms_hash:
                     raise _violation(session, event)
@@ -570,6 +571,13 @@ def _parse_terms(session, value):
         return terms_from_value(value)
     except (ParseError, InvalidTerms) as exc:
         raise ProtocolViolation(f"terms in message do not parse: {exc}") from None
+
+
+def _parse_delta(value):
+    try:
+        return delta_from_value(value)
+    except ParseError as exc:
+        raise ProtocolViolation(f"counter suggestions do not parse: {exc}") from None
 
 
 def _is_split_line(line):

@@ -21,6 +21,7 @@ from .canon import fixed4
 from .errors import (
     AbortedExchange,
     AtcpipError,
+    InvalidResult,
     InvalidTerms,
     ParseError,
     ProtocolViolation,
@@ -61,7 +62,7 @@ from .protocol import (
     requester_refuse,
     requester_transition,
 )
-from .terms import LicenseTerms, apply_delta, delta_from_value, terms_hash
+from .terms import LicenseTerms, apply_delta, terms_hash
 from .trust import GateDecision, check_compatibility
 
 # Tags that make untagged-by-flag content licensable IP; anything else
@@ -401,16 +402,14 @@ class AgentRuntime:
         round_number = self.ledger.next_round(session.session_id)
         self.ledger.mint_draft(session.session_id, round_number, self.agent_id, terms)
 
-    def evaluate_counter(self, session, suggestions):
+    def evaluate_counter(self, session, delta):
         """Take the counter as it stands when the risk tier allows it,
-        otherwise revise toward it or refuse once the budget is spent."""
-        try:
-            delta = delta_from_value(suggestions)
-        except ParseError as exc:
-            raise ProtocolViolation(f"counter suggestions do not parse: {exc}") from None
+        otherwise revise toward it or refuse once the budget is spent. A
+        counter whose terms do not build is answered with the standing
+        offer."""
         try:
             countered = apply_delta(session.terms, delta)
-        except AtcpipError:
+        except InvalidResult:
             countered = None
         if countered is not None and (
             arbiter_decide(self.tier, session.terms, countered) is ArbiterDecision.AUTO_ACCEPT
@@ -420,7 +419,10 @@ class AgentRuntime:
             if session.revisions_used >= self.policy.max_rounds:
                 return provider_refuse(session, "negotiation budget exhausted")
             session.revisions_used += 1
-            revised = revise_terms(self.policy, session.terms, delta)
+            if countered is None:
+                revised = session.terms
+            else:
+                revised = revise_terms(self.policy, session.terms, countered)
         echo = revised == countered or revised == session.terms
         return provider_revise(session, self, revised, terms_hash(revised), echo)
 
@@ -524,7 +526,7 @@ class AgentRuntime:
                 return []
             try:
                 countered = apply_delta(terms, decision.delta)
-            except AtcpipError:
+            except InvalidResult:
                 self.remember("Own counter does not validate; going silent.")
                 return []
             return requester_counter(session, self, decision.delta.to_value(), countered)

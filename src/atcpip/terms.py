@@ -9,8 +9,12 @@ a value outside the domain (tags, dates, jurisdictions, modes, ranges)
 raises InvalidTerms with the whole violation report. Every route that
 builds terms (the constructor, ``replace``, ``terms_from_value``,
 ``apply_delta``) goes through that check, so a ``LicenseTerms`` that
-exists is valid and there is no separate ``validate``. ``diff`` and
-``apply_delta`` give negotiation a structural edit language.
+exists is valid and there is no separate ``validate``.
+
+Negotiation edits terms in one form only: a ``TermsDelta`` of
+whole-field sets, which is what a counter carries on the wire.
+``delta_from_value`` refuses any other edit, and ``apply_delta``
+replaces the named fields and builds the result.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -20,7 +24,7 @@ from functools import cached_property
 
 from . import canon
 from .canon import fixed4
-from .errors import InvalidResult, InvalidTerms, ParseError, UnknownPath
+from .errors import InvalidResult, InvalidTerms, ParseError
 
 PERPETUAL = "perpetual"
 
@@ -149,18 +153,21 @@ def terms_from_value(value):
     missing = set(FIELD_ORDER) - set(value)
     if missing:
         raise ParseError(f"missing terms field {sorted(missing)[0]!r}")
-    kwargs = {}
-    for name in FIELD_ORDER:
-        item = value[name]
-        if name in DECIMAL_FIELDS:
-            if isinstance(item, bool) or not isinstance(item, (int, Decimal)):
-                raise ParseError(f"{name} must be a number, got {item!r}")
-            item = fixed4(item)
-        kwargs[name] = item
+    kwargs = dict(value)
+    for name in DECIMAL_FIELDS:
+        kwargs[name] = _wire_decimal(name, kwargs[name])
     try:
         return LicenseTerms(**kwargs)
     except TypeError as exc:
         raise ParseError(f"bad terms document: {exc}") from None
+
+
+def _wire_decimal(name, value):
+    """A rate as the canonical format carries it: a non-bool integer or
+    a decimal, to four digits; a string is not a number there."""
+    if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
+        raise ParseError(f"{name} must be a number, got {value!r}")
+    return fixed4(value)
 
 
 @dataclass(frozen=True)
@@ -210,98 +217,55 @@ def terms_hash(terms):
     return terms._digest
 
 
-# -- structural diffs --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TermsEdit:
-    path: tuple
-    op: str  # "set" | "remove"
-    value: object = None
+# -- counter edits -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TermsDelta:
-    edits: tuple = ()
+    """Whole-field replacements, ``((field, value), ...)`` in send order."""
+
+    changes: tuple = ()
 
     def __bool__(self):
-        return bool(self.edits)
+        return bool(self.changes)
 
     def to_value(self):
-        out = []
-        for edit in self.edits:
-            item = {"path": list(edit.path), "op": edit.op}
-            if edit.op == "set":
-                item["value"] = edit.value
-            out.append(item)
-        return out
+        return [{"path": [name], "op": "set", "value": value} for name, value in self.changes]
+
+
+_EDIT_KEYS = frozenset({"op", "path", "value"})
 
 
 def delta_from_value(value):
+    """Parse counter suggestions; closed-world.
+
+    Each edit is exactly ``{"op": "set", "path": [field], "value": v}``
+    for one terms field, and a rate value must be a number.
+    """
     if not isinstance(value, list):
         raise ParseError("delta must be a list of edits")
-    edits = []
+    changes = []
     for item in value:
-        if not isinstance(item, dict) or "path" not in item or "op" not in item:
-            raise ParseError("each edit needs 'path' and 'op'")
+        if not isinstance(item, dict) or item.keys() != _EDIT_KEYS:
+            raise ParseError("each edit has exactly 'op', 'path' and 'value'")
+        if item["op"] != "set":
+            raise ParseError(f"unknown edit op {item['op']!r}")
         path = item["path"]
-        if not isinstance(path, list) or not all(isinstance(p, str) for p in path):
-            raise ParseError("edit path must be a list of strings")
-        op = item["op"]
-        if op not in ("set", "remove"):
-            raise ParseError(f"unknown edit op {op!r}")
-        if op == "set" and "value" not in item:
-            raise ParseError("set edit needs a value")
-        edits.append(TermsEdit(tuple(path), op, item.get("value")))
-    return TermsDelta(tuple(edits))
-
-
-def diff(old, new):
-    """Minimal edit list turning old into new, in schema order.
-
-    Tag collections diff per element (depth-2 paths), scalars as one
-    depth-1 set. ``apply_delta(old, diff(old, new)) == new`` always.
-    """
-    edits = []
-    for name in FIELD_ORDER:
-        ours, theirs = getattr(old, name), getattr(new, name)
-        if name in TAG_FIELDS:
-            removed = sorted(set(ours) - set(theirs))
-            added = sorted(set(theirs) - set(ours))
-            edits.extend(TermsEdit((name, tag), "remove") for tag in removed)
-            edits.extend(TermsEdit((name, tag), "set", True) for tag in added)
-        elif ours != theirs:
-            edits.append(TermsEdit((name,), "set", theirs))
-    return TermsDelta(tuple(edits))
+        if not isinstance(path, list) or len(path) != 1 or path[0] not in FIELD_ORDER:
+            raise ParseError(f"edit path must name one terms field, got {path!r}")
+        name, new = path[0], item["value"]
+        if name in DECIMAL_FIELDS:
+            new = _wire_decimal(name, new)
+        changes.append((name, new))
+    return TermsDelta(tuple(changes))
 
 
 def apply_delta(terms, delta):
-    """Apply every edit or raise; the result must be valid terms."""
-    doc = terms.to_value()
-    for edit in delta.edits:
-        if not edit.path or edit.path[0] not in FIELD_ORDER:
-            raise UnknownPath(f"no such terms field: {list(edit.path)}")
-        name = edit.path[0]
-        if len(edit.path) == 1:
-            if edit.op == "remove":
-                raise InvalidResult(f"{name} is required and cannot be removed")
-            doc[name] = list(edit.value) if isinstance(edit.value, tuple) else edit.value
-        elif len(edit.path) == 2 and name in TAG_FIELDS:
-            tag = edit.path[1]
-            current = set(doc[name])
-            if edit.op == "set":
-                current.add(tag)
-            elif tag in current:
-                current.remove(tag)
-            else:
-                raise UnknownPath(f"tag {tag!r} not present in {name}")
-            doc[name] = sorted(current)
-        else:
-            raise UnknownPath(f"path too deep for {name}: {list(edit.path)}")
+    """The terms with every change applied; InvalidResult when they
+    cannot be built."""
     try:
-        return terms_from_value(doc)
-    except ParseError as exc:
-        raise InvalidResult(f"edited terms do not parse: {exc}") from None
+        return replace(terms, **dict(delta.changes))
+    except TypeError as exc:
+        raise InvalidResult(f"edited terms do not build: {exc}") from None
     except InvalidTerms as exc:
         raise InvalidResult(f"edited terms fail validation: {exc.detail}") from None
-

@@ -9,7 +9,6 @@ holder of the chain reconstructs identical records.
 """
 
 from dataclasses import dataclass
-from decimal import Decimal
 
 from .errors import UnknownJurisdiction
 
@@ -120,24 +119,6 @@ _EVENT_FIELDS = {
 }
 
 
-# Score weight of one event of each kind; losses and violations subtract.
-SUCCESS_WEIGHT = Decimal("1.0000")
-WON_WEIGHT = Decimal("0.5000")
-LOST_WEIGHT = Decimal("2.0000")
-VIOLATION_WEIGHT = Decimal("1.5000")
-
-
-def score(record):
-    """Weighted reputation score, floored at zero."""
-    raw = (
-        SUCCESS_WEIGHT * record.successful_deals
-        + WON_WEIGHT * record.disputes_won
-        - LOST_WEIGHT * record.disputes_lost
-        - VIOLATION_WEIGHT * record.compliance_violations
-    )
-    return max(Decimal("0.0000"), raw)
-
-
 class ReputationBoard:
     """Live counters backed by ledger reputation events."""
 
@@ -158,9 +139,6 @@ class ReputationBoard:
         updated = self.record(agent_id).bump(event)
         self._records[agent_id] = updated
         return updated
-
-    def score(self, agent_id):
-        return score(self.record(agent_id))
 
 
 def replay_records(entries):

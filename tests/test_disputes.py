@@ -14,7 +14,7 @@ from atcpip.errors import (
     UnknownDispute,
     UnknownLicense,
 )
-from atcpip.ledger import Ledger
+from atcpip.ledger import GENESIS_HASH, Ledger, chain_entry_hash
 from atcpip.payments import SplitPlan, WalletSystem
 from atcpip.scenario import scenario_from_bytes
 from atcpip.sim import run_scenario
@@ -389,3 +389,37 @@ def test_dispute_over_a_session_without_agreement_is_a_typed_error(tmp_path, cap
     export.write_bytes(canon.dumps(book.export_entries()) + b"\n")
     assert main(["export-evidence", "--ledger", str(export), "--dispute", "d1"]) == 2
     assert "error: session 'nope' has no agreement" in capsys.readouterr().err
+
+
+def forge_jurisdiction(draft):
+    draft["terms"]["jurisdiction"] = "ZZ"
+    draft["terms_hash"] = canon.hash_value(draft["terms"])
+
+
+def drop_terms(draft):
+    del draft["terms"]
+
+
+@pytest.mark.parametrize("forge", [forge_jurisdiction, drop_terms])
+def test_forged_draft_terms_are_no_evidence_of_a_clause(forge):
+    _, world = run_scenario(golden_scenario("uc1_dataset"))
+    exported = canon.loads(canon.dumps(world.ledger.export_entries()))
+    draft = next(entry["payload"] for entry in exported if entry["kind"] == "draft_token")
+    forge(draft)
+    previous = GENESIS_HASH
+    for entry in exported:
+        entry["payload_hash"] = canon.hash_value(entry["payload"])
+        entry["entry_hash"] = previous = chain_entry_hash(previous, entry["payload_hash"])
+    clone = Ledger.from_export(exported)
+    court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    token = clone.session_agreement(draft["session_id"])
+    claim = court.file_dispute(
+        draft["session_id"],
+        token.metadata.holder_id,
+        token.metadata.issuer_id,
+        "misrepresentation",
+        asserted_clause=("jurisdiction", "ZZ"),
+    )
+    verdict = court.arbitrate(claim.dispute_id)
+    assert verdict.winner_id == token.metadata.issuer_id
+    assert verdict.rationale == "clause_absent_from_record"

@@ -12,7 +12,8 @@ is set by arguments and scenario files only, so no module under
 changes belong to the protocol, so no module under ``src/`` but
 ``protocol.py`` may assign an attribute named ``state``. A public
 function or method under ``src/`` must be called or named somewhere
-under ``src/``, so helpers that only tests call do not come back.
+under ``src/``, outside a ``def`` of the same name, so helpers that only
+tests call do not come back.
 """
 
 import ast
@@ -119,7 +120,10 @@ def unreferenced_functions(sources):
     """(label, line, name) for each public module-level function and
     public method of a module-level class in ``sources`` (label -> text)
     whose name appears in no module there as a name or an attribute. The
-    ``def`` statement itself is not a reference."""
+    ``def`` statement itself is not a reference, and neither is a name
+    used in the body of a ``def`` of the same name, so a method that only
+    calls the module function it shares a name with, or a function that
+    only calls itself, references neither."""
     defined, referenced = [], set()
     for label, source in sources.items():
         tree = ast.parse(source)
@@ -128,11 +132,18 @@ def unreferenced_functions(sources):
             if isinstance(node, ast.ClassDef):
                 members += [item for item in node.body if isinstance(item, ast.FunctionDef)]
         defined += [(label, node.lineno, node.name) for node in members]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+        pending = [(tree, frozenset())]
+        while pending:
+            node, inside = pending.pop()
+            if isinstance(node, ast.Name) and node.id not in inside:
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and node.attr not in inside:
                 referenced.add(node.attr)
+            for child in ast.iter_child_nodes(node):
+                if isinstance(node, ast.FunctionDef) and child in node.body:
+                    pending.append((child, inside | {node.name}))
+                else:
+                    pending.append((child, inside))
     return sorted(
         (label, line, name)
         for label, line, name in defined
@@ -248,10 +259,20 @@ def test_unreferenced_functions_are_found():
         "        return A().called()\n"
         "    def __repr__(self):\n"
         "        return 'A'\n"
+        "def rank(record):\n"
+        "    return record\n"
+        "class B:\n"
+        "    def rank(self, n):\n"
+        "        return rank(n) + B().rank(n - 1)\n"
+        "def countdown(n):\n"
+        "    return countdown(n - 1) if n else used()\n"
     )
     assert unreferenced_functions({"a.py": source}) == [
         ("a.py", 3, "only_tests"),
         ("a.py", 14, "orphan"),
+        ("a.py", 18, "rank"),
+        ("a.py", 21, "rank"),
+        ("a.py", 23, "countdown"),
     ]
 
 

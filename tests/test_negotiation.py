@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atcpip import canon
 from atcpip.errors import UnknownPath
 from atcpip.negotiation import (
     RISK_TIERS,
@@ -22,8 +23,9 @@ from atcpip.negotiation import (
     revise_terms,
 )
 from atcpip.protocol import ProviderState, RequesterState
-from atcpip.terms import TermsDelta, TermsEdit, apply_delta, terms_hash
+from atcpip.terms import apply_delta, delta_from_value, terms_hash
 from conftest import make_terms, negotiate, pump
+from strategies import valid_terms
 
 
 def requester_policy(**kwargs):
@@ -59,9 +61,7 @@ def test_counter_clamps_to_own_bound():
     offer = make_terms(royalty_rate="0.30", upfront_fee=15)
     decision = evaluate_offer(requester_policy(), offer)
     assert isinstance(decision, Counter)
-    assert decision.delta.edits == (
-        TermsEdit(("royalty_rate",), "set", Decimal("0.1000")),
-    )
+    assert decision.delta.changes == (("royalty_rate", Decimal("0.1000")),)
     countered = apply_delta(offer, decision.delta)
     assert countered.royalty_rate == Decimal("0.1000")
 
@@ -83,9 +83,30 @@ def test_choice_and_set_bounds():
     offer = make_terms(transferability="non_transferable", scope=["personal", "commercial"])
     decision = evaluate_offer(policy, offer)
     assert isinstance(decision, Counter)
-    edits = {edit.path[0]: edit.value for edit in decision.delta.edits}
+    edits = dict(decision.delta.changes)
     assert edits["transferability"] == "transferable"
     assert edits["scope"] == ["personal"]
+
+
+@given(valid_terms())
+def test_counter_deltas_survive_the_wire(offer):
+    policy = requester_policy(
+        bounds={
+            "royalty_rate": NumericBound(Decimal("0.0500"), Decimal("0.1000")),
+            "upfront_fee": NumericBound(10, 10**6),
+            "duration": ChoiceBound(("2030-12-31", "perpetual")),
+            "scope": SetBound({"personal", "commercial"}),
+            "ip_restrictions": SetBound({"read_only"}),
+        }
+    )
+    decision = evaluate_offer(policy, offer)
+    if not isinstance(decision, Counter):
+        return
+    wire = canon.loads(canon.dumps(decision.delta.to_value()))
+    assert all(edit.keys() == {"op", "path", "value"} and len(edit["path"]) == 1 for edit in wire)
+    assert delta_from_value(wire) == decision.delta
+    countered = apply_delta(offer, decision.delta)
+    assert isinstance(evaluate_offer(policy, countered), Accept)
 
 
 def test_policy_rejects_unknown_bound_paths():
@@ -99,7 +120,7 @@ def test_policy_rejects_unknown_bound_paths():
 
 def test_revision_accepts_in_bound_counter_verbatim():
     own = make_terms(royalty_rate="0.20", upfront_fee=50)
-    counter = TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("0.1000")),))
+    counter = own.replace(royalty_rate=Decimal("0.1000"))
     revised = revise_terms(provider_policy(), own, counter)
     assert revised.royalty_rate == Decimal("0.1000")
     assert revised.upfront_fee == 50
@@ -107,25 +128,22 @@ def test_revision_accepts_in_bound_counter_verbatim():
 
 def test_revision_concedes_partway_toward_out_of_bound_counter():
     own = make_terms(royalty_rate="0.20", upfront_fee=50)
-    counter = TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("0.0000")),))
+    counter = own.replace(royalty_rate=Decimal("0.0000"))
     revised = revise_terms(provider_policy(), own, counter)
     # halfway from 0.20 toward 0.00, still above the 0.05 floor
     assert revised.royalty_rate == Decimal("0.1000")
-    counter_fee = TermsDelta((TermsEdit(("upfront_fee",), "set", 0),))
+    counter_fee = own.replace(upfront_fee=0)
     assert revise_terms(provider_policy(), own, counter_fee).upfront_fee == 25
     # concession clamped at the bound when the midpoint would cross it
     own_low = make_terms(royalty_rate="0.06", upfront_fee=50)
-    revised_low = revise_terms(provider_policy(), own_low, counter)
+    revised_low = revise_terms(provider_policy(), own_low, own_low.replace(royalty_rate=Decimal(0)))
     assert revised_low.royalty_rate == Decimal("0.0500")
 
 
 def test_revision_keeps_non_negotiable_and_unacceptable_values():
     policy = provider_policy(non_negotiable=frozenset({"upfront_fee"}))
     own = make_terms(royalty_rate="0.20", upfront_fee=50)
-    counter = TermsDelta((
-        TermsEdit(("upfront_fee",), "set", 10),
-        TermsEdit(("transferability",), "set", "transferable"),
-    ))
+    counter = own.replace(upfront_fee=10, transferability="transferable")
     revised = revise_terms(policy, own, counter)
     assert revised.upfront_fee == 50
     # no bound on transferability: counter value accepted
@@ -135,9 +153,12 @@ def test_revision_keeps_non_negotiable_and_unacceptable_values():
 def test_revision_falls_back_when_blend_breaks_validation():
     policy = NegotiationPolicy(
         bounds={"royalty_rate": NumericBound(Decimal("0"), Decimal("1"))},
+        non_negotiable={"rev_share"},
     )
     own = make_terms(royalty_rate="0.20", rev_share="0.50")
-    counter = TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("0.6000")),))
+    # The counter is valid (0.6 + 0.3), but keeping our rev_share while
+    # taking its royalty would sum to 1.1.
+    counter = own.replace(royalty_rate=Decimal("0.6000"), rev_share=Decimal("0.3000"))
     assert revise_terms(policy, own, counter) == own
 
 

@@ -186,25 +186,6 @@ def test_settle_requires_full_price_upfront():
     assert len(book) == 0
 
 
-def test_settle_rolls_back_on_injected_failure(monkeypatch):
-    book, wallet = wallet_fixture()
-    plan = compute_split(100, "bob", [obligation("carol", "0.15")])
-    calls = {"n": 0}
-    real_move = WalletSystem._move
-
-    def flaky_move(self, from_id, to_id, amount):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise RuntimeError("injected")
-        real_move(self, from_id, to_id, amount)
-
-    monkeypatch.setattr(WalletSystem, "_move", flaky_move)
-    with pytest.raises(RuntimeError):
-        wallet.settle("alice", plan)
-    assert wallet.balances() == {"alice": 100, "bob": 0, "carol": 0}
-    assert len(book) == 0
-
-
 def test_settle_to_unknown_recipient_changes_nothing():
     book, wallet = wallet_fixture()
     plan = compute_split(100, "mallory", [obligation("carol", "0.15")])

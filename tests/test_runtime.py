@@ -2,6 +2,8 @@
 
 from decimal import Decimal
 
+import pytest
+
 from atcpip.negotiation import (
     NegotiationPolicy,
     NumericBound,
@@ -526,6 +528,38 @@ def test_token_with_swapped_parties_is_refused():
     assert prov.state is ProviderState.FAILED
     assert prov.failure_reason == NO_TOKEN_FAILURE
     assert ledger.session_agreement("s1") is None
+
+
+RATE_EDIT = {"op": "set", "path": ["royalty_rate"], "value": Decimal("0.0400")}
+
+
+@pytest.mark.parametrize(
+    "suggestions",
+    [
+        [{"op": "set", "path": ["no_such_field"], "value": 1}],
+        [{"op": "set", "path": ["scope", "commercial"], "value": True}],
+        [{"op": "remove", "path": ["scope", "personal"]}],
+        [dict(RATE_EDIT, value="0.0400")],
+        [dict(RATE_EDIT, note="cheaper")],
+        [{"op": "set", "path": ["royalty_rate"]}],
+    ],
+    ids=["unknown_field", "deep_path", "remove", "string_rate", "extra_key", "missing_value"],
+)
+def test_malformed_counter_is_a_protocol_violation_before_any_revision(suggestions):
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    msgs = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
+    step(runtimes, msgs)  # request_info -> propose_terms
+    counter = ProtocolMessage(
+        "s1", 1, "req", "prov", "counter_terms", {"suggestions": suggestions, "round": 1}
+    )
+    assert runtimes["prov"].receive_message(counter) == []
+    prov = runtimes["prov"].session("s1")
+    assert runtimes["prov"].memory_texts()[-1].startswith(
+        "Protocol violation: counter suggestions do not parse:"
+    )
+    assert prov.revisions_used == 0
+    assert prov.state is ProviderState.TERMS_PROPOSED
+    assert prov.terms == IP_TERMS
 
 
 def test_expired_timer_on_terminal_session_is_ignored():

@@ -1,4 +1,4 @@
-"""Terms schema: normalization, validation at construction, hashing, diff/apply."""
+"""Terms schema: normalization, validation at construction, hashing, counter edits."""
 
 import dataclasses
 import re
@@ -16,20 +16,17 @@ from atcpip.errors import (
     InvalidResult,
     InvalidTerms,
     ParseError,
-    UnknownPath,
 )
 from atcpip.terms import (
     DISPUTE_RESOLUTION_MODES,
     FIELD_ORDER,
     JURISDICTIONS,
     SCOPE_TAGS,
-    TAG_FIELDS,
     TRANSFERABILITY_MODES,
     LicenseTerms,
     TermsDelta,
-    TermsEdit,
     apply_delta,
-    diff,
+    delta_from_value,
     terms_from_value,
     terms_hash,
 )
@@ -144,7 +141,7 @@ def test_no_route_builds_invalid_terms():
         assert [(v.path, v.reason) for v in exc.value.violations] == [
             (("royalty_rate",), "out of range [0,1]")
         ]
-    edit = TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("1.5000")),))
+    edit = TermsDelta((("royalty_rate", Decimal("1.5000")),))
     with pytest.raises(InvalidResult, match=r"^edited terms fail validation: royalty_rate: out of"):
         apply_delta(base, edit)
 
@@ -193,69 +190,101 @@ def test_from_value_rejects_unknown_and_missing_fields():
             terms_from_value(doc)
 
 
-# -- diff / apply ------------------------------------------------------------
+# -- counter edits -----------------------------------------------------------
 
 
-def test_diff_single_scalar_change():
+def test_apply_sets_one_scalar_field():
     base = make_terms()
     raised = base.replace(royalty_rate=Decimal("0.1000"))
-    delta = diff(base, raised)
-    assert delta.edits == (TermsEdit(("royalty_rate",), "set", Decimal("0.1000")),)
+    delta = TermsDelta((("royalty_rate", Decimal("0.1000")),))
+    assert delta.to_value() == [{"op": "set", "path": ["royalty_rate"], "value": Decimal("0.1000")}]
     assert apply_delta(base, delta) == raised
 
 
-def test_diff_tag_changes_use_depth_two_paths():
-    base = make_terms(scope=["personal"])
-    other = base.replace(scope=("commercial",))
-    delta = diff(base, other)
-    assert delta.edits == (
-        TermsEdit(("scope", "personal"), "remove"),
-        TermsEdit(("scope", "commercial"), "set", True),
-    )
-    assert apply_delta(base, delta) == other
-
-
-def test_diff_identity_is_empty():
+def test_empty_delta_changes_nothing():
     base = make_terms()
-    assert diff(base, base) == TermsDelta(())
+    assert not TermsDelta(())
     assert apply_delta(base, TermsDelta(())) == base
+    assert delta_from_value([]) == TermsDelta(())
 
 
 def test_apply_rejects_unknown_paths():
     base = make_terms()
-    with pytest.raises(UnknownPath):
-        apply_delta(base, TermsDelta((TermsEdit(("no_such_field",), "set", 1),)))
-    with pytest.raises(UnknownPath):
-        apply_delta(base, TermsDelta((TermsEdit(("royalty_rate", "deep"), "set", 1),)))
-    with pytest.raises(UnknownPath):
-        apply_delta(base, TermsDelta((TermsEdit(("scope", "commercial"), "remove"),)))
+    with pytest.raises(InvalidResult):
+        apply_delta(base, TermsDelta((("no_such_field", 1),)))
 
 
 def test_apply_rejects_result_that_fails_validation():
     base = make_terms()
     with pytest.raises(InvalidResult):
-        apply_delta(base, TermsDelta((TermsEdit(("royalty_rate",), "set", Decimal("1.5000")),)))
+        apply_delta(base, TermsDelta((("royalty_rate", Decimal("1.5000")),)))
     with pytest.raises(InvalidResult):
-        apply_delta(base, TermsDelta((TermsEdit(("duration",), "set", "whenever"),)))
+        apply_delta(base, TermsDelta((("duration", "whenever"),)))
+    with pytest.raises(InvalidResult, match=r"^edited terms do not build: upfront_fee"):
+        apply_delta(base, TermsDelta((("upfront_fee", "10"),)))
     with pytest.raises(InvalidResult):
-        apply_delta(base, TermsDelta((TermsEdit(("name",), "remove"),)))
+        apply_delta(base, TermsDelta((("scope", "personal"),)))
 
 
 def test_apply_whole_list_set_on_tag_field():
     base = make_terms(scope=["personal"])
-    out = apply_delta(base, TermsDelta((TermsEdit(("scope",), "set", ["commercial", "personal"]),)))
+    out = apply_delta(base, TermsDelta((("scope", ["commercial", "personal"]),)))
     assert out.scope == ("commercial", "personal")
 
 
-@given(valid_terms(), valid_terms())
-def test_apply_diff_round_trips(a, b):
-    assert apply_delta(a, diff(a, b)) == b
+def test_delta_from_value_reads_whole_field_sets():
+    wire = [
+        {"op": "set", "path": ["royalty_rate"], "value": 0},
+        {"op": "set", "path": ["scope"], "value": ["commercial"]},
+        {"op": "set", "path": ["upfront_fee"], "value": 7},
+    ]
+    delta = delta_from_value(wire)
+    assert delta == TermsDelta(
+        (("royalty_rate", Decimal("0.0000")), ("scope", ["commercial"]), ("upfront_fee", 7))
+    )
+    assert delta.to_value() == [dict(wire[0], value=Decimal("0.0000")), *wire[1:]]
+
+
+SET_RATE = {"op": "set", "path": ["royalty_rate"], "value": Decimal("0.1000")}
+
+
+@pytest.mark.parametrize(
+    "suggestions",
+    [
+        {"edits": []},
+        [["set", "royalty_rate", 0]],
+        [{"op": "set", "path": ["no_such_field"], "value": 1}],
+        [{"op": "set", "path": ["scope", "commercial"], "value": True}],
+        [{"op": "set", "path": [], "value": 1}],
+        [{"op": "set", "path": "royalty_rate", "value": 0}],
+        [{"op": "remove", "path": ["scope", "personal"]}],
+        [{"op": "remove", "path": ["name"], "value": None}],
+        [dict(SET_RATE, value="0.1")],
+        [dict(SET_RATE, value=True)],
+        [{"op": "set", "path": ["rev_share"], "value": None}],
+        [dict(SET_RATE, note="x")],
+        [{"op": "set", "path": ["royalty_rate"]}],
+        [SET_RATE, {"path": ["upfront_fee"], "value": 1}],
+    ],
+    ids=[
+        "not_a_list", "not_a_map", "unknown_field", "deep_path", "empty_path", "string_path",
+        "remove_tag", "remove_field", "string_rate", "bool_rate", "null_rate", "extra_key",
+        "missing_value", "missing_op",
+    ],
+)
+def test_delta_from_value_refuses_every_other_edit(suggestions):
+    with pytest.raises(ParseError):
+        delta_from_value(suggestions)
 
 
 @given(valid_terms(), valid_terms())
-def test_diff_then_hash_matches_target(a, b):
-    assert terms_hash(apply_delta(a, diff(a, b))) == terms_hash(b)
-
+def test_setting_every_field_of_b_on_a_gives_b(a, b):
+    delta = TermsDelta(tuple((name, getattr(b, name)) for name in FIELD_ORDER))
+    edited = apply_delta(a, delta)
+    assert edited == b
+    assert terms_hash(edited) == terms_hash(b)
+    wire = canon.loads(canon.dumps(delta.to_value()))
+    assert apply_delta(a, delta_from_value(wire)) == b
 
 
 # -- the domain rules, restated ------------------------------------------------
@@ -322,12 +351,7 @@ def edit_lists(draw):
     edits = []
     for _ in range(draw(st.integers(0, 4))):
         name = draw(st.sampled_from(FIELD_ORDER))
-        if name in TAG_FIELDS and draw(st.booleans()):
-            tag = draw(st.sampled_from(["", "resale", "personal", "commercial", "breach"]))
-            op = draw(st.sampled_from(["set", "remove"]))
-            edits.append(TermsEdit((name, tag), op, True if op == "set" else None))
-        else:
-            edits.append(TermsEdit((name,), "set", values[name]))
+        edits.append((name, values[name]))
     return TermsDelta(tuple(edits))
 
 
@@ -335,6 +359,6 @@ def edit_lists(draw):
 def test_apply_delta_never_returns_terms_the_oracle_rejects(base, delta):
     try:
         edited = apply_delta(base, delta)
-    except (InvalidResult, UnknownPath):
+    except InvalidResult:
         return
     assert oracle_paths(edited.to_value()) == Counter()

@@ -1,6 +1,4 @@
-"""Trust: gate decisions, reputation folds, score weighting."""
-
-from decimal import Decimal
+"""Trust: gate decisions and reputation folds."""
 
 import pytest
 from hypothesis import given
@@ -9,10 +7,6 @@ from hypothesis import strategies as st
 from atcpip.errors import UnknownJurisdiction
 from atcpip.ledger import Ledger
 from atcpip.trust import (
-    LOST_WEIGHT,
-    SUCCESS_WEIGHT,
-    VIOLATION_WEIGHT,
-    WON_WEIGHT,
     CompatibilityRules,
     JurisdictionProfile,
     JurisdictionRegistry,
@@ -20,7 +14,6 @@ from atcpip.trust import (
     ReputationRecord,
     check_compatibility,
     replay_records,
-    score,
 )
 from conftest import make_terms
 
@@ -68,16 +61,6 @@ def test_registry_lookup():
 # -- reputation -----------------------------------------------------------------
 
 
-def test_score_weights_and_floor():
-    record = ReputationRecord("a", successful_deals=3, disputes_won=2,
-                              disputes_lost=1, compliance_violations=1)
-    # 1.0*3 + 0.5*2 - 2.0*1 - 1.5*1 = 0.5
-    assert score(record) == Decimal("0.5")
-    bad = ReputationRecord("b", disputes_lost=5)
-    assert score(bad) == Decimal("0.0000")
-    assert score(ReputationRecord("c")) == 0
-
-
 def test_board_appends_events_and_counts():
     book = Ledger()
     board = ReputationBoard(book)
@@ -85,7 +68,6 @@ def test_board_appends_events_and_counts():
     board.record_outcome("alice", "dispute_lost")
     record = board.record("alice")
     assert (record.successful_deals, record.disputes_lost) == (1, 1)
-    assert board.score("alice") == score(record)
     assert [e.payload["event"] for e in book.entries()] == ["deal_completed", "dispute_lost"]
     with pytest.raises(ValueError):
         board.record_outcome("alice", "meteor_strike")
@@ -115,9 +97,3 @@ def test_replay_reconstructs_board_state(events):
         board.record_outcome(agent_id, event)
     assert replay_records(book.entries()) == board.records()
 
-
-def test_default_weights_values():
-    assert SUCCESS_WEIGHT == Decimal("1.0")
-    assert LOST_WEIGHT == Decimal("2.0")
-    assert VIOLATION_WEIGHT == Decimal("1.5")
-    assert WON_WEIGHT == Decimal("0.5")
