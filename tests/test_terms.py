@@ -277,14 +277,22 @@ def test_delta_from_value_refuses_every_other_edit(suggestions):
         delta_from_value(suggestions)
 
 
+def every_field_of(b):
+    """The delta that sets every field to its value in b."""
+    return TermsDelta(tuple((name, getattr(b, name)) for name in FIELD_ORDER))
+
+
 @given(valid_terms(), valid_terms())
-def test_setting_every_field_of_b_on_a_gives_b(a, b):
-    delta = TermsDelta(tuple((name, getattr(b, name)) for name in FIELD_ORDER))
-    edited = apply_delta(a, delta)
-    assert edited == b
-    assert terms_hash(edited) == terms_hash(b)
+def test_apply_diff_round_trips(a, b):
+    delta = every_field_of(b)
+    assert apply_delta(a, delta) == b
     wire = canon.loads(canon.dumps(delta.to_value()))
     assert apply_delta(a, delta_from_value(wire)) == b
+
+
+@given(valid_terms(), valid_terms())
+def test_diff_then_hash_matches_target(a, b):
+    assert terms_hash(apply_delta(a, every_field_of(b))) == terms_hash(b)
 
 
 # -- the domain rules, restated ------------------------------------------------
