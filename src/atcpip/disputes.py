@@ -282,9 +282,7 @@ class DisputeCourt:
     def _judge_payment_default(self, claim, evidence):
         required = _final_terms(evidence).upfront_fee
         paid = sum(
-            entry.payload["amount"]
-            for entry in evidence.entries
-            if entry.kind == "payment"
+            _paid_amount(entry.payload) for entry in evidence.entries if entry.kind == "payment"
         )
         if paid < required:
             return True, "payments_deficient"
@@ -300,7 +298,7 @@ class DisputeCourt:
                 entry.kind == "reputation_event"
                 and entry.payload.get("event") == USAGE_EVENT
                 and entry.payload.get("agent_id") == claim.respondent_id
-                and banned.intersection(entry.payload.get("tags", ()))
+                and banned.intersection(_usage_tags(entry.payload))
             ):
                 return True, "usage_outside_restrictions"
         return False, "usage_within_restrictions"
@@ -327,6 +325,22 @@ def _final_terms(evidence):
         if entry.kind == "agreement_token":
             return terms_from_value(entry.payload["terms"])
     raise UnknownLicense(f"no agreement entry for dispute {evidence.claim.dispute_id!r}")
+
+
+def _paid_amount(payment):
+    """A payment's amount; import does not check it, and one that is not
+    an integer pays nothing."""
+    amount = payment.get("amount")
+    return amount if isinstance(amount, int) and not isinstance(amount, bool) else 0
+
+
+def _usage_tags(event):
+    """A usage event's tags; import does not check them, and tags that
+    are not a list of strings are no usage."""
+    tags = event.get("tags")
+    if isinstance(tags, list) and all(isinstance(tag, str) for tag in tags):
+        return tags
+    return ()
 
 
 def _clause_in_terms(clause, terms):

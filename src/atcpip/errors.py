@@ -70,10 +70,6 @@ class ExpiredTerms(AtcpipError):
     """Token would be minted already expired."""
 
 
-class NonMonotonicRound(AtcpipError):
-    """Draft round numbers must increase by exactly one per session."""
-
-
 class UnknownLicense(AtcpipError):
     """license_id does not resolve to a committed agreement token."""
 

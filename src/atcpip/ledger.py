@@ -24,7 +24,6 @@ from .errors import (
     DuplicateAgent,
     ExpiredTerms,
     MalformedDate,
-    NonMonotonicRound,
     ParseError,
     TamperedLedger,
     UnknownAgent,
@@ -233,10 +232,11 @@ def _metadata_signing_bytes(metadata, link_to_terms):
 class Ledger:
     """Append-only entry list plus the indexes derived from it.
 
-    All indexes (committed tokens, per-session draft rounds, revocations,
-    and the heights that dispute evidence is read from) are maintained
-    inside the one append path, so replaying an exported entry list
-    through it (``from_export``) reconstructs the same state.
+    All indexes (committed tokens, each session's last draft round,
+    which numbers its next draft, revocations, and the heights that
+    dispute evidence is read from) are maintained inside the one append
+    path, so replaying an exported entry list through it
+    (``from_export``) reconstructs the same state.
     """
 
     def __init__(self, current_date="2024-01-01"):
@@ -366,22 +366,16 @@ class Ledger:
 
     # -- draft tokens ---------------------------------------------------------
 
-    def next_round(self, session_id):
-        return self._session_rounds.get(session_id, 0) + 1
-
-    def mint_draft(self, session_id, round_number, proposer_id, terms):
+    def mint_draft(self, session_id, proposer_id, terms):
+        """Append the session's next draft; a session's drafts are
+        numbered 1, 2, 3, ... in the order they are minted."""
         if not self.keys.known(proposer_id):
             raise UnknownAgent(f"unknown proposer {proposer_id!r}")
-        if round_number != self.next_round(session_id):
-            raise NonMonotonicRound(
-                f"session {session_id!r} expects round {self.next_round(session_id)},"
-                f" got {round_number}"
-            )
         return self.append(
             "draft_token",
             {
                 "session_id": session_id,
-                "round": round_number,
+                "round": self._session_rounds.get(session_id, 0) + 1,
                 "proposer_id": proposer_id,
                 "terms": terms.to_value(),
                 "terms_hash": terms_hash(terms),

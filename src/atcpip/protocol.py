@@ -23,7 +23,7 @@ from typing import Optional
 from . import canon
 from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
 from .ledger import token_from_value, token_to_value
-from .terms import delta_from_value, terms_from_value
+from .terms import delta_from_value, terms_from_value, terms_hash
 
 ACTIONS = (
     "request_info",
@@ -233,6 +233,10 @@ class TimerExpired:
 
 @dataclass
 class ProviderSession:
+    """The provider's side of one session: ``terms`` as it last sent
+    them and ``previous_license_id`` as its proposal named it. The
+    digest and the fee are read from ``terms``, not stored."""
+
     session_id: str
     provider_id: str
     requester_id: str
@@ -241,11 +245,9 @@ class ProviderSession:
     content_id: str = ""
     request_body: dict = field(default_factory=dict)
     terms: object = None
-    terms_hash: str = ""
     previous_license_id: Optional[str] = None
     round: int = 0
     revisions_used: int = 0
-    plan_amount: int = 0
     unconfirmed: bool = False
     committed_token: object = None
     acknowledged: bool = False
@@ -270,18 +272,19 @@ class ProviderSession:
 
 @dataclass
 class RequesterSession:
+    """The requester's side of one session: ``terms`` and
+    ``previous_license_id`` as the provider sent them."""
+
     session_id: str
     requester_id: str
     provider_id: str
     config: SessionConfig
     state: RequesterState = RequesterState.REQUESTING
     content_id: str = ""
-    offered_terms: object = None
-    offered_previous_license_id: Optional[str] = None
+    terms: object = None
+    previous_license_id: Optional[str] = None
     round: int = 0
     counters_used: int = 0
-    accepted_terms: object = None
-    accepted_terms_hash: str = ""
     received_token: object = None
     content: object = None
     content_licensed: bool = False
@@ -358,12 +361,13 @@ def provider_transition(session, event, agent):
                 session.state = ProviderState.NEGOTIATING
                 return agent.evaluate_counter(session, delta)
             if event.action == "accept_terms":
-                if event.body["terms_hash"] != session.terms_hash:
+                if event.body["terms_hash"] != terms_hash(session.terms):
                     raise _violation(session, event)
                 return _provider_enter_settlement(session, agent)
 
         if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
-            if event.body["amount"] != session.plan_amount:
+            amount = event.body["amount"]
+            if not _is_amount(amount) or amount != session.terms.upfront_fee:
                 raise _violation(session, event)
             session.state = ProviderState.AWAITING_TOKEN
             return []
@@ -411,9 +415,7 @@ def _round_of(event):
 def _provider_enter_settlement(session, agent):
     if session.terms is not None and session.terms.upfront_fee > 0:
         session.state = ProviderState.AWAITING_PAYMENT
-        plan = agent.payment_plan(session)
-        session.plan_amount = plan.price
-        return [_send(session, "payment_required", plan.to_value())]
+        return [_send(session, "payment_required", agent.payment_plan(session).to_value())]
     session.state = ProviderState.AWAITING_TOKEN
     return []
 
@@ -421,10 +423,9 @@ def _provider_enter_settlement(session, agent):
 # -- provider steps: the runtime's decisions, applied ---------------------------
 
 
-def provider_propose(session, agent, terms, digest, previous_license_id=None):
+def provider_propose(session, agent, terms, previous_license_id=None):
     """Offer opening terms: mint them as a draft, then send them."""
     session.terms = terms
-    session.terms_hash = digest
     session.previous_license_id = previous_license_id
     session.round += 1
     session.state = ProviderState.TERMS_PROPOSED
@@ -453,11 +454,10 @@ def provider_non_ip(session, agent, content):
     return [notice]
 
 
-def provider_revise(session, agent, terms, digest, echo):
+def provider_revise(session, agent, terms, echo):
     """Answer a counter with final terms; ``echo`` terms (the counter
     itself or the standing offer) are not minted again."""
     session.terms = terms
-    session.terms_hash = digest
     session.round += 1
     if not echo:
         agent.mint_draft(session, terms)
@@ -509,21 +509,17 @@ def requester_transition(session, event, agent):
             state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
             and event.action in ("propose_terms", "final_terms")
         ):
-            session.offered_terms = _parse_terms(session, event.body["terms"])
-            session.offered_previous_license_id = event.body.get("previous_license_id")
+            session.terms = _parse_terms(session, event.body["terms"])
+            if event.action == "propose_terms":  # final terms revise the terms only
+                session.previous_license_id = event.body.get("previous_license_id")
             session.round = max(session.round, _round_of(event))
             session.state = RequesterState.EVALUATING_TERMS
-            return agent.answer_offer(session, session.offered_terms)
+            return agent.answer_offer(session)
 
         if state is RequesterState.PAYING and event.action == "payment_required":
             amount = event.body["amount"]
             split = event.body["split"]
-            if (
-                isinstance(amount, bool)
-                or not isinstance(amount, int)
-                or session.accepted_terms is None
-                or amount != session.accepted_terms.upfront_fee
-            ):
+            if not _is_amount(amount) or amount != session.terms.upfront_fee:
                 raise _violation(session, event)
             if not isinstance(split, list) or not all(map(_is_split_line, split)):
                 raise _violation(session, event)
@@ -533,7 +529,7 @@ def requester_transition(session, event, agent):
 
         if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
             token = _parse_token(session, event.body["token"])
-            if token.height is None or token.terms_hash != session.accepted_terms_hash:
+            if token.height is None or token.terms_hash != terms_hash(session.terms):
                 raise _violation(session, event)
             session.received_token = token
             session.content = event.body["content"]
@@ -586,13 +582,13 @@ def _is_split_line(line):
     if not isinstance(line, dict) or set(line) != {"to", "amount"}:
         return False
     payee, amount = line["to"], line["amount"]
-    return (
-        isinstance(payee, str)
-        and bool(payee)
-        and isinstance(amount, int)
-        and not isinstance(amount, bool)
-        and amount >= 0
-    )
+    return isinstance(payee, str) and bool(payee) and _is_amount(amount) and amount >= 0
+
+
+def _is_amount(value):
+    """Money on the wire is a whole number of micro-credits; a boolean
+    or a decimal is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_token(session, value):
@@ -616,12 +612,10 @@ def requester_open(session, content_id, jurisdiction=None, offer=None):
     return [_send(session, "request_info", body)]
 
 
-def requester_accept(session, agent, digest):
-    """Accept the offer; free terms go straight on to minting."""
-    session.accepted_terms = session.offered_terms
-    session.accepted_terms_hash = digest
-    acceptance = _send(session, "accept_terms", {"terms_hash": digest})
-    if session.accepted_terms.upfront_fee > 0:
+def requester_accept(session, agent):
+    """Accept the standing offer; free terms go straight on to minting."""
+    acceptance = _send(session, "accept_terms", {"terms_hash": terms_hash(session.terms)})
+    if session.terms.upfront_fee > 0:
         session.state = RequesterState.PAYING
         return [acceptance]
     session.state = RequesterState.MINTING

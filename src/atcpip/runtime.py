@@ -310,15 +310,14 @@ class AgentRuntime:
 
     # -- downstream sales -------------------------------------------------------
 
-    def sale_plan(self, content_id, price):
-        """Split for selling a derived work: upstream rev shares plus the
-        item's own negotiated royalty lines, remainder to this agent."""
-        item = self._require_item(content_id)
-        obligations = list(self._derivation_obligations(item, "downstream_sale"))
-        return compute_split(price, self.agent_id, obligations)
-
     def sell(self, content_id, buyer_id, price, session_id=""):
-        plan = self.sale_plan(content_id, price)
+        """Sell a derived work: upstream rev shares plus the item's own
+        negotiated royalty lines, remainder to this agent."""
+        item = self._require_item(content_id)
+        held = self.tokens.get(item.derived_from) if item.derived_from else None
+        license_id = held.license_id if held is not None else None
+        obligations = self._royalty_obligations(item, license_id, "downstream_sale")
+        plan = compute_split(price, self.agent_id, obligations)
         self.wallets.settle(buyer_id, plan, purpose="downstream_sale", session_id=session_id)
         self.remember(f"Sold {content_id} for {price}; split across {len(plan.lines)} parties.")
         return plan
@@ -379,11 +378,7 @@ class AgentRuntime:
         except InvalidTerms as exc:
             return provider_refuse(session, f"terms invalid: {exc.violations[0].reason}")
         return provider_propose(
-            session,
-            self,
-            terms,
-            terms_hash(terms),
-            self._previous_license_id(item, session.requester_id),
+            session, self, terms, self._previous_license_id(item, session.requester_id)
         )
 
     def _previous_license_id(self, item, requester_id):
@@ -399,8 +394,7 @@ class AgentRuntime:
         return None
 
     def mint_draft(self, session, terms):
-        round_number = self.ledger.next_round(session.session_id)
-        self.ledger.mint_draft(session.session_id, round_number, self.agent_id, terms)
+        self.ledger.mint_draft(session.session_id, self.agent_id, terms)
 
     def evaluate_counter(self, session, delta):
         """Take the counter as it stands when the risk tier allows it,
@@ -424,33 +418,26 @@ class AgentRuntime:
             else:
                 revised = revise_terms(self.policy, session.terms, countered)
         echo = revised == countered or revised == session.terms
-        return provider_revise(session, self, revised, terms_hash(revised), echo)
+        return provider_revise(session, self, revised, echo)
 
     def payment_plan(self, session):
         """SplitPlan for the agreed fee: upstream royalties first."""
         item = self._require_item(session.content_id)
-        price = session.terms.upfront_fee
-        obligations = []
-        if session.previous_license_id is not None:
-            lineage = self.ledger.chain_of_ownership(session.previous_license_id)
-            obligations.extend(aggregate_obligations(lineage, "sublicense"))
-        obligations.extend(self._extra_obligations(item))
-        return compute_split(price, self.agent_id, obligations)
+        obligations = self._royalty_obligations(item, session.previous_license_id, "sublicense")
+        return compute_split(session.terms.upfront_fee, self.agent_id, obligations)
 
-    def _derivation_obligations(self, item, event):
-        held = self.tokens.get(item.derived_from) if item.derived_from else None
+    def _royalty_obligations(self, item, license_id, event):
+        """What ``event`` owes along the lineage ending at ``license_id``
+        (none without one), then the item's own extra royalty lines."""
         obligations = []
-        if held is not None:
-            lineage = self.ledger.chain_of_ownership(held.license_id)
+        if license_id is not None:
+            lineage = self.ledger.chain_of_ownership(license_id)
             obligations.extend(aggregate_obligations(lineage, event))
-        obligations.extend(self._extra_obligations(item))
-        return obligations
-
-    def _extra_obligations(self, item):
-        return [
+        obligations.extend(
             RoyaltyObligation(beneficiary=beneficiary, share=share)
             for beneficiary, share in item.extra_royalties
-        ]
+        )
+        return obligations
 
     def atomic_exchange(self, session, token_value):
         """Commit the requester's token and deliver, or abort the session."""
@@ -463,7 +450,7 @@ class AgentRuntime:
             and token.metadata.holder_id == session.requester_id
             and token.session_id == session.session_id
             and token.metadata.previous_license_id == session.previous_license_id
-            and token.terms_hash == session.terms_hash
+            and token.terms_hash == terms_hash(session.terms)
         )
         if not fits:
             return provider_abort(session, self)
@@ -485,7 +472,7 @@ class AgentRuntime:
                     tick=self.clock(),
                     requester_id=session.requester_id,
                     content_id=session.content_id,
-                    terms_hash=session.terms_hash,
+                    terms_hash=terms_hash(session.terms),
                     license_id=token.license_id,
                     acknowledged=session.acknowledged,
                 )
@@ -505,7 +492,7 @@ class AgentRuntime:
                 tick=self.clock(),
                 requester_id=self.agent_id,
                 content_id=session.content_id,
-                terms_hash=session.accepted_terms_hash,
+                terms_hash=terms_hash(session.terms),
                 license_id=token.license_id,
                 acknowledged=session.config.ack_required,
             )
@@ -514,12 +501,13 @@ class AgentRuntime:
             self.remember(f"fine_tuned_on:{session.content_id}")
         self.board.record_outcome(self.agent_id, "deal_completed")
 
-    def answer_offer(self, session, terms):
-        """Accept, counter, or refuse offered terms; a counter that runs
+    def answer_offer(self, session):
+        """Accept, counter, or refuse the offered terms; a counter that runs
         past the budget or does not validate leaves the session silent."""
+        terms = session.terms
         decision = evaluate_offer(self.policy, terms)
         if isinstance(decision, Accept):
-            return requester_accept(session, self, terms_hash(terms))
+            return requester_accept(session, self)
         if isinstance(decision, Counter):
             if session.counters_used >= self.policy.max_rounds:
                 self.remember("Counter budget exhausted; going silent.")
@@ -544,14 +532,14 @@ class AgentRuntime:
         return requester_paid(session, self, plan.price)
 
     def prepare_token(self, session):
-        terms = session.accepted_terms
+        terms = session.terms
         try:
             token = self.ledger.prepare_agreement(
                 self.agent_id,
                 session.provider_id,
                 terms,
                 terms.duration,
-                previous_license_id=session.offered_previous_license_id,
+                previous_license_id=session.previous_license_id,
                 session_id=session.session_id,
             )
         except AtcpipError as exc:

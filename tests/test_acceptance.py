@@ -621,7 +621,7 @@ def test_c10_misrepresentation_verdicts_match_brute_force():
             if drafts and rng.random() < 0.7:
                 terms = _mutate_terms(rng, terms)
             proposer = rng.choice(("issuer", "holder"))
-            ledger.mint_draft("case", ledger.next_round("case"), proposer, terms)
+            ledger.mint_draft("case", proposer, terms)
             drafts.append(terms)
         final = _mutate_terms(rng, drafts[-1]) if rng.random() < 0.4 else drafts[-1]
         mint_agreement(ledger, "holder", "issuer", final, final.duration, session_id="case")
@@ -692,7 +692,7 @@ def test_c11_overlapping_policies_converge_within_the_round_limit():
             f"trial {trial} never converged: {runtimes['provider'].session('s1').reject_reason}"
         )
         for field in ("royalty_rate", "rev_share", "upfront_fee"):
-            value = getattr(session.accepted_terms, field)
+            value = getattr(session.terms, field)
             assert provider_bounds[field].contains(value)
             assert requester_bounds[field].contains(value)
     print("PASS 11 negotiation convergence: 1000/1000 overlapping policies agreed in bounds")

@@ -40,8 +40,8 @@ def build_session(
     for agent_id in ("prov", "req", "other"):
         book.register_agent(agent_id, agent_id.encode() + b"-key")
     agreed = terms or make_terms(upfront_fee=1_000)
-    for round_number, draft in enumerate(draft_terms, start=1):
-        book.mint_draft(session_id, round_number, "prov", draft)
+    for draft in draft_terms:
+        book.mint_draft(session_id, "prov", draft)
     token = mint_agreement(book, "req", "prov", agreed, "2026-01-01", session_id=session_id)
     wallets = WalletSystem(book)
     wallets.open_account("req", 10_000_000)
@@ -400,18 +400,24 @@ def drop_terms(draft):
     del draft["terms"]
 
 
+def rehashed_court(exported):
+    """Recompute every hash of an edited export, so the forgery verifies,
+    then import it and rebuild its court."""
+    previous = GENESIS_HASH
+    for entry in exported:
+        entry["payload_hash"] = canon.hash_value(entry["payload"])
+        entry["entry_hash"] = previous = chain_entry_hash(previous, entry["payload_hash"])
+    clone = Ledger.from_export(exported)
+    return clone, DisputeCourt.rebuild(clone, ReputationBoard(clone))
+
+
 @pytest.mark.parametrize("forge", [forge_jurisdiction, drop_terms])
 def test_forged_draft_terms_are_no_evidence_of_a_clause(forge):
     _, world = run_scenario(golden_scenario("uc1_dataset"))
     exported = canon.loads(canon.dumps(world.ledger.export_entries()))
     draft = next(entry["payload"] for entry in exported if entry["kind"] == "draft_token")
     forge(draft)
-    previous = GENESIS_HASH
-    for entry in exported:
-        entry["payload_hash"] = canon.hash_value(entry["payload"])
-        entry["entry_hash"] = previous = chain_entry_hash(previous, entry["payload_hash"])
-    clone = Ledger.from_export(exported)
-    court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    clone, court = rehashed_court(exported)
     token = clone.session_agreement(draft["session_id"])
     claim = court.file_dispute(
         draft["session_id"],
@@ -423,3 +429,39 @@ def test_forged_draft_terms_are_no_evidence_of_a_clause(forge):
     verdict = court.arbitrate(claim.dispute_id)
     assert verdict.winner_id == token.metadata.issuer_id
     assert verdict.rationale == "clause_absent_from_record"
+
+
+def drop_amount(payload):
+    del payload["amount"]
+
+
+def string_amount(payload):
+    payload["amount"] = "1000"
+
+
+def number_tags(payload):
+    payload["tags"] = 5
+
+
+def string_tags(payload):
+    payload["tags"] = "train"
+
+
+@pytest.mark.parametrize(
+    "kind,forge,claim_kind,rationale",
+    [
+        ("payment", drop_amount, "payment_default", "payments_deficient"),
+        ("payment", string_amount, "payment_default", "payments_deficient"),
+        ("reputation_event", number_tags, "usage_violation", "usage_within_restrictions"),
+        ("reputation_event", string_tags, "usage_violation", "usage_within_restrictions"),
+    ],
+)
+def test_malformed_payments_and_usage_are_no_evidence(kind, forge, claim_kind, rationale):
+    # Well formed, the payment covers the fee and the usage breaks read_only.
+    book, _, token = build_session(terms=make_terms(upfront_fee=1_000), pay=1_000)
+    record_usage(book, "req", token.license_id, ["train"])
+    exported = canon.loads(canon.dumps(book.export_entries()))
+    forge(next(entry["payload"] for entry in reversed(exported) if entry["kind"] == kind))
+    _, court = rehashed_court(exported)
+    claim = court.file_dispute("sess-1", "prov", "req", claim_kind)
+    assert court.arbitrate(claim.dispute_id).rationale == rationale

@@ -13,7 +13,9 @@ changes belong to the protocol, so no module under ``src/`` but
 ``protocol.py`` may assign an attribute named ``state``. A public
 function or method under ``src/`` must be called or named somewhere
 under ``src/``, outside a ``def`` of the same name, so helpers that only
-tests call do not come back.
+tests call do not come back. Every error class in ``errors.py`` but the
+``AtcpipError`` base must be constructed somewhere under ``src/``, so an
+error that nothing can raise any more goes with the code that raised it.
 """
 
 import ast
@@ -151,6 +153,26 @@ def unreferenced_functions(sources):
     )
 
 
+def unconstructed_errors(errors_source, sources):
+    """(line, name) for each class in ``errors_source`` other than
+    ``AtcpipError`` that no module in ``sources`` (texts) calls, by name
+    or as an attribute. An import, an ``except`` clause or a subclass
+    names a class without constructing it, so none of them counts."""
+    classes = [
+        (node.lineno, node.name)
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef) and node.name != "AtcpipError"
+    ]
+    called = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    return [(line, name) for line, name in classes if name not in called]
+
+
 # Kept for the wire transport and as the reputation oracle; tests call them.
 UNREFERENCED_ON_PURPOSE = {"encode_message", "decode_message", "replay_records"}
 
@@ -286,3 +308,41 @@ def test_every_public_function_is_referenced_in_the_package():
         if name not in UNREFERENCED_ON_PURPOSE
     ]
     assert not found, "\n".join(found)
+
+
+def test_unconstructed_errors_are_found():
+    errors = (
+        "class AtcpipError(Exception):\n"
+        "    pass\n"
+        "class Raised(AtcpipError):\n"
+        "    pass\n"
+        "class Qualified(AtcpipError):\n"
+        "    pass\n"
+        "class Caught(AtcpipError):\n"
+        "    pass\n"
+        "class Subclassed(AtcpipError):\n"
+        "    pass\n"
+        "class Never(Subclassed):\n"
+        "    pass\n"
+    )
+    user = (
+        "import errors\n"
+        "from errors import Caught, Never, Raised\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        raise Raised(x)\n"
+        "    except Caught:\n"
+        "        raise errors.Qualified(x) from None\n"
+    )
+    assert unconstructed_errors(errors, [user]) == [
+        (7, "Caught"),
+        (9, "Subclassed"),
+        (11, "Never"),
+    ]
+
+
+def test_every_error_class_is_constructed_in_the_package():
+    errors = (ROOT / "src" / "atcpip" / "errors.py").read_text()
+    sources = [path.read_text() for path in sorted(ROOT.glob("src/**/*.py"))]
+    found = unconstructed_errors(errors, sources)
+    assert not found, "\n".join(f"src/atcpip/errors.py:{line}: {name}" for line, name in found)

@@ -17,7 +17,6 @@ from atcpip.errors import (
     ExpiredTerms,
     InvalidTerms,
     MalformedDate,
-    NonMonotonicRound,
     ParseError,
     TamperedLedger,
     UnknownAgent,
@@ -263,21 +262,24 @@ def test_metadata_from_value_rejects_unknown_fields():
 
 def test_draft_rounds_increment_by_one():
     book = fresh_ledger()
-    draft = book.mint_draft("s1", 1, "provider", make_terms())
+    draft = book.mint_draft("s1", "provider", make_terms())
     assert draft.payload["round"] == 1 and draft.height == 2
-    book.mint_draft("s1", 2, "requester", make_terms(upfront_fee=3))
-    with pytest.raises(NonMonotonicRound):
-        book.mint_draft("s1", 2, "provider", make_terms())
-    with pytest.raises(NonMonotonicRound):
-        book.mint_draft("s1", 4, "provider", make_terms())
-    assert book.next_round("s1") == 3
-    assert book.next_round("fresh") == 1
+    book.mint_draft("s2", "provider", make_terms())
+    book.mint_draft("s1", "requester", make_terms(upfront_fee=3))
+    book.mint_draft("s2", "requester", make_terms(upfront_fee=3))
+    book.mint_draft("s1", "provider", make_terms())
+    rounds = [
+        (entry.payload["session_id"], entry.payload["round"])
+        for entry in book.entries()
+        if entry.kind == "draft_token"
+    ]
+    assert rounds == [("s1", 1), ("s2", 1), ("s1", 2), ("s2", 2), ("s1", 3)]
 
 
 def test_history_collects_session_entries():
     book = fresh_ledger()
-    book.mint_draft("s1", 1, "provider", make_terms())
-    book.mint_draft("s2", 1, "provider", make_terms())
+    book.mint_draft("s1", "provider", make_terms())
+    book.mint_draft("s2", "provider", make_terms())
     mint_agreement(book, "requester", "provider", make_terms(), "2025-01-01", session_id="s1")
     kinds = [entry.kind for entry in book.entries() if entry.payload.get("session_id") == "s1"]
     assert kinds == ["draft_token", "agreement_token"]
@@ -289,7 +291,7 @@ def test_history_collects_session_entries():
 def populated_ledger():
     book = fresh_ledger()
     terms = make_terms(upfront_fee=10)
-    book.mint_draft("s1", 1, "provider", terms)
+    book.mint_draft("s1", "provider", terms)
     mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
     book.append("payment", {"from": "requester", "to": "provider", "amount": 10, "purpose": "fee"})
     book.append("dispute", {"dispute_id": "d1", "claimant_id": "requester",

@@ -213,9 +213,10 @@ def test_tier_strictness_is_nested(royalty_delta, fee):
 # -- full loop, run by two AgentRuntimes ---------------------------------------
 
 
-def agreed_terms(runtimes):
-    """Terms the requester accepted, or None when it never accepted."""
-    return runtimes["requester"].session("s1").accepted_terms
+def agreed_terms(ledger):
+    """Terms of the session's committed agreement, or None without one."""
+    token = ledger.session_agreement("s1")
+    return token.terms if token is not None else None
 
 
 def draft_proposers(ledger):
@@ -225,7 +226,7 @@ def draft_proposers(ledger):
 def test_loop_converges_on_overlapping_bounds():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
     ledger, runtimes = negotiate(initial, provider_policy(), requester_policy())
-    agreed = agreed_terms(runtimes)
+    agreed = agreed_terms(ledger)
     assert runtimes["requester"].session("s1").state is RequesterState.COMPLETED
     assert agreed.royalty_rate == Decimal("0.1000")
     assert agreed.upfront_fee == 20
@@ -237,8 +238,8 @@ def test_loop_converges_on_overlapping_bounds():
 def test_loop_rejection_on_non_negotiable():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
     stubborn = requester_policy(non_negotiable=frozenset({"royalty_rate"}))
-    _, runtimes = negotiate(initial, provider_policy(), stubborn)
-    assert agreed_terms(runtimes) is None
+    ledger, runtimes = negotiate(initial, provider_policy(), stubborn)
+    assert agreed_terms(ledger) is None
     assert runtimes["requester"].session("s1").state is RequesterState.REJECTED
     provider = runtimes["provider"].session("s1")
     assert provider.state is ProviderState.REJECTED and not provider.unconfirmed
@@ -251,7 +252,7 @@ def test_silent_requester_yields_unconfirmed_outcome():
     provider = runtimes["provider"].session("s1")
     assert provider.state is ProviderState.TERMS_PROPOSED
     pump(runtimes, runtimes["provider"].expire_timer("s1", "negotiation"))
-    assert agreed_terms(runtimes) is None
+    assert agreed_terms(ledger) is None
     assert provider.unconfirmed
     assert provider.terms == initial
     assert draft_proposers(ledger) == ["provider"]
@@ -259,8 +260,8 @@ def test_silent_requester_yields_unconfirmed_outcome():
 
 def test_drafts_minted_per_proposal_with_ledger():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
-    ledger, runtimes = negotiate(initial, provider_policy(), requester_policy())
-    agreed = agreed_terms(runtimes)
+    ledger, _ = negotiate(initial, provider_policy(), requester_policy())
+    agreed = agreed_terms(ledger)
     assert agreed is not None
     drafts = [e for e in ledger.entries() if e.kind == "draft_token"]
     assert [d.payload["round"] for d in drafts] == [1, 2]
@@ -273,10 +274,10 @@ def test_auto_accept_skips_provider_revision_budget():
     # provider has no revision budget left, but the tier absorbs the counter
     grumpy = provider_policy(max_rounds=0)
     picky = requester_policy()
-    _, blocked = negotiate(initial, grumpy, picky)
+    blocked, runtimes = negotiate(initial, grumpy, picky)
     assert agreed_terms(blocked) is None
-    assert blocked["provider"].session("s1").reject_reason == "negotiation budget exhausted"
-    _, tiered = negotiate(initial, grumpy, picky, tier="standard")
+    assert runtimes["provider"].session("s1").reject_reason == "negotiation budget exhausted"
+    tiered, _ = negotiate(initial, grumpy, picky, tier="standard")
     assert agreed_terms(tiered).royalty_rate == Decimal("0.1000")
 
 
@@ -306,8 +307,8 @@ def test_random_overlapping_bounds_always_converge(r_lo, r_width, p_offset, p_wi
         royalty_rate=prov.bounds["royalty_rate"].clamp(Decimal(start).scaleb(-4)),
         rev_share="0",
     )
-    _, runtimes = negotiate(initial, prov, req)
-    agreed = agreed_terms(runtimes)
+    ledger, _ = negotiate(initial, prov, req)
+    agreed = agreed_terms(ledger)
     assert agreed is not None
     assert isinstance(evaluate_offer(req, agreed), Accept)
     assert isinstance(evaluate_offer(prov, agreed), Accept)

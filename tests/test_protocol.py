@@ -162,7 +162,7 @@ def test_provider_happy_path_states():
 
     terms = paid_terms()
     digest = terms_hash(terms)
-    outputs = provider_propose(session, agent, terms, digest)
+    outputs = provider_propose(session, agent, terms)
     assert session.state is ProviderState.TERMS_PROPOSED
     # The draft is minted before the proposal takes seq 0.
     assert agent.calls[-1] == ("mint_draft", ProviderState.TERMS_PROPOSED, 0, terms)
@@ -192,7 +192,7 @@ def test_provider_zero_fee_skips_payment():
     agent = RecordingAgent(session)
     provider_transition(session, msg("request_info", {"content_id": "c"}), agent)
     terms = make_terms(upfront_fee=0)
-    provider_propose(session, agent, terms, terms_hash(terms))
+    provider_propose(session, agent, terms)
     outputs = provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}),
                                   agent)
     assert session.state is ProviderState.AWAITING_TOKEN
@@ -256,14 +256,26 @@ def test_provider_timeout_failures_use_fixed_reasons():
 def test_provider_negotiation_timeout_defaults_to_standing_terms():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
-    session.terms_hash = terms_hash(session.terms)
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
     outputs = provider_transition(session, TimerExpired("negotiation"), agent)
     assert session.unconfirmed
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls == [("payment_plan", ProviderState.AWAITING_PAYMENT, 0)]
     assert [message.action for message in outputs] == ["payment_required"]
-    assert session.plan_amount == 10
+
+
+@pytest.mark.parametrize(
+    "fee,amount", [(10, 9), (10, 11), (10, Decimal("10.0000")), (1, True)]
+)
+def test_provider_refuses_a_confirmation_for_another_amount(fee, amount):
+    session = provider_session(
+        state=ProviderState.AWAITING_PAYMENT, terms=make_terms(upfront_fee=fee)
+    )
+    agent = RecordingAgent(session)
+    with pytest.raises(ProtocolViolation):
+        provider_transition(session, msg("payment_confirmed", {"amount": amount}), agent)
+    assert session.state is ProviderState.AWAITING_PAYMENT
+    assert agent.calls == []
 
 
 def test_provider_exchange_abort_fails_session():
@@ -276,7 +288,6 @@ def test_provider_exchange_abort_fails_session():
 def test_provider_rejects_wrong_accept_hash_and_terminal_events():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
-    session.terms_hash = terms_hash(session.terms)
     agent = RecordingAgent(session)
     with pytest.raises(ProtocolViolation):
         provider_transition(session, msg("accept_terms", {"terms_hash": "f" * 64}), agent)
@@ -341,12 +352,13 @@ def test_requester_happy_path_states():
     )
     assert session.state is RequesterState.EVALUATING_TERMS
     assert outputs == []
-    assert agent.calls == [("answer_offer", RequesterState.EVALUATING_TERMS, 1, terms)]
+    assert agent.calls == [("answer_offer", RequesterState.EVALUATING_TERMS, 1)]
+    assert session.terms == terms
 
-    digest = terms_hash(terms)
-    outputs = requester_accept(session, agent, digest)
+    outputs = requester_accept(session, agent)
     assert session.state is RequesterState.PAYING
     assert [message.action for message in outputs] == ["accept_terms"]
+    assert outputs[0].body == {"terms_hash": terms_hash(terms)}
 
     split = [{"to": "provider", "amount": 10}]
     outputs = requester_transition(
@@ -367,8 +379,8 @@ def test_requester_happy_path_states():
 
 def test_requester_counter_flow():
     session = requester_session(state=RequesterState.EVALUATING_TERMS)
-    session.offered_terms = make_terms(royalty_rate="0.30")
-    countered = session.offered_terms.replace(royalty_rate=Decimal("0.1000"))
+    session.terms = make_terms(royalty_rate="0.30")
+    countered = session.terms.replace(royalty_rate=Decimal("0.1000"))
     agent = RecordingAgent(session)
     outputs = requester_counter(
         session,
@@ -392,8 +404,7 @@ def test_requester_counter_flow():
 
 def test_requester_validates_payment_request():
     session = requester_session(state=RequesterState.PAYING)
-    session.accepted_terms = paid_terms()
-    session.accepted_terms_hash = terms_hash(session.accepted_terms)
+    session.terms = paid_terms()
     agent = RecordingAgent(session)
     bad_amount = msg("payment_required", {"amount": 11, "split": [{"to": "p", "amount": 11}]},
                      sender="provider", recipient="requester")
@@ -431,8 +442,7 @@ def test_requester_delivery_checks_token_binding():
     token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
     session = requester_session(state=RequesterState.AWAITING_DELIVERY)
-    session.accepted_terms = terms
-    session.accepted_terms_hash = terms_hash(terms)
+    session.terms = terms
     agent = RecordingAgent(session)
     delivery = msg("deliver_ip",
                    {"content_id": "c", "content": "bytes", "token": token_to_value(token)},
@@ -446,8 +456,7 @@ def test_requester_delivery_checks_token_binding():
 
     # uncommitted token (no height) must be refused
     stale = requester_session(state=RequesterState.AWAITING_DELIVERY)
-    stale.accepted_terms = terms
-    stale.accepted_terms_hash = terms_hash(terms)
+    stale.terms = terms
     uncommitted = token_to_value(token)
     del uncommitted["height"]
     with pytest.raises(ProtocolViolation):

@@ -211,13 +211,12 @@ def test_counter_inside_provider_bounds_is_taken_verbatim():
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
     req = runtimes["req"].session("s1")
     assert req.state is RequesterState.COMPLETED
-    assert req.accepted_terms.royalty_rate == Decimal("0.1000")
+    assert req.terms.royalty_rate == Decimal("0.1000")
     token = runtimes["req"].tokens["weather-data-2023"]
     assert token.terms.royalty_rate == Decimal("0.1000")
     rounds = [e.payload["round"] for e in ledger.entries() if e.kind == "draft_token"]
     # opening draft, counter draft; the verbatim accept re-mints nothing
     assert rounds == [1, 2]
-    assert ledger.next_round("s1") == 3
 
 
 def test_arbiter_auto_accepts_small_fee_movement():
@@ -236,7 +235,7 @@ def test_arbiter_auto_accepts_small_fee_movement():
     req = runtimes["req"].session("s1")
     # 2% under asking sits inside the standard tier's 5% band.
     assert req.state is RequesterState.COMPLETED
-    assert req.accepted_terms.upfront_fee == 9_800_000
+    assert req.terms.upfront_fee == 9_800_000
     assert wallets.balance("prov") == 9_800_000
 
 
@@ -311,6 +310,33 @@ def test_renewal_extends_the_lineage():
     assert second.metadata.previous_license_id == first.license_id
     chain = ledger.chain_of_ownership(second.license_id)
     assert [token.license_id for token in chain] == [first.license_id, second.license_id]
+
+
+def test_renewal_negotiated_through_final_terms_extends_the_lineage():
+    item = CatalogItem(
+        "weather-data-2023", DATASET.content, tags=("dataset",),
+        terms=IP_TERMS.replace(royalty_rate=Decimal("0.2000")),
+    )
+    provider_policy = NegotiationPolicy(
+        bounds={"royalty_rate": NumericBound(Decimal("0.0500"), Decimal("0.2000"))},
+    )
+    requester_policy = NegotiationPolicy(
+        bounds={"royalty_rate": NumericBound(Decimal("0.0000"), Decimal("0.1000"))},
+    )
+    ledger, _, _, runtimes = make_world(
+        {
+            "prov": {"items": (item,), "policy": provider_policy},
+            "req": {"balance": 50_000_000, "policy": requester_policy},
+        }
+    )
+    for session_id in ("s1", "s2"):
+        pump(runtimes, runtimes["req"].start_request(session_id, "prov", "weather-data-2023"))
+        assert runtimes["req"].session(session_id).state is RequesterState.COMPLETED
+    # Proposal, counter, final terms. The final terms carry no
+    # previous_license_id; the requester keeps the one the proposal named.
+    assert runtimes["req"].session("s2").round == 3
+    first, second = ledger.session_agreement("s1"), ledger.session_agreement("s2")
+    assert second.metadata.previous_license_id == first.license_id
 
 
 def test_derived_work_routes_royalties_upstream():

@@ -440,6 +440,7 @@ GOLDEN_DIGESTS = {
     "uc4_multihop": "d6c909e7c62c6308795a2f4e8354345185c2c70fcde847f6e9976faa26cb6976",
     "lossy_jitter": "281da881b4e4f114cae942a5a7b38bdd369ed6e99f72dc9d514247fe67545f34",
     "market_60_1": "378ea715f70c787aa67dafb3e4dd1b74ef9b8ccc3e41fd269215c6358df8d98a",
+    "hot_provider_60_1": "d67476829c36279bd21dafa8af5eb7a66f828bc84d10c23ee6b8b5b08c925727",
 }
 
 WORLDS_PY = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "worlds.py"
@@ -465,6 +466,9 @@ def golden_scenario(name):
         return scenario_from_bytes(builtin_bytes(name))
     if name == "market_60_1":
         return scenario_from_bytes(canon.dumps(generated_market_value()))
+    if name == "hot_provider_60_1":
+        # Every session on one provider: the benchmark's hot_provider shape.
+        return scenario_from_bytes(canon.dumps(load_worlds().hot_provider(60, 1)))
     return scenario_from_value(lossy_jitter_value())
 
 
