@@ -47,7 +47,6 @@ class DisputeClaim:
     kind: str
     asserted_terms_hash: str = ""
     asserted_clause: tuple = ()
-    height: int = 0
 
     def to_value(self):
         out = {
@@ -113,39 +112,55 @@ def record_usage(ledger, actor_id, license_id, tags):
     )
 
 
-def claim_from_value(value, height=0):
+def _text(value, key, what, optional=False):
+    """``value[key]``, which must be a non-empty string; an ``optional``
+    key may be missing, and then reads as the empty string."""
+    if key not in value:
+        if optional:
+            return ""
+        raise ParseError(f"{what} payload missing {key!r}")
+    text = value[key]
+    if not isinstance(text, str) or not text:
+        raise ParseError(f"{what} {key} must be a non-empty string")
+    return text
+
+
+def claim_from_value(value):
     """Rebuild a DisputeClaim from a dispute entry payload."""
     if not isinstance(value, dict):
         raise ParseError("dispute payload must be a map")
-    try:
-        return DisputeClaim(
-            dispute_id=value["dispute_id"],
-            session_id=value["session_id"],
-            claimant_id=value["claimant_id"],
-            respondent_id=value["respondent_id"],
-            kind=value["claim"],
-            asserted_terms_hash=value.get("asserted_terms_hash", ""),
-            asserted_clause=tuple(value.get("asserted_clause", ())),
-            height=height,
-        )
-    except KeyError as exc:
-        raise ParseError(f"dispute payload missing {exc.args[0]!r}") from None
+    kind = _text(value, "claim", "dispute")
+    if kind not in DISPUTE_KINDS:
+        raise ParseError(f"unknown dispute kind {kind!r}")
+    clause = value.get("asserted_clause")  # canonical JSON has no null
+    if clause is not None and not (
+        isinstance(clause, list)
+        and 1 <= len(clause) <= 2
+        and all(isinstance(part, str) for part in clause)
+    ):
+        raise ParseError("dispute asserted_clause must be a list of one or two strings")
+    return DisputeClaim(
+        dispute_id=_text(value, "dispute_id", "dispute"),
+        session_id=_text(value, "session_id", "dispute"),
+        claimant_id=_text(value, "claimant_id", "dispute"),
+        respondent_id=_text(value, "respondent_id", "dispute"),
+        kind=kind,
+        asserted_terms_hash=_text(value, "asserted_terms_hash", "dispute", optional=True),
+        asserted_clause=tuple(clause or ()),
+    )
 
 
 def verdict_from_value(value):
     """Rebuild a Verdict from a verdict entry payload."""
     if not isinstance(value, dict):
         raise ParseError("verdict payload must be a map")
-    try:
-        return Verdict(
-            dispute_id=value["dispute_id"],
-            winner_id=value["winner_id"],
-            loser_id=value["loser_id"],
-            rationale=value["rationale"],
-            revokes_license_id=value.get("revokes_license_id", ""),
-        )
-    except KeyError as exc:
-        raise ParseError(f"verdict payload missing {exc.args[0]!r}") from None
+    return Verdict(
+        dispute_id=_text(value, "dispute_id", "verdict"),
+        winner_id=_text(value, "winner_id", "verdict"),
+        loser_id=_text(value, "loser_id", "verdict"),
+        rationale=_text(value, "rationale", "verdict"),
+        revokes_license_id=_text(value, "revokes_license_id", "verdict", optional=True),
+    )
 
 
 class DisputeCourt:
@@ -160,15 +175,20 @@ class DisputeCourt:
     @classmethod
     def rebuild(cls, ledger, board):
         """Reconstruct a court from the dispute and verdict entries of an
-        imported ledger, so evidence can be exported after the fact."""
+        imported ledger, so evidence can be exported after the fact. An
+        entry that does not parse is skipped: its dispute is unknown to
+        the court, and the others still serve evidence."""
         court = cls(ledger, board)
         for entry in ledger.entries():
-            if entry.kind == "dispute":
-                claim = claim_from_value(entry.payload, height=entry.height)
-                court._claims[claim.dispute_id] = claim
-            elif entry.kind == "verdict":
-                verdict = verdict_from_value(entry.payload)
-                court._verdicts[verdict.dispute_id] = verdict
+            try:
+                if entry.kind == "dispute":
+                    claim = claim_from_value(entry.payload)
+                    court._claims[claim.dispute_id] = claim
+                elif entry.kind == "verdict":
+                    verdict = verdict_from_value(entry.payload)
+                    court._verdicts[verdict.dispute_id] = verdict
+            except ParseError:
+                continue
         return court
 
     def claim(self, dispute_id):
@@ -209,7 +229,6 @@ class DisputeCourt:
             kind=kind,
             asserted_terms_hash=asserted_terms_hash,
             asserted_clause=tuple(asserted_clause),
-            height=self._ledger.height,
         )
         self._ledger.append("dispute", claim.to_value())
         self._claims[dispute_id] = claim

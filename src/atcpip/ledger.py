@@ -325,7 +325,8 @@ class Ledger:
     def _prepare_index(self, kind, payload, height, token):
         try:
             if kind == "draft_token":
-                session_id, round_number = payload["session_id"], payload["round"]
+                session_id = _index_key(kind, "session_id", payload["session_id"])
+                round_number = payload["round"]
 
                 def apply():
                     self._session_rounds[session_id] = round_number
@@ -335,6 +336,8 @@ class Ledger:
                     value = {key: item for key, item in payload.items() if key != "kind"}
                     token = token_from_value(value)
                 token = replace(token, height=height)
+                _index_key(kind, "license_id", token.license_id)
+                _index_key(kind, "session_id", token.session_id)
 
                 def apply():
                     self._tokens[token.license_id] = token
@@ -342,7 +345,7 @@ class Ledger:
                         self._session_agreements[token.session_id] = token.license_id
 
             elif kind == "verdict" and "revokes_license_id" in payload:
-                license_id = payload["revokes_license_id"]
+                license_id = _index_key(kind, "revokes_license_id", payload["revokes_license_id"])
 
                 def apply():
                     self._revoked.add(license_id)
@@ -588,6 +591,13 @@ class Ledger:
                 pass
             raise
         return book
+
+
+def _index_key(kind, name, key):
+    """A payload value the ledger indexes by; only a string can be one."""
+    if not isinstance(key, str):
+        raise ParseError(f"{kind} {name} must be a string")
+    return key
 
 
 def _walk(entries):

@@ -105,7 +105,6 @@ class WalletSystem:
     def __init__(self, ledger):
         self._ledger = ledger
         self._balances = {}
-        self.on_transfer = None  # hook(from_id, to_id, amount, purpose)
 
     def open_account(self, agent_id, balance=0):
         if agent_id in self._balances:
@@ -129,10 +128,7 @@ class WalletSystem:
         payload = {"from": from_id, "to": to_id, "amount": amount, "purpose": purpose}
         if session_id:
             payload["session_id"] = session_id
-        entry = self._ledger.append("payment", payload)
-        if self.on_transfer is not None:
-            self.on_transfer(from_id, to_id, amount, purpose)
-        return entry
+        return self._ledger.append("payment", payload)
 
     def settle(self, payer_id, plan, purpose="settlement", session_id=""):
         """Pay out a whole split or nothing.

@@ -11,6 +11,12 @@ set the new state and build the outbound messages, so every session
 state change happens in this module, and every call returns the
 messages to send in the order they were numbered.
 
+The two roles share one event path: one ``Session`` base, one prelude
+that takes ``reject`` and screens timers, and the ``refuse`` and
+``fail`` steps. A timer expiry carries nothing; the wait it ends is the
+one ``PROVIDER_TIMERS`` or ``REQUESTER_TIMERS`` names for the session's
+current state.
+
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
 is not byte-identical to its own re-encoding.
@@ -202,117 +208,101 @@ class RequesterState(enum.Enum):
     FAILED = "failed"
 
 
-PROVIDER_TERMINAL = frozenset(
+TERMINAL = frozenset(
     {ProviderState.COMPLETED, ProviderState.REJECTED, ProviderState.FAILED}
-)
-REQUESTER_TERMINAL = frozenset(
-    {RequesterState.COMPLETED, RequesterState.REJECTED, RequesterState.FAILED}
+    | {RequesterState.COMPLETED, RequesterState.REJECTED, RequesterState.FAILED}
 )
 
-# State entry (re)starts the listed timer; entering any other state
+# Each state that waits, mapped to the SessionConfig field that sets its
+# wait. Entering a state (re)starts its wait; entering any other state
 # cancels the previous one. Ack waits reuse the negotiation timeout.
 PROVIDER_TIMERS = {
-    ProviderState.TERMS_PROPOSED: ("negotiation", "negotiation_timeout"),
-    ProviderState.NEGOTIATING: ("negotiation", "negotiation_timeout"),
-    ProviderState.AWAITING_PAYMENT: ("settlement", "settlement_timeout"),
-    ProviderState.AWAITING_TOKEN: ("settlement", "settlement_timeout"),
-    ProviderState.AWAITING_ACK: ("ack", "negotiation_timeout"),
+    ProviderState.TERMS_PROPOSED: "negotiation_timeout",
+    ProviderState.NEGOTIATING: "negotiation_timeout",
+    ProviderState.AWAITING_PAYMENT: "settlement_timeout",
+    ProviderState.AWAITING_TOKEN: "settlement_timeout",
+    ProviderState.AWAITING_ACK: "negotiation_timeout",
 }
 REQUESTER_TIMERS = {
-    RequesterState.AWAITING_TERMS: ("negotiation", "negotiation_timeout"),
-    RequesterState.COUNTERING: ("negotiation", "negotiation_timeout"),
-    RequesterState.PAYING: ("settlement", "settlement_timeout"),
-    RequesterState.AWAITING_DELIVERY: ("settlement", "settlement_timeout"),
+    RequesterState.AWAITING_TERMS: "negotiation_timeout",
+    RequesterState.COUNTERING: "negotiation_timeout",
+    RequesterState.PAYING: "settlement_timeout",
+    RequesterState.AWAITING_DELIVERY: "settlement_timeout",
+}
+
+# Every requester wait that runs out fails the session with its reason.
+REQUESTER_EXPIRY_FAILURES = {
+    RequesterState.AWAITING_TERMS: NO_TERMS_FAILURE,
+    RequesterState.COUNTERING: NO_FINAL_TERMS_FAILURE,
+    RequesterState.PAYING: NO_PAYMENT_REQUEST_FAILURE,
+    RequesterState.AWAITING_DELIVERY: NO_DELIVERY_FAILURE,
 }
 
 
 @dataclass(frozen=True)
 class TimerExpired:
-    kind: str  # "negotiation" | "settlement" | "ack"
+    """The wait of the session's current state ran out."""
 
 
-@dataclass
-class ProviderSession:
-    """The provider's side of one session: ``terms`` as it last sent
-    them and ``previous_license_id`` as its proposal named it. The
-    digest and the fee are read from ``terms``, not stored."""
+@dataclass(kw_only=True)
+class Session:
+    """What both sides of one session keep: ``terms`` and
+    ``previous_license_id`` are the standing offer as the provider last
+    sent it. Each role adds its ``state`` and its own fields."""
 
     session_id: str
     provider_id: str
     requester_id: str
     config: SessionConfig
-    state: ProviderState = ProviderState.IDLE
     content_id: str = ""
-    request_body: dict = field(default_factory=dict)
     terms: object = None
     previous_license_id: Optional[str] = None
     round: int = 0
+    failure_reason: str = ""
+    reject_reason: str = ""
+    out_seq: int = 0
+    last_seq_seen: int = -1
+
+    def terminal(self):
+        return self.state in TERMINAL
+
+
+@dataclass(kw_only=True)
+class ProviderSession(Session):
+    """The provider's side; the digest and the fee are read from
+    ``terms``, not stored."""
+
+    state: ProviderState = ProviderState.IDLE
+    request_body: dict = field(default_factory=dict)
     revisions_used: int = 0
     unconfirmed: bool = False
     committed_token: object = None
     acknowledged: bool = False
-    failure_reason: str = ""
-    reject_reason: str = ""
-    out_seq: int = 0
-    last_seq_seen: int = -1
 
     role = "provider"
 
-    @property
-    def peer_id(self):
-        return self.requester_id
 
-    @property
-    def agent_id(self):
-        return self.provider_id
-
-    def terminal(self):
-        return self.state in PROVIDER_TERMINAL
-
-
-@dataclass
-class RequesterSession:
-    """The requester's side of one session: ``terms`` and
-    ``previous_license_id`` as the provider sent them."""
-
-    session_id: str
-    requester_id: str
-    provider_id: str
-    config: SessionConfig
+@dataclass(kw_only=True)
+class RequesterSession(Session):
     state: RequesterState = RequesterState.REQUESTING
-    content_id: str = ""
-    terms: object = None
-    previous_license_id: Optional[str] = None
-    round: int = 0
     counters_used: int = 0
     received_token: object = None
     content: object = None
     content_licensed: bool = False
-    failure_reason: str = ""
-    reject_reason: str = ""
-    out_seq: int = 0
-    last_seq_seen: int = -1
 
     role = "requester"
 
-    @property
-    def peer_id(self):
-        return self.provider_id
-
-    @property
-    def agent_id(self):
-        return self.requester_id
-
-    def terminal(self):
-        return self.state in REQUESTER_TERMINAL
-
 
 def _send(session, action, body):
+    """The next numbered message from this side of the session to the other."""
+    sender, recipient = session.provider_id, session.requester_id
+    if session.role == "requester":
+        sender, recipient = recipient, sender
     message = ProtocolMessage(
         session_id=session.session_id,
         seq=session.out_seq,
-        sender=session.agent_id,
-        recipient=session.peer_id,
+        sender=sender,
+        recipient=recipient,
         action=action,
         body=body,
     )
@@ -321,16 +311,40 @@ def _send(session, action, body):
 
 
 def _violation(session, event):
-    kind = getattr(event, "action", None) or getattr(event, "kind", type(event).__name__)
+    what = event.action if isinstance(event, ProtocolMessage) else type(event).__name__
     return ProtocolViolation(
         f"{session.role} session {session.session_id!r} in {session.state.value}"
-        f" cannot take event {kind!r}"
+        f" cannot take event {what!r}"
     )
 
 
-def _fail(session, agent, reason, state_enum):
+def _prelude(session, event, timers):
+    """The start both transitions share. Returns True when ``event`` is
+    a ``reject`` that closed the live session, so the transition is
+    done; raises for a timer in a state that waits on none (``timers``
+    is the role's table) and for an event that is neither."""
+    if isinstance(event, ProtocolMessage):
+        if event.action != "reject" or session.terminal():
+            return False
+        session.reject_reason = event.body.get("reason", "")
+        session.state = type(session.state).REJECTED
+        return True
+    if isinstance(event, TimerExpired) and session.state in timers:
+        return False
+    raise _violation(session, event)
+
+
+def refuse(session, reason):
+    """Close the session by sending ``reject``."""
+    session.reject_reason = reason
+    session.state = type(session.state).REJECTED
+    return [_send(session, "reject", {"reason": reason})]
+
+
+def fail(session, agent, reason):
+    """Close the session as failed; nothing goes on the wire."""
     session.failure_reason = reason
-    session.state = state_enum.FAILED
+    session.state = type(session.state).FAILED
     agent.remember(f"Session failed: {reason}")
     return []
 
@@ -340,64 +354,54 @@ def _fail(session, agent, reason, state_enum):
 
 def provider_transition(session, event, agent):
     """Apply one inbound message or timer expiry; returns outbound messages in order."""
+    if _prelude(session, event, PROVIDER_TIMERS):
+        return []
     state = session.state
 
-    if isinstance(event, ProtocolMessage):
-        if event.action == "reject" and not session.terminal():
-            session.reject_reason = event.body.get("reason", "")
-            session.state = ProviderState.REJECTED
-            return []
-
-        if state is ProviderState.IDLE and event.action == "request_info":
-            session.content_id = event.body["content_id"]
-            session.request_body = dict(event.body)
-            session.state = ProviderState.EVALUATING
-            return agent.evaluate_request(session)
-
-        if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
-            if event.action == "counter_terms":
-                delta = _parse_delta(event.body["suggestions"])
-                session.round = max(session.round, _round_of(event))
-                session.state = ProviderState.NEGOTIATING
-                return agent.evaluate_counter(session, delta)
-            if event.action == "accept_terms":
-                if event.body["terms_hash"] != terms_hash(session.terms):
-                    raise _violation(session, event)
-                return _provider_enter_settlement(session, agent)
-
-        if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
-            amount = event.body["amount"]
-            if not _is_amount(amount) or amount != session.terms.upfront_fee:
-                raise _violation(session, event)
-            session.state = ProviderState.AWAITING_TOKEN
-            return []
-
-        if state is ProviderState.AWAITING_TOKEN and event.action == "license_token":
-            session.state = ProviderState.DELIVERING
-            return agent.atomic_exchange(session, event.body["token"])
-
-        if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
-            session.acknowledged = True
+    if isinstance(event, TimerExpired):
+        if state is ProviderState.AWAITING_PAYMENT:
+            return fail(session, agent, NO_PAYMENT_FAILURE)
+        if state is ProviderState.AWAITING_TOKEN:
+            return fail(session, agent, NO_TOKEN_FAILURE)
+        if state is ProviderState.AWAITING_ACK:
+            # The ack never came: the deal stands, unacknowledged.
             session.state = ProviderState.COMPLETED
             agent.record_issue(session)
             return []
+        # Silent requester: proceed on the standing terms, unconfirmed.
+        session.unconfirmed = True
+        return _provider_enter_settlement(session, agent)
 
-        raise _violation(session, event)
+    if state is ProviderState.IDLE and event.action == "request_info":
+        session.content_id = event.body["content_id"]
+        session.request_body = dict(event.body)
+        session.state = ProviderState.EVALUATING
+        return agent.evaluate_request(session)
 
-    if isinstance(event, TimerExpired):
-        expected = PROVIDER_TIMERS.get(state)
-        if expected is None or expected[0] != event.kind:
-            raise _violation(session, event)
-        if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
-            # Silent requester: proceed on the standing terms, unconfirmed.
-            session.unconfirmed = True
+    if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
+        if event.action == "counter_terms":
+            delta = _parse_delta(event.body["suggestions"])
+            session.round = max(session.round, _round_of(event))
+            session.state = ProviderState.NEGOTIATING
+            return agent.evaluate_counter(session, delta)
+        if event.action == "accept_terms":
+            if event.body["terms_hash"] != terms_hash(session.terms):
+                raise _violation(session, event)
             return _provider_enter_settlement(session, agent)
-        if state is ProviderState.AWAITING_PAYMENT:
-            return _fail(session, agent, NO_PAYMENT_FAILURE, ProviderState)
-        if state is ProviderState.AWAITING_TOKEN:
-            return _fail(session, agent, NO_TOKEN_FAILURE, ProviderState)
-        # Awaiting an ack that never came: the deal stands, unacknowledged.
-        session.acknowledged = False
+
+    if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
+        amount = event.body["amount"]
+        if not _is_amount(amount) or amount != session.terms.upfront_fee:
+            raise _violation(session, event)
+        session.state = ProviderState.AWAITING_TOKEN
+        return []
+
+    if state is ProviderState.AWAITING_TOKEN and event.action == "license_token":
+        session.state = ProviderState.DELIVERING
+        return agent.atomic_exchange(session, event.body["token"])
+
+    if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
+        session.acknowledged = True
         session.state = ProviderState.COMPLETED
         agent.record_issue(session)
         return []
@@ -434,12 +438,6 @@ def provider_propose(session, agent, terms, previous_license_id=None):
         body["previous_license_id"] = previous_license_id
     agent.mint_draft(session, terms)
     return [_send(session, "propose_terms", body)]
-
-
-def provider_refuse(session, reason):
-    session.reject_reason = reason
-    session.state = ProviderState.REJECTED
-    return [_send(session, "reject", {"reason": reason})]
 
 
 def provider_non_ip(session, agent, content):
@@ -481,83 +479,62 @@ def provider_deliver(session, agent, token, content):
     return [delivery]
 
 
-def provider_abort(session, agent):
-    return _fail(session, agent, NO_TOKEN_FAILURE, ProviderState)
-
-
 # -- requester transition ---------------------------------------------------------
 
 
 def requester_transition(session, event, agent):
     """Apply one inbound message or timer expiry; returns outbound messages in order."""
+    if _prelude(session, event, REQUESTER_TIMERS):
+        return []
+    if isinstance(event, TimerExpired):
+        return fail(session, agent, REQUESTER_EXPIRY_FAILURES[session.state])
     state = session.state
 
-    if isinstance(event, ProtocolMessage):
-        if event.action == "reject" and not session.terminal():
-            session.reject_reason = event.body.get("reason", "")
-            session.state = RequesterState.REJECTED
-            return []
+    if state is RequesterState.AWAITING_TERMS and event.action == "non_ip_notice":
+        session.content = event.body["content"]
+        session.content_licensed = False
+        session.state = RequesterState.COMPLETED
+        agent.receive_content(event.body["content_id"], event.body["content"])
+        return []
 
-        if state is RequesterState.AWAITING_TERMS and event.action == "non_ip_notice":
-            session.content = event.body["content"]
-            session.content_licensed = False
-            session.state = RequesterState.COMPLETED
-            agent.receive_content(event.body["content_id"], event.body["content"])
-            return []
+    if (
+        state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
+        and event.action in ("propose_terms", "final_terms")
+    ):
+        session.terms = _parse_terms(session, event.body["terms"])
+        if event.action == "propose_terms":  # final terms revise the terms only
+            session.previous_license_id = event.body.get("previous_license_id")
+        session.round = max(session.round, _round_of(event))
+        session.state = RequesterState.EVALUATING_TERMS
+        return agent.answer_offer(session)
 
-        if (
-            state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
-            and event.action in ("propose_terms", "final_terms")
-        ):
-            session.terms = _parse_terms(session, event.body["terms"])
-            if event.action == "propose_terms":  # final terms revise the terms only
-                session.previous_license_id = event.body.get("previous_license_id")
-            session.round = max(session.round, _round_of(event))
-            session.state = RequesterState.EVALUATING_TERMS
-            return agent.answer_offer(session)
-
-        if state is RequesterState.PAYING and event.action == "payment_required":
-            amount = event.body["amount"]
-            split = event.body["split"]
-            if not _is_amount(amount) or amount != session.terms.upfront_fee:
-                raise _violation(session, event)
-            if not isinstance(split, list) or not all(map(_is_split_line, split)):
-                raise _violation(session, event)
-            if sum(line["amount"] for line in split) != amount:
-                raise _violation(session, event)
-            return agent.settle(session, amount, split)
-
-        if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
-            token = _parse_token(session, event.body["token"])
-            if token.height is None or token.terms_hash != terms_hash(session.terms):
-                raise _violation(session, event)
-            session.received_token = token
-            session.content = event.body["content"]
-            session.content_licensed = True
-            session.state = RequesterState.ACKNOWLEDGING
-            outputs = []
-            if session.config.ack_required:
-                outputs.append(
-                    _send(session, "acknowledge_receipt", {"license_id": token.license_id})
-                )
-            agent.record_license(session)
-            session.state = RequesterState.COMPLETED
-            return outputs
-
-        raise _violation(session, event)
-
-    if isinstance(event, TimerExpired):
-        expected = REQUESTER_TIMERS.get(state)
-        if expected is None or expected[0] != event.kind:
+    if state is RequesterState.PAYING and event.action == "payment_required":
+        amount = event.body["amount"]
+        split = event.body["split"]
+        if not _is_amount(amount) or amount != session.terms.upfront_fee:
             raise _violation(session, event)
-        if state is RequesterState.AWAITING_TERMS:
-            return _fail(session, agent, NO_TERMS_FAILURE, RequesterState)
-        if state is RequesterState.COUNTERING:
-            return _fail(session, agent, NO_FINAL_TERMS_FAILURE, RequesterState)
-        if state is RequesterState.PAYING:
-            return _fail(session, agent, NO_PAYMENT_REQUEST_FAILURE, RequesterState)
-        # Awaiting delivery, the last state with a timer.
-        return _fail(session, agent, NO_DELIVERY_FAILURE, RequesterState)
+        if not isinstance(split, list) or not all(map(_is_split_line, split)):
+            raise _violation(session, event)
+        if sum(line["amount"] for line in split) != amount:
+            raise _violation(session, event)
+        return agent.settle(session, amount, split)
+
+    if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
+        token = _parse_token(session, event.body["token"])
+        if token.height is None or token.terms_hash != terms_hash(session.terms):
+            raise _violation(session, event)
+        session.received_token = token
+        session.content = event.body["content"]
+        session.content_licensed = True
+        session.state = RequesterState.ACKNOWLEDGING
+        outputs = []
+        if session.config.ack_required:
+            outputs.append(
+                _send(session, "acknowledge_receipt", {"license_id": token.license_id})
+            )
+        agent.record_license(session)
+        session.state = RequesterState.COMPLETED
+        return outputs
 
     raise _violation(session, event)
 
@@ -631,12 +608,6 @@ def requester_counter(session, agent, delta_value, countered):
     return [_send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})]
 
 
-def requester_refuse(session, reason):
-    session.reject_reason = reason
-    session.state = RequesterState.REJECTED
-    return [_send(session, "reject", {"reason": reason})]
-
-
 def requester_paid(session, agent, amount):
     """Confirm the payment, then prepare the token."""
     session.state = RequesterState.MINTING
@@ -648,6 +619,3 @@ def requester_present(session, token):
     session.state = RequesterState.AWAITING_DELIVERY
     return [_send(session, "license_token", {"token": token_to_value(token)})]
 
-
-def requester_fail(session, agent, reason):
-    return _fail(session, agent, reason, RequesterState)

@@ -7,7 +7,8 @@ public decision methods (``evaluate_request``, ``answer_offer``,
 wallet system, and reputation board and applies its outcome through
 one protocol step function, which owns the state change and the
 outbound message. Entry points return the outbound messages the caller
-must put on the wire.
+must put on the wire. ``timer_for`` tells the caller how many ticks a
+session's current state waits, and ``expire_timer`` ends that wait.
 
 Inbound messages are deduplicated per session by sequence number, and
 anything a session cannot take in its current state is dropped with a
@@ -40,26 +41,25 @@ from .negotiation import (
 )
 from .payments import RoyaltyObligation, SplitPlan, aggregate_obligations, compute_split
 from .protocol import (
+    NO_TOKEN_FAILURE,
     PROVIDER_TIMERS,
     ProviderSession,
     REQUESTER_TIMERS,
     RequesterSession,
     SessionConfig,
     TimerExpired,
-    provider_abort,
+    fail,
     provider_deliver,
     provider_non_ip,
     provider_propose,
-    provider_refuse,
     provider_revise,
     provider_transition,
+    refuse,
     requester_accept,
     requester_counter,
-    requester_fail,
     requester_open,
     requester_paid,
     requester_present,
-    requester_refuse,
     requester_transition,
 )
 from .terms import LicenseTerms, apply_delta, terms_hash
@@ -203,14 +203,11 @@ class AgentRuntime:
         return dict(self._sessions)
 
     def timer_for(self, session_id):
-        """(kind, ticks) the current state waits on, or None."""
+        """Ticks the current state waits, or None when it waits on nothing."""
         session = self._sessions[session_id]
         table = PROVIDER_TIMERS if session.role == "provider" else REQUESTER_TIMERS
-        spec = table.get(session.state)
-        if spec is None:
-            return None
-        kind, attr = spec
-        return kind, getattr(session.config, attr)
+        wait = table.get(session.state)
+        return None if wait is None else getattr(session.config, wait)
 
     # -- entry points ---------------------------------------------------------
 
@@ -258,13 +255,13 @@ class AgentRuntime:
         session.last_seq_seen = message.seq
         return outbound
 
-    def expire_timer(self, session_id, kind):
+    def expire_timer(self, session_id):
         session = self._sessions[session_id]
         if session.terminal():
             return []
         transition = provider_transition if session.role == "provider" else requester_transition
         try:
-            return transition(session, TimerExpired(kind), self)
+            return transition(session, TimerExpired(), self)
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
@@ -305,7 +302,7 @@ class AgentRuntime:
             if session is winner:
                 outbound.extend(self._propose(item, session))
             else:
-                outbound.extend(provider_refuse(session, "another offer was selected"))
+                outbound.extend(refuse(session, "another offer was selected"))
         return outbound
 
     # -- downstream sales -------------------------------------------------------
@@ -329,10 +326,10 @@ class AgentRuntime:
         courtship, or propose opening terms."""
         item = self.catalog.get(session.content_id)
         if item is None:
-            return provider_refuse(session, f"no such content: {session.content_id}")
+            return refuse(session, f"no such content: {session.content_id}")
         gate = self._gate(session, item)
         if not gate:
-            return provider_refuse(session, gate.reason)
+            return refuse(session, gate.reason)
         if not self.is_ip_significant(item.content_id):
             return provider_non_ip(session, self, item.content)
         if item.courtship:
@@ -376,7 +373,7 @@ class AgentRuntime:
         try:
             terms = self._opening_terms(item, session.request_body.get("offer", {}))
         except InvalidTerms as exc:
-            return provider_refuse(session, f"terms invalid: {exc.violations[0].reason}")
+            return refuse(session, f"terms invalid: {exc.violations[0].reason}")
         return provider_propose(
             session, self, terms, self._previous_license_id(item, session.requester_id)
         )
@@ -411,7 +408,7 @@ class AgentRuntime:
             revised = countered
         else:
             if session.revisions_used >= self.policy.max_rounds:
-                return provider_refuse(session, "negotiation budget exhausted")
+                return refuse(session, "negotiation budget exhausted")
             session.revisions_used += 1
             if countered is None:
                 revised = session.terms
@@ -444,7 +441,7 @@ class AgentRuntime:
         try:
             token = token_from_value(token_value)
         except (ParseError, InvalidTerms):
-            return provider_abort(session, self)
+            return fail(session, self, NO_TOKEN_FAILURE)
         fits = (
             token.metadata.issuer_id == session.provider_id
             and token.metadata.holder_id == session.requester_id
@@ -453,11 +450,11 @@ class AgentRuntime:
             and token.terms_hash == terms_hash(session.terms)
         )
         if not fits:
-            return provider_abort(session, self)
+            return fail(session, self, NO_TOKEN_FAILURE)
         try:
             committed = self.ledger.commit_agreement(token)
         except AbortedExchange:
-            return provider_abort(session, self)
+            return fail(session, self, NO_TOKEN_FAILURE)
         item = self._require_item(session.content_id)
         return provider_deliver(session, self, committed, item.content)
 
@@ -518,7 +515,7 @@ class AgentRuntime:
                 self.remember("Own counter does not validate; going silent.")
                 return []
             return requester_counter(session, self, decision.delta.to_value(), countered)
-        return requester_refuse(session, decision.reason)
+        return refuse(session, decision.reason)
 
     def settle(self, session, amount, split):
         """Pay the provider's split from this agent's wallet."""
@@ -528,7 +525,7 @@ class AgentRuntime:
                 self.agent_id, plan, purpose="license_fee", session_id=session.session_id
             )
         except AtcpipError as exc:
-            return requester_fail(session, self, str(exc))
+            return fail(session, self, str(exc))
         return requester_paid(session, self, plan.price)
 
     def prepare_token(self, session):
@@ -543,7 +540,7 @@ class AgentRuntime:
                 session_id=session.session_id,
             )
         except AtcpipError as exc:
-            return requester_fail(session, self, str(exc))
+            return fail(session, self, str(exc))
         return requester_present(session, token)
 
     def receive_content(self, content_id, content):

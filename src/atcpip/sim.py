@@ -5,11 +5,13 @@ jitter), and the event queue orders work by (deliver_tick, insertion
 sequence), so a scenario plus a seed fully determines the run. The
 transcript is a newline-separated list of canonical JSON lines: one meta
 line, then message, ledger, balance, state change, and memory lines in
-the order they happened. Replays compare transcripts byte for byte.
+the order they happened; each payment's ledger line is followed by its
+balance line. Replays compare transcripts byte for byte.
 
 Timers follow the protocol tables: every event a session processes
 restarts the wait its new state listens on, and each reschedule bumps
-an epoch counter so stale timer events fall through harmlessly.
+an epoch counter so stale timer events fall through harmlessly. A
+timer event names the agent, the session and the epoch, nothing more.
 """
 
 import heapq
@@ -60,7 +62,6 @@ class Simulation:
         self._emit({"kind": "meta", "scenario": scenario.name, "seed": self.seed})
         self.ledger.on_append = self._on_ledger
         self.wallets = WalletSystem(self.ledger)
-        self.wallets.on_transfer = self._on_transfer
         self.board = ReputationBoard(self.ledger)
         self.court = DisputeCourt(self.ledger, self.board)
         registry = JurisdictionRegistry(scenario.jurisdictions)
@@ -109,6 +110,7 @@ class Simulation:
     def _on_ledger(self, entry, payload):
         # canon.dumps of {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
         # built around the payload bytes the ledger has already encoded.
+        # A payment line is followed by its balance line.
         self._lines.append(
             b'{"entry":{"entry_hash":"%s","height":%d,"kind":"%s","payload":%s,'
             b'"payload_hash":"%s"},"kind":"ledger","tick":%d}'
@@ -121,20 +123,20 @@ class Simulation:
                 self.tick,
             )
         )
-
-    def _on_transfer(self, from_id, to_id, amount, purpose):
-        self._emit(
-            {
-                "kind": "balance",
-                "tick": self.tick,
-                "from": from_id,
-                "to": to_id,
-                "amount": amount,
-                "purpose": purpose,
-                "from_balance": self.wallets.balance(from_id),
-                "to_balance": self.wallets.balance(to_id),
-            }
-        )
+        if entry.kind == "payment":
+            transfer = entry.payload
+            self._emit(
+                {
+                    "kind": "balance",
+                    "tick": self.tick,
+                    "from": transfer["from"],
+                    "to": transfer["to"],
+                    "amount": transfer["amount"],
+                    "purpose": transfer["purpose"],
+                    "from_balance": self.wallets.balance(transfer["from"]),
+                    "to_balance": self.wallets.balance(transfer["to"]),
+                }
+            )
 
     def _on_memory(self, agent_id, record):
         self._emit(
@@ -252,25 +254,22 @@ class Simulation:
                 epoch = self._epoch.get(key, 0) + 1
                 self._epoch[key] = epoch
                 if not session.terminal():
-                    timer = runtime.timer_for(session_id)
-                    if timer is not None:
-                        kind, ticks = timer
+                    ticks = runtime.timer_for(session_id)
+                    if ticks is not None:
                         self._push(
-                            self.tick + ticks,
-                            ("timer", runtime.agent_id, session_id, kind, epoch),
+                            self.tick + ticks, ("timer", runtime.agent_id, session_id, epoch)
                         )
 
-    def _fire_timer(self, agent_id, session_id, kind, epoch):
+    def _fire_timer(self, agent_id, session_id, epoch):
         if self._epoch.get((agent_id, session_id)) != epoch:
             return
         if self._queued.get((self.tick, agent_id, session_id)):
             # A message for this wait lands on the deadline tick itself.
-            # Arrival wins the tie: requeue the deadline behind it, where
-            # the restarted wait will mark it stale.
-            self._push(self.tick, ("timer", agent_id, session_id, kind, epoch))
+            # Arrival wins the tie: its sweep restarts the wait, which
+            # leaves this deadline stale.
             return
         runtime = self.runtimes[agent_id]
-        self._route(self._act(runtime, "Timer", runtime.expire_timer, session_id, kind))
+        self._route(self._act(runtime, "Timer", runtime.expire_timer, session_id))
         self._sweep(runtime, session_id)
 
     # -- scripted events ------------------------------------------------------------

@@ -400,14 +400,18 @@ def drop_terms(draft):
     del draft["terms"]
 
 
-def rehashed_court(exported):
-    """Recompute every hash of an edited export, so the forgery verifies,
-    then import it and rebuild its court."""
+def rehash(exported):
+    """Recompute every hash of an edited export, so the forgery verifies."""
     previous = GENESIS_HASH
     for entry in exported:
         entry["payload_hash"] = canon.hash_value(entry["payload"])
         entry["entry_hash"] = previous = chain_entry_hash(previous, entry["payload_hash"])
-    clone = Ledger.from_export(exported)
+    return exported
+
+
+def rehashed_court(exported):
+    """Rehash an edited export, then import it and rebuild its court."""
+    clone = Ledger.from_export(rehash(exported))
     return clone, DisputeCourt.rebuild(clone, ReputationBoard(clone))
 
 
@@ -465,3 +469,68 @@ def test_malformed_payments_and_usage_are_no_evidence(kind, forge, claim_kind, r
     _, court = rehashed_court(exported)
     claim = court.file_dispute("sess-1", "prov", "req", claim_kind)
     assert court.arbitrate(claim.dispute_id).rationale == rationale
+
+
+@pytest.mark.parametrize(
+    "kind,path,value,outcome",
+    [
+        # An index key that is not a string fails the import.
+        ("draft_token", ("session_id",), ["s"], "import"),
+        ("agreement_token", ("session_id",), ["s"], "import"),
+        ("agreement_token", ("metadata", "license_id"), ["s"], "import"),
+        ("verdict", ("revokes_license_id",), ["s"], "import"),
+        # A dispute or verdict that does not parse is skipped by the court.
+        ("dispute", ("asserted_clause",), 5, "dispute"),
+        ("dispute", ("asserted_clause",), "scope", "dispute"),
+        ("dispute", ("asserted_clause",), [], "dispute"),
+        ("dispute", ("dispute_id",), ["d"], "dispute"),
+        ("dispute", ("claim",), "vibes", "dispute"),
+        ("verdict", ("rationale",), None, "verdict"),
+    ],
+)
+def test_forged_entries_on_an_imported_chain_are_typed_errors(
+    tmp_path, capsys, kind, path, value, outcome
+):
+    terms = make_terms(upfront_fee=1_000, revocation_conditions=("dispute_loss",))
+    book, court, token = build_session(terms=terms, pay=100, draft_terms=(terms,))
+    forged = court.resolve(court.file_dispute("sess-1", "prov", "req", "payment_default").dispute_id)
+    intact = court.resolve(
+        court.file_dispute(
+            "sess-1", "req", "prov", "misrepresentation", asserted_terms_hash="f" * 64
+        ).dispute_id
+    )
+    assert forged.revokes_license_id == token.license_id
+    exported = canon.loads(canon.dumps(book.export_entries()))
+    target = next(entry["payload"] for entry in exported if entry["kind"] == kind)
+    *parents, key = path
+    for step in parents:
+        target = target[step]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    export = tmp_path / "ledger.json"
+    export.write_bytes(canon.dumps(rehash(exported)) + b"\n")
+
+    def export_evidence(dispute_id):
+        return main(["export-evidence", "--ledger", str(export), "--dispute", dispute_id])
+
+    assert main(["verify-ledger", str(export)]) == 0
+    if outcome == "import":
+        with pytest.raises(ParseError, match="must be a string"):
+            Ledger.from_export(exported)
+        assert export_evidence(intact.dispute_id) == 2
+        assert "error: " in capsys.readouterr().err
+        return
+    clone = Ledger.from_export(exported)
+    rebuilt = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    assert rebuilt.collect_evidence(intact.dispute_id).claim.kind == "misrepresentation"
+    assert export_evidence(intact.dispute_id) == 0
+    if outcome == "dispute":
+        with pytest.raises(UnknownDispute):
+            rebuilt.claim(forged.dispute_id)
+        assert export_evidence(forged.dispute_id) == 2
+        assert "error: no dispute" in capsys.readouterr().err
+    else:
+        assert rebuilt.collect_evidence(forged.dispute_id).claim.kind == "payment_default"
+        assert export_evidence(forged.dispute_id) == 0

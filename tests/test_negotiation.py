@@ -251,7 +251,7 @@ def test_silent_requester_yields_unconfirmed_outcome():
     ledger, runtimes = negotiate(initial, provider_policy(), mute)
     provider = runtimes["provider"].session("s1")
     assert provider.state is ProviderState.TERMS_PROPOSED
-    pump(runtimes, runtimes["provider"].expire_timer("s1", "negotiation"))
+    pump(runtimes, runtimes["provider"].expire_timer("s1"))
     assert agreed_terms(ledger) is None
     assert provider.unconfirmed
     assert provider.terms == initial

@@ -21,7 +21,7 @@ from atcpip.protocol import (
     TimerExpired,
     decode_message,
     encode_message,
-    provider_abort,
+    fail,
     provider_deliver,
     provider_propose,
     provider_transition,
@@ -144,8 +144,10 @@ class RecordingAgent:
         return call
 
 
-def provider_session(**kwargs):
-    return ProviderSession("s1", "provider", "requester", SessionConfig(), **kwargs)
+def provider_session(config=SessionConfig(), **kwargs):
+    return ProviderSession(
+        session_id="s1", provider_id="provider", requester_id="requester", config=config, **kwargs
+    )
 
 
 def paid_terms():
@@ -215,7 +217,8 @@ def test_provider_delivery_and_ack_paths():
     # The deal is recorded after the delivery took its seq.
     assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
 
-    acky = ProviderSession("s2", "provider", "requester", SessionConfig(ack_required=True),
+    acky = ProviderSession(session_id="s2", provider_id="provider", requester_id="requester",
+                           config=SessionConfig(ack_required=True),
                            state=ProviderState.DELIVERING, content_id="c")
     agent = RecordingAgent(acky)
     provider_deliver(acky, agent, token, "bytes")
@@ -228,10 +231,10 @@ def test_provider_delivery_and_ack_paths():
 
 
 def test_provider_ack_timeout_still_completes():
-    session = ProviderSession("s1", "provider", "requester", SessionConfig(ack_required=True),
-                              state=ProviderState.AWAITING_ACK)
+    session = provider_session(config=SessionConfig(ack_required=True),
+                               state=ProviderState.AWAITING_ACK)
     agent = RecordingAgent(session)
-    outputs = provider_transition(session, TimerExpired("ack"), agent)
+    outputs = provider_transition(session, TimerExpired(), agent)
     assert session.state is ProviderState.COMPLETED
     assert not session.acknowledged
     assert outputs == []
@@ -241,7 +244,7 @@ def test_provider_ack_timeout_still_completes():
 def test_provider_timeout_failures_use_fixed_reasons():
     session = provider_session(state=ProviderState.AWAITING_TOKEN)
     agent = RecordingAgent(session)
-    provider_transition(session, TimerExpired("settlement"), agent)
+    provider_transition(session, TimerExpired(), agent)
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
     assert agent.calls == [
@@ -249,7 +252,7 @@ def test_provider_timeout_failures_use_fixed_reasons():
     ]
 
     session = provider_session(state=ProviderState.AWAITING_PAYMENT)
-    provider_transition(session, TimerExpired("settlement"), RecordingAgent(session))
+    provider_transition(session, TimerExpired(), RecordingAgent(session))
     assert session.failure_reason == NO_PAYMENT_FAILURE
 
 
@@ -257,7 +260,7 @@ def test_provider_negotiation_timeout_defaults_to_standing_terms():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
-    outputs = provider_transition(session, TimerExpired("negotiation"), agent)
+    outputs = provider_transition(session, TimerExpired(), agent)
     assert session.unconfirmed
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls == [("payment_plan", ProviderState.AWAITING_PAYMENT, 0)]
@@ -280,7 +283,7 @@ def test_provider_refuses_a_confirmation_for_another_amount(fee, amount):
 
 def test_provider_exchange_abort_fails_session():
     session = provider_session(state=ProviderState.DELIVERING)
-    assert provider_abort(session, RecordingAgent(session)) == []
+    assert fail(session, RecordingAgent(session), NO_TOKEN_FAILURE) == []
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
 
@@ -295,7 +298,7 @@ def test_provider_rejects_wrong_accept_hash_and_terminal_events():
     with pytest.raises(ProtocolViolation):
         provider_transition(done, msg("request_info", {"content_id": "c"}), RecordingAgent(done))
     with pytest.raises(ProtocolViolation):
-        provider_transition(done, TimerExpired("negotiation"), RecordingAgent(done))
+        provider_transition(done, TimerExpired(), RecordingAgent(done))
     assert agent.calls == [] and session.state is ProviderState.TERMS_PROPOSED
 
 
@@ -332,7 +335,10 @@ def test_non_ip_notice_completes_without_license():
 
 
 def requester_session(**kwargs):
-    return RequesterSession("s1", "requester", "provider", SessionConfig(), **kwargs)
+    return RequesterSession(
+        session_id="s1", requester_id="requester", provider_id="provider", config=SessionConfig(),
+        **kwargs,
+    )
 
 
 def test_requester_happy_path_states():
@@ -476,9 +482,7 @@ def test_requester_timeout_reasons():
         (RequesterState.AWAITING_DELIVERY, NO_DELIVERY_FAILURE),
     ]:
         session = requester_session(state=state)
-        kind = "negotiation" if state in (RequesterState.AWAITING_TERMS,
-                                          RequesterState.COUNTERING) else "settlement"
-        requester_transition(session, TimerExpired(kind), RecordingAgent(session))
+        requester_transition(session, TimerExpired(), RecordingAgent(session))
         assert session.state is RequesterState.FAILED
         assert session.failure_reason == reason
 
@@ -516,7 +520,10 @@ def test_token_whose_terms_break_a_rule_makes_the_provider_abort():
     assert ledger.session_agreement("s1") is None
 
 
-def test_stale_timer_kind_is_a_violation():
-    session = requester_session(state=RequesterState.AWAITING_TERMS)
+def test_timer_in_evaluating_terms_is_a_violation():
+    # evaluating_terms has no wait, so no timer may expire there.
+    session = requester_session(state=RequesterState.EVALUATING_TERMS)
+    agent = RecordingAgent(session)
     with pytest.raises(ProtocolViolation):
-        requester_transition(session, TimerExpired("settlement"), RecordingAgent(session))
+        requester_transition(session, TimerExpired(), agent)
+    assert session.state is RequesterState.EVALUATING_TERMS and agent.calls == []

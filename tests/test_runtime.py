@@ -276,13 +276,13 @@ def test_stalled_negotiation_times_out_into_unconfirmed_then_fails():
     assert prov.state is ProviderState.NEGOTIATING
     assert "Counter budget exhausted; going silent." in runtimes["req"].memory_texts()
     # negotiation timer: provider proceeds on standing terms, unconfirmed
-    pump(runtimes, runtimes["prov"].expire_timer("s1", "negotiation"))
+    pump(runtimes, runtimes["prov"].expire_timer("s1"))
     assert prov.unconfirmed is True
     assert prov.state is ProviderState.AWAITING_PAYMENT
     # the payment request lands on a requester who cannot take it
     assert any("Protocol violation" in note for note in runtimes["req"].memory_texts())
     # settlement timer: the deal fails with the payment reason
-    pump(runtimes, runtimes["prov"].expire_timer("s1", "settlement"))
+    pump(runtimes, runtimes["prov"].expire_timer("s1"))
     assert prov.state is ProviderState.FAILED
     assert prov.failure_reason == NO_PAYMENT_FAILURE
     assert f"Session failed: {NO_PAYMENT_FAILURE}" in runtimes["prov"].memory_texts()
@@ -297,7 +297,7 @@ def test_insufficient_funds_fail_the_requester_side():
     assert wallets.balance("prov") == 0
     prov = runtimes["prov"].session("s1")
     assert prov.state is ProviderState.AWAITING_PAYMENT
-    pump(runtimes, runtimes["prov"].expire_timer("s1", "settlement"))
+    pump(runtimes, runtimes["prov"].expire_timer("s1"))
     assert prov.failure_reason == NO_PAYMENT_FAILURE
 
 
@@ -490,7 +490,7 @@ def test_timer_for_follows_session_state():
         {"prov": {"items": (DATASET,)}, "req": {"balance": 50_000_000}}, config=config
     )
     outbound = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
-    assert runtimes["req"].timer_for("s1") == ("negotiation", 7)
+    assert runtimes["req"].timer_for("s1") == 7
     pump(runtimes, outbound)
     assert runtimes["req"].timer_for("s1") is None
     assert runtimes["prov"].timer_for("s1") is None
@@ -590,4 +590,4 @@ def test_malformed_counter_is_a_protocol_violation_before_any_revision(suggestio
 
 def test_expired_timer_on_terminal_session_is_ignored():
     _, _, _, runtimes = run_simple_deal()
-    assert runtimes["prov"].expire_timer("s1", "settlement") == []
+    assert runtimes["prov"].expire_timer("s1") == []

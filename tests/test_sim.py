@@ -8,6 +8,7 @@ from decimal import Decimal
 import pytest
 
 from atcpip import canon
+from atcpip.errors import ParseError
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_PAYMENT_REQUEST_FAILURE,
@@ -494,3 +495,57 @@ def test_golden_transcript_lines_are_canonical(name):
             entry = value["entry"]
             assert entry["payload_hash"] == canon.sha256_hex(canon.dumps(entry["payload"]))
     assert ledger_lines > 0
+
+
+def personal_data_value(jurisdictions=None, item_terms=None):
+    """A provider in FR serving a ``personal_data`` item to a requester in DE."""
+    value = two_party_value()
+    provider, requester = value["agents"]
+    provider["jurisdiction"], requester["jurisdiction"] = "FR", "DE"
+    item = provider["catalog"][0]
+    item["flags"] = ["personal_data"]
+    item["terms"].update(item_terms or {})
+    if jurisdictions is None:
+        jurisdictions = {"FR": {"privacy_regimes": ["gdpr"]}, "DE": {"privacy_regimes": ["gdpr"]}}
+    value["jurisdictions"] = jurisdictions
+    return value
+
+
+@pytest.mark.parametrize(
+    "jurisdictions,item_terms,state,reason",
+    [
+        (
+            None,
+            None,
+            "rejected",
+            "personal data may not leave FR for DE without adequacy or compliance requirements",
+        ),
+        (
+            {"FR": {"adequacy": ["DE"]}, "DE": {"privacy_regimes": ["gdpr"]}},
+            None,
+            "completed",
+            "",
+        ),
+        (None, {"compliance_requirements": ["gdpr"]}, "completed", ""),
+    ],
+)
+def test_scenario_jurisdictions_gate_personal_data(jurisdictions, item_terms, state, reason):
+    scenario = scenario_from_value(personal_data_value(jurisdictions, item_terms))
+    _, world = run_scenario(scenario)
+    for agent_id in ("prov", "req"):
+        session = world.runtimes[agent_id].session("s1")
+        assert (session.state.value, session.reject_reason) == (state, reason)
+
+
+@pytest.mark.parametrize(
+    "jurisdictions",
+    [
+        {"FR": "civil_law", "DE": {}},
+        {"FR": {"currency": "EUR"}, "DE": {}},
+        {"FR": {"privacy_regimes": "gdpr"}, "DE": {}},
+        {},
+    ],
+)
+def test_malformed_scenario_jurisdictions_fail_to_parse(jurisdictions):
+    with pytest.raises(ParseError):
+        scenario_from_value(personal_data_value(jurisdictions))
