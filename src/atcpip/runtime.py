@@ -10,6 +10,13 @@ outbound message. Entry points return the outbound messages the caller
 must put on the wire. ``timer_for`` tells the caller how many ticks a
 session's current state waits, and ``expire_timer`` ends that wait.
 
+Only the entry points (``start_request``, ``receive_message``,
+``expire_timer`` and ``decide_courtship``) hand a session to the
+protocol, and a transition changes no session but its own. So the
+runtime notes the id of every session an entry point acts on, and
+``sessions(acted=True)`` hands the caller exactly the sessions whose
+state may have changed since its last such call.
+
 Inbound messages are deduplicated per session by sequence number, and
 anything a session cannot take in its current state is dropped with a
 memory note rather than crashing the agent.
@@ -166,6 +173,8 @@ class AgentRuntime:
         self.memory = []  # MemoryRecord, append-only
         self.on_memory = None  # hook(agent_id, record)
         self._sessions = {}
+        self._ordinal = {}  # session_id -> creation order
+        self._acted = set()  # ids entry points acted on since sessions(acted=True)
         self._courtship = {}  # content_id -> [session_id, ...]
         self._purposes = {}  # session_id -> stated purpose of the request
 
@@ -199,8 +208,18 @@ class AgentRuntime:
     def has_session(self, session_id):
         return session_id in self._sessions
 
-    def sessions(self):
-        return dict(self._sessions)
+    def sessions(self, acted=False):
+        """Sessions by id, in creation order.
+
+        Every session this agent has opened, or with ``acted`` only those
+        an entry point has acted on since the last ``acted`` call, which
+        this call forgets. The rest are in the state that call saw.
+        """
+        if not acted:
+            return dict(self._sessions)
+        ids = sorted(self._acted, key=self._ordinal.__getitem__)
+        self._acted.clear()
+        return {session_id: self._sessions[session_id] for session_id in ids}
 
     def timer_for(self, session_id):
         """Ticks the current state waits, or None when it waits on nothing."""
@@ -220,7 +239,8 @@ class AgentRuntime:
             provider_id=provider_id,
             config=self.config,
         )
-        self._sessions[session_id] = session
+        self._open(session)
+        self._acted.add(session_id)
         if purpose:
             self._purposes[session_id] = purpose
         return requester_open(session, content_id, self.directory.get(self.agent_id), offer)
@@ -239,7 +259,8 @@ class AgentRuntime:
                 requester_id=message.sender,
                 config=self.config,
             )
-            self._sessions[message.session_id] = session
+            self._open(session)
+        self._acted.add(session.session_id)
         if message.seq <= session.last_seq_seen:
             self.remember(
                 f"Dropped replayed {message.action} seq {message.seq}"
@@ -257,6 +278,7 @@ class AgentRuntime:
 
     def expire_timer(self, session_id):
         session = self._sessions[session_id]
+        self._acted.add(session_id)
         if session.terminal():
             return []
         transition = provider_transition if session.role == "provider" else requester_transition
@@ -265,6 +287,10 @@ class AgentRuntime:
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
+
+    def _open(self, session):
+        self._ordinal[session.session_id] = len(self._sessions)
+        self._sessions[session.session_id] = session
 
     # -- courtship ------------------------------------------------------------
 
@@ -299,6 +325,7 @@ class AgentRuntime:
                 winner = session
         outbound = []
         for session in live:
+            self._acted.add(session.session_id)
             if session is winner:
                 outbound.extend(self._propose(item, session))
             else:

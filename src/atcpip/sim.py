@@ -12,6 +12,14 @@ Timers follow the protocol tables: every event a session processes
 restarts the wait its new state listens on, and each reschedule bumps
 an epoch counter so stale timer events fall through harmlessly. A
 timer event names the agent, the session and the epoch, nothing more.
+
+After an agent acts, a sweep records its sessions' state changes and
+restarts their timers. It visits only the sessions that agent's entry
+points acted on since its last sweep, in creation order: a transition
+changes no session but the one it was handed, so every other session
+is still in the state the last sweep recorded, and a visit to it would
+write no line and push no timer. The sweep's cost is therefore the work
+the agent just did, not the number of sessions it holds.
 """
 
 import heapq
@@ -227,11 +235,16 @@ class Simulation:
     def _sweep(self, runtime, touched_session_id=None):
         """Record state changes and restart timers after an agent acted.
 
-        A session's timer restarts when its state changed or when it just
-        processed an event (each received message restarts the listen
-        wait). Bumping the epoch quietly cancels whatever was pending.
+        Visits the sessions the agent's entry points acted on since its
+        last sweep, which include the touched session, in creation order;
+        no other session's state can have changed. When an entry point
+        raises and its sweep is skipped, the agent keeps those ids for
+        its next sweep. A session's timer restarts when its state changed
+        or when it just processed an event (each received message
+        restarts the listen wait). Bumping the epoch quietly cancels
+        whatever was pending.
         """
-        for session_id, session in runtime.sessions().items():
+        for session_id, session in runtime.sessions(acted=True).items():
             key = (runtime.agent_id, session_id)
             previous = self._session_state.get(key)
             changed = session.state is not previous

@@ -1,11 +1,14 @@
-"""The benchmark under perfbench/ still runs against the sources in src/.
+"""The benchmarks under perfbench/ and benchmarks/ still run against the
+sources in src/.
 
 A small market world goes through the benchmark's own workload, bench
 and traced-run code in a fresh interpreter, so the tracer's patches on
 atcpip never reach the rest of the suite. An API change that breaks
-the benchmark fails here instead of in a benchmark run.
+the benchmark fails here instead of in a benchmark run. The scaling
+script patches nothing, so its measuring code runs in-process.
 """
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -73,3 +76,18 @@ def test_benchmark_selftest_passes(tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_scaling_script_measures_both_shapes_in_process(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = ROOT / "benchmarks" / "bench_scaling.py"
+    spec = importlib.util.spec_from_file_location("bench_scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    table = scaling.curve(sizes=(20, 40), repeats=1)
+    assert sorted(table) == ["hot_provider", "market"]
+    for row in table.values():
+        assert sorted(row) == ["20", "40"]
+        for cell in row.values():
+            assert sorted(cell) == ["bytes_per_session", "ms_per_session", "ms_per_session_raw"]
+            assert all(figure > 0 for figure in cell.values())

@@ -8,7 +8,8 @@ from decimal import Decimal
 import pytest
 
 from atcpip import canon
-from atcpip.errors import ParseError
+from atcpip import runtime as runtime_module
+from atcpip.errors import AtcpipError, ParseError
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_PAYMENT_REQUEST_FAILURE,
@@ -19,7 +20,8 @@ from atcpip.protocol import (
 )
 from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
-from atcpip.sim import check_expectations, replay, run_scenario
+from atcpip.runtime import AgentRuntime
+from atcpip.sim import Simulation, check_expectations, replay, run_scenario
 
 
 def two_party_value(**overrides):
@@ -495,6 +497,136 @@ def test_golden_transcript_lines_are_canonical(name):
             entry = value["entry"]
             assert entry["payload_hash"] == canon.sha256_hex(canon.dumps(entry["payload"]))
     assert ledger_lines > 0
+
+
+class FullSweepSimulation(Simulation):
+    """The oracle for ``Simulation._sweep``: every session the agent ever
+    opened, visited after every event, by the same rules."""
+
+    def _sweep(self, runtime, touched_session_id=None):
+        for session_id, session in runtime.sessions().items():
+            key = (runtime.agent_id, session_id)
+            previous = self._session_state.get(key)
+            changed = session.state is not previous
+            if changed:
+                self._session_state[key] = session.state
+                value = {
+                    "kind": "state",
+                    "tick": self.tick,
+                    "agent": runtime.agent_id,
+                    "session": session_id,
+                    "role": session.role,
+                    "state": session.state.value,
+                }
+                if session.failure_reason:
+                    value["failure"] = session.failure_reason
+                if session.reject_reason:
+                    value["reject"] = session.reject_reason
+                self._emit(value)
+            if changed or session_id == touched_session_id:
+                epoch = self._epoch.get(key, 0) + 1
+                self._epoch[key] = epoch
+                if not session.terminal():
+                    ticks = runtime.timer_for(session_id)
+                    if ticks is not None:
+                        self._push(
+                            self.tick + ticks, ("timer", runtime.agent_id, session_id, epoch)
+                        )
+
+
+@pytest.fixture
+def checked_sweep(monkeypatch):
+    """After every sweep, each of the swept agent's sessions is in the
+    state the simulator last recorded for it."""
+    sweep = Simulation._sweep
+
+    def checked(sim, runtime, touched_session_id=None):
+        sweep(sim, runtime, touched_session_id)
+        for session_id, session in runtime.sessions().items():
+            assert sim._session_state[(runtime.agent_id, session_id)] is session.state
+
+    monkeypatch.setattr(Simulation, "_sweep", checked)
+
+
+@pytest.mark.usefixtures("checked_sweep")
+@pytest.mark.parametrize(
+    "name", [*BUILTIN_SCENARIOS, "lossy_jitter", "market", "hot_provider"]
+)
+def test_sweep_of_acted_sessions_matches_the_full_sweep(name):
+    for seed in range(1, 6):
+        if name in ("market", "hot_provider"):
+            value = getattr(load_worlds(), name)(60, seed)
+            scenario = scenario_from_bytes(canon.dumps(value))
+        else:
+            scenario = golden_scenario(name)
+        transcript, _ = run_scenario(scenario, seed=seed)
+        assert transcript == FullSweepSimulation(scenario, seed=seed).run()[0]
+
+
+def refuse_once_then_raise(monkeypatch):
+    """The first refusal closes its session, then raises."""
+    refuse = runtime_module.refuse
+    raised = []
+
+    def refuse_then_raise(session, reason):
+        outbound = refuse(session, reason)
+        if not raised:
+            raised.append(True)
+            raise AtcpipError("courtship interrupted")
+        return outbound
+
+    monkeypatch.setattr(runtime_module, "refuse", refuse_then_raise)
+
+
+def decide_then_raise(monkeypatch):
+    """The whole decision runs, closing or answering every session, then
+    raises, so all of them wait for the agent's next sweep."""
+    decide = AgentRuntime.decide_courtship
+
+    def decide_courtship(runtime, content_id):
+        decide(runtime, content_id)
+        raise AtcpipError("courtship interrupted")
+
+    monkeypatch.setattr(AgentRuntime, "decide_courtship", decide_courtship)
+
+
+@pytest.mark.usefixtures("checked_sweep")
+@pytest.mark.parametrize("patch", [refuse_once_then_raise, decide_then_raise])
+def test_sessions_acted_on_before_a_raise_are_swept_next_time(patch, monkeypatch):
+    """A raising ``decide_courtship`` skips its sweep; the sessions it
+    acted on come out of the agent's next sweep, in creation order."""
+    scenario = golden_scenario("uc2_social_game")
+    with monkeypatch.context() as patched:
+        patch(patched)
+        transcript, _ = run_scenario(scenario)
+    with monkeypatch.context() as patched:
+        patch(patched)
+        oracle, _ = FullSweepSimulation(scenario).run()
+    assert transcript == oracle
+    assert b"Script event 'decide_courtship' failed: courtship interrupted" in transcript
+    assert hashlib.sha256(transcript).hexdigest() != GOLDEN_DIGESTS["uc2_social_game"]
+
+
+def test_sweep_visits_about_one_session_per_call_at_any_size(monkeypatch):
+    """Counts, not times: the sessions each sweep visits do not grow with
+    the sessions the hot provider holds."""
+    sessions = AgentRuntime.sessions
+    visits = []
+
+    def counted(runtime, acted=False):
+        found = sessions(runtime, acted)
+        if acted:
+            visits.append(len(found))
+        return found
+
+    monkeypatch.setattr(AgentRuntime, "sessions", counted)
+    means = []
+    for size in (60, 240):
+        visits.clear()
+        run_scenario(scenario_from_bytes(canon.dumps(load_worlds().hot_provider(size, 1))))
+        means.append(sum(visits) / len(visits))
+    assert means[0] == means[1]
+    assert means[0] <= 1.1
 
 
 def personal_data_value(jurisdictions=None, item_terms=None):
