@@ -11,6 +11,8 @@ ledger entry, wire frame, and transcript line in the package. Rules:
 - decimals are fixed-point with exactly four fractional digits and no
   exponent; negative zero normalizes to 0.0000
 - floats and nulls are not values; encoding them raises, parsing null raises
+- only the exact types str, int, bool, Decimal, dict, list and tuple
+  encode; a subclass of one (an IntEnum, an OrderedDict) raises
 
 String escapes, the whole set:
 
@@ -110,31 +112,15 @@ def _encode(value, parts):
     elif kind is Decimal:
         parts.append(format_decimal(value))
     else:
-        _encode_other(value, parts)
+        _refuse(value)
 
 
-def _encode_other(value, parts):
-    # Subclass fallback; bool first because bool subclasses int.
-    if isinstance(value, bool):
-        parts.append("true" if value else "false")
-    elif isinstance(value, int):
-        if value < INT_MIN or value > INT_MAX:
-            raise CanonicalizationError(f"integer out of 64-bit range: {value}")
-        parts.append(str(value))
-    elif isinstance(value, str):
-        parts.append(encode_str(value))
-    elif isinstance(value, Decimal):
-        parts.append(format_decimal(value))
-    elif isinstance(value, dict):
-        _encode_map(value, parts)
-    elif isinstance(value, (list, tuple)):
-        _encode_list(value, parts)
-    elif value is None:
+def _refuse(value):
+    if value is None:
         raise CanonicalizationError("null is not a canonical value; omit the key instead")
-    elif isinstance(value, float):
+    if isinstance(value, float):
         raise CanonicalizationError(f"floats are not canonical values: {value!r}")
-    else:
-        raise CanonicalizationError(f"unencodable type {type(value).__name__}")
+    raise CanonicalizationError(f"unencodable type {type(value).__name__}")
 
 
 def _encode_list(value, parts):

@@ -2,24 +2,31 @@
 
 Twelve wire actions drive a provider and a requester state machine
 through negotiation, payment, token minting, and delivery. A transition
-takes a session, one inbound event (a message or a timer expiry), and
-the agent runtime that owns the session. Where the next step needs the
-agent (judging terms, paying, minting, remembering), the transition
-calls the runtime, and the runtime answers by calling one of the step
-functions here (``provider_propose``, ``requester_accept``, ...). Steps
-set the new state and build the outbound messages, so every session
-state change happens in this module, and every call returns the
-messages to send in the order they were numbered.
+takes a session, one inbound message, and the agent runtime that owns
+the session. Where the next step needs the agent (judging terms,
+paying, minting, remembering), the transition calls the runtime, and
+the runtime answers by calling one of the step functions here
+(``provider_propose``, ``requester_accept``, ...). Steps set the new
+state and build the outbound messages, so every session state change
+happens in this module, and every call returns the messages to send in
+the order they were numbered.
 
 The two roles share one event path: one ``Session`` base, one prelude
-that takes ``reject`` and screens timers, and the ``refuse`` and
-``fail`` steps. A timer expiry carries nothing; the wait it ends is the
-one ``PROVIDER_TIMERS`` or ``REQUESTER_TIMERS`` names for the session's
-current state.
+that takes ``reject``, and the ``refuse`` and ``fail`` steps. What each
+waiting state of either role waits on lives in one table, ``WAITS``:
+the ``SessionConfig`` field that sets the wait, and the outcome when it
+runs out, a failure reason or a step. ``expire`` ends a wait.
+
+The license a session closed on lives on the chain, as the ledger's
+agreement for the session id. The requester takes a ``deliver_ip`` only
+when that agreement binds the session's terms and the frame carries it
+unchanged; the content it delivered is kept on the session.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
-is not byte-identical to its own re-encoding.
+is not byte-identical to its own re-encoding. ``check_body`` holds a
+message body to the keys its action requires, both in the decoder and
+where a runtime receives a message.
 """
 
 import enum
@@ -28,7 +35,7 @@ from typing import Optional
 
 from . import canon
 from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
-from .ledger import token_from_value, token_to_value
+from .ledger import token_to_value
 from .terms import delta_from_value, terms_from_value, terms_hash
 
 ACTIONS = (
@@ -92,34 +99,39 @@ class ProtocolMessage:
         }
 
 
+def check_body(action, body):
+    """Raise ParseError unless ``action`` is one of the twelve and
+    ``body`` is a map holding every key the action requires."""
+    required = REQUIRED_BODY_KEYS.get(action)
+    if required is None:
+        raise ParseError(f"unknown action {action!r}")
+    if not isinstance(body, dict):
+        raise ParseError("body must be a map")
+    for key in required:
+        if key not in body:
+            raise ParseError(f"{action} body missing {key!r}")
+
+
 def message_from_value(value):
     if not isinstance(value, dict):
         raise ParseError("message must be a map")
     expected = {"session_id", "seq", "sender", "recipient", "action", "body"}
     if set(value) != expected:
         raise ParseError("message must carry exactly session_id/seq/sender/recipient/action/body")
-    action = value["action"]
-    if action not in REQUIRED_BODY_KEYS:
-        raise ParseError(f"unknown action {action!r}")
+    check_body(value["action"], value["body"])
     seq = value["seq"]
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise ParseError("seq must be a non-negative integer")
     for name in ("session_id", "sender", "recipient"):
         if not isinstance(value[name], str) or not value[name]:
             raise ParseError(f"{name} must be a non-empty string")
-    body = value["body"]
-    if not isinstance(body, dict):
-        raise ParseError("body must be a map")
-    missing = [key for key in REQUIRED_BODY_KEYS[action] if key not in body]
-    if missing:
-        raise ParseError(f"{action} body missing {missing[0]!r}")
     return ProtocolMessage(
         session_id=value["session_id"],
         seq=seq,
         sender=value["sender"],
         recipient=value["recipient"],
-        action=action,
-        body=body,
+        action=value["action"],
+        body=value["body"],
     )
 
 
@@ -213,37 +225,6 @@ TERMINAL = frozenset(
     | {RequesterState.COMPLETED, RequesterState.REJECTED, RequesterState.FAILED}
 )
 
-# Each state that waits, mapped to the SessionConfig field that sets its
-# wait. Entering a state (re)starts its wait; entering any other state
-# cancels the previous one. Ack waits reuse the negotiation timeout.
-PROVIDER_TIMERS = {
-    ProviderState.TERMS_PROPOSED: "negotiation_timeout",
-    ProviderState.NEGOTIATING: "negotiation_timeout",
-    ProviderState.AWAITING_PAYMENT: "settlement_timeout",
-    ProviderState.AWAITING_TOKEN: "settlement_timeout",
-    ProviderState.AWAITING_ACK: "negotiation_timeout",
-}
-REQUESTER_TIMERS = {
-    RequesterState.AWAITING_TERMS: "negotiation_timeout",
-    RequesterState.COUNTERING: "negotiation_timeout",
-    RequesterState.PAYING: "settlement_timeout",
-    RequesterState.AWAITING_DELIVERY: "settlement_timeout",
-}
-
-# Every requester wait that runs out fails the session with its reason.
-REQUESTER_EXPIRY_FAILURES = {
-    RequesterState.AWAITING_TERMS: NO_TERMS_FAILURE,
-    RequesterState.COUNTERING: NO_FINAL_TERMS_FAILURE,
-    RequesterState.PAYING: NO_PAYMENT_REQUEST_FAILURE,
-    RequesterState.AWAITING_DELIVERY: NO_DELIVERY_FAILURE,
-}
-
-
-@dataclass(frozen=True)
-class TimerExpired:
-    """The wait of the session's current state ran out."""
-
-
 @dataclass(kw_only=True)
 class Session:
     """What both sides of one session keep: ``terms`` and
@@ -275,8 +256,6 @@ class ProviderSession(Session):
     state: ProviderState = ProviderState.IDLE
     request_body: dict = field(default_factory=dict)
     revisions_used: int = 0
-    unconfirmed: bool = False
-    committed_token: object = None
     acknowledged: bool = False
 
     role = "provider"
@@ -284,11 +263,14 @@ class ProviderSession(Session):
 
 @dataclass(kw_only=True)
 class RequesterSession(Session):
+    """The requester's side: ``purpose`` is the use it stated when it
+    asked, and ``content`` what was delivered. Whether that content came
+    licensed is the chain's to say, not the session's."""
+
     state: RequesterState = RequesterState.REQUESTING
+    purpose: str = ""
     counters_used: int = 0
-    received_token: object = None
     content: object = None
-    content_licensed: bool = False
 
     role = "requester"
 
@@ -311,27 +293,21 @@ def _send(session, action, body):
 
 
 def _violation(session, event):
-    what = event.action if isinstance(event, ProtocolMessage) else type(event).__name__
     return ProtocolViolation(
         f"{session.role} session {session.session_id!r} in {session.state.value}"
-        f" cannot take event {what!r}"
+        f" cannot take event {event.action!r}"
     )
 
 
-def _prelude(session, event, timers):
+def _prelude(session, event):
     """The start both transitions share. Returns True when ``event`` is
     a ``reject`` that closed the live session, so the transition is
-    done; raises for a timer in a state that waits on none (``timers``
-    is the role's table) and for an event that is neither."""
-    if isinstance(event, ProtocolMessage):
-        if event.action != "reject" or session.terminal():
-            return False
-        session.reject_reason = event.body.get("reason", "")
-        session.state = type(session.state).REJECTED
-        return True
-    if isinstance(event, TimerExpired) and session.state in timers:
+    done."""
+    if event.action != "reject" or session.terminal():
         return False
-    raise _violation(session, event)
+    session.reject_reason = event.body.get("reason", "")
+    session.state = type(session.state).REJECTED
+    return True
 
 
 def refuse(session, reason):
@@ -353,24 +329,10 @@ def fail(session, agent, reason):
 
 
 def provider_transition(session, event, agent):
-    """Apply one inbound message or timer expiry; returns outbound messages in order."""
-    if _prelude(session, event, PROVIDER_TIMERS):
+    """Apply one inbound message; returns outbound messages in order."""
+    if _prelude(session, event):
         return []
     state = session.state
-
-    if isinstance(event, TimerExpired):
-        if state is ProviderState.AWAITING_PAYMENT:
-            return fail(session, agent, NO_PAYMENT_FAILURE)
-        if state is ProviderState.AWAITING_TOKEN:
-            return fail(session, agent, NO_TOKEN_FAILURE)
-        if state is ProviderState.AWAITING_ACK:
-            # The ack never came: the deal stands, unacknowledged.
-            session.state = ProviderState.COMPLETED
-            agent.record_issue(session)
-            return []
-        # Silent requester: proceed on the standing terms, unconfirmed.
-        session.unconfirmed = True
-        return _provider_enter_settlement(session, agent)
 
     if state is ProviderState.IDLE and event.action == "request_info":
         session.content_id = event.body["content_id"]
@@ -402,9 +364,7 @@ def provider_transition(session, event, agent):
 
     if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
         session.acknowledged = True
-        session.state = ProviderState.COMPLETED
-        agent.record_issue(session)
-        return []
+        return _provider_complete(session, agent)
 
     raise _violation(session, event)
 
@@ -417,10 +377,18 @@ def _round_of(event):
 
 
 def _provider_enter_settlement(session, agent):
+    """Move on to payment, or straight to the token for free terms."""
     if session.terms is not None and session.terms.upfront_fee > 0:
         session.state = ProviderState.AWAITING_PAYMENT
         return [_send(session, "payment_required", agent.payment_plan(session).to_value())]
     session.state = ProviderState.AWAITING_TOKEN
+    return []
+
+
+def _provider_complete(session, agent):
+    """Record the deal; it is acknowledged only if the ack came."""
+    session.state = ProviderState.COMPLETED
+    agent.record_issue(session)
     return []
 
 
@@ -465,7 +433,6 @@ def provider_revise(session, agent, terms, echo):
 def provider_deliver(session, agent, token, content):
     """Deliver against the committed token; record the deal unless the
     requester still owes an acknowledgement."""
-    session.committed_token = token
     delivery = _send(
         session,
         "deliver_ip",
@@ -473,28 +440,23 @@ def provider_deliver(session, agent, token, content):
     )
     if session.config.ack_required:
         session.state = ProviderState.AWAITING_ACK
-    else:
-        session.state = ProviderState.COMPLETED
-        agent.record_issue(session)
-    return [delivery]
+        return [delivery]
+    return [delivery, *_provider_complete(session, agent)]
 
 
 # -- requester transition ---------------------------------------------------------
 
 
 def requester_transition(session, event, agent):
-    """Apply one inbound message or timer expiry; returns outbound messages in order."""
-    if _prelude(session, event, REQUESTER_TIMERS):
+    """Apply one inbound message; returns outbound messages in order."""
+    if _prelude(session, event):
         return []
-    if isinstance(event, TimerExpired):
-        return fail(session, agent, REQUESTER_EXPIRY_FAILURES[session.state])
     state = session.state
 
     if state is RequesterState.AWAITING_TERMS and event.action == "non_ip_notice":
         session.content = event.body["content"]
-        session.content_licensed = False
         session.state = RequesterState.COMPLETED
-        agent.receive_content(event.body["content_id"], event.body["content"])
+        agent.remember(f"Received non-IP content: {event.body['content_id']}")
         return []
 
     if (
@@ -520,17 +482,21 @@ def requester_transition(session, event, agent):
         return agent.settle(session, amount, split)
 
     if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
-        token = _parse_token(session, event.body["token"])
-        if token.height is None or token.terms_hash != terms_hash(session.terms):
+        # The license is the chain's agreement for this session; the
+        # frame only has to carry it unchanged.
+        agreement = agent.ledger.session_agreement(session.session_id)
+        if (
+            agreement is None
+            or agreement.terms_hash != terms_hash(session.terms)
+            or event.body["token"] != token_to_value(agreement)
+        ):
             raise _violation(session, event)
-        session.received_token = token
         session.content = event.body["content"]
-        session.content_licensed = True
         session.state = RequesterState.ACKNOWLEDGING
         outputs = []
         if session.config.ack_required:
             outputs.append(
-                _send(session, "acknowledge_receipt", {"license_id": token.license_id})
+                _send(session, "acknowledge_receipt", {"license_id": agreement.license_id})
             )
         agent.record_license(session)
         session.state = RequesterState.COMPLETED
@@ -566,13 +532,6 @@ def _is_amount(value):
     """Money on the wire is a whole number of micro-credits; a boolean
     or a decimal is not."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _parse_token(session, value):
-    try:
-        return token_from_value(value)
-    except (ParseError, InvalidTerms) as exc:
-        raise ProtocolViolation(f"token in message does not parse: {exc}") from None
 
 
 # -- requester steps: the runtime's decisions, applied ----------------------------
@@ -619,3 +578,40 @@ def requester_present(session, token):
     session.state = RequesterState.AWAITING_DELIVERY
     return [_send(session, "license_token", {"token": token_to_value(token)})]
 
+
+# -- waits ----------------------------------------------------------------------
+
+# Each state that waits, of either role, mapped to the SessionConfig field
+# that sets its wait and to what happens when the wait runs out: a
+# failure reason, or a step taken as ``step(session, agent)``. Entering a
+# state (re)starts its wait; entering any other state cancels the
+# previous one. Ack waits reuse the negotiation timeout. A requester that
+# goes silent while negotiating leaves the provider to proceed on the
+# standing terms.
+WAITS = {
+    ProviderState.TERMS_PROPOSED: ("negotiation_timeout", _provider_enter_settlement),
+    ProviderState.NEGOTIATING: ("negotiation_timeout", _provider_enter_settlement),
+    ProviderState.AWAITING_PAYMENT: ("settlement_timeout", NO_PAYMENT_FAILURE),
+    ProviderState.AWAITING_TOKEN: ("settlement_timeout", NO_TOKEN_FAILURE),
+    ProviderState.AWAITING_ACK: ("negotiation_timeout", _provider_complete),
+    RequesterState.AWAITING_TERMS: ("negotiation_timeout", NO_TERMS_FAILURE),
+    RequesterState.COUNTERING: ("negotiation_timeout", NO_FINAL_TERMS_FAILURE),
+    RequesterState.PAYING: ("settlement_timeout", NO_PAYMENT_REQUEST_FAILURE),
+    RequesterState.AWAITING_DELIVERY: ("settlement_timeout", NO_DELIVERY_FAILURE),
+}
+
+
+def expire(session, agent):
+    """End the wait of the session's current state with its outcome;
+    returns outbound messages in order. A state that waits on nothing
+    cannot expire."""
+    wait = WAITS.get(session.state)
+    if wait is None:
+        raise ProtocolViolation(
+            f"{session.role} session {session.session_id!r} in {session.state.value}"
+            " waits on nothing"
+        )
+    outcome = wait[1]
+    if isinstance(outcome, str):
+        return fail(session, agent, outcome)
+    return outcome(session, agent)

@@ -8,7 +8,14 @@ wallet system, and reputation board and applies its outcome through
 one protocol step function, which owns the state change and the
 outbound message. Entry points return the outbound messages the caller
 must put on the wire. ``timer_for`` tells the caller how many ticks a
-session's current state waits, and ``expire_timer`` ends that wait.
+session's current state waits, as the protocol's ``WAITS`` table sets
+it, and ``expire_timer`` ends that wait.
+
+Each fact about a deal is read from its one home: a license this agent
+issued or holds is the ledger's agreement for the session, and the
+delivered content and a request's stated purpose live on the
+requester's session. ``tokens`` and ``issued`` index those agreements
+by content, for renewals, lineage and resale.
 
 Only the entry points (``start_request``, ``receive_message``,
 ``expire_timer`` and ``decide_courtship``) hand a session to the
@@ -17,9 +24,11 @@ runtime notes the id of every session an entry point acts on, and
 ``sessions(acted=True)`` hands the caller exactly the sessions whose
 state may have changed since its last such call.
 
-Inbound messages are deduplicated per session by sequence number, and
-anything a session cannot take in its current state is dropped with a
-memory note rather than crashing the agent.
+Inbound messages are deduplicated per session by sequence number. A
+message whose body lacks a key its action requires is dropped with a
+memory note before any session is opened or touched, and anything a
+session cannot take in its current state is dropped with a memory note
+too, rather than crashing the agent.
 """
 
 from dataclasses import dataclass
@@ -49,12 +58,12 @@ from .negotiation import (
 from .payments import RoyaltyObligation, SplitPlan, aggregate_obligations, compute_split
 from .protocol import (
     NO_TOKEN_FAILURE,
-    PROVIDER_TIMERS,
+    WAITS,
     ProviderSession,
-    REQUESTER_TIMERS,
     RequesterSession,
     SessionConfig,
-    TimerExpired,
+    check_body,
+    expire,
     fail,
     provider_deliver,
     provider_non_ip,
@@ -169,14 +178,12 @@ class AgentRuntime:
         self.catalog = {}
         self.tokens = {}  # content_id -> held AgreementToken
         self.issued = {}  # (content_id, holder_id) -> issued AgreementToken
-        self.inventory = {}  # content_id -> {"content", "licensed"}
         self.memory = []  # MemoryRecord, append-only
         self.on_memory = None  # hook(agent_id, record)
         self._sessions = {}
         self._ordinal = {}  # session_id -> creation order
         self._acted = set()  # ids entry points acted on since sessions(acted=True)
         self._courtship = {}  # content_id -> [session_id, ...]
-        self._purposes = {}  # session_id -> stated purpose of the request
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -224,9 +231,8 @@ class AgentRuntime:
     def timer_for(self, session_id):
         """Ticks the current state waits, or None when it waits on nothing."""
         session = self._sessions[session_id]
-        table = PROVIDER_TIMERS if session.role == "provider" else REQUESTER_TIMERS
-        wait = table.get(session.state)
-        return None if wait is None else getattr(session.config, wait)
+        wait = WAITS.get(session.state)
+        return None if wait is None else getattr(session.config, wait[0])
 
     # -- entry points ---------------------------------------------------------
 
@@ -238,16 +244,20 @@ class AgentRuntime:
             requester_id=self.agent_id,
             provider_id=provider_id,
             config=self.config,
+            purpose=purpose,
         )
         self._open(session)
         self._acted.add(session_id)
-        if purpose:
-            self._purposes[session_id] = purpose
         return requester_open(session, content_id, self.directory.get(self.agent_id), offer)
 
     def receive_message(self, message):
         if message.recipient != self.agent_id:
             raise ValueError(f"message for {message.recipient!r} routed to {self.agent_id!r}")
+        try:
+            check_body(message.action, message.body)
+        except ParseError as exc:
+            self.remember(f"Dropped malformed message in session {message.session_id}: {exc}")
+            return []
         session = self._sessions.get(message.session_id)
         if session is None:
             if message.action != "request_info":
@@ -281,9 +291,8 @@ class AgentRuntime:
         self._acted.add(session_id)
         if session.terminal():
             return []
-        transition = provider_transition if session.role == "provider" else requester_transition
         try:
-            return transition(session, TimerExpired(), self)
+            return expire(session, self)
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
@@ -486,29 +495,27 @@ class AgentRuntime:
         return provider_deliver(session, self, committed, item.content)
 
     def record_issue(self, session):
-        token = session.committed_token
-        if token is not None:
-            self.issued[(session.content_id, session.requester_id)] = token
-            self.remember(f"License issued: {token.license_id}")
-            self._store(
-                MemoryRecord(
-                    kind="transaction",
-                    tick=self.clock(),
-                    requester_id=session.requester_id,
-                    content_id=session.content_id,
-                    terms_hash=terms_hash(session.terms),
-                    license_id=token.license_id,
-                    acknowledged=session.acknowledged,
-                )
+        token = self.ledger.session_agreement(session.session_id)
+        self.issued[(session.content_id, session.requester_id)] = token
+        self.remember(f"License issued: {token.license_id}")
+        self._store(
+            MemoryRecord(
+                kind="transaction",
+                tick=self.clock(),
+                requester_id=session.requester_id,
+                content_id=session.content_id,
+                terms_hash=terms_hash(session.terms),
+                license_id=token.license_id,
+                acknowledged=session.acknowledged,
             )
+        )
         self.board.record_outcome(self.agent_id, "deal_completed")
 
     # -- requester decisions -----------------------------------------------------
 
     def record_license(self, session):
-        token = session.received_token
+        token = self.ledger.session_agreement(session.session_id)
         self.tokens[session.content_id] = token
-        self.inventory[session.content_id] = {"content": session.content, "licensed": True}
         self.remember(f"License token accepted: {token.license_id}")
         self._store(
             MemoryRecord(
@@ -521,7 +528,7 @@ class AgentRuntime:
                 acknowledged=session.config.ack_required,
             )
         )
-        if self._purposes.get(session.session_id) == "fine_tuning":
+        if session.purpose == "fine_tuning":
             self.remember(f"fine_tuned_on:{session.content_id}")
         self.board.record_outcome(self.agent_id, "deal_completed")
 
@@ -569,10 +576,6 @@ class AgentRuntime:
         except AtcpipError as exc:
             return fail(session, self, str(exc))
         return requester_present(session, token)
-
-    def receive_content(self, content_id, content):
-        self.inventory[content_id] = {"content": content, "licensed": False}
-        self.remember(f"Received non-IP content: {content_id}")
 
     def _require_item(self, content_id):
         item = self.catalog.get(content_id)

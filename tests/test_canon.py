@@ -1,5 +1,7 @@
 """Canonical codec: byte oracles and round trips."""
 
+import collections
+import enum
 import json
 from decimal import Decimal
 
@@ -133,6 +135,20 @@ def test_non_string_keys_rejected(dumps):
 def test_unencodable_type_rejected(dumps):
     with pytest.raises(CanonicalizationError):
         dumps(object())
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Level.LOW, collections.OrderedDict(a=1), {"k": [Level.LOW]}],
+    ids=["int_enum", "ordered_dict", "nested_int_enum"],
+)
+def test_subclasses_of_encodable_types_are_rejected(dumps, value):
+    with pytest.raises(CanonicalizationError, match="unencodable type"):
+        dumps(value)
 
 
 def test_surrogate_rejected(dumps):

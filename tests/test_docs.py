@@ -6,13 +6,7 @@ import re
 from pathlib import Path
 
 from atcpip import protocol
-from atcpip.protocol import (
-    PROVIDER_TIMERS,
-    REQUESTER_EXPIRY_FAILURES,
-    REQUESTER_TIMERS,
-    ProviderState,
-    RequesterState,
-)
+from atcpip.protocol import WAITS, ProviderState, RequesterState
 
 DOC = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
 
@@ -45,22 +39,24 @@ def test_states_lists_match_the_state_enums():
     assert listed_states("Requester") == [state.value for state in RequesterState]
 
 
+# How the Clocks table words an expiry that takes a step, by the step's name.
+STEP_OUTCOMES = {
+    "_provider_enter_settlement": "proceeds on the standing terms",
+    "_provider_complete": "completes the deal, unacknowledged",
+}
+
+
 def test_clocks_table_matches_the_timer_tables():
-    documented = {(role, state): wait for role, state, wait, _ in clock_rows()}
-    expected = {
-        **{("provider", state.value): wait for state, wait in PROVIDER_TIMERS.items()},
-        **{("requester", state.value): wait for state, wait in REQUESTER_TIMERS.items()},
-    }
-    assert documented == expected
-
-
-def test_requester_expiries_give_the_documented_reasons():
-    documented = {
-        state: outcome for role, state, _, outcome in clock_rows() if role == "requester"
-    }
-    assert set(REQUESTER_EXPIRY_FAILURES) == set(REQUESTER_TIMERS)
-    for state, reason in REQUESTER_EXPIRY_FAILURES.items():
-        assert documented[state.value] == f'fails: `"{reason}"`'
+    expected = [
+        (
+            "provider" if isinstance(state, ProviderState) else "requester",
+            state.value,
+            wait,
+            STEP_OUTCOMES[outcome.__name__] if callable(outcome) else f'fails: `"{outcome}"`',
+        )
+        for state, (wait, outcome) in WAITS.items()
+    ]
+    assert clock_rows() == expected
 
 
 def test_every_failure_reason_is_listed():

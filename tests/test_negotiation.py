@@ -242,7 +242,7 @@ def test_loop_rejection_on_non_negotiable():
     assert agreed_terms(ledger) is None
     assert runtimes["requester"].session("s1").state is RequesterState.REJECTED
     provider = runtimes["provider"].session("s1")
-    assert provider.state is ProviderState.REJECTED and not provider.unconfirmed
+    assert provider.state is ProviderState.REJECTED
 
 
 def test_silent_requester_yields_unconfirmed_outcome():
@@ -253,7 +253,10 @@ def test_silent_requester_yields_unconfirmed_outcome():
     assert provider.state is ProviderState.TERMS_PROPOSED
     pump(runtimes, runtimes["provider"].expire_timer("s1"))
     assert agreed_terms(ledger) is None
-    assert provider.unconfirmed
+    # The provider moved on to settlement with no accept_terms: the
+    # requester sent nothing after its request.
+    assert provider.state is ProviderState.AWAITING_PAYMENT
+    assert runtimes["requester"].session("s1").out_seq == 1
     assert provider.terms == initial
     assert draft_proposers(ledger) == ["provider"]
 

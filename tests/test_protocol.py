@@ -18,9 +18,9 @@ from atcpip.protocol import (
     RequesterSession,
     RequesterState,
     SessionConfig,
-    TimerExpired,
     decode_message,
     encode_message,
+    expire,
     fail,
     provider_deliver,
     provider_propose,
@@ -34,7 +34,7 @@ from atcpip.protocol import (
 )
 from atcpip.terms import terms_hash
 from atcpip.runtime import CatalogItem
-from conftest import make_terms, make_world, mint_agreement
+from conftest import make_terms, make_world, mint_agreement, pump, transaction_records
 
 
 def msg(action, body, sender="requester", recipient="provider", seq=0, session="s1"):
@@ -129,10 +129,11 @@ class RecordingAgent:
     """Stands in for the runtime behind one session. Each call a
     transition or step makes on it is recorded as (method, session state,
     messages the session had numbered, other arguments) and answered with
-    no messages; ``payment_plan`` answers with ``plan``."""
+    no messages; ``payment_plan`` answers with ``plan``, and ``ledger``
+    is the chain the requester checks a delivery against."""
 
-    def __init__(self, session, plan=None):
-        self.session, self.plan, self.calls = session, plan, []
+    def __init__(self, session, plan=None, ledger=None):
+        self.session, self.plan, self.ledger, self.calls = session, plan, ledger, []
 
     def __getattr__(self, name):
         def call(*args):
@@ -234,7 +235,7 @@ def test_provider_ack_timeout_still_completes():
     session = provider_session(config=SessionConfig(ack_required=True),
                                state=ProviderState.AWAITING_ACK)
     agent = RecordingAgent(session)
-    outputs = provider_transition(session, TimerExpired(), agent)
+    outputs = expire(session, agent)
     assert session.state is ProviderState.COMPLETED
     assert not session.acknowledged
     assert outputs == []
@@ -244,7 +245,7 @@ def test_provider_ack_timeout_still_completes():
 def test_provider_timeout_failures_use_fixed_reasons():
     session = provider_session(state=ProviderState.AWAITING_TOKEN)
     agent = RecordingAgent(session)
-    provider_transition(session, TimerExpired(), agent)
+    expire(session, agent)
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
     assert agent.calls == [
@@ -252,7 +253,7 @@ def test_provider_timeout_failures_use_fixed_reasons():
     ]
 
     session = provider_session(state=ProviderState.AWAITING_PAYMENT)
-    provider_transition(session, TimerExpired(), RecordingAgent(session))
+    expire(session, RecordingAgent(session))
     assert session.failure_reason == NO_PAYMENT_FAILURE
 
 
@@ -260,8 +261,7 @@ def test_provider_negotiation_timeout_defaults_to_standing_terms():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
-    outputs = provider_transition(session, TimerExpired(), agent)
-    assert session.unconfirmed
+    outputs = expire(session, agent)
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls == [("payment_plan", ProviderState.AWAITING_PAYMENT, 0)]
     assert [message.action for message in outputs] == ["payment_required"]
@@ -298,7 +298,7 @@ def test_provider_rejects_wrong_accept_hash_and_terminal_events():
     with pytest.raises(ProtocolViolation):
         provider_transition(done, msg("request_info", {"content_id": "c"}), RecordingAgent(done))
     with pytest.raises(ProtocolViolation):
-        provider_transition(done, TimerExpired(), RecordingAgent(done))
+        expire(done, RecordingAgent(done))
     assert agent.calls == [] and session.state is ProviderState.TERMS_PROPOSED
 
 
@@ -326,9 +326,9 @@ def test_non_ip_notice_completes_without_license():
         agent,
     )
     assert session.state is RequesterState.COMPLETED
-    assert not session.content_licensed
+    assert session.content == "plain text"
     assert outputs == []
-    assert agent.calls == [("receive_content", RequesterState.COMPLETED, 0, "c", "plain text")]
+    assert agent.calls == [("remember", RequesterState.COMPLETED, 0, "Received non-IP content: c")]
 
 
 # -- requester transitions ----------------------------------------------------------
@@ -449,12 +449,12 @@ def test_requester_delivery_checks_token_binding():
 
     session = requester_session(state=RequesterState.AWAITING_DELIVERY)
     session.terms = terms
-    agent = RecordingAgent(session)
+    agent = RecordingAgent(session, ledger=book)
     delivery = msg("deliver_ip",
                    {"content_id": "c", "content": "bytes", "token": token_to_value(token)},
                    sender="provider", recipient="requester")
     outputs = requester_transition(session, delivery, agent)
-    assert session.received_token.license_id == token.license_id
+    assert session.content == "bytes"
     assert outputs == []
     # The license is recorded while acknowledging, then the session completes.
     assert agent.calls == [("record_license", RequesterState.ACKNOWLEDGING, 0)]
@@ -470,7 +470,7 @@ def test_requester_delivery_checks_token_binding():
             stale,
             msg("deliver_ip", {"content_id": "c", "content": "b", "token": uncommitted},
                 sender="provider", recipient="requester"),
-            RecordingAgent(stale),
+            RecordingAgent(stale, ledger=book),
         )
 
 
@@ -482,7 +482,7 @@ def test_requester_timeout_reasons():
         (RequesterState.AWAITING_DELIVERY, NO_DELIVERY_FAILURE),
     ]:
         session = requester_session(state=state)
-        requester_transition(session, TimerExpired(), RecordingAgent(session))
+        expire(session, RecordingAgent(session))
         assert session.state is RequesterState.FAILED
         assert session.failure_reason == reason
 
@@ -525,5 +525,60 @@ def test_timer_in_evaluating_terms_is_a_violation():
     session = requester_session(state=RequesterState.EVALUATING_TERMS)
     agent = RecordingAgent(session)
     with pytest.raises(ProtocolViolation):
-        requester_transition(session, TimerExpired(), agent)
+        expire(session, agent)
     assert session.state is RequesterState.EVALUATING_TERMS and agent.calls == []
+
+
+def _forge_uncommitted(ledger, token_message, genuine):
+    # The requester's own token, claiming a height it was never given.
+    return dict(token_message.body["token"], height=len(ledger))
+
+
+def _forge_other_session(ledger, token_message, genuine):
+    # A token the chain committed, but for another requester's session.
+    return token_to_value(ledger.session_agreement("s0"))
+
+
+def _forge_one_field(ledger, token_message, genuine):
+    # The chain's agreement for this very session, one field changed.
+    return dict(genuine.body["token"], requester_signature="0" * 64)
+
+
+@pytest.mark.parametrize(
+    "forge", [_forge_uncommitted, _forge_other_session, _forge_one_field]
+)
+def test_requester_refuses_a_delivery_the_chain_does_not_back(forge):
+    item = CatalogItem("item", "content", tags=("dataset",), terms=make_terms())
+    ledger, _, board, runtimes = make_world({"prov": {"items": (item,)}, "req": {}, "other": {}})
+    pump(runtimes, runtimes["other"].start_request("s0", "prov", "item"))
+    provider, requester = runtimes["prov"], runtimes["req"]
+    [request] = requester.start_request("s1", "prov", "item")
+    [proposal] = provider.receive_message(request)
+    acceptance, token_message = requester.receive_message(proposal)
+    provider.receive_message(acceptance)
+    genuine = None
+    if forge is _forge_one_field:
+        [genuine] = provider.receive_message(token_message)
+    forged = msg("deliver_ip", {"content_id": "item", "content": "content",
+                                "token": forge(ledger, token_message, genuine)},
+                 sender="prov", recipient="req", seq=1)
+
+    assert requester.receive_message(forged) == []
+    session = requester.session("s1")
+    assert session.state is RequesterState.AWAITING_DELIVERY and session.content is None
+    assert requester.memory_texts()[-1] == (
+        "Protocol violation: requester session 's1' in awaiting_delivery"
+        " cannot take event 'deliver_ip'"
+    )
+    assert "item" not in requester.tokens and not transaction_records(requester)
+    assert {"kind": "reputation_event", "agent_id": "req", "event": "deal_completed"} not in [
+        entry.payload for entry in ledger.entries()
+    ]
+    assert board.record("req").successful_deals == 0
+
+    # The genuine delivery still completes the session afterwards.
+    if genuine is None:
+        [genuine] = provider.receive_message(token_message)
+    assert requester.receive_message(genuine) == []
+    assert session.state is RequesterState.COMPLETED
+    assert requester.tokens["item"] is ledger.session_agreement("s1")

@@ -63,8 +63,8 @@ def test_full_deal_completes_with_token_payment_and_reputation():
     assert board.record("req").successful_deals == 1
     assert f"License issued: {token.license_id}" in runtimes["prov"].memory_texts()
     assert f"License token accepted: {token.license_id}" in runtimes["req"].memory_texts()
-    assert runtimes["req"].inventory["weather-data-2023"]["licensed"] is True
-    assert runtimes["req"].inventory["weather-data-2023"]["content"] == DATASET.content
+    assert ledger.session_agreement("s1") is token
+    assert req.content == DATASET.content
 
 
 def test_both_sides_keep_matching_transaction_records():
@@ -103,11 +103,12 @@ def test_ip_significance_flag_overrides_tags():
     flagged = CatalogItem("memo", "text", tags=(), ip_significant=True,
                           terms=IP_TERMS.replace(upfront_fee=0))
     unflagged = CatalogItem("corpus", "rows", tags=("dataset",), ip_significant=False)
-    _, _, _, runtimes = make_world({"prov": {"items": (flagged, unflagged)}, "req": {}})
+    ledger, _, _, runtimes = make_world({"prov": {"items": (flagged, unflagged)}, "req": {}})
     assert runtimes["prov"].is_ip_significant("memo") is True
     assert runtimes["prov"].is_ip_significant("corpus") is False
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "corpus"))
-    assert runtimes["req"].inventory["corpus"]["licensed"] is False
+    assert runtimes["req"].session("s1").content == "rows"
+    assert ledger.session_agreement("s1") is None
     pump(runtimes, runtimes["req"].start_request("s2", "prov", "memo"))
     assert runtimes["req"].tokens["memo"].license_id
 
@@ -136,7 +137,8 @@ def test_non_ip_content_ships_without_contract():
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "forecast-today"))
     assert runtimes["prov"].session("s1").state is ProviderState.COMPLETED
     assert runtimes["req"].session("s1").state is RequesterState.COMPLETED
-    assert runtimes["req"].inventory["forecast-today"]["licensed"] is False
+    assert runtimes["req"].session("s1").content == "sunny, 21C"
+    assert "Received non-IP content: forecast-today" in runtimes["req"].memory_texts()
     assert NON_IP_MEMORY in runtimes["prov"].memory_texts()
     assert not [e for e in ledger.entries() if e.kind in ("agreement_token", "draft_token")]
 
@@ -275,10 +277,10 @@ def test_stalled_negotiation_times_out_into_unconfirmed_then_fails():
     prov = runtimes["prov"].session("s1")
     assert prov.state is ProviderState.NEGOTIATING
     assert "Counter budget exhausted; going silent." in runtimes["req"].memory_texts()
-    # negotiation timer: provider proceeds on standing terms, unconfirmed
+    # negotiation timer: provider proceeds on standing terms, unaccepted
     pump(runtimes, runtimes["prov"].expire_timer("s1"))
-    assert prov.unconfirmed is True
     assert prov.state is ProviderState.AWAITING_PAYMENT
+    assert runtimes["req"].session("s1").state is RequesterState.EVALUATING_TERMS
     # the payment request lands on a requester who cannot take it
     assert any("Protocol violation" in note for note in runtimes["req"].memory_texts())
     # settlement timer: the deal fails with the payment reason
@@ -482,6 +484,32 @@ def test_messages_for_unknown_sessions_are_dropped():
                                 "body": {"terms_hash": "0" * 64}}
     assert runtimes["prov"].receive_message(message_from_value(ghost)) == []
     assert any("unknown session" in note for note in runtimes["prov"].memory_texts())
+
+
+def test_request_without_content_id_is_dropped_before_a_session_opens():
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    provider = runtimes["prov"]
+    request = ProtocolMessage("s1", 0, "req", "prov", "request_info", {})
+    assert provider.receive_message(request) == []
+    assert not provider.has_session("s1") and provider.sessions(acted=True) == {}
+    assert provider.memory_texts() == [
+        "Dropped malformed message in session s1: request_info body missing 'content_id'"
+    ]
+
+
+def test_proposal_without_terms_is_dropped_before_the_session_is_touched():
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", "weather-data-2023")
+    requester.sessions(acted=True)
+    proposal = ProtocolMessage("s1", 0, "prov", "req", "propose_terms", {"round": 1})
+    assert requester.receive_message(proposal) == []
+    session = requester.session("s1")
+    assert session.state is RequesterState.AWAITING_TERMS and session.last_seq_seen == -1
+    assert requester.sessions(acted=True) == {}
+    assert requester.memory_texts() == [
+        "Dropped malformed message in session s1: propose_terms body missing 'terms'"
+    ]
 
 
 def test_timer_for_follows_session_state():
