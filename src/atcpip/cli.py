@@ -91,7 +91,7 @@ def _cmd_verify_ledger(args):
 
 def _cmd_export_evidence(args):
     book = Ledger.from_export(canon.loads(_read(args.ledger)))
-    court = DisputeCourt.rebuild(book, ReputationBoard(book))
+    court = DisputeCourt(book, ReputationBoard(book))
     bundle = court.collect_evidence(args.dispute)
     sys.stdout.buffer.write(canon.dumps(bundle.to_value()) + b"\n")
     sys.stdout.buffer.flush()

@@ -12,6 +12,10 @@ party's story. Three claim kinds are supported:
 Losing a dispute is what triggers revocation, and only when the agreed
 terms listed dispute_loss among their revocation conditions and the
 loser is the license holder.
+
+The court keeps no record of its own: it reads claims and verdicts
+from the ``dispute`` and ``verdict`` entries of its ledger, so a court
+over a live ledger and one over its import know the same ones.
 """
 
 from dataclasses import dataclass
@@ -169,33 +173,31 @@ class DisputeCourt:
     def __init__(self, ledger, board):
         self._ledger = ledger
         self._board = board
-        self._claims = {}
-        self._verdicts = {}
 
     @classmethod
     def rebuild(cls, ledger, board):
-        """Reconstruct a court from the dispute and verdict entries of an
-        imported ledger, so evidence can be exported after the fact. An
-        entry that does not parse is skipped: its dispute is unknown to
-        the court, and the others still serve evidence."""
-        court = cls(ledger, board)
-        for entry in ledger.entries():
+        """The constructor: every claim and verdict is read from the chain."""
+        return cls(ledger, board)
+
+    def _record(self, dispute_id):
+        """The claim and verdict the chain holds for ``dispute_id``: the
+        last ``dispute`` entry that parses, and the last ``verdict`` entry
+        after it that parses (None if there is none)."""
+        claim = verdict = None
+        for entry in self._ledger.entries_with("dispute_id", dispute_id):
             try:
                 if entry.kind == "dispute":
-                    claim = claim_from_value(entry.payload)
-                    court._claims[claim.dispute_id] = claim
-                elif entry.kind == "verdict":
+                    claim, verdict = claim_from_value(entry.payload), None
+                elif entry.kind == "verdict" and claim is not None:
                     verdict = verdict_from_value(entry.payload)
-                    court._verdicts[verdict.dispute_id] = verdict
             except ParseError:
                 continue
-        return court
+        if claim is None:
+            raise UnknownDispute(f"no dispute {dispute_id!r}")
+        return claim, verdict
 
     def claim(self, dispute_id):
-        try:
-            return self._claims[dispute_id]
-        except KeyError:
-            raise UnknownDispute(f"no dispute {dispute_id!r}") from None
+        return self._record(dispute_id)[0]
 
     def _agreement(self, session_id):
         token = self._ledger.session_agreement(session_id)
@@ -230,8 +232,8 @@ class DisputeCourt:
             asserted_terms_hash=asserted_terms_hash,
             asserted_clause=tuple(asserted_clause),
         )
+        claim_from_value(claim.to_value())  # only a claim that reads back is filed
         self._ledger.append("dispute", claim.to_value())
-        self._claims[dispute_id] = claim
         return claim
 
     def collect_evidence(self, dispute_id):
@@ -241,9 +243,10 @@ class DisputeCourt:
         claim = self.claim(dispute_id)
         self._ledger.require_intact()
         token = self._agreement(claim.session_id)
-        related = {entry.height: entry for entry in self._ledger.session_entries(claim.session_id)}
-        for entry in self._ledger.license_events(token.license_id):
-            if entry.payload.get("event") == USAGE_EVENT:
+        book = self._ledger
+        related = {entry.height: entry for entry in book.entries_with("session_id", claim.session_id)}
+        for entry in book.entries_with("license_id", token.license_id):
+            if entry.kind == "reputation_event" and entry.payload.get("event") == USAGE_EVENT:
                 related[entry.height] = entry
         return EvidenceBundle(
             claim=claim,
@@ -255,9 +258,9 @@ class DisputeCourt:
     # -- arbitration ----------------------------------------------------------
 
     def arbitrate(self, dispute_id):
-        claim = self.claim(dispute_id)
-        if dispute_id in self._verdicts:
-            return self._verdicts[dispute_id]
+        claim, recorded = self._record(dispute_id)
+        if recorded is not None:
+            return recorded
         evidence = self.collect_evidence(dispute_id)
         if claim.kind == "misrepresentation":
             claimant_wins, rationale = self._judge_misrepresentation(claim, evidence)
@@ -274,8 +277,7 @@ class DisputeCourt:
             and "dispute_loss" in token.terms.revocation_conditions
         ):
             revokes = token.license_id
-        verdict = Verdict(dispute_id, winner, loser, rationale, revokes)
-        return verdict
+        return Verdict(dispute_id, winner, loser, rationale, revokes)
 
     def _judge_misrepresentation(self, claim, evidence):
         if claim.asserted_clause:
@@ -326,13 +328,12 @@ class DisputeCourt:
 
     def apply_verdict(self, verdict):
         """Record the verdict entry, reputation outcomes, and revocation."""
-        if verdict.dispute_id in self._verdicts:
-            return self._verdicts[verdict.dispute_id]
-        self.claim(verdict.dispute_id)
+        recorded = self._record(verdict.dispute_id)[1]
+        if recorded is not None:
+            return recorded
         self._ledger.append("verdict", verdict.to_value())
         self._board.record_outcome(verdict.winner_id, "dispute_won")
         self._board.record_outcome(verdict.loser_id, "dispute_lost")
-        self._verdicts[verdict.dispute_id] = verdict
         return verdict
 
     def resolve(self, dispute_id):

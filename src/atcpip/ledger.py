@@ -38,6 +38,8 @@ ENTRY_KINDS = frozenset(
     {"agreement_token", "draft_token", "payment", "dispute", "verdict", "reputation_event"}
 )
 ENTRY_FIELDS = frozenset({"height", "kind", "payload", "payload_hash", "entry_hash"})
+# Payload fields the ledger indexes entries by, when their value is a string.
+NAMED_FIELDS = ("session_id", "license_id", "dispute_id")
 
 
 @dataclass(frozen=True)
@@ -233,10 +235,12 @@ class Ledger:
     """Append-only entry list plus the indexes derived from it.
 
     All indexes (committed tokens, each session's last draft round,
-    which numbers its next draft, revocations, and the heights that
-    dispute evidence is read from) are maintained inside the one append
-    path, so replaying an exported entry list through it
-    (``from_export``) reconstructs the same state.
+    which numbers its next draft, revocations, and the heights of the
+    entries whose payload names a session, license or dispute id) are
+    maintained inside the one append path, so replaying an exported
+    entry list through it (``from_export``) reconstructs the same state.
+    The chain is the only store of disputes, verdicts and reputation:
+    the court and the reputation board read them back from it.
     """
 
     def __init__(self, current_date="2024-01-01"):
@@ -249,16 +253,12 @@ class Ledger:
         self._session_agreements = {}  # session_id -> license_id
         self._session_rounds = {}  # session_id -> last draft round
         self._revoked = set()
-        # evidence indexes, heights in ascending order
-        self._session_heights = defaultdict(list)  # payload session_id -> heights
-        self._license_events = defaultdict(list)  # reputation_event license_id -> heights
+        # payload field -> string value -> heights, ascending
+        self._named = {name: defaultdict(list) for name in NAMED_FIELDS}
         # hook(entry, canonical payload bytes), used by the simulator transcript
         self.on_append = None
 
     # -- chain primitives ---------------------------------------------------
-
-    def __len__(self):
-        return len(self._entries)
 
     @property
     def height(self):
@@ -311,13 +311,10 @@ class Ledger:
         )
         self._entries.append(entry)
         apply_index()
-        session_id = payload.get("session_id")
-        if isinstance(session_id, str):
-            self._session_heights[session_id].append(height)
-        if kind == "reputation_event":
-            license_id = payload.get("license_id")
-            if isinstance(license_id, str):
-                self._license_events[license_id].append(height)
+        for name, index in self._named.items():
+            value = payload.get(name)
+            if isinstance(value, str):
+                index[value].append(height)
         if self.on_append is not None:
             self.on_append(entry, encoded)
         return entry
@@ -520,24 +517,14 @@ class Ledger:
         except AtcpipError:
             return False
 
-    def token(self, license_id):
-        found = self._tokens.get(license_id)
-        if found is None:
-            raise UnknownLicense(f"no committed license {license_id!r}")
-        return found
-
     def session_agreement(self, session_id):
         license_id = self._session_agreements.get(session_id)
         return self._tokens[license_id] if license_id else None
 
-    def session_entries(self, session_id):
-        """Entries whose payload names ``session_id``, in height order."""
-        return [self._entries[height] for height in self._session_heights.get(session_id, ())]
-
-    def license_events(self, license_id):
-        """``reputation_event`` entries whose payload names ``license_id``,
-        in height order."""
-        return [self._entries[height] for height in self._license_events.get(license_id, ())]
+    def entries_with(self, name, value):
+        """Entries whose payload maps ``name`` (one of ``NAMED_FIELDS``)
+        to the string ``value``, in height order."""
+        return [self._entries[height] for height in self._named[name].get(value, ())]
 
     def chain_of_ownership(self, license_id):
         """Lineage root first, ending at license_id."""

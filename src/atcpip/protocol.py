@@ -31,6 +31,7 @@ where a runtime receives a message.
 
 import enum
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Optional
 
 from . import canon
@@ -101,7 +102,8 @@ class ProtocolMessage:
 
 def check_body(action, body):
     """Raise ParseError unless ``action`` is one of the twelve and
-    ``body`` is a map holding every key the action requires."""
+    ``body`` is a map holding every key the action requires; a
+    ``request_info`` body opens a session, so its values are checked too."""
     required = REQUIRED_BODY_KEYS.get(action)
     if required is None:
         raise ParseError(f"unknown action {action!r}")
@@ -110,6 +112,24 @@ def check_body(action, body):
     for key in required:
         if key not in body:
             raise ParseError(f"{action} body missing {key!r}")
+    if action == "request_info":
+        _check_request(body)
+
+
+def _check_request(body):
+    """The values a provider reads from a ``request_info`` body."""
+    content_id, offer = body["content_id"], body.get("offer", {})
+    if not isinstance(content_id, str) or not content_id:
+        raise ParseError("request_info content_id must be a non-empty string")
+    if not isinstance(body.get("jurisdiction", ""), str):
+        raise ParseError("request_info jurisdiction must be a string")
+    if not isinstance(offer, dict) or not offer.keys() <= {"upfront_fee", "royalty_rate"}:
+        raise ParseError("request_info offer must be a map of upfront_fee and royalty_rate")
+    fee, rate = offer.get("upfront_fee", 0), offer.get("royalty_rate", 0)
+    if isinstance(fee, bool) or not isinstance(fee, int) or fee < 0:
+        raise ParseError("request_info offer upfront_fee must be a non-negative integer")
+    if isinstance(rate, bool) or not isinstance(rate, (int, Decimal)):
+        raise ParseError("request_info offer royalty_rate must be an integer or a decimal")
 
 
 def message_from_value(value):

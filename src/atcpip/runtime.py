@@ -43,6 +43,7 @@ from .errors import (
     ParseError,
     ProtocolViolation,
     UnknownContent,
+    UnknownJurisdiction,
 )
 from .ledger import token_from_value
 from .negotiation import (
@@ -380,14 +381,13 @@ class AgentRuntime:
         )
         if provider_code is None or requester_code is None:
             return GateDecision(False, "jurisdiction unknown for one of the parties")
+        try:
+            requester = self.registry.profile(requester_code)
+            provider = self.registry.profile(provider_code)
+        except UnknownJurisdiction as exc:
+            return GateDecision(False, str(exc))
         opening = self._opening_terms(item, {})
-        return check_compatibility(
-            self.rules,
-            self.registry.profile(requester_code),
-            self.registry.profile(provider_code),
-            item.flags,
-            terms=opening,
-        )
+        return check_compatibility(self.rules, requester, provider, item.flags, terms=opening)
 
     def _opening_terms(self, item, offer):
         if item.terms is not None:

@@ -42,7 +42,6 @@ class WorldState:
 
     ledger: object
     wallets: object
-    board: object
     court: object
     runtimes: dict
     initial_balances: dict
@@ -70,8 +69,8 @@ class Simulation:
         self._emit({"kind": "meta", "scenario": scenario.name, "seed": self.seed})
         self.ledger.on_append = self._on_ledger
         self.wallets = WalletSystem(self.ledger)
-        self.board = ReputationBoard(self.ledger)
-        self.court = DisputeCourt(self.ledger, self.board)
+        board = ReputationBoard(self.ledger)
+        self.court = DisputeCourt(self.ledger, board)
         registry = JurisdictionRegistry(scenario.jurisdictions)
         rules = CompatibilityRules(frozenset(tuple(pair) for pair in scenario.blocked_pairs))
         directory = {spec.agent_id: spec.jurisdiction for spec in scenario.agents}
@@ -86,7 +85,7 @@ class Simulation:
                 spec.agent_id,
                 self.ledger,
                 self.wallets,
-                self.board,
+                board,
                 registry,
                 rules,
                 directory,
@@ -175,7 +174,6 @@ class Simulation:
         world = WorldState(
             ledger=self.ledger,
             wallets=self.wallets,
-            board=self.board,
             court=self.court,
             runtimes=self.runtimes,
             initial_balances=self.initial_balances,

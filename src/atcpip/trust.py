@@ -4,11 +4,15 @@ The compatibility gate runs on the opening terms before they go out:
 blocked country pairs stop a session outright, and personal data only
 crosses a border when the destination is on the source's adequacy list
 or the terms carry compliance requirements the requester's regimes
-cover. Reputation is a pure fold over ledger reputation events, so any
-holder of the chain reconstructs identical records.
+cover.
+
+Reputation lives only on the chain. The board appends outcome events
+and keeps no counts; ``replay_records`` folds a chain's reputation
+events into records, so any holder of the chain, live or imported,
+reconstructs identical records.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import UnknownJurisdiction
 
@@ -102,13 +106,7 @@ class ReputationRecord:
 
     def bump(self, event):
         field = _EVENT_FIELDS[event]
-        return ReputationRecord(
-            agent_id=self.agent_id,
-            successful_deals=self.successful_deals + (field == "successful_deals"),
-            disputes_won=self.disputes_won + (field == "disputes_won"),
-            disputes_lost=self.disputes_lost + (field == "disputes_lost"),
-            compliance_violations=self.compliance_violations + (field == "compliance_violations"),
-        )
+        return replace(self, **{field: getattr(self, field) + 1})
 
 
 _EVENT_FIELDS = {
@@ -120,40 +118,34 @@ _EVENT_FIELDS = {
 
 
 class ReputationBoard:
-    """Live counters backed by ledger reputation events."""
+    """Appends reputation outcome events to the ledger."""
 
     def __init__(self, ledger):
         self._ledger = ledger
-        self._records = {}
-
-    def record(self, agent_id):
-        return self._records.get(agent_id, ReputationRecord(agent_id))
-
-    def records(self):
-        return dict(self._records)
 
     def record_outcome(self, agent_id, event):
         if event not in _EVENT_FIELDS:
             raise ValueError(f"unknown reputation event {event!r}")
         self._ledger.append("reputation_event", {"agent_id": agent_id, "event": event})
-        updated = self.record(agent_id).bump(event)
-        self._records[agent_id] = updated
-        return updated
 
 
 def replay_records(entries):
     """Fold reputation events from ledger entries into fresh records.
 
-    Registration events establish the agent but count nothing.
+    Registration events establish the agent but count nothing. Import
+    does not check reputation events, and one whose ``agent_id`` is not
+    a string is skipped.
     """
     records = {}
     for entry in entries:
         if entry.kind != "reputation_event":
             continue
-        agent_id = entry.payload["agent_id"]
-        event = entry.payload["event"]
+        agent_id = entry.payload.get("agent_id")
+        if not isinstance(agent_id, str):
+            continue
+        event = entry.payload.get("event")
         current = records.get(agent_id, ReputationRecord(agent_id))
-        if event in _EVENT_FIELDS:
+        if isinstance(event, str) and event in _EVENT_FIELDS:
             current = current.bump(event)
         records[agent_id] = current
     return records

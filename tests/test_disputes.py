@@ -19,7 +19,7 @@ from atcpip.payments import SplitPlan, WalletSystem
 from atcpip.scenario import scenario_from_bytes
 from atcpip.sim import run_scenario
 from atcpip.terms import terms_hash
-from atcpip.trust import ReputationBoard
+from atcpip.trust import ReputationBoard, replay_records
 from conftest import make_terms, mint_agreement
 from test_sim import GOLDEN_DIGESTS, golden_scenario, load_worlds
 
@@ -225,7 +225,6 @@ def test_losing_issuer_never_triggers_revocation():
 
 def test_apply_verdict_records_reputation_and_verdict_entry():
     book, court, _ = build_session(terms=make_terms(upfront_fee=1_000), pay=0)
-    board = court._board
     claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
     before = book.height
     verdict = court.resolve(claim.dispute_id)
@@ -233,12 +232,58 @@ def test_apply_verdict_records_reputation_and_verdict_entry():
     assert entry.kind == "verdict"
     assert entry.payload["winner_id"] == "prov"
     assert entry.payload["rationale"] == "payments_deficient"
-    assert board.record("prov").disputes_won == 1
-    assert board.record("req").disputes_lost == 1
+    records = replay_records(book.entries())
+    assert records["prov"].disputes_won == 1
+    assert records["req"].disputes_lost == 1
     # resolving again must not duplicate anything
     assert court.resolve(claim.dispute_id) == verdict
-    assert board.record("prov").disputes_won == 1
+    assert replay_records(book.entries())["prov"].disputes_won == 1
     assert book.height == before + 3  # verdict + two reputation events
+
+
+@pytest.mark.parametrize("imported", [False, True], ids=["live", "imported"])
+def test_a_new_court_reads_filed_claims_and_verdicts_from_the_chain(imported):
+    terms = make_terms(upfront_fee=1_000, revocation_conditions=("dispute_loss",))
+    book, court, token = build_session(terms=terms, pay=0)
+    claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
+    verdict = court.resolve(claim.dispute_id)
+    if imported:
+        book = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
+    fresh = DisputeCourt(book, ReputationBoard(book))
+    height = book.height
+    assert fresh.claim(claim.dispute_id) == claim
+    assert fresh.arbitrate(claim.dispute_id) == verdict
+    assert fresh.resolve(claim.dispute_id) == verdict
+    assert verdict.revokes_license_id == token.license_id
+    assert book.height == height
+    assert fresh.collect_evidence(claim.dispute_id).to_value() == (
+        court.collect_evidence(claim.dispute_id).to_value()
+    )
+
+
+def test_a_verdict_recorded_before_its_claim_resolves_nothing():
+    book, _, _ = build_session(pay=0)
+    exported = canon.loads(canon.dumps(book.export_entries()))
+    # A verdict for the id that the next filing on the import will get.
+    next_id = f"dispute-{len(exported) + 1}"
+    payload = {"kind": "verdict", "dispute_id": next_id, "winner_id": "req",
+               "loser_id": "prov", "rationale": "forged"}
+    exported.append({"height": len(exported), "kind": "verdict", "payload": payload,
+                     "payload_hash": "", "entry_hash": ""})
+    _, court = rehashed_court(exported)
+    claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
+    assert claim.dispute_id == next_id
+    verdict = court.resolve(claim.dispute_id)
+    assert (verdict.winner_id, verdict.rationale) == ("prov", "payments_deficient")
+
+
+def test_a_claim_that_would_not_read_back_is_not_filed():
+    book, court, _ = build_session()
+    height = book.height
+    with pytest.raises(ParseError):
+        court.file_dispute("sess-1", "req", "prov", "misrepresentation",
+                           asserted_clause=("scope", "a", "b"))
+    assert book.height == height
 
 
 def test_evidence_bundle_collects_session_and_usage_entries():
@@ -329,7 +374,7 @@ def test_indexed_evidence_matches_a_whole_chain_scan(name):
                            "usage_violation")
     disputes = [entry.payload["dispute_id"] for entry in book.entries() if entry.kind == "dispute"]
     clone = Ledger.from_export(book.export_entries())
-    clone_court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    clone_court = DisputeCourt(clone, ReputationBoard(clone))
     usage_seen = False
     for dispute_id in disputes:
         live = court.collect_evidence(dispute_id)
@@ -380,7 +425,7 @@ def test_dispute_over_a_session_without_agreement_is_a_typed_error(tmp_path, cap
         },
     )
     clone = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
-    court = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    court = DisputeCourt(clone, ReputationBoard(clone))
     with pytest.raises(UnknownLicense, match="nope"):
         court.collect_evidence("d1")
     with pytest.raises(UnknownLicense, match="nope"):
@@ -410,9 +455,9 @@ def rehash(exported):
 
 
 def rehashed_court(exported):
-    """Rehash an edited export, then import it and rebuild its court."""
+    """Rehash an edited export, then import it and build a court over it."""
     clone = Ledger.from_export(rehash(exported))
-    return clone, DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    return clone, DisputeCourt(clone, ReputationBoard(clone))
 
 
 @pytest.mark.parametrize("forge", [forge_jurisdiction, drop_terms])
@@ -523,7 +568,7 @@ def test_forged_entries_on_an_imported_chain_are_typed_errors(
         assert "error: " in capsys.readouterr().err
         return
     clone = Ledger.from_export(exported)
-    rebuilt = DisputeCourt.rebuild(clone, ReputationBoard(clone))
+    rebuilt = DisputeCourt(clone, ReputationBoard(clone))
     assert rebuilt.collect_evidence(intact.dispute_id).claim.kind == "misrepresentation"
     assert export_evidence(intact.dispute_id) == 0
     if outcome == "dispute":

@@ -12,9 +12,10 @@ is set by arguments and scenario files only, so no module under
 ``src/`` may read ``os.environ`` or ``os.getenv``. Session state
 changes belong to the protocol, so no module under ``src/`` but
 ``protocol.py`` may assign an attribute named ``state``. A public
-function or method under ``src/`` must be called or named somewhere
-under ``src/``, outside a ``def`` of the same name, so helpers that only
-tests call do not come back. Every error class in ``errors.py`` but the
+function under ``src/`` must be called or named somewhere under
+``src/``, and a public method reached there as an attribute, outside a
+``def`` of the same name, so helpers that only tests call do not come
+back. Every error class in ``errors.py`` but the
 ``AtcpipError`` base must be constructed somewhere under ``src/``, so an
 error that nothing can raise any more goes with the code that raised it.
 """
@@ -120,36 +121,43 @@ def state_assignments(source):
 def unreferenced_functions(sources):
     """(label, line, name) for each public module-level function and
     public method of a module-level class in ``sources`` (label -> text)
-    whose name appears in no module there as a name or an attribute. The
-    ``def`` statement itself is not a reference, and neither is a name
-    used in the body of a ``def`` of the same name, so a method that only
-    calls the module function it shares a name with, or a function that
-    only calls itself, references neither."""
-    defined, referenced = [], set()
+    that no module there references. A function is referenced by its name
+    or as an attribute; a method only as an attribute (``x.name``), so a
+    local variable that shares its name does not count. The ``def``
+    statement itself is not a reference, and neither is a name used in
+    the body of a ``def`` of the same name, so a method that only calls
+    the module function it shares a name with, or a function that only
+    calls itself, references neither."""
+    functions, methods, names, attributes = [], [], set(), set()
     for label, source in sources.items():
         tree = ast.parse(source)
-        members = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (label, node.lineno, node.name)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+        ]
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                members += [item for item in node.body if isinstance(item, ast.FunctionDef)]
-        defined += [(label, node.lineno, node.name) for node in members]
+                methods += [
+                    (label, item.lineno, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
         pending = [(tree, frozenset())]
         while pending:
             node, inside = pending.pop()
             if isinstance(node, ast.Name) and node.id not in inside:
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and node.attr not in inside:
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             for child in ast.iter_child_nodes(node):
                 if isinstance(node, ast.FunctionDef) and child in node.body:
                     pending.append((child, inside | {node.name}))
                 else:
                     pending.append((child, inside))
-    return sorted(
-        (label, line, name)
-        for label, line, name in defined
-        if not name.startswith("_") and name not in referenced
-    )
+    unreferenced = [item for item in functions if item[2] not in names | attributes]
+    unreferenced += [item for item in methods if item[2] not in attributes]
+    return sorted(item for item in unreferenced if not item[2].startswith("_"))
 
 
 def unconstructed_errors(errors_source, sources):
@@ -172,8 +180,19 @@ def unconstructed_errors(errors_source, sources):
     return [(line, name) for line, name in classes if name not in called]
 
 
-# Kept for the wire transport and as the reputation oracle; tests call them.
-UNREFERENCED_ON_PURPOSE = {"encode_message", "decode_message", "replay_records"}
+UNREFERENCED_ON_PURPOSE = {
+    # The wire codec, kept for the transport; tests call it.
+    "encode_message",
+    "decode_message",
+    # The only reader of reputation: a fold over the chain.
+    "replay_records",
+    # ``Ledger.entry``: the tamper tests edit one stored entry through it.
+    "entry",
+    # ``Scenario.session_ids`` and ``DisputeCourt.rebuild``: the benchmark
+    # under ``perfbench/`` calls both.
+    "session_ids",
+    "rebuild",
+}
 
 
 def test_unused_imports_are_found():
@@ -289,6 +308,13 @@ def test_unreferenced_functions_are_found():
         "        return rank(n) + B().rank(n - 1)\n"
         "def countdown(n):\n"
         "    return countdown(n - 1) if n else used()\n"
+        "class C:\n"
+        "    def total(self):\n"
+        "        return 0\n"
+        "def tally(items):\n"
+        "    total = sum(items)\n"
+        "    return total\n"
+        "print(tally([]))\n"
     )
     assert unreferenced_functions({"a.py": source}) == [
         ("a.py", 3, "only_tests"),
@@ -296,6 +322,7 @@ def test_unreferenced_functions_are_found():
         ("a.py", 18, "rank"),
         ("a.py", 21, "rank"),
         ("a.py", 23, "countdown"),
+        ("a.py", 26, "total"),
     ]
 
 

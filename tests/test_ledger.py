@@ -105,7 +105,7 @@ def test_mint_round_trips_and_verifies():
     assert token.metadata.link_to_terms == terms_hash(terms)
     assert len(token.license_id) == 32
     assert book.verify_token(token, terms)
-    assert book.token(token.license_id) == token
+    assert book.chain_of_ownership(token.license_id) == [token]
     assert book.session_agreement("s1") == token
 
 
@@ -285,6 +285,31 @@ def test_history_collects_session_entries():
     assert kinds == ["draft_token", "agreement_token"]
 
 
+def test_named_index_matches_a_scan_live_and_imported():
+    book = fresh_ledger()
+    book.mint_draft("s1", "provider", make_terms())
+    token = mint_agreement(book, "requester", "provider", make_terms(), "2025-01-01",
+                           session_id="s1")
+    book.append("payment", {"from": "requester", "to": "provider", "amount": 1,
+                            "purpose": "fee", "session_id": "s1"})
+    book.append("reputation_event", {"agent_id": "requester", "event": "usage_event",
+                                     "license_id": token.license_id, "tags": []})
+    book.append("dispute", {"dispute_id": "d1", "session_id": "s1"})
+    book.append("verdict", {"dispute_id": "d1", "license_id": token.license_id})
+    # Values that are not strings are not indexed, and do not fail an import.
+    book.append("reputation_event", {"session_id": ["s1"], "license_id": 5, "dispute_id": {}})
+    clone = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
+    for ledger in (book, clone):
+        for name, value in (("session_id", "s1"), ("license_id", token.license_id),
+                            ("dispute_id", "d1"), ("session_id", "s2")):
+            scanned = [entry for entry in ledger.entries() if entry.payload.get(name) == value]
+            assert ledger.entries_with(name, value) == scanned
+        assert [entry.kind for entry in ledger.entries_with("session_id", "s1")] == [
+            "draft_token", "agreement_token", "payment", "dispute"
+        ]
+        assert len(ledger.entries_with("license_id", token.license_id)) == 2
+
+
 # -- exports and tampering -----------------------------------------------------
 
 
@@ -305,7 +330,7 @@ def test_export_round_trip_reconstructs_state():
     assert clone.export_entries() == book.export_entries()
     assert verify_entries(clone.entries())
     token = book.session_agreement("s1")
-    assert clone.token(token.license_id).terms_hash == token.terms_hash
+    assert clone.chain_of_ownership(token.license_id)[-1].terms_hash == token.terms_hash
     with pytest.raises(TamperedLedger):
         tampered = book.export_entries()
         tampered[1]["payload"]["agent_id"] = "mallory"

@@ -159,7 +159,7 @@ def test_settle_past_the_64_bit_range_changes_nothing():
     with pytest.raises(BalanceOverflow):
         wallet.settle("alice", plan)
     assert wallet.balances() == {"alice": 100, "bob": 0, "carol": 0, "rich": INT_MAX - 10}
-    assert len(book) == 0
+    assert book.height == 0
 
 
 def test_settle_writes_one_entry_per_line():
@@ -174,7 +174,7 @@ def test_settle_writes_one_entry_per_line():
     assert [e.payload["to"] for e in entries] == ["carol", "bob"]
     assert [e.payload["amount"] for e in entries] == [15, 85]
     assert wallet.balances() == {"alice": 0, "bob": 85, "carol": 15}
-    assert len(book) == 2
+    assert book.height == 2
 
 
 def test_settle_requires_full_price_upfront():
@@ -183,7 +183,7 @@ def test_settle_requires_full_price_upfront():
     with pytest.raises(InsufficientFunds):
         wallet.settle("alice", plan)
     assert wallet.balances() == {"alice": 100, "bob": 0, "carol": 0}
-    assert len(book) == 0
+    assert book.height == 0
 
 
 def test_settle_to_unknown_recipient_changes_nothing():
@@ -192,4 +192,4 @@ def test_settle_to_unknown_recipient_changes_nothing():
     with pytest.raises(UnknownAccount):
         wallet.settle("alice", plan)
     assert wallet.balances() == {"alice": 100, "bob": 0, "carol": 0}
-    assert len(book) == 0
+    assert book.height == 0

@@ -34,6 +34,7 @@ from atcpip.protocol import (
 )
 from atcpip.terms import terms_hash
 from atcpip.runtime import CatalogItem
+from atcpip.trust import replay_records
 from conftest import make_terms, make_world, mint_agreement, pump, transaction_records
 
 
@@ -531,7 +532,7 @@ def test_timer_in_evaluating_terms_is_a_violation():
 
 def _forge_uncommitted(ledger, token_message, genuine):
     # The requester's own token, claiming a height it was never given.
-    return dict(token_message.body["token"], height=len(ledger))
+    return dict(token_message.body["token"], height=ledger.height)
 
 
 def _forge_other_session(ledger, token_message, genuine):
@@ -549,7 +550,7 @@ def _forge_one_field(ledger, token_message, genuine):
 )
 def test_requester_refuses_a_delivery_the_chain_does_not_back(forge):
     item = CatalogItem("item", "content", tags=("dataset",), terms=make_terms())
-    ledger, _, board, runtimes = make_world({"prov": {"items": (item,)}, "req": {}, "other": {}})
+    ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}, "other": {}})
     pump(runtimes, runtimes["other"].start_request("s0", "prov", "item"))
     provider, requester = runtimes["prov"], runtimes["req"]
     [request] = requester.start_request("s1", "prov", "item")
@@ -574,7 +575,7 @@ def test_requester_refuses_a_delivery_the_chain_does_not_back(forge):
     assert {"kind": "reputation_event", "agent_id": "req", "event": "deal_completed"} not in [
         entry.payload for entry in ledger.entries()
     ]
-    assert board.record("req").successful_deals == 0
+    assert replay_records(ledger.entries())["req"].successful_deals == 0
 
     # The genuine delivery still completes the session afterwards.
     if genuine is None:

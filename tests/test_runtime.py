@@ -10,6 +10,7 @@ from atcpip.negotiation import (
     RISK_TIERS,
     SetBound,
 )
+from atcpip.errors import ParseError
 from atcpip.ledger import token_to_value
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
@@ -23,7 +24,7 @@ from atcpip.protocol import (
 )
 from atcpip.runtime import CatalogItem
 from atcpip.terms import terms_hash
-from atcpip.trust import CompatibilityRules
+from atcpip.trust import CompatibilityRules, replay_records
 from conftest import make_terms, make_world, pump, transaction_records
 
 IP_TERMS = make_terms(
@@ -48,7 +49,7 @@ def run_simple_deal(fee=10_000_000, balance=50_000_000, **world_kwargs):
 
 
 def test_full_deal_completes_with_token_payment_and_reputation():
-    ledger, wallets, board, runtimes = run_simple_deal()
+    ledger, wallets, _, runtimes = run_simple_deal()
     prov = runtimes["prov"].session("s1")
     req = runtimes["req"].session("s1")
     assert prov.state is ProviderState.COMPLETED
@@ -59,8 +60,9 @@ def test_full_deal_completes_with_token_payment_and_reputation():
     assert token.metadata.holder_id == "req"
     assert wallets.balance("prov") == 10_000_000
     assert wallets.balance("req") == 40_000_000
-    assert board.record("prov").successful_deals == 1
-    assert board.record("req").successful_deals == 1
+    records = replay_records(ledger.entries())
+    assert records["prov"].successful_deals == 1
+    assert records["req"].successful_deals == 1
     assert f"License issued: {token.license_id}" in runtimes["prov"].memory_texts()
     assert f"License token accepted: {token.license_id}" in runtimes["req"].memory_texts()
     assert ledger.session_agreement("s1") is token
@@ -436,10 +438,10 @@ def test_courtship_picks_the_highest_weighted_offer():
         "c1", "prov", "model-weights", offer={"upfront_fee": 12_000_000}))
     pump(runtimes, runtimes["r2"].start_request(
         "c2", "prov", "model-weights",
-        offer={"upfront_fee": 10_000_000, "royalty_rate": "0.0300"}))
+        offer={"upfront_fee": 10_000_000, "royalty_rate": Decimal("0.0300")}))
     pump(runtimes, runtimes["r3"].start_request(
         "c3", "prov", "model-weights",
-        offer={"upfront_fee": 11_000_000, "royalty_rate": "0.0100"}))
+        offer={"upfront_fee": 11_000_000, "royalty_rate": Decimal("0.0100")}))
     for session_id in ("c1", "c2", "c3"):
         assert runtimes["prov"].session(session_id).state is ProviderState.EVALUATING
     pump(runtimes, runtimes["prov"].decide_courtship("model-weights"))
@@ -495,6 +497,42 @@ def test_request_without_content_id_is_dropped_before_a_session_opens():
     assert provider.memory_texts() == [
         "Dropped malformed message in session s1: request_info body missing 'content_id'"
     ]
+
+
+@pytest.mark.parametrize(
+    "body,problem",
+    [
+        ({"content_id": "item", "offer": "upfront_fee"}, "offer must be a map of"),
+        ({"content_id": ["x"]}, "content_id must be a non-empty string"),
+        ({"offer": {"royalty_rate": 0.5}}, "offer royalty_rate must be an integer or a decimal"),
+        ({"jurisdiction": 5}, "jurisdiction must be a string"),
+    ],
+)
+def test_mistyped_request_is_dropped_before_a_session_opens(body, problem):
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    provider = runtimes["prov"]
+    request = ProtocolMessage(
+        "s1", 0, "req", "prov", "request_info", {"content_id": "weather-data-2023", **body}
+    )
+    assert provider.receive_message(request) == []
+    assert not provider.has_session("s1") and provider.sessions(acted=True) == {}
+    [note] = provider.memory_texts()
+    assert note.startswith(f"Dropped malformed message in session s1: request_info {problem}")
+    with pytest.raises(ParseError, match=problem):
+        message_from_value(request.to_value())
+
+
+def test_request_from_a_jurisdiction_with_no_profile_is_refused():
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    provider = runtimes["prov"]
+    request = ProtocolMessage(
+        "s1", 0, "req", "prov", "request_info",
+        {"content_id": "weather-data-2023", "jurisdiction": "ZZ"},
+    )
+    [reject] = provider.receive_message(request)
+    assert reject.action == "reject"
+    assert reject.body == {"reason": "no profile for jurisdiction 'ZZ'"}
+    assert provider.session("s1").state is ProviderState.REJECTED
 
 
 def test_proposal_without_terms_is_dropped_before_the_session_is_touched():

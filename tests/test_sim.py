@@ -22,6 +22,7 @@ from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
 from atcpip.runtime import AgentRuntime
 from atcpip.sim import Simulation, check_expectations, replay, run_scenario
+from atcpip.trust import replay_records
 
 
 def two_party_value(**overrides):
@@ -325,8 +326,9 @@ def test_usage_and_dispute_script_events_reach_the_ledger():
     verdict = [entry for entry in world.ledger.entries() if entry.kind == "verdict"][-1]
     assert verdict.payload["revokes_license_id"] == token.license_id
     assert not world.ledger.verify_token(token, token.terms)
-    assert world.board.record("prov").disputes_won == 1
-    assert world.board.record("req").disputes_lost == 1
+    records = replay_records(world.ledger.entries())
+    assert records["prov"].disputes_won == 1
+    assert records["req"].disputes_lost == 1
 
 
 def test_dispute_before_any_agreement_becomes_a_memory_note():

@@ -1,9 +1,12 @@
 """Trust: gate decisions and reputation folds."""
 
+import collections
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from atcpip import canon
 from atcpip.errors import UnknownJurisdiction
 from atcpip.ledger import Ledger
 from atcpip.trust import (
@@ -66,12 +69,13 @@ def test_board_appends_events_and_counts():
     board = ReputationBoard(book)
     board.record_outcome("alice", "deal_completed")
     board.record_outcome("alice", "dispute_lost")
-    record = board.record("alice")
+    record = replay_records(book.entries())["alice"]
     assert (record.successful_deals, record.disputes_lost) == (1, 1)
     assert [e.payload["event"] for e in book.entries()] == ["deal_completed", "dispute_lost"]
     with pytest.raises(ValueError):
         board.record_outcome("alice", "meteor_strike")
-    assert board.record("nobody") == ReputationRecord("nobody")
+    assert book.height == 2
+    assert "nobody" not in replay_records(book.entries())
 
 
 def test_registration_events_count_nothing():
@@ -95,5 +99,30 @@ def test_replay_reconstructs_board_state(events):
     board = ReputationBoard(book)
     for agent_id, event in events:
         board.record_outcome(agent_id, event)
-    assert replay_records(book.entries()) == board.records()
+    expected = {}
+    for agent_id in sorted({agent_id for agent_id, _ in events}):
+        counts = collections.Counter(event for who, event in events if who == agent_id)
+        expected[agent_id] = ReputationRecord(
+            agent_id,
+            successful_deals=counts["deal_completed"],
+            disputes_won=counts["dispute_won"],
+            disputes_lost=counts["dispute_lost"],
+            compliance_violations=counts["compliance_violation"],
+        )
+    assert replay_records(book.entries()) == expected
+
+
+@pytest.mark.parametrize("agent_id", [None, 7, ["alice"]], ids=["missing", "number", "list"])
+def test_replay_skips_an_imported_event_without_a_string_agent(agent_id):
+    book = Ledger()
+    book.register_agent("alice", b"k")
+    ReputationBoard(book).record_outcome("alice", "deal_completed")
+    payload = {"event": "deal_completed"}
+    if agent_id is not None:
+        payload["agent_id"] = agent_id
+    book.append("reputation_event", payload)
+    clone = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
+    assert replay_records(clone.entries()) == {
+        "alice": ReputationRecord("alice", successful_deals=1)
+    }
 
