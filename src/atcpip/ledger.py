@@ -39,7 +39,7 @@ ENTRY_KINDS = frozenset(
 )
 ENTRY_FIELDS = frozenset({"height", "kind", "payload", "payload_hash", "entry_hash"})
 # Payload fields the ledger indexes entries by, when their value is a string.
-NAMED_FIELDS = ("session_id", "license_id", "dispute_id")
+NAMED_FIELDS = ("session_id", "license_id", "dispute_id", "revokes_license_id")
 
 
 @dataclass(frozen=True)
@@ -232,15 +232,16 @@ def _metadata_signing_bytes(metadata, link_to_terms):
 
 
 class Ledger:
-    """Append-only entry list plus the indexes derived from it.
+    """Append-only entry list plus the two indexes derived from it.
 
-    All indexes (committed tokens, each session's last draft round,
-    which numbers its next draft, revocations, and the heights of the
-    entries whose payload names a session, license or dispute id) are
-    maintained inside the one append path, so replaying an exported
-    entry list through it (``from_export``) reconstructs the same state.
-    The chain is the only store of disputes, verdicts and reputation:
-    the court and the reputation board read them back from it.
+    The committed tokens by license id, and the heights of the entries
+    by each ``NAMED_FIELDS`` value, are maintained inside the one append
+    path, so replaying an exported entry list through it
+    (``from_export``) reconstructs the same state. Everything else is
+    read back from the chain through the second index: a session's
+    agreement and the round of its next draft, a license's revocation,
+    and the disputes, verdicts and reputation the court and the
+    reputation board use.
     """
 
     def __init__(self, current_date="2024-01-01"):
@@ -250,9 +251,6 @@ class Ledger:
         self.keys = KeyRegistry()
         self._entries = []
         self._tokens = {}  # license_id -> committed AgreementToken
-        self._session_agreements = {}  # session_id -> license_id
-        self._session_rounds = {}  # session_id -> last draft round
-        self._revoked = set()
         # payload field -> string value -> heights, ascending
         self._named = {name: defaultdict(list) for name in NAMED_FIELDS}
         # hook(entry, canonical payload bytes), used by the simulator transcript
@@ -293,9 +291,9 @@ class Ledger:
             raise ParseError("payload kind field contradicts entry kind")
         payload = {"kind": kind, **payload}
         height = len(self._entries)
-        # Parse whatever the indexes will need before touching the chain,
+        # Parse whatever is read back by key before touching the chain,
         # so a malformed payload cannot leave a half-applied append.
-        apply_index = self._prepare_index(kind, payload, height, token)
+        token = _indexed_token(kind, payload, height, token)
         if walked is None:
             encoded = canon.dumps(payload)
             payload_hash = canon.sha256_hex(encoded)
@@ -310,7 +308,8 @@ class Ledger:
             entry_hash=entry_hash,
         )
         self._entries.append(entry)
-        apply_index()
+        if token is not None:
+            self._tokens[token.license_id] = token
         for name, index in self._named.items():
             value = payload.get(name)
             if isinstance(value, str):
@@ -318,43 +317,6 @@ class Ledger:
         if self.on_append is not None:
             self.on_append(entry, encoded)
         return entry
-
-    def _prepare_index(self, kind, payload, height, token):
-        try:
-            if kind == "draft_token":
-                session_id = _index_key(kind, "session_id", payload["session_id"])
-                round_number = payload["round"]
-
-                def apply():
-                    self._session_rounds[session_id] = round_number
-
-            elif kind == "agreement_token":
-                if token is None:
-                    value = {key: item for key, item in payload.items() if key != "kind"}
-                    token = token_from_value(value)
-                token = replace(token, height=height)
-                _index_key(kind, "license_id", token.license_id)
-                _index_key(kind, "session_id", token.session_id)
-
-                def apply():
-                    self._tokens[token.license_id] = token
-                    if token.session_id:
-                        self._session_agreements[token.session_id] = token.license_id
-
-            elif kind == "verdict" and "revokes_license_id" in payload:
-                license_id = _index_key(kind, "revokes_license_id", payload["revokes_license_id"])
-
-                def apply():
-                    self._revoked.add(license_id)
-
-            else:
-
-                def apply():
-                    pass
-
-            return apply
-        except KeyError as exc:
-            raise ParseError(f"{kind} payload missing field {exc.args[0]!r}") from None
 
     # -- agents ---------------------------------------------------------------
 
@@ -371,11 +333,12 @@ class Ledger:
         numbered 1, 2, 3, ... in the order they are minted."""
         if not self.keys.known(proposer_id):
             raise UnknownAgent(f"unknown proposer {proposer_id!r}")
+        last = self._last("draft_token", "session_id", session_id)
         return self.append(
             "draft_token",
             {
                 "session_id": session_id,
-                "round": self._session_rounds.get(session_id, 0) + 1,
+                "round": 1 if last is None else last.payload["round"] + 1,
                 "proposer_id": proposer_id,
                 "terms": terms.to_value(),
                 "terms_hash": terms_hash(terms),
@@ -488,7 +451,7 @@ class Ledger:
             raise AbortedExchange(f"token content verification failed: {problems[0]}")
         if token.license_id in self._tokens:
             raise AbortedExchange(f"license {token.license_id!r} already committed")
-        if token.session_id and token.session_id in self._session_agreements:
+        if self.session_agreement(token.session_id) is not None:
             raise AbortedExchange(f"session {token.session_id!r} already has an agreement")
         self._append("agreement_token", token_to_value(token), token=token)
         return self._tokens[token.license_id]
@@ -511,20 +474,25 @@ class Ledger:
                 return False
             if recorded["terms"] != terms.to_value():
                 return False
-            if token.license_id in self._revoked:
+            if self._last("verdict", "revokes_license_id", token.license_id) is not None:
                 return False
             return not self.token_problems(token)
         except AtcpipError:
             return False
 
     def session_agreement(self, session_id):
-        license_id = self._session_agreements.get(session_id)
-        return self._tokens[license_id] if license_id else None
+        """The session's last committed agreement; session id ``""`` has none."""
+        last = self._last("agreement_token", "session_id", session_id) if session_id else None
+        return None if last is None else self._tokens[last.payload["metadata"]["license_id"]]
 
     def entries_with(self, name, value):
         """Entries whose payload maps ``name`` (one of ``NAMED_FIELDS``)
         to the string ``value``, in height order."""
         return [self._entries[height] for height in self._named[name].get(value, ())]
+
+    def _last(self, kind, name, value):
+        """The last ``kind`` entry of ``entries_with(name, value)``, or None."""
+        return next((e for e in reversed(self.entries_with(name, value)) if e.kind == kind), None)
 
     def chain_of_ownership(self, license_id):
         """Lineage root first, ending at license_id."""
@@ -580,11 +548,33 @@ class Ledger:
         return book
 
 
+def _indexed_token(kind, payload, height, token):
+    """Check the payload fields the ledger reads back by key; returns the
+    committed token an ``agreement_token`` payload holds, else None."""
+    try:
+        if kind == "draft_token":
+            _index_key(kind, "session_id", payload["session_id"])
+            if "round" not in payload:
+                raise KeyError("round")
+        elif kind == "agreement_token":
+            if token is None:
+                value = {key: item for key, item in payload.items() if key != "kind"}
+                token = token_from_value(value)
+            token = replace(token, height=height)
+            _index_key(kind, "license_id", token.license_id)
+            _index_key(kind, "session_id", token.session_id)
+            return token
+        elif kind == "verdict" and "revokes_license_id" in payload:
+            _index_key(kind, "revokes_license_id", payload["revokes_license_id"])
+        return None
+    except KeyError as exc:
+        raise ParseError(f"{kind} payload missing field {exc.args[0]!r}") from None
+
+
 def _index_key(kind, name, key):
     """A payload value the ledger indexes by; only a string can be one."""
     if not isinstance(key, str):
         raise ParseError(f"{kind} {name} must be a string")
-    return key
 
 
 def _walk(entries):

@@ -103,7 +103,8 @@ class ProtocolMessage:
 def check_body(action, body):
     """Raise ParseError unless ``action`` is one of the twelve and
     ``body`` is a map holding every key the action requires; a
-    ``request_info`` body opens a session, so its values are checked too."""
+    ``request_info`` body opens a session, so its values are checked too,
+    and so is the license a ``propose_terms`` extends."""
     required = REQUIRED_BODY_KEYS.get(action)
     if required is None:
         raise ParseError(f"unknown action {action!r}")
@@ -114,6 +115,10 @@ def check_body(action, body):
             raise ParseError(f"{action} body missing {key!r}")
     if action == "request_info":
         _check_request(body)
+    if action == "propose_terms" and "previous_license_id" in body:
+        previous = body["previous_license_id"]
+        if not isinstance(previous, str) or not previous:
+            raise ParseError("propose_terms previous_license_id must be a non-empty string")
 
 
 def _check_request(body):
@@ -219,7 +224,6 @@ class ProviderState(enum.Enum):
     NEGOTIATING = "negotiating"
     AWAITING_PAYMENT = "awaiting_payment"
     AWAITING_TOKEN = "awaiting_token"
-    DELIVERING = "delivering"
     AWAITING_ACK = "awaiting_ack"
     COMPLETED = "completed"
     REJECTED = "rejected"
@@ -227,14 +231,11 @@ class ProviderState(enum.Enum):
 
 
 class RequesterState(enum.Enum):
-    REQUESTING = "requesting"
     AWAITING_TERMS = "awaiting_terms"
     EVALUATING_TERMS = "evaluating_terms"
     COUNTERING = "countering"
     PAYING = "paying"
-    MINTING = "minting"
     AWAITING_DELIVERY = "awaiting_delivery"
-    ACKNOWLEDGING = "acknowledging"
     COMPLETED = "completed"
     REJECTED = "rejected"
     FAILED = "failed"
@@ -287,7 +288,7 @@ class RequesterSession(Session):
     asked, and ``content`` what was delivered. Whether that content came
     licensed is the chain's to say, not the session's."""
 
-    state: RequesterState = RequesterState.REQUESTING
+    state: RequesterState = RequesterState.AWAITING_TERMS
     purpose: str = ""
     counters_used: int = 0
     content: object = None
@@ -379,7 +380,6 @@ def provider_transition(session, event, agent):
         return []
 
     if state is ProviderState.AWAITING_TOKEN and event.action == "license_token":
-        session.state = ProviderState.DELIVERING
         return agent.atomic_exchange(session, event.body["token"])
 
     if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
@@ -512,7 +512,6 @@ def requester_transition(session, event, agent):
         ):
             raise _violation(session, event)
         session.content = event.body["content"]
-        session.state = RequesterState.ACKNOWLEDGING
         outputs = []
         if session.config.ack_required:
             outputs.append(
@@ -559,7 +558,6 @@ def _is_amount(value):
 
 def requester_open(session, content_id, jurisdiction=None, offer=None):
     session.content_id = content_id
-    session.state = RequesterState.AWAITING_TERMS
     body = {"content_id": content_id}
     if jurisdiction:
         body["jurisdiction"] = jurisdiction
@@ -569,12 +567,11 @@ def requester_open(session, content_id, jurisdiction=None, offer=None):
 
 
 def requester_accept(session, agent):
-    """Accept the standing offer; free terms go straight on to minting."""
+    """Accept the standing offer; free terms go straight on to the token."""
     acceptance = _send(session, "accept_terms", {"terms_hash": terms_hash(session.terms)})
     if session.terms.upfront_fee > 0:
         session.state = RequesterState.PAYING
         return [acceptance]
-    session.state = RequesterState.MINTING
     return [acceptance, *agent.prepare_token(session)]
 
 
@@ -589,7 +586,6 @@ def requester_counter(session, agent, delta_value, countered):
 
 def requester_paid(session, agent, amount):
     """Confirm the payment, then prepare the token."""
-    session.state = RequesterState.MINTING
     confirmation = _send(session, "payment_confirmed", {"amount": amount})
     return [confirmation, *agent.prepare_token(session)]
 

@@ -28,7 +28,8 @@ Inbound messages are deduplicated per session by sequence number. A
 message whose body lacks a key its action requires is dropped with a
 memory note before any session is opened or touched, and anything a
 session cannot take in its current state is dropped with a memory note
-too, rather than crashing the agent.
+too, rather than crashing the agent. Any other typed error a decision
+raises fails its session, with the error as the reason.
 """
 
 from dataclasses import dataclass
@@ -284,6 +285,8 @@ class AgentRuntime:
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
+        except AtcpipError as exc:
+            outbound = self._decision_failed(session, exc)
         session.last_seq_seen = message.seq
         return outbound
 
@@ -297,6 +300,15 @@ class AgentRuntime:
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
             return []
+        except AtcpipError as exc:
+            return self._decision_failed(session, exc)
+
+    def _decision_failed(self, session, exc):
+        """Fail the session a decision raised in, unless it is closed already."""
+        if session.terminal():
+            self.remember(f"Error after session {session.session_id} closed: {exc}")
+            return []
+        return fail(session, self, str(exc))
 
     def _open(self, session):
         self._ordinal[session.session_id] = len(self._sessions)

@@ -310,6 +310,29 @@ def test_named_index_matches_a_scan_live_and_imported():
         assert len(ledger.entries_with("license_id", token.license_id)) == 2
 
 
+def test_agreements_and_revocations_are_read_from_the_chain():
+    book = fresh_ledger()
+    terms = make_terms()
+    token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
+    with pytest.raises(AbortedExchange, match="session 's1' already has an agreement"):
+        mint_agreement(book, "requester", "provider", make_terms(upfront_fee=1), "2025-01-01",
+                       session_id="s1")
+    # Agreements with an empty session id belong to no session.
+    mint_agreement(book, "requester", "provider", make_terms(upfront_fee=2), "2025-01-01")
+    mint_agreement(book, "requester", "provider", make_terms(upfront_fee=3), "2025-01-01")
+    # Only a verdict revokes a license.
+    book.append("payment", {"from": "requester", "to": "provider", "amount": 1,
+                            "purpose": "fee", "revokes_license_id": token.license_id})
+    assert book.verify_token(token, terms)
+    book.append("verdict", {"dispute_id": "d1", "revokes_license_id": token.license_id})
+    assert not book.verify_token(token, terms)
+    clone = Ledger.from_export(canon.loads(canon.dumps(book.export_entries())))
+    for ledger in (book, clone):
+        assert ledger.session_agreement("s1") == token
+        assert ledger.session_agreement("") is None and ledger.session_agreement("s2") is None
+        assert len(ledger.entries_with("revokes_license_id", token.license_id)) == 2
+
+
 # -- exports and tampering -----------------------------------------------------
 
 

@@ -12,6 +12,8 @@ from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_TOKEN_FAILURE,
     NON_IP_NOTE,
+    TERMINAL,
+    WAITS,
     ProtocolMessage,
     ProviderSession,
     ProviderState,
@@ -186,9 +188,10 @@ def test_provider_happy_path_states():
     outputs = provider_transition(
         session, msg("license_token", {"token": {"fake": True}}, seq=2), agent
     )
-    assert session.state is ProviderState.DELIVERING
+    # The exchange runs while the session still waits for the token.
+    assert session.state is ProviderState.AWAITING_TOKEN
     assert outputs == []
-    assert agent.calls[-1] == ("atomic_exchange", ProviderState.DELIVERING, 2, {"fake": True})
+    assert agent.calls[-1] == ("atomic_exchange", ProviderState.AWAITING_TOKEN, 2, {"fake": True})
 
 
 def test_provider_zero_fee_skips_payment():
@@ -210,7 +213,7 @@ def test_provider_delivery_and_ack_paths():
     terms = make_terms()
     token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
-    session = provider_session(state=ProviderState.DELIVERING, content_id="c")
+    session = provider_session(state=ProviderState.AWAITING_TOKEN, content_id="c")
     agent = RecordingAgent(session)
     outputs = provider_deliver(session, agent, token, "bytes")
     assert session.state is ProviderState.COMPLETED
@@ -221,7 +224,7 @@ def test_provider_delivery_and_ack_paths():
 
     acky = ProviderSession(session_id="s2", provider_id="provider", requester_id="requester",
                            config=SessionConfig(ack_required=True),
-                           state=ProviderState.DELIVERING, content_id="c")
+                           state=ProviderState.AWAITING_TOKEN, content_id="c")
     agent = RecordingAgent(acky)
     provider_deliver(acky, agent, token, "bytes")
     assert acky.state is ProviderState.AWAITING_ACK
@@ -283,7 +286,7 @@ def test_provider_refuses_a_confirmation_for_another_amount(fee, amount):
 
 
 def test_provider_exchange_abort_fails_session():
-    session = provider_session(state=ProviderState.DELIVERING)
+    session = provider_session(state=ProviderState.AWAITING_TOKEN)
     assert fail(session, RecordingAgent(session), NO_TOKEN_FAILURE) == []
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
@@ -344,6 +347,7 @@ def requester_session(**kwargs):
 
 def test_requester_happy_path_states():
     session = requester_session()
+    assert session.state is RequesterState.AWAITING_TERMS
     agent = RecordingAgent(session)
     outputs = requester_open(session, "data-1")
     assert session.state is RequesterState.AWAITING_TERMS
@@ -378,10 +382,22 @@ def test_requester_happy_path_states():
     assert agent.calls[-1] == ("settle", RequesterState.PAYING, 2, 10, split)
 
     outputs = requester_paid(session, agent, 10)
-    assert session.state is RequesterState.MINTING
+    assert session.state is RequesterState.PAYING
     assert outputs[0].action == "payment_confirmed"
-    # The token is prepared after the confirmation took its seq.
-    assert agent.calls[-1] == ("prepare_token", RequesterState.MINTING, 3)
+    # The token is prepared after the confirmation took its seq, while
+    # the session still waits in paying.
+    assert agent.calls[-1] == ("prepare_token", RequesterState.PAYING, 3)
+
+
+def test_requester_free_terms_prepare_the_token_while_evaluating():
+    session = requester_session(state=RequesterState.EVALUATING_TERMS)
+    session.terms = make_terms(upfront_fee=0)
+    agent = RecordingAgent(session)
+    outputs = requester_accept(session, agent)
+    assert session.state is RequesterState.EVALUATING_TERMS
+    assert [message.action for message in outputs] == ["accept_terms"]
+    # The token is prepared after the acceptance took its seq.
+    assert agent.calls == [("prepare_token", RequesterState.EVALUATING_TERMS, 1)]
 
 
 def test_requester_counter_flow():
@@ -457,8 +473,9 @@ def test_requester_delivery_checks_token_binding():
     outputs = requester_transition(session, delivery, agent)
     assert session.content == "bytes"
     assert outputs == []
-    # The license is recorded while acknowledging, then the session completes.
-    assert agent.calls == [("record_license", RequesterState.ACKNOWLEDGING, 0)]
+    # The license is recorded while the session still awaits delivery,
+    # then the session completes.
+    assert agent.calls == [("record_license", RequesterState.AWAITING_DELIVERY, 0)]
     assert session.state is RequesterState.COMPLETED
 
     # uncommitted token (no height) must be refused
@@ -519,6 +536,24 @@ def test_token_whose_terms_break_a_rule_makes_the_provider_abort():
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
     assert ledger.session_agreement("s1") is None
+
+
+# The states that are not terminal and still wait on nothing, each with
+# why a session may rest there. Every other state that is not terminal
+# has a row in WAITS, so a session in it always ends.
+UNCLOCKED = {
+    ProviderState.IDLE: "a provider session is created in it and leaves it in the same call",
+    ProviderState.EVALUATING: "a courtship request is held here until its item's courtship"
+    " is decided, with no clock yet",
+    RequesterState.EVALUATING_TERMS: "a requester whose counter budget is spent goes silent"
+    " here, with no clock yet",
+}
+
+
+def test_every_resting_state_waits_or_is_named_unclocked():
+    states = [*ProviderState, *RequesterState]
+    unclocked = [state for state in states if state not in TERMINAL and state not in WAITS]
+    assert unclocked == list(UNCLOCKED)
 
 
 def test_timer_in_evaluating_terms_is_a_violation():

@@ -10,7 +10,7 @@ from atcpip.negotiation import (
     RISK_TIERS,
     SetBound,
 )
-from atcpip.errors import ParseError
+from atcpip.errors import ParseError, UnknownContent
 from atcpip.ledger import token_to_value
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
@@ -548,6 +548,39 @@ def test_proposal_without_terms_is_dropped_before_the_session_is_touched():
     assert requester.memory_texts() == [
         "Dropped malformed message in session s1: propose_terms body missing 'terms'"
     ]
+
+
+def test_an_error_after_a_decision_closed_the_session_is_only_noted(monkeypatch):
+    item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",),
+                       terms=IP_TERMS.replace(upfront_fee=0))
+    _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    provider = runtimes["prov"]
+
+    def record_issue(session):
+        raise UnknownContent("catalog changed")
+
+    monkeypatch.setattr(provider, "record_issue", record_issue)
+    pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
+    session = provider.session("s1")
+    assert session.state is ProviderState.COMPLETED and session.failure_reason == ""
+    assert provider.memory_texts()[-1] == "Error after session s1 closed: catalog changed"
+
+
+@pytest.mark.parametrize(
+    "previous", [["x"], {"a": "b"}, 5, ""], ids=["list", "map", "integer", "empty"]
+)
+def test_proposal_with_a_mistyped_previous_license_is_dropped(previous):
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", "weather-data-2023")
+    body = {"terms": make_terms().to_value(), "round": 1, "previous_license_id": previous}
+    proposal = ProtocolMessage("s1", 0, "prov", "req", "propose_terms", body)
+    assert requester.receive_message(proposal) == []
+    assert requester.session("s1").state is RequesterState.AWAITING_TERMS
+    problem = "propose_terms previous_license_id must be a non-empty string"
+    assert requester.memory_texts() == [f"Dropped malformed message in session s1: {problem}"]
+    with pytest.raises(ParseError, match=problem):
+        message_from_value(proposal.to_value())
 
 
 def test_timer_for_follows_session_state():

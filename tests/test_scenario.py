@@ -123,6 +123,15 @@ def test_expectation_session_must_come_from_the_script():
         scenario_from_value(value)
 
 
+@pytest.mark.parametrize("state", ["delivering", "requesting", "minting", "acknowledging"])
+def test_expectation_naming_a_state_no_session_rests_in_is_a_parse_error(state):
+    # No state has these names, so no finished run could match them.
+    value = base_value()
+    value["expectations"]["states"] = {"s1": state}
+    with pytest.raises(ParseError, match=f"unknown session state '{state}'"):
+        scenario_from_value(value)
+
+
 def test_duplicate_session_ids_rejected():
     value = base_value()
     value["script"].append(dict(value["script"][0]))

@@ -199,15 +199,13 @@ def test_dropping_payment_confirmation_fails_the_provider_with_payment_message()
     assert [line["tick"] for line in failed] == [30]
 
 
-def test_handler_error_on_a_timer_becomes_a_memory_note():
-    """An upstream royalty of 0.6 plus an extra line of 0.6 oversubscribes
-    the price. The loader sees only the extra line, so the settlement
-    command raises when the provider's negotiation timer moves it on; the
-    run must survive that the way it survives the same error on a
-    message."""
-    value = two_party_value(
-        network={"latency": 0, "drop": {"accept_terms": Decimal("1.0000")}}
-    )
+def oversubscribed_lineage_value(network):
+    """``prov`` resells an item derived from ``up``'s, whose upstream
+    royalty of 0.6 plus the item's extra line of 0.6 oversubscribes the
+    price. The loader sees only the extra line, so the provider's
+    ``payment_plan`` raises when its session ``s1`` moves on to
+    settlement."""
+    value = two_party_value(network=network)
     value["agents"][0]["balance"] = 10_000
     item = value["agents"][0]["catalog"][0]
     item["terms"]["upfront_fee"] = 1000
@@ -232,13 +230,52 @@ def test_handler_error_on_a_timer_becomes_a_memory_note():
         },
     )
     value["script"][1]["tick"] = 50
-    _, world = run_scenario(scenario_from_value(value))
+    return value
+
+
+OVERSUBSCRIBED = "royalty shares sum to 12000 units, past the whole price"
+
+
+def failed_ticks(transcript):
+    return {
+        (line["agent"], line["session"]): (line["tick"], line["failure"])
+        for line in transcript_lines(transcript)
+        if line["kind"] == "state" and line["state"] == "failed"
+    }
+
+
+def test_a_decision_error_on_a_timer_fails_the_session():
+    """The provider's negotiation timer moves it on to settlement, and
+    the split it then computes raises: the session fails at once, with
+    the error as its reason, in place of waiting out its payment
+    clock."""
+    value = oversubscribed_lineage_value(
+        {"latency": 0, "drop": {"accept_terms": Decimal("1.0000")}}
+    )
+    transcript, world = run_scenario(scenario_from_value(value))
     assert world.conservation_intact()
     provider = world.runtimes["prov"]
     assert provider.session("s0").state is RequesterState.COMPLETED
-    assert provider.session("s1").failure_reason == NO_PAYMENT_FAILURE
-    assert world.runtimes["req"].session("s1").failure_reason == NO_PAYMENT_REQUEST_FAILURE
-    assert any(text.startswith("Timer handling failed:") for text in provider.memory_texts())
+    assert provider.session("s1").state is ProviderState.FAILED
+    assert failed_ticks(transcript) == {
+        ("prov", "s1"): (60, OVERSUBSCRIBED),
+        ("req", "s1"): (80, NO_PAYMENT_REQUEST_FAILURE),
+    }
+    assert f"Session failed: {OVERSUBSCRIBED}" in provider.memory_texts()
+    assert not any("handling failed" in text for text in provider.memory_texts())
+
+
+def test_a_decision_error_on_a_message_fails_the_session():
+    """The same split, computed when the requester's acceptance arrives."""
+    transcript, world = run_scenario(scenario_from_value(oversubscribed_lineage_value({"latency": 0})))
+    assert world.conservation_intact()
+    provider = world.runtimes["prov"]
+    assert provider.session("s1").state is ProviderState.FAILED
+    assert failed_ticks(transcript) == {
+        ("prov", "s1"): (50, OVERSUBSCRIBED),
+        ("req", "s1"): (80, NO_PAYMENT_REQUEST_FAILURE),
+    }
+    assert not any("handling failed" in text for text in provider.memory_texts())
 
 
 def test_dropping_terms_times_out_the_requester_after_the_listen_window():
