@@ -7,9 +7,12 @@ the session. Where the next step needs the agent (judging terms,
 paying, minting, remembering), the transition calls the runtime, and
 the runtime answers by calling one of the step functions here
 (``provider_propose``, ``requester_accept``, ...). Steps set the new
-state and build the outbound messages, so every session state change
-happens in this module, and every call returns the messages to send in
-the order they were numbered.
+state and send the outbound messages, so every session state change
+happens in this module. Sending numbers a message and queues it on the
+session's ``outbox`` in one step, so no call returns messages and a
+message once numbered cannot be lost, not even when a later call in the
+same step raises; whoever hands the session an event takes the queue
+with ``Session.drain``.
 
 The two roles share one event path: one ``Session`` base, one prelude
 that takes ``reject``, and the ``refuse`` and ``fail`` steps. What each
@@ -104,7 +107,8 @@ def check_body(action, body):
     """Raise ParseError unless ``action`` is one of the twelve and
     ``body`` is a map holding every key the action requires; a
     ``request_info`` body opens a session, so its values are checked too,
-    and so is the license a ``propose_terms`` extends."""
+    and so are a ``reject`` reason and the license a ``propose_terms``
+    extends."""
     required = REQUIRED_BODY_KEYS.get(action)
     if required is None:
         raise ParseError(f"unknown action {action!r}")
@@ -115,6 +119,8 @@ def check_body(action, body):
             raise ParseError(f"{action} body missing {key!r}")
     if action == "request_info":
         _check_request(body)
+    if action == "reject" and not isinstance(body["reason"], str):
+        raise ParseError("reject reason must be a string")
     if action == "propose_terms" and "previous_license_id" in body:
         previous = body["previous_license_id"]
         if not isinstance(previous, str) or not previous:
@@ -213,8 +219,11 @@ class SessionConfig:
     def __post_init__(self):
         for name in ("negotiation_timeout", "settlement_timeout"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive tick count")
+            whole = isinstance(value, int) and not isinstance(value, bool)
+            if not whole or not 0 < value <= canon.INT_MAX:
+                raise ValueError(f"{name} must be a positive tick count within 64 bits")
+        if not isinstance(self.ack_required, bool):
+            raise ValueError("ack_required must be a boolean")
 
 
 class ProviderState(enum.Enum):
@@ -250,7 +259,8 @@ TERMINAL = frozenset(
 class Session:
     """What both sides of one session keep: ``terms`` and
     ``previous_license_id`` are the standing offer as the provider last
-    sent it. Each role adds its ``state`` and its own fields."""
+    sent it, and ``outbox`` the messages numbered and not yet drained.
+    Each role adds its ``state`` and its own fields."""
 
     session_id: str
     provider_id: str
@@ -264,9 +274,15 @@ class Session:
     reject_reason: str = ""
     out_seq: int = 0
     last_seq_seen: int = -1
+    outbox: list = field(default_factory=list)
 
     def terminal(self):
         return self.state in TERMINAL
+
+    def drain(self):
+        """The messages numbered since the last drain, in order."""
+        outbox, self.outbox = self.outbox, []
+        return outbox
 
 
 @dataclass(kw_only=True)
@@ -297,20 +313,22 @@ class RequesterSession(Session):
 
 
 def _send(session, action, body):
-    """The next numbered message from this side of the session to the other."""
+    """Number the next message from this side of the session to the
+    other and queue it on the session's outbox."""
     sender, recipient = session.provider_id, session.requester_id
     if session.role == "requester":
         sender, recipient = recipient, sender
-    message = ProtocolMessage(
-        session_id=session.session_id,
-        seq=session.out_seq,
-        sender=sender,
-        recipient=recipient,
-        action=action,
-        body=body,
+    session.outbox.append(
+        ProtocolMessage(
+            session_id=session.session_id,
+            seq=session.out_seq,
+            sender=sender,
+            recipient=recipient,
+            action=action,
+            body=body,
+        )
     )
     session.out_seq += 1
-    return message
 
 
 def _violation(session, event):
@@ -335,7 +353,7 @@ def refuse(session, reason):
     """Close the session by sending ``reject``."""
     session.reject_reason = reason
     session.state = type(session.state).REJECTED
-    return [_send(session, "reject", {"reason": reason})]
+    _send(session, "reject", {"reason": reason})
 
 
 def fail(session, agent, reason):
@@ -343,50 +361,44 @@ def fail(session, agent, reason):
     session.failure_reason = reason
     session.state = type(session.state).FAILED
     agent.remember(f"Session failed: {reason}")
-    return []
 
 
 # -- provider transition --------------------------------------------------------
 
 
 def provider_transition(session, event, agent):
-    """Apply one inbound message; returns outbound messages in order."""
+    """Apply one inbound message."""
     if _prelude(session, event):
-        return []
-    state = session.state
+        return
+    state, action = session.state, event.action
+    negotiating = state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING)
 
-    if state is ProviderState.IDLE and event.action == "request_info":
+    if state is ProviderState.IDLE and action == "request_info":
         session.content_id = event.body["content_id"]
         session.request_body = dict(event.body)
         session.state = ProviderState.EVALUATING
-        return agent.evaluate_request(session)
-
-    if state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING):
-        if event.action == "counter_terms":
-            delta = _parse_delta(event.body["suggestions"])
-            session.round = max(session.round, _round_of(event))
-            session.state = ProviderState.NEGOTIATING
-            return agent.evaluate_counter(session, delta)
-        if event.action == "accept_terms":
-            if event.body["terms_hash"] != terms_hash(session.terms):
-                raise _violation(session, event)
-            return _provider_enter_settlement(session, agent)
-
-    if state is ProviderState.AWAITING_PAYMENT and event.action == "payment_confirmed":
+        agent.evaluate_request(session)
+    elif negotiating and action == "counter_terms":
+        delta = _parse_delta(event.body["suggestions"])
+        session.round = max(session.round, _round_of(event))
+        session.state = ProviderState.NEGOTIATING
+        agent.evaluate_counter(session, delta)
+    elif negotiating and action == "accept_terms":
+        if event.body["terms_hash"] != terms_hash(session.terms):
+            raise _violation(session, event)
+        _provider_enter_settlement(session, agent)
+    elif state is ProviderState.AWAITING_PAYMENT and action == "payment_confirmed":
         amount = event.body["amount"]
         if not _is_amount(amount) or amount != session.terms.upfront_fee:
             raise _violation(session, event)
         session.state = ProviderState.AWAITING_TOKEN
-        return []
-
-    if state is ProviderState.AWAITING_TOKEN and event.action == "license_token":
-        return agent.atomic_exchange(session, event.body["token"])
-
-    if state is ProviderState.AWAITING_ACK and event.action == "acknowledge_receipt":
+    elif state is ProviderState.AWAITING_TOKEN and action == "license_token":
+        agent.atomic_exchange(session, event.body["token"])
+    elif state is ProviderState.AWAITING_ACK and action == "acknowledge_receipt":
         session.acknowledged = True
-        return _provider_complete(session, agent)
-
-    raise _violation(session, event)
+        _provider_complete(session, agent)
+    else:
+        raise _violation(session, event)
 
 
 def _round_of(event):
@@ -400,16 +412,15 @@ def _provider_enter_settlement(session, agent):
     """Move on to payment, or straight to the token for free terms."""
     if session.terms is not None and session.terms.upfront_fee > 0:
         session.state = ProviderState.AWAITING_PAYMENT
-        return [_send(session, "payment_required", agent.payment_plan(session).to_value())]
-    session.state = ProviderState.AWAITING_TOKEN
-    return []
+        _send(session, "payment_required", agent.payment_plan(session).to_value())
+    else:
+        session.state = ProviderState.AWAITING_TOKEN
 
 
 def _provider_complete(session, agent):
     """Record the deal; it is acknowledged only if the ack came."""
     session.state = ProviderState.COMPLETED
     agent.record_issue(session)
-    return []
 
 
 # -- provider steps: the runtime's decisions, applied ---------------------------
@@ -425,19 +436,18 @@ def provider_propose(session, agent, terms, previous_license_id=None):
     if previous_license_id is not None:
         body["previous_license_id"] = previous_license_id
     agent.mint_draft(session, terms)
-    return [_send(session, "propose_terms", body)]
+    _send(session, "propose_terms", body)
 
 
 def provider_non_ip(session, agent, content):
     """Ship content that needs no license and close the session."""
     session.state = ProviderState.COMPLETED
-    notice = _send(
+    _send(
         session,
         "non_ip_notice",
         {"content_id": session.content_id, "content": content, "note": NON_IP_NOTE},
     )
     agent.remember(NON_IP_MEMORY)
-    return [notice]
 
 
 def provider_revise(session, agent, terms, echo):
@@ -447,50 +457,47 @@ def provider_revise(session, agent, terms, echo):
     session.round += 1
     if not echo:
         agent.mint_draft(session, terms)
-    return [_send(session, "final_terms", {"terms": terms.to_value(), "round": session.round})]
+    _send(session, "final_terms", {"terms": terms.to_value(), "round": session.round})
 
 
 def provider_deliver(session, agent, token, content):
     """Deliver against the committed token; record the deal unless the
     requester still owes an acknowledgement."""
-    delivery = _send(
+    _send(
         session,
         "deliver_ip",
         {"content_id": session.content_id, "content": content, "token": token_to_value(token)},
     )
     if session.config.ack_required:
         session.state = ProviderState.AWAITING_ACK
-        return [delivery]
-    return [delivery, *_provider_complete(session, agent)]
+    else:
+        _provider_complete(session, agent)
 
 
 # -- requester transition ---------------------------------------------------------
 
 
 def requester_transition(session, event, agent):
-    """Apply one inbound message; returns outbound messages in order."""
+    """Apply one inbound message."""
     if _prelude(session, event):
-        return []
-    state = session.state
+        return
+    state, action = session.state, event.action
 
-    if state is RequesterState.AWAITING_TERMS and event.action == "non_ip_notice":
+    if state is RequesterState.AWAITING_TERMS and action == "non_ip_notice":
         session.content = event.body["content"]
         session.state = RequesterState.COMPLETED
         agent.remember(f"Received non-IP content: {event.body['content_id']}")
-        return []
-
-    if (
+    elif (
         state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
-        and event.action in ("propose_terms", "final_terms")
+        and action in ("propose_terms", "final_terms")
     ):
         session.terms = _parse_terms(session, event.body["terms"])
-        if event.action == "propose_terms":  # final terms revise the terms only
+        if action == "propose_terms":  # final terms revise the terms only
             session.previous_license_id = event.body.get("previous_license_id")
         session.round = max(session.round, _round_of(event))
         session.state = RequesterState.EVALUATING_TERMS
-        return agent.answer_offer(session)
-
-    if state is RequesterState.PAYING and event.action == "payment_required":
+        agent.answer_offer(session)
+    elif state is RequesterState.PAYING and action == "payment_required":
         amount = event.body["amount"]
         split = event.body["split"]
         if not _is_amount(amount) or amount != session.terms.upfront_fee:
@@ -499,9 +506,8 @@ def requester_transition(session, event, agent):
             raise _violation(session, event)
         if sum(line["amount"] for line in split) != amount:
             raise _violation(session, event)
-        return agent.settle(session, amount, split)
-
-    if state is RequesterState.AWAITING_DELIVERY and event.action == "deliver_ip":
+        agent.settle(session, amount, split)
+    elif state is RequesterState.AWAITING_DELIVERY and action == "deliver_ip":
         # The license is the chain's agreement for this session; the
         # frame only has to carry it unchanged.
         agreement = agent.ledger.session_agreement(session.session_id)
@@ -512,16 +518,12 @@ def requester_transition(session, event, agent):
         ):
             raise _violation(session, event)
         session.content = event.body["content"]
-        outputs = []
         if session.config.ack_required:
-            outputs.append(
-                _send(session, "acknowledge_receipt", {"license_id": agreement.license_id})
-            )
+            _send(session, "acknowledge_receipt", {"license_id": agreement.license_id})
         agent.record_license(session)
         session.state = RequesterState.COMPLETED
-        return outputs
-
-    raise _violation(session, event)
+    else:
+        raise _violation(session, event)
 
 
 def _parse_terms(session, value):
@@ -563,16 +565,16 @@ def requester_open(session, content_id, jurisdiction=None, offer=None):
         body["jurisdiction"] = jurisdiction
     if offer:
         body["offer"] = dict(offer)
-    return [_send(session, "request_info", body)]
+    _send(session, "request_info", body)
 
 
 def requester_accept(session, agent):
     """Accept the standing offer; free terms go straight on to the token."""
-    acceptance = _send(session, "accept_terms", {"terms_hash": terms_hash(session.terms)})
+    _send(session, "accept_terms", {"terms_hash": terms_hash(session.terms)})
     if session.terms.upfront_fee > 0:
         session.state = RequesterState.PAYING
-        return [acceptance]
-    return [acceptance, *agent.prepare_token(session)]
+    else:
+        agent.prepare_token(session)
 
 
 def requester_counter(session, agent, delta_value, countered):
@@ -581,18 +583,18 @@ def requester_counter(session, agent, delta_value, countered):
     session.round += 1
     session.state = RequesterState.COUNTERING
     agent.mint_draft(session, countered)
-    return [_send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})]
+    _send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})
 
 
 def requester_paid(session, agent, amount):
     """Confirm the payment, then prepare the token."""
-    confirmation = _send(session, "payment_confirmed", {"amount": amount})
-    return [confirmation, *agent.prepare_token(session)]
+    _send(session, "payment_confirmed", {"amount": amount})
+    agent.prepare_token(session)
 
 
 def requester_present(session, token):
     session.state = RequesterState.AWAITING_DELIVERY
-    return [_send(session, "license_token", {"token": token_to_value(token)})]
+    _send(session, "license_token", {"token": token_to_value(token)})
 
 
 # -- waits ----------------------------------------------------------------------
@@ -618,9 +620,8 @@ WAITS = {
 
 
 def expire(session, agent):
-    """End the wait of the session's current state with its outcome;
-    returns outbound messages in order. A state that waits on nothing
-    cannot expire."""
+    """End the wait of the session's current state with its outcome. A
+    state that waits on nothing cannot expire."""
     wait = WAITS.get(session.state)
     if wait is None:
         raise ProtocolViolation(
@@ -629,5 +630,6 @@ def expire(session, agent):
         )
     outcome = wait[1]
     if isinstance(outcome, str):
-        return fail(session, agent, outcome)
-    return outcome(session, agent)
+        fail(session, agent, outcome)
+    else:
+        outcome(session, agent)

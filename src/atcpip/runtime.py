@@ -5,11 +5,11 @@ for both roles), memory, and open sessions. A transition calls its
 public decision methods (``evaluate_request``, ``answer_offer``,
 ``settle``, ...) directly; each one works against the shared ledger,
 wallet system, and reputation board and applies its outcome through
-one protocol step function, which owns the state change and the
-outbound message. Entry points return the outbound messages the caller
-must put on the wire. ``timer_for`` tells the caller how many ticks a
-session's current state waits, as the protocol's ``WAITS`` table sets
-it, and ``expire_timer`` ends that wait.
+one protocol step function, which owns the state change and queues the
+outbound message on the session's outbox; no decision returns messages.
+``timer_for`` tells the caller how many ticks a session's current state
+waits, as the protocol's ``WAITS`` table sets it, and ``expire_timer``
+ends that wait.
 
 Each fact about a deal is read from its one home: a license this agent
 issued or holds is the ledger's agreement for the session, and the
@@ -19,17 +19,25 @@ by content, for renewals, lineage and resale.
 
 Only the entry points (``start_request``, ``receive_message``,
 ``expire_timer`` and ``decide_courtship``) hand a session to the
-protocol, and a transition changes no session but its own. So the
-runtime notes the id of every session an entry point acts on, and
-``sessions(acted=True)`` hands the caller exactly the sessions whose
-state may have changed since its last such call.
+protocol, and a transition changes no session but its own. Each entry
+point drains the outbox of every session it acted on and returns those
+messages, session by session in numbering order, for the caller to put
+on the wire; a message numbered before a decision raised goes out with
+the rest. The runtime also notes the id of every session an entry point
+acts on, and ``sessions(acted=True)`` hands the caller exactly the
+sessions whose state may have changed since its last such call.
 
 Inbound messages are deduplicated per session by sequence number. A
 message whose body lacks a key its action requires is dropped with a
 memory note before any session is opened or touched, and anything a
 session cannot take in its current state is dropped with a memory note
 too, rather than crashing the agent. Any other typed error a decision
-raises fails its session, with the error as the reason.
+raises in ``receive_message`` or ``expire_timer`` fails its session,
+with the error as the reason, through the one ``_decision_failed``.
+``decide_courtship`` lets such an error out to its caller; the sessions
+it had not decided yet stay in ``evaluating`` for the next call, and
+what it had queued waits on each session's outbox for that session's
+next entry point.
 """
 
 from dataclasses import dataclass
@@ -62,6 +70,7 @@ from .protocol import (
     NO_TOKEN_FAILURE,
     WAITS,
     ProviderSession,
+    ProviderState,
     RequesterSession,
     SessionConfig,
     check_body,
@@ -185,7 +194,6 @@ class AgentRuntime:
         self._sessions = {}
         self._ordinal = {}  # session_id -> creation order
         self._acted = set()  # ids entry points acted on since sessions(acted=True)
-        self._courtship = {}  # content_id -> [session_id, ...]
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -250,7 +258,8 @@ class AgentRuntime:
         )
         self._open(session)
         self._acted.add(session_id)
-        return requester_open(session, content_id, self.directory.get(self.agent_id), offer)
+        requester_open(session, content_id, self.directory.get(self.agent_id), offer)
+        return session.drain()
 
     def receive_message(self, message):
         if message.recipient != self.agent_id:
@@ -280,35 +289,35 @@ class AgentRuntime:
             )
             return []
         transition = provider_transition if session.role == "provider" else requester_transition
-        try:
-            outbound = transition(session, message, self)
-        except ProtocolViolation as exc:
-            self.remember(f"Protocol violation: {exc}")
-            return []
-        except AtcpipError as exc:
-            outbound = self._decision_failed(session, exc)
-        session.last_seq_seen = message.seq
-        return outbound
+        if self._apply(session, transition, message):
+            session.last_seq_seen = message.seq
+        return session.drain()
 
     def expire_timer(self, session_id):
         session = self._sessions[session_id]
         self._acted.add(session_id)
-        if session.terminal():
-            return []
+        if not session.terminal():
+            self._apply(session, expire)
+        return session.drain()
+
+    def _apply(self, session, protocol_call, *args):
+        """Hand ``session`` to the protocol. A violation is only noted
+        (False); any other typed error goes to ``_decision_failed``."""
         try:
-            return expire(session, self)
+            protocol_call(session, *args, self)
         except ProtocolViolation as exc:
             self.remember(f"Protocol violation: {exc}")
-            return []
+            return False
         except AtcpipError as exc:
-            return self._decision_failed(session, exc)
+            self._decision_failed(session, exc)
+        return True
 
     def _decision_failed(self, session, exc):
         """Fail the session a decision raised in, unless it is closed already."""
         if session.terminal():
             self.remember(f"Error after session {session.session_id} closed: {exc}")
-            return []
-        return fail(session, self, str(exc))
+        else:
+            fail(session, self, str(exc))
 
     def _open(self, session):
         self._ordinal[session.session_id] = len(self._sessions)
@@ -319,14 +328,15 @@ class AgentRuntime:
     def decide_courtship(self, content_id):
         """Pick the best standing offer for the item; reject the rest.
 
-        Offer utility is upfront_fee plus royalty_rate weighted into
-        micro-credits; ties go to the lexicographically smallest agent.
+        The standing offers are this agent's sessions held in
+        ``evaluating`` for the item, in creation order. Offer utility is
+        upfront_fee plus royalty_rate weighted into micro-credits; ties go
+        to the lexicographically smallest agent.
         """
-        waiting = self._courtship.pop(content_id, [])
         live = [
-            self._sessions[session_id]
-            for session_id in waiting
-            if not self._sessions[session_id].terminal()
+            session
+            for session in self._sessions.values()
+            if session.state is ProviderState.EVALUATING and session.content_id == content_id
         ]
         if not live:
             return []
@@ -345,14 +355,14 @@ class AgentRuntime:
             best, contender = utility(winner), utility(session)
             if contender > best or (contender == best and session.requester_id < winner.requester_id):
                 winner = session
-        outbound = []
+        self._acted.update(session.session_id for session in live)
         for session in live:
-            self._acted.add(session.session_id)
-            if session is winner:
-                outbound.extend(self._propose(item, session))
-            else:
-                outbound.extend(refuse(session, "another offer was selected"))
-        return outbound
+            if session is not winner:
+                refuse(session, "another offer was selected")
+        # The winner goes last, so a decision that raises part-way leaves
+        # it in evaluating and the next call picks it again.
+        self._propose(item, winner)
+        return [message for session in live for message in session.drain()]
 
     # -- downstream sales -------------------------------------------------------
 
@@ -375,16 +385,15 @@ class AgentRuntime:
         courtship, or propose opening terms."""
         item = self.catalog.get(session.content_id)
         if item is None:
-            return refuse(session, f"no such content: {session.content_id}")
+            refuse(session, f"no such content: {session.content_id}")
+            return
         gate = self._gate(session, item)
         if not gate:
-            return refuse(session, gate.reason)
-        if not self.is_ip_significant(item.content_id):
-            return provider_non_ip(session, self, item.content)
-        if item.courtship:
-            self._courtship.setdefault(item.content_id, []).append(session.session_id)
-            return []
-        return self._propose(item, session)
+            refuse(session, gate.reason)
+        elif not self.is_ip_significant(item.content_id):
+            provider_non_ip(session, self, item.content)
+        elif not item.courtship:  # a courtship request waits in evaluating
+            self._propose(item, session)
 
     def _gate(self, session, item):
         provider_code = self.directory.get(self.agent_id)
@@ -421,10 +430,10 @@ class AgentRuntime:
         try:
             terms = self._opening_terms(item, session.request_body.get("offer", {}))
         except InvalidTerms as exc:
-            return refuse(session, f"terms invalid: {exc.violations[0].reason}")
-        return provider_propose(
-            session, self, terms, self._previous_license_id(item, session.requester_id)
-        )
+            refuse(session, f"terms invalid: {exc.violations[0].reason}")
+            return
+        previous_license_id = self._previous_license_id(item, session.requester_id)
+        provider_propose(session, self, terms, previous_license_id)
 
     def _previous_license_id(self, item, requester_id):
         """Renewals chain onto the last license issued to the same holder;
@@ -456,14 +465,15 @@ class AgentRuntime:
             revised = countered
         else:
             if session.revisions_used >= self.policy.max_rounds:
-                return refuse(session, "negotiation budget exhausted")
+                refuse(session, "negotiation budget exhausted")
+                return
             session.revisions_used += 1
             if countered is None:
                 revised = session.terms
             else:
                 revised = revise_terms(self.policy, session.terms, countered)
         echo = revised == countered or revised == session.terms
-        return provider_revise(session, self, revised, echo)
+        provider_revise(session, self, revised, echo)
 
     def payment_plan(self, session):
         """SplitPlan for the agreed fee: upstream royalties first."""
@@ -489,22 +499,23 @@ class AgentRuntime:
         try:
             token = token_from_value(token_value)
         except (ParseError, InvalidTerms):
-            return fail(session, self, NO_TOKEN_FAILURE)
-        fits = (
+            token = None
+        fits = token is not None and (
             token.metadata.issuer_id == session.provider_id
             and token.metadata.holder_id == session.requester_id
             and token.session_id == session.session_id
             and token.metadata.previous_license_id == session.previous_license_id
             and token.terms_hash == terms_hash(session.terms)
         )
-        if not fits:
-            return fail(session, self, NO_TOKEN_FAILURE)
         try:
-            committed = self.ledger.commit_agreement(token)
+            committed = self.ledger.commit_agreement(token) if fits else None
         except AbortedExchange:
-            return fail(session, self, NO_TOKEN_FAILURE)
-        item = self._require_item(session.content_id)
-        return provider_deliver(session, self, committed, item.content)
+            committed = None
+        if committed is None:
+            fail(session, self, NO_TOKEN_FAILURE)
+        else:
+            item = self._require_item(session.content_id)
+            provider_deliver(session, self, committed, item.content)
 
     def record_issue(self, session):
         token = self.ledger.session_agreement(session.session_id)
@@ -550,44 +561,38 @@ class AgentRuntime:
         terms = session.terms
         decision = evaluate_offer(self.policy, terms)
         if isinstance(decision, Accept):
-            return requester_accept(session, self)
-        if isinstance(decision, Counter):
-            if session.counters_used >= self.policy.max_rounds:
-                self.remember("Counter budget exhausted; going silent.")
-                return []
+            requester_accept(session, self)
+        elif not isinstance(decision, Counter):
+            refuse(session, decision.reason)
+        elif session.counters_used >= self.policy.max_rounds:
+            self.remember("Counter budget exhausted; going silent.")
+        else:
             try:
                 countered = apply_delta(terms, decision.delta)
             except InvalidResult:
                 self.remember("Own counter does not validate; going silent.")
-                return []
-            return requester_counter(session, self, decision.delta.to_value(), countered)
-        return refuse(session, decision.reason)
+                return
+            requester_counter(session, self, decision.delta.to_value(), countered)
 
     def settle(self, session, amount, split):
         """Pay the provider's split from this agent's wallet."""
         plan = SplitPlan(price=amount, lines=tuple((line["to"], line["amount"]) for line in split))
-        try:
-            self.wallets.settle(
-                self.agent_id, plan, purpose="license_fee", session_id=session.session_id
-            )
-        except AtcpipError as exc:
-            return fail(session, self, str(exc))
-        return requester_paid(session, self, plan.price)
+        self.wallets.settle(
+            self.agent_id, plan, purpose="license_fee", session_id=session.session_id
+        )
+        requester_paid(session, self, plan.price)
 
     def prepare_token(self, session):
         terms = session.terms
-        try:
-            token = self.ledger.prepare_agreement(
-                self.agent_id,
-                session.provider_id,
-                terms,
-                terms.duration,
-                previous_license_id=session.previous_license_id,
-                session_id=session.session_id,
-            )
-        except AtcpipError as exc:
-            return fail(session, self, str(exc))
-        return requester_present(session, token)
+        token = self.ledger.prepare_agreement(
+            self.agent_id,
+            session.provider_id,
+            terms,
+            terms.duration,
+            previous_license_id=session.previous_license_id,
+            session_id=session.session_id,
+        )
+        requester_present(session, token)
 
     def _require_item(self, content_id):
         item = self.catalog.get(content_id)

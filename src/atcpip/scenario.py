@@ -283,17 +283,8 @@ def _parse_item(value, agent_id, agent_ids, ctx):
     )
 
 
-_AGENT_KEYS = (
-    "id",
-    "jurisdiction",
-    "balance",
-    "tier",
-    "policy",
-    "catalog",
-    "ack_required",
-    "negotiation_timeout",
-    "settlement_timeout",
-)
+_CONFIG_KEYS = ("ack_required", "negotiation_timeout", "settlement_timeout")
+_AGENT_KEYS = ("id", "jurisdiction", "balance", "tier", "policy", "catalog", *_CONFIG_KEYS)
 
 
 def _parse_agent(value, agent_ids, codes, index):
@@ -311,11 +302,7 @@ def _parse_agent(value, agent_ids, codes, index):
     policy = body.get("policy")
     if policy is not None:
         policy = _parse_policy(policy, f"{ctx}: policy")
-    config = SessionConfig(
-        negotiation_timeout=_int(body, "negotiation_timeout", ctx, default=10, minimum=1),
-        settlement_timeout=_int(body, "settlement_timeout", ctx, default=30, minimum=1),
-        ack_required=_bool(body, "ack_required", ctx, default=False),
-    )
+    config = _build(ctx, SessionConfig, **{key: body[key] for key in _CONFIG_KEYS if key in body})
     catalog = []
     seen = set()
     for item_index, item_value in enumerate(_list(body.get("catalog", []), f"{ctx}: catalog")):

@@ -18,6 +18,10 @@ function under ``src/`` must be called or named somewhere under
 back. Every error class in ``errors.py`` but the
 ``AtcpipError`` base must be constructed somewhere under ``src/``, so an
 error that nothing can raise any more goes with the code that raised it.
+A ``ProtocolMessage`` is built under ``src/`` only where the protocol
+numbers and queues one (``_send``) and where one is decoded
+(``message_from_value``), so every message sent went through a
+session's outbox.
 """
 
 import ast
@@ -178,6 +182,28 @@ def unconstructed_errors(errors_source, sources):
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 called.add(node.func.attr)
     return [(line, name) for line, name in classes if name not in called]
+
+
+def message_constructions(source):
+    """(line, enclosing function) for each call of ``ProtocolMessage``,
+    by name or as an attribute; a call outside any function is under
+    ``None``."""
+    found = []
+    pending = [(ast.parse(source), None)]
+    while pending:
+        node, inside = pending.pop()
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "ProtocolMessage":
+                found.append((node.lineno, inside))
+        if isinstance(node, ast.FunctionDef):
+            inside = node.name
+        pending.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+MESSAGE_BUILDERS = {("protocol.py", "_send"), ("protocol.py", "message_from_value")}
 
 
 UNREFERENCED_ON_PURPOSE = {
@@ -374,3 +400,29 @@ def test_every_error_class_is_constructed_in_the_package():
     sources = [path.read_text() for path in sorted(ROOT.glob("src/**/*.py"))]
     found = unconstructed_errors(errors, sources)
     assert not found, "\n".join(f"src/atcpip/errors.py:{line}: {name}" for line, name in found)
+
+
+def test_message_constructions_are_found():
+    source = (
+        "from protocol import ProtocolMessage\n"
+        "import protocol\n"
+        "def _send(s):\n"
+        "    s.outbox.append(ProtocolMessage(1))\n"
+        "class Runtime:\n"
+        "    def reply(self):\n"
+        "        def build():\n"
+        "            return protocol.ProtocolMessage(2)\n"
+        "        return build()\n"
+        "stray = ProtocolMessage(3)\n"
+        "kind = ProtocolMessage\n"
+    )
+    assert message_constructions(source) == [(4, "_send"), (8, "build"), (10, None)]
+
+
+def test_protocol_messages_are_built_only_where_they_are_numbered_or_decoded():
+    found = [
+        (path.name, function)
+        for path in sorted(ROOT.glob("src/**/*.py"))
+        for _, function in message_constructions(path.read_text())
+    ]
+    assert sorted(found) == sorted(MESSAGE_BUILDERS)

@@ -125,15 +125,36 @@ def test_session_config_validation():
     assert SessionConfig().ack_required is False
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"negotiation_timeout": True},
+        {"negotiation_timeout": 1.5},
+        {"settlement_timeout": 0},
+        {"settlement_timeout": 2**63},
+        {"ack_required": 1},
+        {"ack_required": "yes"},
+    ],
+)
+def test_session_config_refuses_mistyped_fields(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        SessionConfig(**fields)
+
+
+def test_session_config_takes_timeouts_up_to_64_bits():
+    assert SessionConfig(settlement_timeout=2**63 - 1).settlement_timeout == 2**63 - 1
+
+
 # -- provider transitions ---------------------------------------------------------
 
 
 class RecordingAgent:
     """Stands in for the runtime behind one session. Each call a
     transition or step makes on it is recorded as (method, session state,
-    messages the session had numbered, other arguments) and answered with
-    no messages; ``payment_plan`` answers with ``plan``, and ``ledger``
-    is the chain the requester checks a delivery against."""
+    messages the session had numbered, other arguments) and sends
+    nothing; ``payment_plan`` answers with ``plan``, and ``ledger`` is the
+    chain the requester checks a delivery against. What the session sent
+    is read from its outbox with ``drain``."""
 
     def __init__(self, session, plan=None, ledger=None):
         self.session, self.plan, self.ledger, self.calls = session, plan, ledger, []
@@ -143,7 +164,7 @@ class RecordingAgent:
             if args and args[0] is self.session:
                 args = args[1:]
             self.calls.append((name, self.session.state, self.session.out_seq, *args))
-            return self.plan if name == "payment_plan" else []
+            return self.plan if name == "payment_plan" else None
 
         return call
 
@@ -161,22 +182,23 @@ def paid_terms():
 def test_provider_happy_path_states():
     session = provider_session()
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
-    outputs = provider_transition(session, msg("request_info", {"content_id": "data-1"}), agent)
+    provider_transition(session, msg("request_info", {"content_id": "data-1"}), agent)
     assert session.state is ProviderState.EVALUATING
-    assert outputs == [] and session.request_body == {"content_id": "data-1"}
+    assert session.drain() == [] and session.request_body == {"content_id": "data-1"}
     assert agent.calls == [("evaluate_request", ProviderState.EVALUATING, 0)]
 
     terms = paid_terms()
     digest = terms_hash(terms)
-    outputs = provider_propose(session, agent, terms)
+    provider_propose(session, agent, terms)
     assert session.state is ProviderState.TERMS_PROPOSED
     # The draft is minted before the proposal takes seq 0.
     assert agent.calls[-1] == ("mint_draft", ProviderState.TERMS_PROPOSED, 0, terms)
-    [proposal] = outputs
+    [proposal] = session.drain()
     assert proposal.action == "propose_terms" and proposal.body["round"] == 1
     assert proposal.seq == 0 and "previous_license_id" not in proposal.body
 
-    outputs = provider_transition(session, msg("accept_terms", {"terms_hash": digest}), agent)
+    provider_transition(session, msg("accept_terms", {"terms_hash": digest}), agent)
+    outputs = session.drain()
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls[-1] == ("payment_plan", ProviderState.AWAITING_PAYMENT, 1)
     assert outputs[0].action == "payment_required"
@@ -185,12 +207,10 @@ def test_provider_happy_path_states():
     provider_transition(session, msg("payment_confirmed", {"amount": 10}, seq=1), agent)
     assert session.state is ProviderState.AWAITING_TOKEN
 
-    outputs = provider_transition(
-        session, msg("license_token", {"token": {"fake": True}}, seq=2), agent
-    )
+    provider_transition(session, msg("license_token", {"token": {"fake": True}}, seq=2), agent)
     # The exchange runs while the session still waits for the token.
     assert session.state is ProviderState.AWAITING_TOKEN
-    assert outputs == []
+    assert session.drain() == []
     assert agent.calls[-1] == ("atomic_exchange", ProviderState.AWAITING_TOKEN, 2, {"fake": True})
 
 
@@ -200,10 +220,10 @@ def test_provider_zero_fee_skips_payment():
     provider_transition(session, msg("request_info", {"content_id": "c"}), agent)
     terms = make_terms(upfront_fee=0)
     provider_propose(session, agent, terms)
-    outputs = provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}),
-                                  agent)
+    session.drain()
+    provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}), agent)
     assert session.state is ProviderState.AWAITING_TOKEN
-    assert outputs == [] and "payment_plan" not in [call[0] for call in agent.calls]
+    assert session.drain() == [] and "payment_plan" not in [call[0] for call in agent.calls]
 
 
 def test_provider_delivery_and_ack_paths():
@@ -215,7 +235,8 @@ def test_provider_delivery_and_ack_paths():
 
     session = provider_session(state=ProviderState.AWAITING_TOKEN, content_id="c")
     agent = RecordingAgent(session)
-    outputs = provider_deliver(session, agent, token, "bytes")
+    provider_deliver(session, agent, token, "bytes")
+    outputs = session.drain()
     assert session.state is ProviderState.COMPLETED
     assert outputs[0].action == "deliver_ip"
     assert outputs[0].body["token"] == token_to_value(token)
@@ -229,9 +250,10 @@ def test_provider_delivery_and_ack_paths():
     provider_deliver(acky, agent, token, "bytes")
     assert acky.state is ProviderState.AWAITING_ACK
     assert agent.calls == []
-    outputs = provider_transition(acky, msg("acknowledge_receipt", {"license_id": "x"}), agent)
+    assert [message.action for message in acky.drain()] == ["deliver_ip"]
+    provider_transition(acky, msg("acknowledge_receipt", {"license_id": "x"}), agent)
     assert acky.state is ProviderState.COMPLETED and acky.acknowledged
-    assert outputs == []
+    assert acky.drain() == []
     assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
 
 
@@ -239,10 +261,10 @@ def test_provider_ack_timeout_still_completes():
     session = provider_session(config=SessionConfig(ack_required=True),
                                state=ProviderState.AWAITING_ACK)
     agent = RecordingAgent(session)
-    outputs = expire(session, agent)
+    expire(session, agent)
     assert session.state is ProviderState.COMPLETED
     assert not session.acknowledged
-    assert outputs == []
+    assert session.drain() == []
     assert agent.calls == [("record_issue", ProviderState.COMPLETED, 0)]
 
 
@@ -265,10 +287,10 @@ def test_provider_negotiation_timeout_defaults_to_standing_terms():
     session = provider_session(state=ProviderState.TERMS_PROPOSED)
     session.terms = paid_terms()
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
-    outputs = expire(session, agent)
+    expire(session, agent)
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls == [("payment_plan", ProviderState.AWAITING_PAYMENT, 0)]
-    assert [message.action for message in outputs] == ["payment_required"]
+    assert [message.action for message in session.drain()] == ["payment_required"]
 
 
 @pytest.mark.parametrize(
@@ -287,7 +309,8 @@ def test_provider_refuses_a_confirmation_for_another_amount(fee, amount):
 
 def test_provider_exchange_abort_fails_session():
     session = provider_session(state=ProviderState.AWAITING_TOKEN)
-    assert fail(session, RecordingAgent(session), NO_TOKEN_FAILURE) == []
+    fail(session, RecordingAgent(session), NO_TOKEN_FAILURE)
+    assert session.drain() == []
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
 
@@ -323,7 +346,7 @@ def test_reject_message_closes_either_side():
 def test_non_ip_notice_completes_without_license():
     session = requester_session(state=RequesterState.AWAITING_TERMS)
     agent = RecordingAgent(session)
-    outputs = requester_transition(
+    requester_transition(
         session,
         msg("non_ip_notice", {"content_id": "c", "content": "plain text", "note": NON_IP_NOTE},
             sender="provider", recipient="requester"),
@@ -331,7 +354,7 @@ def test_non_ip_notice_completes_without_license():
     )
     assert session.state is RequesterState.COMPLETED
     assert session.content == "plain text"
-    assert outputs == []
+    assert session.drain() == []
     assert agent.calls == [("remember", RequesterState.COMPLETED, 0, "Received non-IP content: c")]
 
 
@@ -349,41 +372,43 @@ def test_requester_happy_path_states():
     session = requester_session()
     assert session.state is RequesterState.AWAITING_TERMS
     agent = RecordingAgent(session)
-    outputs = requester_open(session, "data-1")
+    requester_open(session, "data-1")
+    outputs = session.drain()
     assert session.state is RequesterState.AWAITING_TERMS
     assert outputs[0].action == "request_info"
     assert outputs[0].body == {"content_id": "data-1"}
 
     terms = paid_terms()
-    outputs = requester_transition(
+    requester_transition(
         session,
         msg("propose_terms", {"terms": terms.to_value(), "round": 1},
             sender="provider", recipient="requester"),
         agent,
     )
     assert session.state is RequesterState.EVALUATING_TERMS
-    assert outputs == []
+    assert session.drain() == []
     assert agent.calls == [("answer_offer", RequesterState.EVALUATING_TERMS, 1)]
     assert session.terms == terms
 
-    outputs = requester_accept(session, agent)
+    requester_accept(session, agent)
+    outputs = session.drain()
     assert session.state is RequesterState.PAYING
     assert [message.action for message in outputs] == ["accept_terms"]
     assert outputs[0].body == {"terms_hash": terms_hash(terms)}
 
     split = [{"to": "provider", "amount": 10}]
-    outputs = requester_transition(
+    requester_transition(
         session,
         msg("payment_required", {"amount": 10, "split": split},
             sender="provider", recipient="requester", seq=1),
         agent,
     )
-    assert outputs == []
+    assert session.drain() == []
     assert agent.calls[-1] == ("settle", RequesterState.PAYING, 2, 10, split)
 
-    outputs = requester_paid(session, agent, 10)
+    requester_paid(session, agent, 10)
     assert session.state is RequesterState.PAYING
-    assert outputs[0].action == "payment_confirmed"
+    assert [message.action for message in session.drain()] == ["payment_confirmed"]
     # The token is prepared after the confirmation took its seq, while
     # the session still waits in paying.
     assert agent.calls[-1] == ("prepare_token", RequesterState.PAYING, 3)
@@ -393,9 +418,9 @@ def test_requester_free_terms_prepare_the_token_while_evaluating():
     session = requester_session(state=RequesterState.EVALUATING_TERMS)
     session.terms = make_terms(upfront_fee=0)
     agent = RecordingAgent(session)
-    outputs = requester_accept(session, agent)
+    requester_accept(session, agent)
     assert session.state is RequesterState.EVALUATING_TERMS
-    assert [message.action for message in outputs] == ["accept_terms"]
+    assert [message.action for message in session.drain()] == ["accept_terms"]
     # The token is prepared after the acceptance took its seq.
     assert agent.calls == [("prepare_token", RequesterState.EVALUATING_TERMS, 1)]
 
@@ -405,12 +430,13 @@ def test_requester_counter_flow():
     session.terms = make_terms(royalty_rate="0.30")
     countered = session.terms.replace(royalty_rate=Decimal("0.1000"))
     agent = RecordingAgent(session)
-    outputs = requester_counter(
+    requester_counter(
         session,
         agent,
         [{"path": ["royalty_rate"], "op": "set", "value": Decimal("0.1000")}],
         countered,
     )
+    outputs = session.drain()
     assert session.state is RequesterState.COUNTERING
     assert session.counters_used == 1
     # The countered draft is minted before the counter takes seq 0.
@@ -420,9 +446,10 @@ def test_requester_counter_flow():
 
     final = msg("final_terms", {"terms": countered.to_value(), "round": 2},
                 sender="provider", recipient="requester", seq=1)
-    outputs = requester_transition(session, final, agent)
+    requester_transition(session, final, agent)
     assert session.state is RequesterState.EVALUATING_TERMS
     assert session.round == 2
+    assert session.drain() == []
 
 
 def test_requester_validates_payment_request():
@@ -470,9 +497,9 @@ def test_requester_delivery_checks_token_binding():
     delivery = msg("deliver_ip",
                    {"content_id": "c", "content": "bytes", "token": token_to_value(token)},
                    sender="provider", recipient="requester")
-    outputs = requester_transition(session, delivery, agent)
+    requester_transition(session, delivery, agent)
     assert session.content == "bytes"
-    assert outputs == []
+    assert session.drain() == []
     # The license is recorded while the session still awaits delivery,
     # then the session completes.
     assert agent.calls == [("record_license", RequesterState.AWAITING_DELIVERY, 0)]

@@ -22,6 +22,7 @@ from atcpip.protocol import (
     SessionConfig,
     message_from_value,
 )
+from atcpip import runtime as runtime_module
 from atcpip.runtime import CatalogItem
 from atcpip.terms import terms_hash
 from atcpip.trust import CompatibilityRules, replay_records
@@ -457,6 +458,31 @@ def test_courtship_picks_the_highest_weighted_offer():
         assert session.reject_reason == "another offer was selected"
 
 
+def test_a_courtship_decision_that_raised_is_finished_by_the_next_one(monkeypatch):
+    _, _, _, runtimes = courtship_world()
+    provider = runtimes["prov"]
+    for requester_id, fee in (("r1", 13_000_000), ("r2", 12_000_000), ("r3", 11_000_000)):
+        pump(runtimes, runtimes[requester_id].start_request(
+            f"c{requester_id[-1]}", "prov", "model-weights", offer={"upfront_fee": fee}))
+    refuse = runtime_module.refuse
+
+    def refuse_raising_once(session, reason):
+        monkeypatch.setattr(runtime_module, "refuse", refuse)
+        raise UnknownContent("courtship interrupted")
+
+    monkeypatch.setattr(runtime_module, "refuse", refuse_raising_once)
+    with pytest.raises(UnknownContent):
+        provider.decide_courtship("model-weights")
+    pump(runtimes, provider.decide_courtship("model-weights"))
+    assert ProviderState.EVALUATING not in [s.state for s in provider.sessions().values()]
+    # The next decision picks the same winner, the first offer, and only it.
+    assert runtimes["r1"].session("c1").state is RequesterState.COMPLETED
+    for loser in ("r2", "r3"):
+        session = runtimes[loser].session(f"c{loser[-1]}")
+        assert session.state is RequesterState.REJECTED
+        assert session.reject_reason == "another offer was selected"
+
+
 def test_courtship_tie_goes_to_the_smaller_agent_id():
     _, _, _, runtimes = courtship_world()
     pump(runtimes, runtimes["r3"].start_request(
@@ -550,20 +576,74 @@ def test_proposal_without_terms_is_dropped_before_the_session_is_touched():
     ]
 
 
-def test_an_error_after_a_decision_closed_the_session_is_only_noted(monkeypatch):
+def free_deal_whose_record_issue_raises(monkeypatch):
+    """A free deal whose provider raises from ``record_issue``, after
+    ``deliver_ip`` is numbered and the session completed."""
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",),
                        terms=IP_TERMS.replace(upfront_fee=0))
-    _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
-    provider = runtimes["prov"]
+    ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
 
     def record_issue(session):
         raise UnknownContent("catalog changed")
 
-    monkeypatch.setattr(provider, "record_issue", record_issue)
+    monkeypatch.setattr(runtimes["prov"], "record_issue", record_issue)
     pump(runtimes, runtimes["req"].start_request("s1", "prov", "weather-data-2023"))
+    return ledger, runtimes
+
+
+def test_an_error_after_a_decision_closed_the_session_is_only_noted(monkeypatch):
+    _, runtimes = free_deal_whose_record_issue_raises(monkeypatch)
+    provider = runtimes["prov"]
     session = provider.session("s1")
     assert session.state is ProviderState.COMPLETED and session.failure_reason == ""
     assert provider.memory_texts()[-1] == "Error after session s1 closed: catalog changed"
+
+
+def test_a_delivery_numbered_before_an_error_still_reaches_the_requester(monkeypatch):
+    ledger, runtimes = free_deal_whose_record_issue_raises(monkeypatch)
+    requester = runtimes["req"]
+    session = requester.session("s1")
+    assert session.state is RequesterState.COMPLETED
+    assert session.content == DATASET.content
+    assert requester.tokens["weather-data-2023"] is ledger.session_agreement("s1")
+
+
+@pytest.mark.parametrize("fee,last_sent", [(0, "accept_terms"), (10_000_000, "payment_confirmed")])
+def test_a_ledger_error_preparing_the_token_still_sends_what_came_before(fee, last_sent):
+    terms = IP_TERMS.replace(upfront_fee=fee, duration="2025-01-01")
+    item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",), terms=terms)
+    ledger, _, _, runtimes = make_world(
+        {"prov": {"items": (item,)}, "req": {"balance": 50_000_000}}
+    )
+    ledger.current_date = "2026-01-01"  # the terms expire before the token is prepared
+    sent = []
+    queue = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
+    while queue:
+        message = queue.pop(0)
+        sent.append((message.sender, message.action))
+        queue += runtimes[message.recipient].receive_message(message)
+    assert sent[-1] == ("req", last_sent)
+    assert runtimes["prov"].session("s1").state is ProviderState.AWAITING_TOKEN
+    session = runtimes["req"].session("s1")
+    assert session.state is RequesterState.FAILED
+    assert session.failure_reason == "expiry 2025-01-01 predates ledger date 2026-01-01"
+    assert runtimes["req"].memory_texts()[-1] == f"Session failed: {session.failure_reason}"
+    assert ledger.session_agreement("s1") is None
+
+
+@pytest.mark.parametrize("reason", [5, ["x"], {"a": "b"}], ids=["integer", "list", "map"])
+def test_reject_with_a_mistyped_reason_is_dropped(reason):
+    _, _, _, runtimes = make_world({"prov": {"items": (DATASET,)}, "req": {}})
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", "weather-data-2023")
+    reject = ProtocolMessage("s1", 0, "prov", "req", "reject", {"reason": reason})
+    assert requester.receive_message(reject) == []
+    session = requester.session("s1")
+    assert session.state is RequesterState.AWAITING_TERMS and session.reject_reason == ""
+    problem = "reject reason must be a string"
+    assert requester.memory_texts() == [f"Dropped malformed message in session s1: {problem}"]
+    with pytest.raises(ParseError, match=problem):
+        message_from_value(reject.to_value())
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from atcpip import canon
 from atcpip.errors import ParseError, UnknownJurisdiction, UnresolvedReference
 from atcpip.negotiation import NUMERIC_PATHS, ChoiceBound, NumericBound, SetBound
+from atcpip.protocol import SessionConfig
 from atcpip.scenario import (
     load_scenario,
     scenario_from_bytes,
@@ -155,6 +156,31 @@ def test_integers_past_64_bits_are_rejected():
     value["agents"][0]["balance"] = 2**63
     with pytest.raises(ParseError, match="balance"):
         scenario_from_value(value)
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [
+        ("negotiation_timeout", 0),
+        ("negotiation_timeout", True),
+        ("settlement_timeout", 2**63),
+        ("settlement_timeout", Decimal("5.0000")),
+        ("ack_required", 1),
+    ],
+)
+def test_session_config_fields_are_checked_by_session_config(key, bad):
+    value = base_value()
+    value["agents"][0][key] = bad
+    with pytest.raises(ParseError, match=f"agent 'prov': {key} must be"):
+        scenario_from_value(value)
+
+
+def test_unset_session_config_fields_keep_the_session_config_defaults():
+    value = base_value()
+    value["agents"][1]["settlement_timeout"] = 5
+    prov, req = scenario_from_value(value).agents
+    assert prov.config == SessionConfig()
+    assert req.config == SessionConfig(settlement_timeout=5)
 
 
 def test_unknown_top_level_field_rejected():
