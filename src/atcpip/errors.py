@@ -39,7 +39,7 @@ class MalformedDate(AtcpipError):
 
 
 class UnknownJurisdiction(AtcpipError):
-    """Jurisdiction code missing from the configured registry."""
+    """Jurisdiction code with no profile in the scenario."""
 
 
 class DuplicateAgent(AtcpipError):

@@ -198,33 +198,6 @@ def simulated_signature(secret_key, payload):
     return canon.sha256_hex(secret_key + payload)
 
 
-class KeyRegistry:
-    """Agent id to secret key mapping for simulated signatures."""
-
-    def __init__(self):
-        self._secrets = {}
-
-    def register(self, agent_id, secret_key):
-        if agent_id in self._secrets:
-            raise DuplicateAgent(f"agent {agent_id!r} already registered")
-        if not isinstance(secret_key, (bytes, bytearray)):
-            raise TypeError("secret keys are raw bytes")
-        self._secrets[agent_id] = bytes(secret_key)
-
-    def known(self, agent_id):
-        return agent_id in self._secrets
-
-    def sign(self, agent_id, payload):
-        if agent_id not in self._secrets:
-            raise UnknownAgent(f"agent {agent_id!r} has no registered key")
-        return simulated_signature(self._secrets[agent_id], payload)
-
-    def verify(self, agent_id, payload, signature):
-        if agent_id not in self._secrets:
-            return False
-        return simulated_signature(self._secrets[agent_id], payload) == signature
-
-
 def _metadata_signing_bytes(metadata, link_to_terms):
     doc = metadata.to_value()
     doc.pop("signature", None)
@@ -248,7 +221,7 @@ class Ledger:
         if not is_iso_date(current_date):
             raise MalformedDate(f"not a calendar date: {current_date!r}")
         self.current_date = current_date
-        self.keys = KeyRegistry()
+        self._secrets = {}  # agent_id -> secret key bytes
         self._entries = []
         self._tokens = {}  # license_id -> committed AgreementToken
         # payload field -> string value -> heights, ascending
@@ -321,7 +294,11 @@ class Ledger:
     # -- agents ---------------------------------------------------------------
 
     def register_agent(self, agent_id, secret_key):
-        self.keys.register(agent_id, secret_key)
+        if agent_id in self._secrets:
+            raise DuplicateAgent(f"agent {agent_id!r} already registered")
+        if not isinstance(secret_key, (bytes, bytearray)):
+            raise TypeError("secret keys are raw bytes")
+        self._secrets[agent_id] = bytes(secret_key)
         return self.append(
             "reputation_event", {"agent_id": agent_id, "event": "registered"}
         )
@@ -331,7 +308,7 @@ class Ledger:
     def mint_draft(self, session_id, proposer_id, terms):
         """Append the session's next draft; a session's drafts are
         numbered 1, 2, 3, ... in the order they are minted."""
-        if not self.keys.known(proposer_id):
+        if proposer_id not in self._secrets:
             raise UnknownAgent(f"unknown proposer {proposer_id!r}")
         last = self._last("draft_token", "session_id", session_id)
         return self.append(
@@ -372,7 +349,7 @@ class Ledger:
     ):
         """Build and sign an uncommitted token; nothing touches the chain."""
         for agent_id in (requester_id, issuer_id):
-            if not self.keys.known(agent_id):
+            if agent_id not in self._secrets:
                 raise UnknownAgent(f"unknown agent {agent_id!r}")
         if expiry_date != PERPETUAL:
             if not is_iso_date(expiry_date):
@@ -402,8 +379,8 @@ class Ledger:
         metadata = replace(
             metadata, license_id=derive_license_id(_identity_value(metadata), digest)
         )
-        signature = self.keys.sign(
-            requester_id, _metadata_signing_bytes(metadata, digest)
+        signature = simulated_signature(
+            self._secrets[requester_id], _metadata_signing_bytes(metadata, digest)
         )
         metadata = replace(metadata, signature=signature)
         return AgreementToken(
@@ -419,9 +396,9 @@ class Ledger:
         """Content checks shared by commit and verify; empty list means sound."""
         problems = []
         md = token.metadata
-        if not self.keys.known(md.issuer_id):
+        if md.issuer_id not in self._secrets:
             problems.append("unknown issuer")
-        if not self.keys.known(md.holder_id):
+        if md.holder_id not in self._secrets:
             problems.append("unknown holder")
         if terms_hash(token.terms) != token.terms_hash:
             problems.append("terms_hash does not match terms")
@@ -431,8 +408,9 @@ class Ledger:
             problems.append("license_id does not match identity fields")
         if md.signature != token.requester_signature:
             problems.append("metadata signature differs from requester signature")
-        if not self.keys.verify(
-            md.holder_id, _metadata_signing_bytes(md, md.link_to_terms), md.signature
+        secret = self._secrets.get(md.holder_id)
+        if secret is None or md.signature != simulated_signature(
+            secret, _metadata_signing_bytes(md, md.link_to_terms)
         ):
             problems.append("signature verification failed")
         try:

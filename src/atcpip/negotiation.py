@@ -14,7 +14,6 @@ stay within the tier's thresholds are auto-accepted without another
 revision round.
 """
 
-import enum
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -209,14 +208,8 @@ def revise_terms(policy, own_terms, countered):
 # -- risk tiers ------------------------------------------------------------------
 
 
-class ArbiterDecision(enum.Enum):
-    AUTO_ACCEPT = "auto_accept"
-    ESCALATE = "escalate"
-
-
 @dataclass(frozen=True)
 class RiskTier:
-    name: str
     max_price_delta_fraction: Decimal
     max_royalty_delta: Decimal
 
@@ -226,30 +219,29 @@ class RiskTier:
 
 
 RISK_TIERS = {
-    "conservative": RiskTier("conservative", Decimal("0.0000"), Decimal("0.0000")),
-    "standard": RiskTier("standard", Decimal("0.0500"), Decimal("0.0100")),
-    "permissive": RiskTier("permissive", Decimal("0.2000"), Decimal("0.0500")),
+    "conservative": RiskTier(Decimal("0.0000"), Decimal("0.0000")),
+    "standard": RiskTier(Decimal("0.0500"), Decimal("0.0100")),
+    "permissive": RiskTier(Decimal("0.2000"), Decimal("0.0500")),
 }
 
 
-def arbiter_decide(tier, proposed, counter_terms):
-    """Auto-accept a counter whose differences all sit inside the tier;
-    only the numeric paths can settle automatically."""
-    changed = set(_changed_fields(proposed, counter_terms))
-    if not changed:
-        return ArbiterDecision.AUTO_ACCEPT
+def auto_accepts(tier, proposed, countered):
+    """Whether the tier takes a counter as it stands: every difference
+    sits inside the tier, and only the numeric paths can settle
+    automatically."""
+    changed = set(_changed_fields(proposed, countered))
     if not changed.issubset(NUMERIC_PATHS):
-        return ArbiterDecision.ESCALATE
+        return False
     for path in ("royalty_rate", "rev_share"):
         if path in changed:
-            moved = abs(getattr(counter_terms, path) - getattr(proposed, path))
+            moved = abs(getattr(countered, path) - getattr(proposed, path))
             if moved > tier.max_royalty_delta:
-                return ArbiterDecision.ESCALATE
+                return False
     if "upfront_fee" in changed:
-        moved = abs(counter_terms.upfront_fee - proposed.upfront_fee)
+        moved = abs(countered.upfront_fee - proposed.upfront_fee)
         base = max(proposed.upfront_fee, 1)
         # moved / base > fraction, compared in exact integer units
         if moved * 10_000 > int(tier.max_price_delta_fraction.scaleb(4)) * base:
-            return ArbiterDecision.ESCALATE
-    return ArbiterDecision.AUTO_ACCEPT
+            return False
+    return True
 

@@ -42,21 +42,6 @@ from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
 from .ledger import token_to_value
 from .terms import delta_from_value, terms_from_value, terms_hash
 
-ACTIONS = (
-    "request_info",
-    "non_ip_notice",
-    "propose_terms",
-    "counter_terms",
-    "final_terms",
-    "accept_terms",
-    "payment_required",
-    "payment_confirmed",
-    "license_token",
-    "deliver_ip",
-    "acknowledge_receipt",
-    "reject",
-)
-
 REQUIRED_BODY_KEYS = {
     "request_info": ("content_id",),
     "non_ip_notice": ("content_id", "content", "note"),
@@ -71,6 +56,7 @@ REQUIRED_BODY_KEYS = {
     "acknowledge_receipt": ("license_id",),
     "reject": ("reason",),
 }
+ACTIONS = tuple(REQUIRED_BODY_KEYS)
 
 NON_IP_NOTE = "Content not considered IP; no license required."
 NON_IP_MEMORY = "Non-IP content sent without contract."
@@ -603,9 +589,9 @@ def requester_present(session, token):
 # that sets its wait and to what happens when the wait runs out: a
 # failure reason, or a step taken as ``step(session, agent)``. Entering a
 # state (re)starts its wait; entering any other state cancels the
-# previous one. Ack waits reuse the negotiation timeout. A requester that
-# goes silent while negotiating leaves the provider to proceed on the
-# standing terms.
+# previous one. Ack waits reuse the negotiation timeout. A requester whose
+# answer never arrives while negotiating leaves the provider to proceed on
+# the standing terms.
 WAITS = {
     ProviderState.TERMS_PROPOSED: ("negotiation_timeout", _provider_enter_settlement),
     ProviderState.NEGOTIATING: ("negotiation_timeout", _provider_enter_settlement),

@@ -32,12 +32,9 @@ message whose body lacks a key its action requires is dropped with a
 memory note before any session is opened or touched, and anything a
 session cannot take in its current state is dropped with a memory note
 too, rather than crashing the agent. Any other typed error a decision
-raises in ``receive_message`` or ``expire_timer`` fails its session,
-with the error as the reason, through the one ``_decision_failed``.
-``decide_courtship`` lets such an error out to its caller; the sessions
-it had not decided yet stay in ``evaluating`` for the next call, and
-what it had queued waits on each session's outbox for that session's
-next entry point.
+raises in an entry point fails its session, with the error as the
+reason, through the one ``_decision_failed``; ``decide_courtship`` goes
+on to the next session.
 """
 
 from dataclasses import dataclass
@@ -52,16 +49,14 @@ from .errors import (
     ParseError,
     ProtocolViolation,
     UnknownContent,
-    UnknownJurisdiction,
 )
 from .ledger import token_from_value
 from .negotiation import (
     Accept,
-    ArbiterDecision,
     Counter,
     NegotiationPolicy,
     RISK_TIERS,
-    arbiter_decide,
+    auto_accepts,
     evaluate_offer,
     revise_terms,
 )
@@ -90,7 +85,7 @@ from .protocol import (
     requester_transition,
 )
 from .terms import LicenseTerms, apply_delta, terms_hash
-from .trust import GateDecision, check_compatibility
+from .trust import check_compatibility
 
 # Tags that make untagged-by-flag content licensable IP; anything else
 # ships as a plain message with no contract.
@@ -168,8 +163,8 @@ class AgentRuntime:
         ledger,
         wallets,
         board,
-        registry,
-        rules,
+        profiles,
+        blocked_pairs,
         directory,
         policy=None,
         tier=None,
@@ -179,8 +174,8 @@ class AgentRuntime:
         self.ledger = ledger
         self.wallets = wallets
         self.board = board
-        self.registry = registry
-        self.rules = rules
+        self.profiles = profiles  # jurisdiction code -> JurisdictionProfile
+        self.blocked_pairs = blocked_pairs  # frozensets of two codes
         self.directory = directory  # agent_id -> jurisdiction code
         self.policy = policy or NegotiationPolicy()
         self.tier = tier if tier is not None else RISK_TIERS["standard"]
@@ -357,11 +352,13 @@ class AgentRuntime:
                 winner = session
         self._acted.update(session.session_id for session in live)
         for session in live:
-            if session is not winner:
-                refuse(session, "another offer was selected")
-        # The winner goes last, so a decision that raises part-way leaves
-        # it in evaluating and the next call picks it again.
-        self._propose(item, winner)
+            try:
+                if session is winner:
+                    self._propose(item, session)
+                else:
+                    refuse(session, "another offer was selected")
+            except AtcpipError as exc:
+                self._decision_failed(session, exc)
         return [message for session in live for message in session.drain()]
 
     # -- downstream sales -------------------------------------------------------
@@ -387,28 +384,33 @@ class AgentRuntime:
         if item is None:
             refuse(session, f"no such content: {session.content_id}")
             return
-        gate = self._gate(session, item)
-        if not gate:
-            refuse(session, gate.reason)
+        barred = self._gate(session, item)
+        if barred:
+            refuse(session, barred)
         elif not self.is_ip_significant(item.content_id):
             provider_non_ip(session, self, item.content)
         elif not item.courtship:  # a courtship request waits in evaluating
             self._propose(item, session)
 
     def _gate(self, session, item):
+        """Why the parties may not deal over ``item``, or ``""``."""
         provider_code = self.directory.get(self.agent_id)
         requester_code = session.request_body.get("jurisdiction") or self.directory.get(
             session.requester_id
         )
         if provider_code is None or requester_code is None:
-            return GateDecision(False, "jurisdiction unknown for one of the parties")
-        try:
-            requester = self.registry.profile(requester_code)
-            provider = self.registry.profile(provider_code)
-        except UnknownJurisdiction as exc:
-            return GateDecision(False, str(exc))
+            return "jurisdiction unknown for one of the parties"
+        for code in (requester_code, provider_code):
+            if code not in self.profiles:
+                return f"no profile for jurisdiction {code!r}"
         opening = self._opening_terms(item, {})
-        return check_compatibility(self.rules, requester, provider, item.flags, terms=opening)
+        return check_compatibility(
+            self.blocked_pairs,
+            self.profiles[requester_code],
+            self.profiles[provider_code],
+            item.flags,
+            terms=opening,
+        )
 
     def _opening_terms(self, item, offer):
         if item.terms is not None:
@@ -459,9 +461,7 @@ class AgentRuntime:
             countered = apply_delta(session.terms, delta)
         except InvalidResult:
             countered = None
-        if countered is not None and (
-            arbiter_decide(self.tier, session.terms, countered) is ArbiterDecision.AUTO_ACCEPT
-        ):
+        if countered is not None and auto_accepts(self.tier, session.terms, countered):
             revised = countered
         else:
             if session.revisions_used >= self.policy.max_rounds:
@@ -556,8 +556,8 @@ class AgentRuntime:
         self.board.record_outcome(self.agent_id, "deal_completed")
 
     def answer_offer(self, session):
-        """Accept, counter, or refuse the offered terms; a counter that runs
-        past the budget or does not validate leaves the session silent."""
+        """Accept, counter, or refuse the offered terms; a counter past the
+        budget, or one whose terms do not build, is a refusal."""
         terms = session.terms
         decision = evaluate_offer(self.policy, terms)
         if isinstance(decision, Accept):
@@ -565,12 +565,12 @@ class AgentRuntime:
         elif not isinstance(decision, Counter):
             refuse(session, decision.reason)
         elif session.counters_used >= self.policy.max_rounds:
-            self.remember("Counter budget exhausted; going silent.")
+            refuse(session, "negotiation budget exhausted")
         else:
             try:
                 countered = apply_delta(terms, decision.delta)
-            except InvalidResult:
-                self.remember("Own counter does not validate; going silent.")
+            except InvalidResult as exc:
+                refuse(session, f"own counter does not build: {exc}")
                 return
             requester_counter(session, self, decision.delta.to_value(), countered)
 

@@ -30,8 +30,8 @@ DEFAULT_MAX_TICKS = 10_000
 
 # Profiles available when a scenario does not declare its own.
 DEFAULT_PROFILES = (
-    JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB")),
-    JurisdictionProfile("DE", "civil_law", ("gdpr",), ("DE", "FR", "GB")),
+    JurisdictionProfile("US", ("ccpa",), ("US", "CA", "GB")),
+    JurisdictionProfile("DE", ("gdpr",), ("DE", "FR", "GB")),
 )
 
 SCRIPT_ACTIONS = (
@@ -373,11 +373,10 @@ def _parse_jurisdictions(value):
     for code, profile_value in body.items():
         profile_ctx = f"{ctx}: {code}"
         profile = _map(profile_value, profile_ctx)
-        _reject_unknown(profile, ("legal_system", "privacy_regimes", "adequacy"), profile_ctx)
+        _reject_unknown(profile, ("privacy_regimes", "adequacy"), profile_ctx)
         profiles.append(
             JurisdictionProfile(
                 code=code,
-                legal_system=_str(profile, "legal_system", profile_ctx, default="civil_law"),
                 privacy_regimes=frozenset(
                     _str_list(profile.get("privacy_regimes", []), f"{profile_ctx}: privacy_regimes")
                 ),

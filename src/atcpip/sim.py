@@ -33,7 +33,7 @@ from .ledger import Ledger
 from .negotiation import RISK_TIERS
 from .payments import WalletSystem
 from .runtime import AgentRuntime
-from .trust import CompatibilityRules, JurisdictionRegistry, ReputationBoard
+from .trust import ReputationBoard
 
 
 @dataclass
@@ -71,8 +71,8 @@ class Simulation:
         self.wallets = WalletSystem(self.ledger)
         board = ReputationBoard(self.ledger)
         self.court = DisputeCourt(self.ledger, board)
-        registry = JurisdictionRegistry(scenario.jurisdictions)
-        rules = CompatibilityRules(frozenset(tuple(pair) for pair in scenario.blocked_pairs))
+        profiles = {profile.code: profile for profile in scenario.jurisdictions}
+        blocked_pairs = frozenset(frozenset(pair) for pair in scenario.blocked_pairs)
         directory = {spec.agent_id: spec.jurisdiction for spec in scenario.agents}
         network = scenario.network
         self._latency = (network.latency_min, network.latency_max)
@@ -86,8 +86,8 @@ class Simulation:
                 self.ledger,
                 self.wallets,
                 board,
-                registry,
-                rules,
+                profiles,
+                blocked_pairs,
                 directory,
                 policy=spec.policy,
                 tier=RISK_TIERS[spec.tier],

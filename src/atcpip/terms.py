@@ -226,9 +226,6 @@ class TermsDelta:
 
     changes: tuple = ()
 
-    def __bool__(self):
-        return bool(self.changes)
-
     def to_value(self):
         return [{"path": [name], "op": "set", "value": value} for name, value in self.changes]
 

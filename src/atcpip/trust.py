@@ -14,14 +14,11 @@ reconstructs identical records.
 
 from dataclasses import dataclass, replace
 
-from .errors import UnknownJurisdiction
-
 PERSONAL_DATA_FLAG = "personal_data"
 
 @dataclass(frozen=True)
 class JurisdictionProfile:
     code: str
-    legal_system: str = "civil_law"
     privacy_regimes: frozenset = frozenset()
     adequacy: frozenset = frozenset()  # codes this jurisdiction may send personal data to
 
@@ -30,67 +27,23 @@ class JurisdictionProfile:
         object.__setattr__(self, "adequacy", frozenset(self.adequacy))
 
 
-class JurisdictionRegistry:
-    def __init__(self, profiles=()):
-        self._profiles = {}
-        for profile in profiles:
-            self.add(profile)
-
-    def add(self, profile):
-        self._profiles[profile.code] = profile
-
-    def profile(self, code):
-        try:
-            return self._profiles[code]
-        except KeyError:
-            raise UnknownJurisdiction(f"no profile for jurisdiction {code!r}") from None
-
-
-@dataclass(frozen=True)
-class CompatibilityRules:
-    """Pairing policy. blocked_pairs entries are unordered code pairs."""
-
-    blocked_pairs: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocked_pairs", frozenset(frozenset(pair) for pair in self.blocked_pairs)
-        )
-
-
-@dataclass(frozen=True)
-class GateDecision:
-    allowed: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.allowed
-
-
-ALLOW = GateDecision(True)
-
-
-def check_compatibility(rules, requester, provider, content_flags, terms):
-    """Gate a session between two jurisdiction profiles on the terms the
-    provider would open with."""
-    pair = frozenset({requester.code, provider.code})
-    if pair in rules.blocked_pairs:
-        return GateDecision(False, f"pair {provider.code}/{requester.code} is blocked")
+def check_compatibility(blocked_pairs, requester, provider, content_flags, terms):
+    """Why a session between two jurisdiction profiles may not open on
+    the terms the provider would open with, or ``""`` when it may.
+    ``blocked_pairs`` holds unordered code pairs as frozensets."""
+    if frozenset({requester.code, provider.code}) in blocked_pairs:
+        return f"pair {provider.code}/{requester.code} is blocked"
     if PERSONAL_DATA_FLAG in content_flags and requester.code not in provider.adequacy:
         requirements = frozenset(terms.compliance_requirements)
         if not requirements:
-            return GateDecision(
-                False,
+            return (
                 f"personal data may not leave {provider.code} for {requester.code}"
-                " without adequacy or compliance requirements",
+                " without adequacy or compliance requirements"
             )
         if not requirements <= requester.privacy_regimes:
             missing = sorted(requirements - requester.privacy_regimes)
-            return GateDecision(
-                False,
-                f"requester regimes do not cover compliance requirements: {missing}",
-            )
-    return ALLOW
+            return f"requester regimes do not cover compliance requirements: {missing}"
+    return ""
 
 
 # -- reputation ----------------------------------------------------------------

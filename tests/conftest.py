@@ -9,15 +9,11 @@ from atcpip.negotiation import RISK_TIERS
 from atcpip.payments import WalletSystem
 from atcpip.runtime import AgentRuntime, CatalogItem
 from atcpip.terms import LicenseTerms
-from atcpip.trust import (
-    CompatibilityRules,
-    JurisdictionProfile,
-    JurisdictionRegistry,
-    ReputationBoard,
-)
+from atcpip.trust import JurisdictionProfile, ReputationBoard
 
-US = JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB"))
-EU = JurisdictionProfile("EU", "civil_law", ("gdpr",), ("EU",))
+US = JurisdictionProfile("US", ("ccpa",), ("US", "CA", "GB"))
+EU = JurisdictionProfile("EU", ("gdpr",), ("EU",))
+PROFILES = {"US": US, "EU": EU}
 
 
 def make_terms(**overrides):
@@ -43,12 +39,11 @@ def transaction_records(runtime):
     return [record for record in runtime.memory if record.kind == "transaction"]
 
 
-def make_world(agents, rules=None, config=None):
+def make_world(agents, blocked_pairs=frozenset(), config=None):
     """agents: {agent_id: kwargs}; returns (ledger, wallets, board, runtimes)."""
     ledger = Ledger(current_date="2024-01-01")
     wallets = WalletSystem(ledger)
     board = ReputationBoard(ledger)
-    registry = JurisdictionRegistry((US, EU))
     directory = {}
     runtimes = {}
     for agent_id, kwargs in agents.items():
@@ -64,8 +59,8 @@ def make_world(agents, rules=None, config=None):
             ledger,
             wallets,
             board,
-            registry,
-            rules or CompatibilityRules(),
+            PROFILES,
+            blocked_pairs,
             directory,
             config=config,
             **kwargs,

@@ -28,16 +28,8 @@ from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
 from atcpip.sim import check_expectations, run_scenario
 from atcpip.terms import FIELD_ORDER, LicenseTerms, TAG_FIELDS, terms_from_value, terms_hash
-from atcpip.trust import (
-    CompatibilityRules,
-    JurisdictionProfile,
-    JurisdictionRegistry,
-    ReputationBoard,
-)
-from conftest import mint_agreement, negotiate, transaction_records
-
-US = JurisdictionProfile("US", "common_law", ("ccpa",), ("US", "CA", "GB"))
-EU = JurisdictionProfile("EU", "civil_law", ("gdpr",), ("EU",))
+from atcpip.trust import ReputationBoard
+from conftest import PROFILES, mint_agreement, negotiate, transaction_records
 
 
 def _deltas(world):
@@ -464,7 +456,6 @@ def _exchange_world(fee):
     ledger = Ledger(current_date="2024-01-01")
     wallets = WalletSystem(ledger)
     board = ReputationBoard(ledger)
-    registry = JurisdictionRegistry((US, EU))
     directory = {}
     runtimes = {}
     for agent_id in ("req", "prov"):
@@ -472,7 +463,7 @@ def _exchange_world(fee):
         wallets.open_account(agent_id, 10_000_000)
         directory[agent_id] = "US"
         runtimes[agent_id] = AgentRuntime(
-            agent_id, ledger, wallets, board, registry, CompatibilityRules(), directory
+            agent_id, ledger, wallets, board, PROFILES, frozenset(), directory
         )
     runtimes["prov"].add_item(
         CatalogItem(

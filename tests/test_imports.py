@@ -53,11 +53,18 @@ def write_only_attributes(sources):
     """(label, line, name) for each attribute that a module in ``sources``
     (label -> text) stores and that no module there loads. A string
     constant passed to ``getattr`` counts as a load. A field annotated in
-    a class body counts as a store, and any string constant naming it as
-    a load, which covers ``getattr`` over a tuple of field names."""
+    a class body counts as a store, and a string constant naming it as a
+    load, which covers ``getattr`` over a tuple of field names; a string
+    that is a call argument, or an item of a tuple or list that is one,
+    does not count, since it names a key such as a loader's field name."""
     stored, loaded, fields, strings = {}, set(), set(), set()
     for label, source in sources.items():
+        arguments = set()  # ids of string constants that are call arguments
         for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                for argument in (*node.args, *(keyword.value for keyword in node.keywords)):
+                    items = argument.elts if isinstance(argument, (ast.Tuple, ast.List)) else ()
+                    arguments.update(map(id, (argument, *items)))
             if isinstance(node, ast.Attribute):
                 if isinstance(node.ctx, ast.Store):
                     stored.setdefault(node.attr, (label, node.lineno))
@@ -69,7 +76,8 @@ def write_only_attributes(sources):
                         stored.setdefault(item.target.id, (label, item.lineno))
                         fields.add(item.target.id)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                strings.add(node.value)
+                if id(node) not in arguments:
+                    strings.add(node.value)
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -248,14 +256,19 @@ def test_write_only_attributes_are_found():
         "    listed: int\n"
         "    hidden: int = 0\n"
         "    plain = 'lost'\n"
+        "    parsed: int\n"
+        "    checked: int\n"
         "print(B().shown, [getattr(B(), name) for name in ('listed',)])\n"
+        "B(parsed=load(body, 'parsed'), checked=check(body, ['checked'], key='x'))\n"
     )
     # Only the sources given are read, so ``tested`` counts as write-only
-    # however many tests look at it.
+    # however many tests look at it; a loader's key strings read nothing.
     assert write_only_attributes({"a.py": source}) == [
         ("a.py", 3, "lost"),
         ("a.py", 4, "tested"),
         ("a.py", 11, "hidden"),
+        ("a.py", 13, "parsed"),
+        ("a.py", 14, "checked"),
     ]
 
 

@@ -80,14 +80,17 @@ def test_registration_is_idempotent_never():
 
 
 def test_signatures_simulated_from_secret_and_payload():
-    book = fresh_ledger("alice")
-    signature = book.keys.sign("alice", b"payload")
+    signature = simulated_signature(b"alice-secret", b"payload")
     assert signature == hashlib.sha256(b"alice-secret" + b"payload").hexdigest()
-    assert simulated_signature(b"alice-secret", b"payload") == signature
-    assert book.keys.verify("alice", b"payload", signature)
-    assert not book.keys.verify("alice", b"payload2", signature)
+    book = fresh_ledger("alice")
+    token = book.prepare_agreement("alice", "alice", make_terms(), "perpetual")
+    signed = token.metadata.to_value()
+    signed.pop("signature")
+    signed = canon.dumps(signed) + token.terms_hash.encode()
+    assert token.metadata.signature == simulated_signature(b"alice-secret", signed)
+    assert token.requester_signature == token.metadata.signature
     with pytest.raises(UnknownAgent):
-        book.keys.sign("mallory", b"payload")
+        book.prepare_agreement("mallory", "alice", make_terms(), "perpetual")
 
 
 # -- agreement tokens --------------------------------------------------------
@@ -138,14 +141,42 @@ def test_commit_rejects_tampered_token_content():
     book = fresh_ledger()
     terms = make_terms()
     token = book.prepare_agreement("requester", "provider", terms, "2025-01-01", session_id="s")
-    import dataclasses
-
     forged = dataclasses.replace(
         token, terms=make_terms(upfront_fee=999), terms_hash=terms_hash(make_terms(upfront_fee=999))
     )
     height = book.height
     with pytest.raises(AbortedExchange):
         book.commit_agreement(forged)
+    assert book.height == height
+
+
+def test_commit_rejects_a_valid_signature_over_other_bytes():
+    book = fresh_ledger()
+    token = book.prepare_agreement("requester", "provider", make_terms(), "2025-01-01", session_id="s")
+    other = simulated_signature(b"requester-secret", b"other bytes")
+    forged = dataclasses.replace(
+        token,
+        metadata=dataclasses.replace(token.metadata, signature=other),
+        requester_signature=other,
+    )
+    height = book.height
+    with pytest.raises(AbortedExchange, match="signature verification failed"):
+        book.commit_agreement(forged)
+    assert book.height == height
+
+
+def test_commit_rejects_a_token_whose_holder_is_not_registered():
+    elsewhere = fresh_ledger("outsider", "provider")
+    token = elsewhere.prepare_agreement(
+        "outsider", "provider", make_terms(), "2025-01-01", session_id="s"
+    )
+    book = fresh_ledger()
+    problems = book.token_problems(token)
+    assert problems[0] == "unknown holder"
+    assert "signature verification failed" in problems
+    height = book.height
+    with pytest.raises(AbortedExchange, match="unknown holder"):
+        book.commit_agreement(token)
     assert book.height == height
 
 

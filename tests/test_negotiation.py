@@ -11,20 +11,19 @@ from atcpip.errors import UnknownPath
 from atcpip.negotiation import (
     RISK_TIERS,
     Accept,
-    ArbiterDecision,
     ChoiceBound,
     Counter,
     NegotiationPolicy,
     NumericBound,
     Reject,
     SetBound,
-    arbiter_decide,
+    auto_accepts,
     evaluate_offer,
     revise_terms,
 )
 from atcpip.protocol import ProviderState, RequesterState
 from atcpip.terms import apply_delta, delta_from_value, terms_hash
-from conftest import make_terms, negotiate, pump
+from conftest import make_terms, negotiate
 from strategies import valid_terms
 
 
@@ -174,21 +173,21 @@ def test_tier_presets():
 def test_arbiter_thresholds():
     base = make_terms(royalty_rate="0.05", upfront_fee=100)
     nudge = base.replace(royalty_rate=Decimal("0.0600"))
-    assert arbiter_decide(RISK_TIERS["standard"], base, nudge) is ArbiterDecision.AUTO_ACCEPT
+    assert auto_accepts(RISK_TIERS["standard"], base, nudge)
     shove = base.replace(royalty_rate=Decimal("0.0700"))
-    assert arbiter_decide(RISK_TIERS["standard"], base, shove) is ArbiterDecision.ESCALATE
+    assert not auto_accepts(RISK_TIERS["standard"], base, shove)
     fee_nudge = base.replace(upfront_fee=105)
-    assert arbiter_decide(RISK_TIERS["standard"], base, fee_nudge) is ArbiterDecision.AUTO_ACCEPT
+    assert auto_accepts(RISK_TIERS["standard"], base, fee_nudge)
     fee_shove = base.replace(upfront_fee=106)
-    assert arbiter_decide(RISK_TIERS["standard"], base, fee_shove) is ArbiterDecision.ESCALATE
-    assert arbiter_decide(RISK_TIERS["conservative"], base, base) is ArbiterDecision.AUTO_ACCEPT
-    assert arbiter_decide(RISK_TIERS["conservative"], base, nudge) is ArbiterDecision.ESCALATE
+    assert not auto_accepts(RISK_TIERS["standard"], base, fee_shove)
+    assert auto_accepts(RISK_TIERS["conservative"], base, base)
+    assert not auto_accepts(RISK_TIERS["conservative"], base, nudge)
 
 
 def test_arbiter_escalates_non_numeric_fields():
     base = make_terms()
     moved = base.replace(duration="perpetual")
-    assert arbiter_decide(RISK_TIERS["permissive"], base, moved) is ArbiterDecision.ESCALATE
+    assert not auto_accepts(RISK_TIERS["permissive"], base, moved)
 
 
 @given(
@@ -201,10 +200,7 @@ def test_tier_strictness_is_nested(royalty_delta, fee):
         royalty_rate=base.royalty_rate - royalty_delta, upfront_fee=fee
     )
     order = ["conservative", "standard", "permissive"]
-    accepts = [
-        arbiter_decide(RISK_TIERS[name], base, counter) is ArbiterDecision.AUTO_ACCEPT
-        for name in order
-    ]
+    accepts = [auto_accepts(RISK_TIERS[name], base, counter) for name in order]
     # once a stricter tier accepts, looser tiers must accept too
     for stricter, looser in zip(accepts, accepts[1:]):
         assert not stricter or looser
@@ -247,17 +243,18 @@ def test_loop_rejection_on_non_negotiable():
 
 def test_silent_requester_yields_unconfirmed_outcome():
     initial = make_terms(royalty_rate="0.30", upfront_fee=40)
-    mute = requester_policy(max_rounds=0)
-    ledger, runtimes = negotiate(initial, provider_policy(), mute)
+    spent = requester_policy(max_rounds=0)
+    ledger, runtimes = negotiate(initial, provider_policy(), spent)
+    # A requester with no counter budget left refuses the offer it would
+    # counter, so neither side waits on the other.
     provider = runtimes["provider"].session("s1")
-    assert provider.state is ProviderState.TERMS_PROPOSED
-    pump(runtimes, runtimes["provider"].expire_timer("s1"))
+    requester = runtimes["requester"].session("s1")
+    assert requester.state is RequesterState.REJECTED
+    assert provider.state is ProviderState.REJECTED
+    assert provider.reject_reason == "negotiation budget exhausted"
     assert agreed_terms(ledger) is None
-    # The provider moved on to settlement with no accept_terms: the
-    # requester sent nothing after its request.
-    assert provider.state is ProviderState.AWAITING_PAYMENT
-    assert runtimes["requester"].session("s1").out_seq == 1
-    assert provider.terms == initial
+    assert [e.kind for e in ledger.entries() if e.kind == "payment"] == []
+    assert runtimes["requester"].wallets.balance("requester") == 10**12
     assert draft_proposers(ledger) == ["provider"]
 
 

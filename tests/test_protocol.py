@@ -572,8 +572,8 @@ UNCLOCKED = {
     ProviderState.IDLE: "a provider session is created in it and leaves it in the same call",
     ProviderState.EVALUATING: "a courtship request is held here until its item's courtship"
     " is decided, with no clock yet",
-    RequesterState.EVALUATING_TERMS: "a requester whose counter budget is spent goes silent"
-    " here, with no clock yet",
+    RequesterState.EVALUATING_TERMS: "a requester answers every offer in the call that"
+    " enters it: it accepts, counters or refuses",
 }
 
 

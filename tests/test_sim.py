@@ -603,7 +603,8 @@ def test_sweep_of_acted_sessions_matches_the_full_sweep(name):
 
 
 def refuse_once_then_raise(monkeypatch):
-    """The first refusal closes its session, then raises."""
+    """The first refusal closes its session, then raises; the decision
+    notes the error and goes on. Returns the note the error leaves."""
     refuse = runtime_module.refuse
     raised = []
 
@@ -615,11 +616,13 @@ def refuse_once_then_raise(monkeypatch):
         return outbound
 
     monkeypatch.setattr(runtime_module, "refuse", refuse_then_raise)
+    return b"Error after session uc2-a closed: courtship interrupted"
 
 
 def decide_then_raise(monkeypatch):
     """The whole decision runs, closing or answering every session, then
-    raises, so all of them wait for the agent's next sweep."""
+    raises, so all of them wait for the agent's next sweep. Returns the
+    note the error leaves."""
     decide = AgentRuntime.decide_courtship
 
     def decide_courtship(runtime, content_id):
@@ -627,22 +630,24 @@ def decide_then_raise(monkeypatch):
         raise AtcpipError("courtship interrupted")
 
     monkeypatch.setattr(AgentRuntime, "decide_courtship", decide_courtship)
+    return b"Script event 'decide_courtship' failed: courtship interrupted"
 
 
 @pytest.mark.usefixtures("checked_sweep")
 @pytest.mark.parametrize("patch", [refuse_once_then_raise, decide_then_raise])
 def test_sessions_acted_on_before_a_raise_are_swept_next_time(patch, monkeypatch):
     """A raising ``decide_courtship`` skips its sweep; the sessions it
-    acted on come out of the agent's next sweep, in creation order."""
+    acted on come out of the agent's next sweep, in creation order. An
+    error inside the decision is the decision's own, and its sweep runs."""
     scenario = golden_scenario("uc2_social_game")
     with monkeypatch.context() as patched:
-        patch(patched)
+        note = patch(patched)
         transcript, _ = run_scenario(scenario)
     with monkeypatch.context() as patched:
         patch(patched)
         oracle, _ = FullSweepSimulation(scenario).run()
     assert transcript == oracle
-    assert b"Script event 'decide_courtship' failed: courtship interrupted" in transcript
+    assert note in transcript
     assert hashlib.sha256(transcript).hexdigest() != GOLDEN_DIGESTS["uc2_social_game"]
 
 

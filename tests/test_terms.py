@@ -203,7 +203,6 @@ def test_apply_sets_one_scalar_field():
 
 def test_empty_delta_changes_nothing():
     base = make_terms()
-    assert not TermsDelta(())
     assert apply_delta(base, TermsDelta(())) == base
     assert delta_from_value([]) == TermsDelta(())
 

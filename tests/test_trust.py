@@ -7,12 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from atcpip import canon
-from atcpip.errors import UnknownJurisdiction
 from atcpip.ledger import Ledger
 from atcpip.trust import (
-    CompatibilityRules,
     JurisdictionProfile,
-    JurisdictionRegistry,
     ReputationBoard,
     ReputationRecord,
     check_compatibility,
@@ -20,45 +17,40 @@ from atcpip.trust import (
 )
 from conftest import make_terms
 
-EU_DE = JurisdictionProfile("DE", "civil_law", {"gdpr"}, {"FR", "NL"})
-US = JurisdictionProfile("US", "common_law", {"ccpa"}, set())
-FR = JurisdictionProfile("FR", "civil_law", {"gdpr"}, {"DE"})
-RULES = CompatibilityRules()
+EU_DE = JurisdictionProfile("DE", {"gdpr"}, {"FR", "NL"})
+US = JurisdictionProfile("US", {"ccpa"}, set())
+FR = JurisdictionProfile("FR", {"gdpr"}, {"DE"})
+OPEN = frozenset()
 
 
 def test_blocked_pair_fails_either_direction():
-    rules = CompatibilityRules(blocked_pairs={("US", "DE")})
-    assert not check_compatibility(rules, US, EU_DE, set(), make_terms())
-    assert not check_compatibility(rules, EU_DE, US, set(), make_terms())
-    assert check_compatibility(rules, FR, EU_DE, set(), make_terms())
+    blocked = frozenset({frozenset({"US", "DE"})})
+    assert check_compatibility(blocked, US, EU_DE, set(), make_terms()) == "pair DE/US is blocked"
+    assert check_compatibility(blocked, EU_DE, US, set(), make_terms()) == "pair US/DE is blocked"
+    assert check_compatibility(blocked, FR, EU_DE, set(), make_terms()) == ""
 
 
 def test_personal_data_needs_adequacy_or_covered_requirements():
     flags = {"personal_data"}
     # FR is on DE's adequacy list: fine even without compliance requirements.
-    assert check_compatibility(RULES, FR, EU_DE, flags, make_terms())
+    assert check_compatibility(OPEN, FR, EU_DE, flags, make_terms()) == ""
     # US is not; without compliance requirements the gate must fail closed.
-    decision = check_compatibility(RULES, US, EU_DE, flags, make_terms())
-    assert not decision and "personal data" in decision.reason
+    assert check_compatibility(OPEN, US, EU_DE, flags, make_terms()) == (
+        "personal data may not leave DE for US without adequacy or compliance requirements"
+    )
     # Terms with requirements the requester's regimes cover open the gate.
     gdpr_terms = make_terms(compliance_requirements=["gdpr"])
-    assert check_compatibility(RULES, FR, EU_DE, flags, terms=gdpr_terms)
-    assert not check_compatibility(RULES, US, EU_DE, flags, terms=gdpr_terms)
+    assert check_compatibility(OPEN, FR, EU_DE, flags, terms=gdpr_terms) == ""
+    assert check_compatibility(OPEN, US, EU_DE, flags, terms=gdpr_terms) == (
+        "requester regimes do not cover compliance requirements: ['gdpr']"
+    )
     ccpa_terms = make_terms(compliance_requirements=["ccpa"])
-    assert check_compatibility(RULES, US, EU_DE, flags, terms=ccpa_terms)
+    assert check_compatibility(OPEN, US, EU_DE, flags, terms=ccpa_terms) == ""
 
 
 def test_non_personal_content_ignores_privacy_machinery():
-    assert check_compatibility(RULES, US, EU_DE, {"dataset"}, make_terms())
-    assert check_compatibility(RULES, US, EU_DE, set(), terms=make_terms())
-
-
-def test_registry_lookup():
-    registry = JurisdictionRegistry([EU_DE, US])
-    assert registry.profile("DE") is EU_DE
-    assert registry.profile("US") is US
-    with pytest.raises(UnknownJurisdiction):
-        registry.profile("JP")
+    assert check_compatibility(OPEN, US, EU_DE, {"dataset"}, make_terms()) == ""
+    assert check_compatibility(OPEN, US, EU_DE, set(), terms=make_terms()) == ""
 
 
 # -- reputation -----------------------------------------------------------------
