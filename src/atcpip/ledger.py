@@ -10,6 +10,11 @@ Agreement tokens are minted in two steps so the token/delivery exchange
 can be atomic: ``prepare_agreement`` builds and signs an uncommitted
 token, ``commit_agreement`` re-verifies everything and appends. A token
 is only ever valid if its entry is on an intact chain.
+
+An entry is sealed: it keeps the canonical payload bytes it was hashed
+from, and every read of its ``payload`` decodes a fresh map from them,
+so no map a reader or an export holds can edit the chain. Rehashing the
+chain hashes those stored bytes.
 """
 
 from collections import defaultdict
@@ -42,13 +47,25 @@ ENTRY_FIELDS = frozenset({"height", "kind", "payload", "payload_hash", "entry_ha
 NAMED_FIELDS = ("session_id", "license_id", "dispute_id", "revokes_license_id")
 
 
+class _Decoded:
+    """``LedgerEntry.payload``: each read decodes a fresh map from the
+    entry's stored bytes. A non-data descriptor, so a payload object set
+    on the entry itself (which the frozen dataclass refuses short of
+    ``object.__setattr__``) is read instead, and ``_walk`` encodes it."""
+
+    def __get__(self, entry, owner=None):
+        return self if entry is None else canon.loads(entry.encoded)
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     height: int
     kind: str
-    payload: dict  # canonical map, always carries its own "kind"
+    encoded: bytes  # canonical bytes of the payload map, which carries its own "kind"
     payload_hash: str
     entry_hash: str
+
+    payload = _Decoded()
 
     def to_value(self):
         return {
@@ -205,16 +222,17 @@ def _metadata_signing_bytes(metadata, link_to_terms):
 
 
 class Ledger:
-    """Append-only entry list plus the two indexes derived from it.
+    """Append-only list of sealed entries plus the indexes derived from it.
 
-    The committed tokens by license id, and the heights of the entries
-    by each ``NAMED_FIELDS`` value, are maintained inside the one append
-    path, so replaying an exported entry list through it
+    The committed tokens by license id and by height, and the heights of
+    the entries by each ``NAMED_FIELDS`` value, are maintained inside the
+    one append path, so replaying an exported entry list through it
     (``from_export``) reconstructs the same state. Everything else is
-    read back from the chain through the second index: a session's
+    read back from the chain through the heights index: a session's
     agreement and the round of its next draft, a license's revocation,
     and the disputes, verdicts and reputation the court and the
-    reputation board use.
+    reputation board use. None of those reads on the simulator's path
+    decodes a payload.
     """
 
     def __init__(self, current_date="2024-01-01"):
@@ -224,9 +242,11 @@ class Ledger:
         self._secrets = {}  # agent_id -> secret key bytes
         self._entries = []
         self._tokens = {}  # license_id -> committed AgreementToken
+        self._agreements = {}  # height of its agreement_token entry -> the same token
         # payload field -> string value -> heights, ascending
         self._named = {name: defaultdict(list) for name in NAMED_FIELDS}
-        # hook(entry, canonical payload bytes), used by the simulator transcript
+        # hook(entry, payload map, canonical payload bytes), used by the
+        # simulator transcript; the map is the hook's own to read
         self.on_append = None
 
     # -- chain primitives ---------------------------------------------------
@@ -276,19 +296,20 @@ class Ledger:
         entry = LedgerEntry(
             height=height,
             kind=kind,
-            payload=payload,
+            encoded=encoded,
             payload_hash=payload_hash,
             entry_hash=entry_hash,
         )
         self._entries.append(entry)
         if token is not None:
             self._tokens[token.license_id] = token
+            self._agreements[height] = token
         for name, index in self._named.items():
             value = payload.get(name)
             if isinstance(value, str):
                 index[value].append(height)
         if self.on_append is not None:
-            self.on_append(entry, encoded)
+            self.on_append(entry, payload, encoded)
         return entry
 
     # -- agents ---------------------------------------------------------------
@@ -307,15 +328,16 @@ class Ledger:
 
     def mint_draft(self, session_id, proposer_id, terms):
         """Append the session's next draft; a session's drafts are
-        numbered 1, 2, 3, ... in the order they are minted."""
+        numbered 1, 2, 3, ... in the order they are minted, so the next
+        round is one past the number of drafts the session has."""
         if proposer_id not in self._secrets:
             raise UnknownAgent(f"unknown proposer {proposer_id!r}")
-        last = self._last("draft_token", "session_id", session_id)
+        drafts = sum(e.kind == "draft_token" for e in self.entries_with("session_id", session_id))
         return self.append(
             "draft_token",
             {
                 "session_id": session_id,
-                "round": 1 if last is None else last.payload["round"] + 1,
+                "round": drafts + 1,
                 "proposer_id": proposer_id,
                 "terms": terms.to_value(),
                 "terms_hash": terms_hash(terms),
@@ -445,10 +467,11 @@ class Ledger:
             entry = self._entries[token.height]
             if entry.kind != "agreement_token":
                 return False
-            if canon.hash_value(entry.payload) != entry.payload_hash:
+            encoded = _entry_bytes(entry)
+            if canon.sha256_hex(encoded) != entry.payload_hash:
                 return False
-            recorded = {key: item for key, item in entry.payload.items() if key != "kind"}
-            if recorded != token_to_value(replace(token, height=None)):
+            recorded = {"kind": entry.kind, **token_to_value(replace(token, height=None))}
+            if canon.dumps(recorded) != encoded:
                 return False
             if recorded["terms"] != terms.to_value():
                 return False
@@ -461,7 +484,7 @@ class Ledger:
     def session_agreement(self, session_id):
         """The session's last committed agreement; session id ``""`` has none."""
         last = self._last("agreement_token", "session_id", session_id) if session_id else None
-        return None if last is None else self._tokens[last.payload["metadata"]["license_id"]]
+        return None if last is None else self._agreements[last.height]
 
     def entries_with(self, name, value):
         """Entries whose payload maps ``name`` (one of ``NAMED_FIELDS``)
@@ -490,16 +513,33 @@ class Ledger:
         return chain
 
     def require_intact(self):
+        """Rehash the whole chain from the stored bytes; raises
+        TamperedLedger at the first entry that does not extend it."""
         for _ in _walk(self._entries):
             pass
 
     # -- export / import ----------------------------------------------------------
 
     def export_entries(self):
-        """Exported maps of every entry. Each ``payload`` is the live map
-        the ledger holds, not a copy: editing it edits the chain, and
-        ``verify_entries(ledger.entries())`` then fails."""
-        return [entry.to_value() for entry in self._entries]
+        """Exported maps of every entry, each a copy: its ``payload`` is
+        decoded from the stored bytes, so editing an export leaves the
+        chain as it was (and the edited export fails ``verify_entries``).
+
+        Every payload comes out of one ``canon.loads`` of the spliced
+        bytes, which shares the key strings across entries.
+        """
+        entries = self._entries
+        payloads = canon.loads(b"[" + b",".join(entry.encoded for entry in entries) + b"]")
+        return [
+            {
+                "height": entry.height,
+                "kind": entry.kind,
+                "payload": payload,
+                "payload_hash": entry.payload_hash,
+                "entry_hash": entry.entry_hash,
+            }
+            for entry, payload in zip(entries, payloads)
+        ]
 
     @classmethod
     def from_export(cls, value, current_date="2024-01-01"):
@@ -555,38 +595,52 @@ def _index_key(kind, name, key):
         raise ParseError(f"{kind} {name} must be a string")
 
 
+def _entry_bytes(entry):
+    """The canonical payload bytes of a LedgerEntry: the stored ones, or
+    the encoding of a payload object set on the entry after append."""
+    if "payload" in vars(entry):
+        return canon.dumps(entry.payload)
+    return entry.encoded
+
+
 def _walk(entries):
     """Recompute the chain over LedgerEntry objects or exported maps.
 
     Yields ``(kind, payload, encoded, payload_hash, entry_hash)`` for each
     entry that extends the chain, ``encoded`` being the payload's
     canonical bytes and both hashes recomputed from them; raises
-    TamperedLedger at the first entry that does not.
+    TamperedLedger at the first entry that does not. A LedgerEntry is
+    hashed from its stored bytes and yields no payload map (``None``),
+    unless a payload object of its own was set on it: that one is
+    checked and encoded as an exported map's is.
     """
     previous = GENESIS_HASH
     for position, item in enumerate(entries):
         if isinstance(item, LedgerEntry):
-            height, kind, payload = item.height, item.kind, item.payload
+            height, kind = item.height, item.kind
+            if "payload" in vars(item):
+                payload, encoded = item.payload, None
+            else:
+                payload, encoded = None, item.encoded
             recorded_payload_hash, recorded_entry_hash = item.payload_hash, item.entry_hash
         elif isinstance(item, dict) and item.keys() == ENTRY_FIELDS:
             height, kind, payload = item["height"], item["kind"], item["payload"]
+            encoded = None
             recorded_payload_hash = item["payload_hash"]
             recorded_entry_hash = item["entry_hash"]
         else:
             raise TamperedLedger(f"entry {position} is not a ledger entry")
         if height != position:
             raise TamperedLedger(f"entry {position} records height {height!r}")
-        if (
-            not isinstance(kind, str)
-            or kind not in ENTRY_KINDS
-            or not isinstance(payload, dict)
-            or payload.get("kind") != kind
-        ):
+        if not isinstance(kind, str) or kind not in ENTRY_KINDS:
             raise TamperedLedger(f"entry {position} has no valid kind or payload map")
-        try:
-            encoded = canon.dumps(payload)
-        except AtcpipError:
-            raise TamperedLedger(f"entry {position} payload is not canonical") from None
+        if encoded is None:
+            if not isinstance(payload, dict) or payload.get("kind") != kind:
+                raise TamperedLedger(f"entry {position} has no valid kind or payload map")
+            try:
+                encoded = canon.dumps(payload)
+            except AtcpipError:
+                raise TamperedLedger(f"entry {position} payload is not canonical") from None
         payload_hash = canon.sha256_hex(encoded)
         if payload_hash != recorded_payload_hash:
             raise TamperedLedger(f"entry {position} payload hash does not match")

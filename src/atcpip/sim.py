@@ -114,10 +114,11 @@ class Simulation:
         heapq.heappush(self._queue, (tick, self._counter, payload))
         self._counter += 1
 
-    def _on_ledger(self, entry, payload):
+    def _on_ledger(self, entry, payload, encoded):
         # canon.dumps of {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
         # built around the payload bytes the ledger has already encoded.
-        # A payment line is followed by its balance line.
+        # A payment line is followed by its balance line, read from the
+        # map the ledger encoded, so the sealed entry is not decoded.
         self._lines.append(
             b'{"entry":{"entry_hash":"%s","height":%d,"kind":"%s","payload":%s,'
             b'"payload_hash":"%s"},"kind":"ledger","tick":%d}'
@@ -125,23 +126,22 @@ class Simulation:
                 entry.entry_hash.encode("ascii"),
                 entry.height,
                 entry.kind.encode("ascii"),
-                payload,
+                encoded,
                 entry.payload_hash.encode("ascii"),
                 self.tick,
             )
         )
         if entry.kind == "payment":
-            transfer = entry.payload
             self._emit(
                 {
                     "kind": "balance",
                     "tick": self.tick,
-                    "from": transfer["from"],
-                    "to": transfer["to"],
-                    "amount": transfer["amount"],
-                    "purpose": transfer["purpose"],
-                    "from_balance": self.wallets.balance(transfer["from"]),
-                    "to_balance": self.wallets.balance(transfer["to"]),
+                    "from": payload["from"],
+                    "to": payload["to"],
+                    "amount": payload["amount"],
+                    "purpose": payload["purpose"],
+                    "from_balance": self.wallets.balance(payload["from"]),
+                    "to_balance": self.wallets.balance(payload["to"]),
                 }
             )
 
@@ -179,10 +179,15 @@ class Simulation:
             initial_balances=self.initial_balances,
             final_tick=self.tick,
         )
-        return self.transcript(), world
-
-    def transcript(self):
-        return b"\n".join(self._lines) + b"\n"
+        transcript = b"\n".join(self._lines) + b"\n"
+        # The world outlives the run, and its ledger and runtimes hold
+        # this simulation through their hooks: drop the lines, and write
+        # none for what happens on the world after the run.
+        self._lines = []
+        self.ledger.on_append = None
+        for runtime in self.runtimes.values():
+            runtime.on_memory = None
+        return transcript, world
 
     def _advance_date(self, tick):
         while self._date_breaks and self._date_breaks[0][0] <= tick:

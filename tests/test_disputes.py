@@ -14,7 +14,7 @@ from atcpip.errors import (
     UnknownDispute,
     UnknownLicense,
 )
-from atcpip.ledger import GENESIS_HASH, Ledger, chain_entry_hash
+from atcpip.ledger import GENESIS_HASH, Ledger, chain_entry_hash, verify_entries
 from atcpip.payments import SplitPlan, WalletSystem
 from atcpip.scenario import scenario_from_bytes
 from atcpip.sim import run_scenario
@@ -322,21 +322,72 @@ def test_evidence_refuses_a_tampered_chain():
 
 
 def test_evidence_rehashes_entries_outside_the_evidence():
-    # Rehashing only the evidence, or only the entries appended since the
-    # last clean check, would serve evidence from this chain.
+    # An export is a copy: editing it leaves the chain intact. An entry
+    # whose payload object is swapped still fails the next dispute, even
+    # outside the evidence: rehashing only the evidence, or only the
+    # entries appended since the last clean check, would serve evidence
+    # from that chain.
     book, court, _ = build_session(pay=1_000)
     mint_agreement(book, "other", "prov", make_terms(upfront_fee=5), "2026-01-01",
                    session_id="sess-2")
     claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
     evidence = {entry.height for entry in court.collect_evidence(claim.dispute_id).entries}
+    verdict = court.arbitrate(claim.dispute_id)
+    tip = book.tip_hash()
     exported = book.export_entries()
     victim = book.session_agreement("sess-2").height
     assert victim not in evidence
     exported[victim]["payload"]["terms"]["upfront_fee"] = 0
+    assert not verify_entries(exported)
+    assert book.tip_hash() == tip
+    assert verify_entries(book.entries())
+    assert court.resolve(claim.dispute_id) == verdict
+
+    again = court.file_dispute("sess-1", "prov", "req", "payment_default")
+    entry = book.entry(victim)
+    payload = entry.payload
+    payload["terms"]["upfront_fee"] = 0
+    object.__setattr__(entry, "payload", payload)
     with pytest.raises(TamperedLedger):
-        court.collect_evidence(claim.dispute_id)
+        court.collect_evidence(again.dispute_id)
     with pytest.raises(TamperedLedger):
-        court.arbitrate(claim.dispute_id)
+        court.arbitrate(again.dispute_id)
+
+
+@pytest.mark.parametrize("imported", [False, True], ids=["live", "imported"])
+def test_edits_to_read_payloads_leave_the_chain_sealed(imported):
+    book, court, token = build_session(pay=400)
+    if imported:
+        book = Ledger.from_export(book.export_entries())
+        for agent_id in ("prov", "req", "other"):  # keys do not travel with exports
+            book.register_agent(agent_id, agent_id.encode() + b"-key")
+        court = DisputeCourt(book, ReputationBoard(book))
+        token = book.session_agreement("sess-1")
+    claim = court.file_dispute("sess-1", "prov", "req", "payment_default")
+    verdict = court.arbitrate(claim.dispute_id)
+    assert verdict.rationale == "payments_deficient"
+    tip = book.tip_hash()
+    agreement = token.height
+    payment = next(e.height for e in book.entries_with("session_id", "sess-1") if e.kind == "payment")
+
+    # Each edit would change the tip, the token's record or the verdict
+    # if it reached the chain.
+    paid = book.entry(payment).payload
+    paid["amount"] = 1_000
+    terms = book.entry(agreement).payload["terms"]
+    terms["upfront_fee"] = 0
+    for entry in book.entries_with("session_id", "sess-1"):
+        read = entry.payload
+        read["session_id"] = "elsewhere"
+    exported = book.export_entries()
+    exported[payment]["payload"]["amount"] = 1_000
+    exported[agreement]["payload"]["terms"]["upfront_fee"] = 0
+
+    assert book.entry(payment).payload["amount"] == 400
+    assert book.tip_hash() == tip
+    assert verify_entries(book.export_entries())
+    assert book.verify_token(token, token.terms)
+    assert court.resolve(claim.dispute_id) == verdict
 
 
 def scanned_evidence(ledger, claim):

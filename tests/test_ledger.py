@@ -470,7 +470,9 @@ def test_verify_rejects_malformed_containers():
     # An in-memory entry whose payload cannot be encoded fails the check
     # instead of raising.
     entries = list(populated_ledger().entries())
-    entries[4] = dataclasses.replace(entries[4], payload={**entries[4].payload, "amount": 1.5})
+    foreign = dataclasses.replace(entries[4])
+    object.__setattr__(foreign, "payload", {**entries[4].payload, "amount": 1.5})
+    entries[4] = foreign
     with pytest.raises(CanonicalizationError):
         canon.hash_value(entries[4].payload)
     assert not verify_entries(entries)
