@@ -12,7 +12,8 @@ ledger entry, wire frame, and transcript line in the package. Rules:
   exponent; negative zero normalizes to 0.0000
 - floats and nulls are not values; encoding them raises, parsing null raises
 - only the exact types str, int, bool, Decimal, dict, list and tuple
-  encode; a subclass of one (an IntEnum, an OrderedDict) raises
+  encode, and ``Canonical`` (below); any other subclass of one (an
+  IntEnum, an OrderedDict) raises
 
 String escapes, the whole set:
 
@@ -31,10 +32,17 @@ That set is exactly what the stdlib's C escaper
 ``json.dumps(..., ensure_ascii=False)``) produces, so strings go through
 it.
 
-Callers that already hold a value's canonical bytes splice them into a
-larger document instead of encoding the value again: the simulator
-builds each ``ledger`` transcript line around the payload bytes that
-``Ledger.append`` hashed.
+A value encoded once is not walked again. Its canonical text, wrapped
+as a ``Canonical``, is a value of its own: ``dumps`` appends it as it
+is, so a document that holds one is spliced around those bytes.
+``LicenseTerms`` keeps its text this way, and every frame and ledger
+payload that carries terms holds it; a ledger export splices each
+entry's stored payload bytes. The text is trusted, not checked: it must
+be what ``dumps`` gives for some value, and equal text means equal
+bytes, which is how a receiver knows a terms object it already holds.
+``loads`` reads a ``Canonical`` like any other text. The simulator
+builds its transcript lines the same way, as templates around encoded
+strings and the bytes the ledger hashed.
 """
 
 import hashlib
@@ -53,6 +61,13 @@ ZERO4 = Decimal("0.0000")
 # One 60-digit context for every quantize, built once rather than per
 # call; a value that needs more digits is out of range.
 _QUANTIZE_CONTEXT = Context(prec=60)
+
+
+class Canonical(str):
+    """The canonical text of a value already encoded; ``dumps`` splices
+    it unchanged."""
+
+    __slots__ = ()
 
 
 def fixed4(value):
@@ -101,6 +116,8 @@ def _encode(value, parts):
         parts.append(encode_str(value))
     elif kind is dict:
         _encode_map(value, parts)
+    elif kind is Canonical:
+        parts.append(value)
     elif kind is int:
         if value < INT_MIN or value > INT_MAX:
             raise CanonicalizationError(f"integer out of 64-bit range: {value}")
@@ -255,17 +272,13 @@ def sha256_hex(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def hash_value(value):
-    """Hex digest of a value's canonical bytes."""
-    return hashlib.sha256(dumps(value)).hexdigest()
-
-
 # One encoder ships; the name stays because perfbench prints it with
 # every result.
 BACKEND = "pure"
 
 __all__ = [
     "BACKEND",
+    "Canonical",
     "INT_MAX",
     "INT_MIN",
     "QUANTUM",
@@ -273,7 +286,6 @@ __all__ = [
     "dumps",
     "fixed4",
     "format_decimal",
-    "hash_value",
     "loads",
     "sha256_hex",
 ]

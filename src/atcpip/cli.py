@@ -54,7 +54,7 @@ def _cmd_run(args):
     if args.transcript:
         _write(args.transcript, transcript)
     if args.export_ledger:
-        _write(args.export_ledger, canon.dumps(world.ledger.export_entries()) + b"\n")
+        _write(args.export_ledger, world.ledger.export_bytes() + b"\n")
     problems = check_expectations(scenario, world)
     if not world.conservation_intact():
         problems.append("total balances changed; the closed economy leaked")

@@ -161,10 +161,11 @@ class AgreementToken:
 
 
 def token_to_value(token):
-    """Wire form of an agreement token; height only once committed."""
+    """Wire form of an agreement token; height only once committed. The
+    terms are their canonical text, spliced where the token is encoded."""
     out = {
         "metadata": token.metadata.to_value(),
-        "terms": token.terms.to_value(),
+        "terms": token.terms.canonical,
         "terms_hash": token.terms_hash,
         "requester_signature": token.requester_signature,
         "session_id": token.session_id,
@@ -174,7 +175,9 @@ def token_to_value(token):
     return out
 
 
-def token_from_value(value):
+def token_from_value(value, held=()):
+    """Parse a token map; its terms are one of ``held`` when their text
+    is that object's (see ``terms_from_value``)."""
     if not isinstance(value, dict):
         raise ParseError("token must be a map")
     required = {"metadata", "terms", "terms_hash", "requester_signature", "session_id"}
@@ -189,7 +192,7 @@ def token_from_value(value):
         raise ParseError("token height must be an integer")
     return AgreementToken(
         metadata=metadata_from_value(value["metadata"]),
-        terms=terms_from_value(value["terms"]),
+        terms=terms_from_value(value["terms"], held),
         terms_hash=value["terms_hash"],
         requester_signature=value["requester_signature"],
         session_id=value["session_id"],
@@ -339,7 +342,7 @@ class Ledger:
                 "session_id": session_id,
                 "round": drafts + 1,
                 "proposer_id": proposer_id,
-                "terms": terms.to_value(),
+                "terms": terms.canonical,
                 "terms_hash": terms_hash(terms),
             },
         )
@@ -460,7 +463,7 @@ class Ledger:
 
     def verify_token(self, token, terms):
         """True only for a committed, untampered, unrevoked token whose
-        terms hash to the linked digest."""
+        terms hash to the linked digest and are ``terms``, byte for byte."""
         try:
             if token.height is None or not (0 <= token.height < len(self._entries)):
                 return False
@@ -473,7 +476,7 @@ class Ledger:
             recorded = {"kind": entry.kind, **token_to_value(replace(token, height=None))}
             if canon.dumps(recorded) != encoded:
                 return False
-            if recorded["terms"] != terms.to_value():
+            if recorded["terms"] != terms.canonical:
                 return False
             if self._last("verdict", "revokes_license_id", token.license_id) is not None:
                 return False
@@ -528,8 +531,19 @@ class Ledger:
         Every payload comes out of one ``canon.loads`` of the spliced
         bytes, which shares the key strings across entries.
         """
-        entries = self._entries
-        payloads = canon.loads(b"[" + b",".join(entry.encoded for entry in entries) + b"]")
+        encoded = b"[" + b",".join(entry.encoded for entry in self._entries) + b"]"
+        return self._export(canon.loads(encoded))
+
+    def export_bytes(self):
+        """``canon.dumps(self.export_entries())``, built around each
+        entry's stored payload bytes, which are not decoded and encoded
+        again."""
+        texts = (canon.Canonical(entry.encoded.decode("utf-8")) for entry in self._entries)
+        return canon.dumps(self._export(texts))
+
+    def _export(self, payloads):
+        """The exported map of each entry, holding its payload from
+        ``payloads``, in height order."""
         return [
             {
                 "height": entry.height,
@@ -538,7 +552,7 @@ class Ledger:
                 "payload_hash": entry.payload_hash,
                 "entry_hash": entry.entry_hash,
             }
-            for entry, payload in zip(entries, payloads)
+            for entry, payload in zip(self._entries, payloads)
         ]
 
     @classmethod

@@ -23,7 +23,14 @@ runs out, a failure reason or a step. ``expire`` ends a wait.
 The license a session closed on lives on the chain, as the ledger's
 agreement for the session id. The requester takes a ``deliver_ip`` only
 when that agreement binds the session's terms and the frame carries it
-unchanged; the content it delivered is kept on the session.
+unchanged, byte for byte; the content it delivered is kept on the
+session.
+
+Terms travel as their canonical text (``LicenseTerms.canonical``), in
+``propose_terms``, ``final_terms`` and every token. A receiver handed
+the text of terms its session already holds (the standing offer, or
+the requester's own last counter) takes that object; any other terms
+are parsed and validated in full.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
@@ -38,7 +45,13 @@ from decimal import Decimal
 from typing import Optional
 
 from . import canon
-from .errors import InvalidTerms, MalformedFrame, ParseError, ProtocolViolation
+from .errors import (
+    CanonicalizationError,
+    InvalidTerms,
+    MalformedFrame,
+    ParseError,
+    ProtocolViolation,
+)
 from .ledger import token_to_value
 from .terms import delta_from_value, terms_from_value, terms_hash
 
@@ -245,8 +258,10 @@ TERMINAL = frozenset(
 class Session:
     """What both sides of one session keep: ``terms`` and
     ``previous_license_id`` are the standing offer as the provider last
-    sent it, and ``outbox`` the messages numbered and not yet drained.
-    Each role adds its ``state`` and its own fields."""
+    sent it, ``countered`` the terms the requester's counter asked for,
+    held until an answer comes or the session closes, and ``outbox`` the
+    messages numbered and not yet drained. Each role adds its ``state``
+    and its own fields."""
 
     session_id: str
     provider_id: str
@@ -255,6 +270,7 @@ class Session:
     content_id: str = ""
     terms: object = None
     previous_license_id: Optional[str] = None
+    countered: object = None
     round: int = 0
     failure_reason: str = ""
     reject_reason: str = ""
@@ -332,6 +348,7 @@ def _prelude(session, event):
         return False
     session.reject_reason = event.body.get("reason", "")
     session.state = type(session.state).REJECTED
+    session.countered = None
     return True
 
 
@@ -346,6 +363,7 @@ def fail(session, agent, reason):
     """Close the session as failed; nothing goes on the wire."""
     session.failure_reason = reason
     session.state = type(session.state).FAILED
+    session.countered = None
     agent.remember(f"Session failed: {reason}")
 
 
@@ -418,7 +436,7 @@ def provider_propose(session, agent, terms, previous_license_id=None):
     session.previous_license_id = previous_license_id
     session.round += 1
     session.state = ProviderState.TERMS_PROPOSED
-    body = {"terms": terms.to_value(), "round": session.round}
+    body = {"terms": terms.canonical, "round": session.round}
     if previous_license_id is not None:
         body["previous_license_id"] = previous_license_id
     agent.mint_draft(session, terms)
@@ -443,7 +461,7 @@ def provider_revise(session, agent, terms, echo):
     session.round += 1
     if not echo:
         agent.mint_draft(session, terms)
-    _send(session, "final_terms", {"terms": terms.to_value(), "round": session.round})
+    _send(session, "final_terms", {"terms": terms.canonical, "round": session.round})
 
 
 def provider_deliver(session, agent, token, content):
@@ -478,6 +496,7 @@ def requester_transition(session, event, agent):
         and action in ("propose_terms", "final_terms")
     ):
         session.terms = _parse_terms(session, event.body["terms"])
+        session.countered = None
         if action == "propose_terms":  # final terms revise the terms only
             session.previous_license_id = event.body.get("previous_license_id")
         session.round = max(session.round, _round_of(event))
@@ -495,12 +514,12 @@ def requester_transition(session, event, agent):
         agent.settle(session, amount, split)
     elif state is RequesterState.AWAITING_DELIVERY and action == "deliver_ip":
         # The license is the chain's agreement for this session; the
-        # frame only has to carry it unchanged.
+        # frame only has to carry it unchanged, in bytes.
         agreement = agent.ledger.session_agreement(session.session_id)
         if (
             agreement is None
             or agreement.terms_hash != terms_hash(session.terms)
-            or event.body["token"] != token_to_value(agreement)
+            or not _same_bytes(event.body["token"], token_to_value(agreement))
         ):
             raise _violation(session, event)
         session.content = event.body["content"]
@@ -513,10 +532,21 @@ def requester_transition(session, event, agent):
 
 
 def _parse_terms(session, value):
+    """The terms a frame carries: the standing offer or the requester's
+    own last counter when the text is theirs, else built in full."""
     try:
-        return terms_from_value(value)
+        return terms_from_value(value, (session.terms, session.countered))
     except (ParseError, InvalidTerms) as exc:
         raise ProtocolViolation(f"terms in message do not parse: {exc}") from None
+
+
+def _same_bytes(received, expected):
+    """True when a received value encodes to the bytes of ``expected``;
+    a value with no canonical form matches nothing."""
+    try:
+        return canon.dumps(received) == canon.dumps(expected)
+    except CanonicalizationError:
+        return False
 
 
 def _parse_delta(value):
@@ -568,6 +598,7 @@ def requester_counter(session, agent, delta_value, countered):
     session.counters_used += 1
     session.round += 1
     session.state = RequesterState.COUNTERING
+    session.countered = countered
     agent.mint_draft(session, countered)
     _send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})
 

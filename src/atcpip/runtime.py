@@ -497,7 +497,7 @@ class AgentRuntime:
     def atomic_exchange(self, session, token_value):
         """Commit the requester's token and deliver, or abort the session."""
         try:
-            token = token_from_value(token_value)
+            token = token_from_value(token_value, (session.terms,))
         except (ParseError, InvalidTerms):
             token = None
         fits = token is not None and (

@@ -27,8 +27,9 @@ import random
 from dataclasses import dataclass
 
 from . import canon
+from .canon import encode_str
 from .disputes import DisputeCourt, record_usage
-from .errors import AtcpipError
+from .errors import AtcpipError, CanonicalizationError
 from .ledger import Ledger
 from .negotiation import RISK_TIERS
 from .payments import WalletSystem
@@ -110,12 +111,25 @@ class Simulation:
     def _emit(self, value):
         self._lines.append(canon.dumps(value))
 
+    def _emit_text(self, text):
+        """Append a line built as canonical text; a string in it with no
+        UTF-8 form raises as it does in ``canon.dumps``."""
+        try:
+            self._lines.append(text.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise CanonicalizationError(f"string not encodable as UTF-8: {exc}") from None
+
     def _push(self, tick, payload):
         heapq.heappush(self._queue, (tick, self._counter, payload))
         self._counter += 1
 
+    # Every line after the meta line is canon.dumps of a map with a fixed
+    # key set, written as a template in key order around encoded strings
+    # and bytes already encoded; tests/test_sim.py holds each template to
+    # the map it stands for.
+
     def _on_ledger(self, entry, payload, encoded):
-        # canon.dumps of {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
+        # {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
         # built around the payload bytes the ledger has already encoded.
         # A payment line is followed by its balance line, read from the
         # map the ledger encoded, so the sealed entry is not decoded.
@@ -132,22 +146,58 @@ class Simulation:
             )
         )
         if entry.kind == "payment":
-            self._emit(
-                {
-                    "kind": "balance",
-                    "tick": self.tick,
-                    "from": payload["from"],
-                    "to": payload["to"],
-                    "amount": payload["amount"],
-                    "purpose": payload["purpose"],
-                    "from_balance": self.wallets.balance(payload["from"]),
-                    "to_balance": self.wallets.balance(payload["to"]),
-                }
+            payer, payee = payload["from"], payload["to"]
+            self._emit_text(
+                '{"amount":%d,"from":%s,"from_balance":%d,"kind":"balance","purpose":%s,'
+                '"tick":%d,"to":%s,"to_balance":%d}'
+                % (
+                    payload["amount"],
+                    encode_str(payer),
+                    self.wallets.balance(payer),
+                    encode_str(payload["purpose"]),
+                    self.tick,
+                    encode_str(payee),
+                    self.wallets.balance(payee),
+                )
             )
 
     def _on_memory(self, agent_id, record):
-        self._emit(
-            {"kind": "memory", "tick": self.tick, "agent": agent_id, "record": record.to_value()}
+        # {"kind": "memory", "tick": ..., "agent": ..., "record": record.to_value()}
+        if record.kind == "log":
+            body = '{"kind":"log","text":%s,"tick":%d}' % (encode_str(record.text), record.tick)
+        else:
+            body = (
+                '{"acknowledged":%s,"content_id":%s,"kind":"transaction","license_id":%s,'
+                '"requester_id":%s,"terms_hash":%s,"tick":%d}'
+                % (
+                    "true" if record.acknowledged else "false",
+                    encode_str(record.content_id),
+                    encode_str(record.license_id),
+                    encode_str(record.requester_id),
+                    encode_str(record.terms_hash),
+                    record.tick,
+                )
+            )
+        self._emit_text(
+            '{"agent":%s,"kind":"memory","record":%s,"tick":%d}'
+            % (encode_str(agent_id), body, self.tick)
+        )
+
+    def _emit_message(self, status, message):
+        # {"kind": "msg", "tick": ..., "status": ..., "frame": message.to_value()}
+        self._emit_text(
+            '{"frame":{"action":%s,"body":%s,"recipient":%s,"sender":%s,"seq":%d,'
+            '"session_id":%s},"kind":"msg","status":"%s","tick":%d}'
+            % (
+                encode_str(message.action),
+                canon.dumps(message.body).decode("utf-8"),
+                encode_str(message.recipient),
+                encode_str(message.sender),
+                message.seq,
+                encode_str(message.session_id),
+                status,
+                self.tick,
+            )
         )
 
     # -- event loop ---------------------------------------------------------------
@@ -195,14 +245,7 @@ class Simulation:
             self.ledger.current_date = date
 
     def _deliver(self, message):
-        self._emit(
-            {
-                "kind": "msg",
-                "tick": self.tick,
-                "status": "delivered",
-                "frame": message.to_value(),
-            }
-        )
+        self._emit_message("delivered", message)
         runtime = self.runtimes[message.recipient]
         self._route(self._act(runtime, "Message", runtime.receive_message, message))
         self._sweep(runtime, message.session_id)
@@ -221,14 +264,7 @@ class Simulation:
         for message in messages:
             probability = self._drop.get(message.action)
             if probability is not None and self.rng.random() < probability:
-                self._emit(
-                    {
-                        "kind": "msg",
-                        "tick": self.tick,
-                        "status": "dropped",
-                        "frame": message.to_value(),
-                    }
-                )
+                self._emit_message("dropped", message)
                 continue
             latency = low if low == high else self.rng.randint(low, high)
             key = (self.tick + latency, message.recipient, message.session_id)
@@ -253,19 +289,22 @@ class Simulation:
             changed = session.state is not previous
             if changed:
                 self._session_state[key] = session.state
-                value = {
-                    "kind": "state",
-                    "tick": self.tick,
-                    "agent": runtime.agent_id,
-                    "session": session_id,
-                    "role": session.role,
-                    "state": session.state.value,
-                }
-                if session.failure_reason:
-                    value["failure"] = session.failure_reason
-                if session.reject_reason:
-                    value["reject"] = session.reject_reason
-                self._emit(value)
+                # {"kind": "state", "tick": ..., "agent": ..., "session": ...,
+                # "role": ..., "state": ...}, plus "failure" and "reject"
+                # when the session has those reasons.
+                failure, reject = session.failure_reason, session.reject_reason
+                self._emit_text(
+                    '{"agent":%s%s,"kind":"state"%s,"role":"%s","session":%s,"state":"%s","tick":%d}'
+                    % (
+                        encode_str(runtime.agent_id),
+                        ',"failure":' + encode_str(failure) if failure else "",
+                        ',"reject":' + encode_str(reject) if reject else "",
+                        session.role,
+                        encode_str(session_id),
+                        session.state.value,
+                        self.tick,
+                    )
+                )
             if changed or session_id == touched_session_id:
                 epoch = self._epoch.get(key, 0) + 1
                 self._epoch[key] = epoch

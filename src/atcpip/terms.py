@@ -11,6 +11,14 @@ builds terms (the constructor, ``replace``, ``terms_from_value``,
 ``apply_delta``) goes through that check, so a ``LicenseTerms`` that
 exists is valid and there is no separate ``validate``.
 
+A ``LicenseTerms`` is encoded once: it keeps its own canonical text,
+and its digest is the sha256 of that text. Frames and ledger payloads
+carry the text (a ``canon.Canonical``), not a map, and a receiver
+handed text equal to that of a terms object it already holds takes
+that object instead of building another. Text is compared, never maps:
+``1 == True`` and ``1 == Decimal(1)`` hold for values that encode
+apart.
+
 Negotiation edits terms in one form only: a ``TermsDelta`` of
 whole-field sets, which is what a counter carries on the wire.
 ``delta_from_value`` refuses any other edit, and ``apply_delta``
@@ -82,7 +90,9 @@ class LicenseTerms:
     """A complete machine-readable license offer.
 
     Defaults give a conservative read-only grant so call sites only
-    spell out what they mean to change.
+    spell out what they mean to change. The object keeps its own bytes:
+    ``canonical`` is its canonical text, encoded on first use and kept;
+    it takes no part in ==, hash() or ``to_value()``.
     """
 
     name: str = "license"
@@ -132,19 +142,28 @@ class LicenseTerms:
         return replace(self, **changes)
 
     @cached_property
-    def _digest(self):
-        # Kept in the instance __dict__, outside the dataclass fields, so
-        # it takes no part in ==, hash() or to_value(). The fields are
-        # frozen, and replace() builds a new instance, which hashes its
-        # own fields.
-        return canon.hash_value(self.to_value())
+    def canonical(self):
+        # Kept in the instance __dict__, outside the dataclass fields. The
+        # fields are frozen, and replace() builds a new instance, which
+        # encodes its own fields.
+        return canon.Canonical(canon.dumps(self.to_value()).decode("utf-8"))
 
 
 FIELD_ORDER = tuple(spec.name for spec in fields(LicenseTerms))
 
 
-def terms_from_value(value):
-    """Rebuild LicenseTerms from a canonical map; closed-world keys."""
+def terms_from_value(value, held=()):
+    """Rebuild LicenseTerms from a canonical map, or from canonical text
+    (a ``canon.Canonical``), which is parsed first; closed-world keys.
+
+    Text equal to the ``canonical`` text of a terms object in ``held``
+    (None entries are skipped) returns that object as it is.
+    """
+    if type(value) is canon.Canonical:
+        for terms in held:
+            if terms is not None and terms.canonical == value:
+                return terms
+        value = canon.loads(value)
     if not isinstance(value, dict):
         raise ParseError("terms document must be a map")
     unknown = set(value) - set(FIELD_ORDER)
@@ -213,8 +232,8 @@ def _violations(terms):
 
 
 def terms_hash(terms):
-    """Hash of the canonical terms map, computed once per instance."""
-    return terms._digest
+    """Hash of the terms' canonical bytes."""
+    return canon.sha256_hex(terms.canonical.encode("utf-8"))
 
 
 # -- counter edits -------------------------------------------------------------

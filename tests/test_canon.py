@@ -151,6 +151,28 @@ def test_subclasses_of_encodable_types_are_rejected(dumps, value):
         dumps(value)
 
 
+class Text(canon.Canonical):
+    pass
+
+
+def test_canonical_text_is_spliced_as_it_is(dumps):
+    inner = {"b": [1, Decimal("0.5")], "a": "caf\u00e9 \"q\"\n"}
+    text = canon.Canonical(dumps(inner).decode("utf-8"))
+    document = {"z": text, "list": [text, 2]}
+    expected = {"z": inner, "list": [inner, 2]}
+    assert dumps(document) == dumps(expected)
+    assert dumps(text) == dumps(inner)
+    assert canon.loads(text) == inner
+    # Only the exact type splices; a subclass of it is refused like any other.
+    with pytest.raises(CanonicalizationError, match="unencodable type"):
+        dumps({"k": Text("{}")})
+
+
+def test_canonical_text_with_a_lone_surrogate_raises(dumps):
+    with pytest.raises(CanonicalizationError):
+        dumps([canon.Canonical('"\ud800"')])
+
+
 def test_surrogate_rejected(dumps):
     with pytest.raises(CanonicalizationError):
         dumps("\ud800")
@@ -287,7 +309,6 @@ def test_decimal_tokens_always_have_four_digits(value):
     assert not token.startswith("-0.0000") or value != 0
 
 
-def test_hash_value_is_sha256_of_bytes():
-    value = {"k": 1}
-    assert canon.hash_value(value) == canon.sha256_hex(canon.dumps(value))
-    assert canon.hash_value({}) == "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+def test_digest_of_the_empty_map_is_pinned():
+    digest = canon.sha256_hex(canon.dumps({}))
+    assert digest == "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"

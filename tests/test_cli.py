@@ -84,6 +84,7 @@ def test_run_writes_transcript_and_ledger_and_exits_zero(tmp_path, capsys):
     assert canon.loads(lines[0])["kind"] == "meta"
     exported = canon.loads(export.read_bytes())
     assert isinstance(exported, list) and exported
+    assert export.read_bytes() == canon.dumps(exported) + b"\n"
 
 
 def test_run_reports_expectation_failures_with_exit_one(tmp_path, capsys):

@@ -489,7 +489,7 @@ def test_dispute_over_a_session_without_agreement_is_a_typed_error(tmp_path, cap
 
 def forge_jurisdiction(draft):
     draft["terms"]["jurisdiction"] = "ZZ"
-    draft["terms_hash"] = canon.hash_value(draft["terms"])
+    draft["terms_hash"] = canon.sha256_hex(canon.dumps(draft["terms"]))
 
 
 def drop_terms(draft):
@@ -500,7 +500,7 @@ def rehash(exported):
     """Recompute every hash of an edited export, so the forgery verifies."""
     previous = GENESIS_HASH
     for entry in exported:
-        entry["payload_hash"] = canon.hash_value(entry["payload"])
+        entry["payload_hash"] = canon.sha256_hex(canon.dumps(entry["payload"]))
         entry["entry_hash"] = previous = chain_entry_hash(previous, entry["payload_hash"])
     return exported
 

@@ -222,10 +222,12 @@ UNREFERENCED_ON_PURPOSE = {
     "replay_records",
     # ``Ledger.entry``: the tamper tests edit one stored entry through it.
     "entry",
-    # ``Scenario.session_ids`` and ``DisputeCourt.rebuild``: the benchmark
-    # under ``perfbench/`` calls both.
+    # ``Scenario.session_ids``, ``DisputeCourt.rebuild`` and
+    # ``Ledger.export_entries`` (the CLI writes ``export_bytes``): the
+    # benchmark under ``perfbench/`` calls all three.
     "session_ids",
     "rebuild",
+    "export_entries",
 }
 
 

@@ -51,7 +51,7 @@ def test_first_entry_links_to_all_zero_hash():
     assert first.entry_hash == hashlib.sha256(
         (GENESIS_HASH + first.payload_hash).encode()
     ).hexdigest()
-    assert first.payload_hash == canon.hash_value(first.payload)
+    assert first.payload_hash == canon.sha256_hex(canon.dumps(first.payload))
 
 
 def test_heights_are_dense_and_chain_verifies():
@@ -240,7 +240,7 @@ def test_agreement_payload_is_the_token_wire_form():
     token = book.commit_agreement(prepared)
     payload = dict(book.entry(token.height).payload)
     assert payload.pop("kind") == "agreement_token"
-    assert payload == token_to_value(prepared)
+    assert canon.dumps(payload) == canon.dumps(token_to_value(prepared))
     assert not book.verify_token(dataclasses.replace(token, session_id="other"), terms)
     height = book.height
     with pytest.raises(ParseError, match="unknown token field 'note'"):
@@ -427,7 +427,7 @@ def chained(payloads):
     checks that append runs."""
     exported, previous = [], GENESIS_HASH
     for height, payload in enumerate(payloads):
-        payload_hash = canon.hash_value(payload)
+        payload_hash = canon.sha256_hex(canon.dumps(payload))
         previous = chain_entry_hash(previous, payload_hash)
         exported.append({"height": height, "kind": payload["kind"], "payload": payload,
                          "payload_hash": payload_hash, "entry_hash": previous})
@@ -474,7 +474,7 @@ def test_verify_rejects_malformed_containers():
     object.__setattr__(foreign, "payload", {**entries[4].payload, "amount": 1.5})
     entries[4] = foreign
     with pytest.raises(CanonicalizationError):
-        canon.hash_value(entries[4].payload)
+        canon.sha256_hex(canon.dumps(entries[4].payload))
     assert not verify_entries(entries)
 
 

@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from atcpip import canon
 from atcpip.errors import MalformedFrame, ProtocolViolation
 from atcpip.ledger import Ledger, token_to_value
 from atcpip.payments import SplitPlan
@@ -52,6 +53,16 @@ def test_encode_decode_round_trip():
     original = msg("propose_terms", {"terms": terms.to_value(), "round": 1}, sender="provider",
                    recipient="requester")
     assert decode_message(encode_message(original)) == original
+
+
+def test_spliced_terms_encode_to_the_bytes_of_the_map():
+    terms = make_terms(description='a "quoted"\nline, caf\u00e9')
+    spliced = msg("propose_terms", {"terms": terms.canonical, "round": 1}, sender="provider",
+                  recipient="requester")
+    mapped = msg("propose_terms", {"terms": terms.to_value(), "round": 1}, sender="provider",
+                 recipient="requester")
+    assert encode_message(spliced) == encode_message(mapped)
+    assert decode_message(encode_message(spliced)) == mapped
 
 
 def test_frame_is_length_prefixed_canonical_json():
@@ -452,6 +463,51 @@ def test_requester_counter_flow():
     assert session.drain() == []
 
 
+def test_requester_reuses_held_terms_only_for_their_own_text():
+    standing = make_terms(royalty_rate="0.30")
+    countered = standing.replace(royalty_rate=Decimal("0.1000"))
+
+    def answer(terms):
+        session = requester_session(state=RequesterState.COUNTERING)
+        session.terms, session.countered = standing, countered
+        final = msg("final_terms", {"terms": terms, "round": 2},
+                    sender="provider", recipient="requester")
+        requester_transition(session, final, RecordingAgent(session))
+        assert session.state is RequesterState.EVALUATING_TERMS
+        assert session.countered is None
+        return session.terms
+
+    assert answer(countered.canonical) is countered
+    assert answer(standing.canonical) is standing
+    # Text is matched by its bytes, wherever it was built; a map is
+    # parsed into terms of its own.
+    assert answer(canon.Canonical(canon.dumps(countered.to_value()).decode("utf-8"))) is countered
+    mapped = answer(countered.to_value())
+    assert mapped == countered and mapped is not countered
+    # A map equal to the counter under == but not in bytes (1 for true)
+    # is parsed, and refused, not taken for the counter.
+    assert countered.onchain_enforcement is True
+    loose = dict(countered.to_value(), onchain_enforcement=1)
+    assert loose == countered.to_value()
+    with pytest.raises(ProtocolViolation, match="terms in message do not parse"):
+        answer(canon.Canonical(canon.dumps(loose).decode("utf-8")))
+
+
+def test_terms_text_that_no_held_terms_have_is_refused_when_it_breaks_a_rule():
+    _, _, _, runtimes = make_world({"req": {}})
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", "item")
+    bad = dict(make_terms().to_value(), jurisdiction="ZZ")
+    for terms in (bad, canon.Canonical(canon.dumps(bad).decode("utf-8"))):
+        proposal = msg("propose_terms", {"terms": terms, "round": 1}, sender="prov",
+                       recipient="req")
+        assert requester.receive_message(proposal) == []
+        assert requester.session("s1").state is RequesterState.AWAITING_TERMS
+        note = requester.memory_texts()[-1]
+        assert note.startswith("Protocol violation: terms in message do not parse: ")
+        assert note.endswith("jurisdiction: not a recognized jurisdiction code")
+
+
 def test_requester_validates_payment_request():
     session = requester_session(state=RequesterState.PAYING)
     session.terms = paid_terms()
@@ -519,6 +575,32 @@ def test_requester_delivery_checks_token_binding():
         )
 
 
+def test_requester_takes_a_delivery_whose_token_came_off_the_wire():
+    item = CatalogItem("item", "content", tags=("dataset",), terms=make_terms())
+    _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    provider, requester = runtimes["prov"], runtimes["req"]
+    [request] = requester.start_request("s1", "prov", "item")
+    [proposal] = provider.receive_message(request)
+    acceptance, token_message = requester.receive_message(proposal)
+    provider.receive_message(acceptance)
+    [delivery] = provider.receive_message(token_message)
+    wired = decode_message(encode_message(delivery))
+    assert type(wired.body["token"]["terms"]) is dict
+    # A token map equal to the agreement under == but not in bytes is
+    # not the agreement.
+    loose = dict(wired.body["token"])
+    loose["terms"] = dict(loose["terms"], onchain_enforcement=1)
+    assert requester.receive_message(
+        msg("deliver_ip", dict(wired.body, token=loose), sender="prov", recipient="req",
+            seq=wired.seq)
+    ) == []
+    assert requester.session("s1").state is RequesterState.AWAITING_DELIVERY
+    assert requester.memory_texts()[-1].startswith("Protocol violation: ")
+    assert requester.receive_message(wired) == []
+    assert requester.session("s1").state is RequesterState.COMPLETED
+    assert requester.session("s1").content == "content"
+
+
 def test_requester_timeout_reasons():
     for state, reason in [
         (RequesterState.AWAITING_TERMS, "No terms received."),
@@ -555,7 +637,7 @@ def test_token_whose_terms_break_a_rule_makes_the_provider_abort():
     provider.receive_message(acceptance)
     assert provider.session("s1").state is ProviderState.AWAITING_TOKEN
     token = dict(token_message.body["token"])
-    token["terms"] = dict(token["terms"], jurisdiction="ZZ")
+    token["terms"] = dict(canon.loads(token["terms"]), jurisdiction="ZZ")
     tampered = msg("license_token", {"token": token}, sender="req", recipient="prov",
                    seq=token_message.seq)
     assert provider.receive_message(tampered) == []

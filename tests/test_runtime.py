@@ -20,6 +20,8 @@ from atcpip.protocol import (
     ProviderState,
     RequesterState,
     SessionConfig,
+    decode_message,
+    encode_message,
     message_from_value,
 )
 from atcpip import runtime as runtime_module
@@ -728,6 +730,24 @@ def test_token_with_swapped_parties_is_refused():
     assert prov.state is ProviderState.FAILED
     assert prov.failure_reason == NO_TOKEN_FAILURE
     assert ledger.session_agreement("s1") is None
+
+
+@pytest.mark.parametrize("wire", [False, True], ids=["in_memory", "off_the_wire"])
+def test_committed_token_holds_the_session_terms_when_its_text_is_theirs(wire):
+    item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",),
+                       terms=IP_TERMS.replace(upfront_fee=0))
+    ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    msgs = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
+    msgs = step(runtimes, msgs)  # request_info -> propose_terms
+    msgs = step(runtimes, msgs)  # propose_terms -> accept_terms + license_token
+    if wire:
+        msgs = [decode_message(encode_message(message)) for message in msgs]
+    step(runtimes, msgs)  # -> deliver_ip
+    standing = runtimes["prov"].session("s1").terms
+    committed = ledger.session_agreement("s1").terms
+    # Text is taken as the session's own terms; a map is parsed anew.
+    assert committed == standing
+    assert (committed is standing) is not wire
 
 
 RATE_EDIT = {"op": "set", "path": ["royalty_rate"], "value": Decimal("0.0400")}

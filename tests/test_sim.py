@@ -9,20 +9,24 @@ import pytest
 
 from atcpip import canon
 from atcpip import runtime as runtime_module
-from atcpip.errors import AtcpipError, ParseError
+from atcpip.errors import AtcpipError, CanonicalizationError, ParseError
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_PAYMENT_REQUEST_FAILURE,
     NO_TERMS_FAILURE,
     NO_TOKEN_FAILURE,
+    ProtocolMessage,
     ProviderState,
+    RequesterSession,
     RequesterState,
+    SessionConfig,
 )
 from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
-from atcpip.runtime import AgentRuntime
+from atcpip.runtime import AgentRuntime, MemoryRecord
 from atcpip.sim import Simulation, check_expectations, replay, run_scenario
 from atcpip.trust import replay_records
+from conftest import make_terms
 
 
 def two_party_value(**overrides):
@@ -536,6 +540,137 @@ def test_golden_transcript_lines_are_canonical(name):
             entry = value["entry"]
             assert entry["payload_hash"] == canon.sha256_hex(canon.dumps(entry["payload"]))
     assert ledger_lines > 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_export_bytes_are_the_encoded_export(name):
+    # The CLI's ledger export splices each entry's stored payload bytes.
+    _, world = run_scenario(golden_scenario(name))
+    assert world.ledger.export_bytes() == canon.dumps(world.ledger.export_entries())
+
+
+# -- templated transcript lines ------------------------------------------------
+#
+# State, memory, msg and balance lines are written as templates; each must
+# be canon.dumps of the map it stands for, escapes included.
+
+ESCAPED = 'q"uote\nline caf\u00e9 \u2603\t'
+
+
+class OneSession:
+    """The runtime side of a sweep that acted on one session."""
+
+    def __init__(self, agent_id, session):
+        self.agent_id, self.session = agent_id, session
+
+    def sessions(self, acted=False):
+        return {self.session.session_id: self.session}
+
+    def timer_for(self, session_id):
+        return None
+
+
+def bare_simulation():
+    sim = Simulation(golden_scenario("uc1_dataset"))
+    sim.tick = 7
+    return sim
+
+
+@pytest.mark.parametrize(
+    "state, failure, reject",
+    [
+        (RequesterState.COUNTERING, "", ""),
+        (RequesterState.FAILED, ESCAPED, ""),
+        (RequesterState.REJECTED, "", ESCAPED),
+        (RequesterState.FAILED, "failed", ESCAPED),
+    ],
+    ids=["plain", "failure", "reject", "both"],
+)
+def test_state_line_is_the_canonical_map(state, failure, reject):
+    sim = bare_simulation()
+    session = RequesterSession(
+        session_id=ESCAPED, requester_id="req", provider_id="prov", config=SessionConfig(),
+        state=state, failure_reason=failure, reject_reason=reject,
+    )
+    sim._sweep(OneSession("agent \u00e9", session))
+    value = {
+        "kind": "state",
+        "tick": 7,
+        "agent": "agent \u00e9",
+        "session": ESCAPED,
+        "role": "requester",
+        "state": state.value,
+    }
+    if failure:
+        value["failure"] = failure
+    if reject:
+        value["reject"] = reject
+    assert sim._lines[-1] == canon.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        MemoryRecord(kind="log", tick=7, text=ESCAPED),
+        MemoryRecord(kind="transaction", tick=7, requester_id=ESCAPED, content_id="c\"1",
+                     terms_hash="ab" * 32, license_id="f" * 32, acknowledged=True),
+        MemoryRecord(kind="transaction", tick=7, requester_id="r", content_id="\u00e9"),
+    ],
+    ids=["log", "acknowledged", "unacknowledged"],
+)
+def test_memory_line_is_the_canonical_map(record):
+    sim = bare_simulation()
+    sim._on_memory(ESCAPED, record)
+    value = {"kind": "memory", "tick": 7, "agent": ESCAPED, "record": record.to_value()}
+    assert sim._lines[-1] == canon.dumps(value)
+
+
+@pytest.mark.parametrize("status", ["delivered", "dropped"])
+def test_msg_line_is_the_canonical_map(status):
+    sim = bare_simulation()
+    terms = make_terms(description=ESCAPED)
+    message = ProtocolMessage(ESCAPED, 3, "prov \u00e9", 'req "r"', "propose_terms",
+                              {"terms": terms.canonical, "round": 1})
+    sim._emit_message(status, message)
+    frame = dict(message.to_value(), body={"terms": terms.to_value(), "round": 1})
+    value = {"kind": "msg", "tick": 7, "status": status, "frame": frame}
+    assert sim._lines[-1] == canon.dumps(value)
+
+
+def test_balance_line_is_the_canonical_map():
+    sim = bare_simulation()
+    payer, payee = 'payer "p"', "payee\n\u00e9"
+    sim.wallets.open_account(payer, 10)
+    sim.wallets.open_account(payee, 5)
+    payload = {"from": payer, "to": payee, "amount": 3, "purpose": ESCAPED}
+    entry = sim.ledger.append("payment", payload)
+    ledger_line, balance_line = sim._lines[-2:]
+    assert ledger_line == canon.dumps({"kind": "ledger", "tick": 7, "entry": entry.to_value()})
+    value = {
+        "kind": "balance",
+        "tick": 7,
+        "from": payer,
+        "to": payee,
+        "amount": 3,
+        "purpose": ESCAPED,
+        "from_balance": 10,
+        "to_balance": 5,
+    }
+    assert balance_line == canon.dumps(value)
+
+
+def test_templated_line_with_a_lone_surrogate_raises_a_canonicalization_error():
+    sim = bare_simulation()
+    with pytest.raises(CanonicalizationError):
+        sim._on_memory("agent", MemoryRecord(kind="log", tick=7, text="\ud800"))
+    session = RequesterSession(
+        session_id="s\ud800", requester_id="req", provider_id="prov", config=SessionConfig()
+    )
+    with pytest.raises(CanonicalizationError):
+        sim._sweep(OneSession("agent", session))
+    message = ProtocolMessage("s1", 0, "a", "b", "reject", {"reason": "\udfff"})
+    with pytest.raises(CanonicalizationError):
+        sim._emit_message("delivered", message)
 
 
 class FullSweepSimulation(Simulation):

@@ -155,9 +155,9 @@ def test_edited_and_rebuilt_terms_hash_their_own_fields():
         terms_from_value(dict(base.to_value(), royalty_rate=Decimal("0.2500"))),
     ]
     for terms in edited:
-        assert terms_hash(terms) == canon.hash_value(terms.to_value()) != base_hash
+        assert terms_hash(terms) == canon.sha256_hex(canon.dumps(terms.to_value())) != base_hash
     assert terms_hash(terms_from_value(base.to_value())) == base_hash
-    assert terms_hash(base) == canon.hash_value(base.to_value())
+    assert terms_hash(base) == canon.sha256_hex(canon.dumps(base.to_value()))
 
 
 def test_cached_digest_stays_out_of_value_equality_and_hash():
@@ -167,6 +167,36 @@ def test_cached_digest_stays_out_of_value_equality_and_hash():
     assert hashed.to_value() == fresh.to_value()
     assert hashed == fresh and hash(hashed) == hash(fresh)
     assert terms_from_value(hashed.to_value()) == hashed
+
+
+@given(valid_terms())
+def test_terms_rebuilt_from_their_text_are_equal_and_encode_identically(terms):
+    # The soundness of reuse: a receiver that takes a held object for text
+    # equal to its own gets what parsing that text would have built.
+    rebuilt = terms_from_value(canon.loads(terms.canonical))
+    assert rebuilt == terms
+    assert rebuilt.canonical == terms.canonical
+    assert canon.dumps(terms.canonical) == canon.dumps(terms.to_value())
+    assert terms_hash(terms) == canon.sha256_hex(canon.dumps(terms.to_value()))
+    assert terms_from_value(terms.canonical) == terms
+    assert terms_from_value(terms.canonical, (None, terms)) is terms
+
+
+def test_held_terms_are_matched_by_text_not_by_map():
+    held = make_terms(upfront_fee=5)
+    assert terms_from_value(held.to_value(), (held,)) is not held
+    # A plain string is not taken for canonical text: it is no terms
+    # document.
+    with pytest.raises(ParseError, match="must be a map"):
+        terms_from_value(str(held.canonical), (held,))
+
+
+def test_terms_with_a_lone_surrogate_have_no_text_and_no_digest():
+    terms = make_terms(description="\ud800")
+    with pytest.raises(CanonicalizationError):
+        terms.canonical
+    with pytest.raises(CanonicalizationError):
+        terms_hash(terms)
 
 
 def test_from_value_round_trip():
