@@ -7,11 +7,14 @@ Usage, from the root of a checkout:
 Both shapes of ``perfbench/worlds.py`` (``market``: many agents with a
 few dozen sessions each; ``hot_provider``: every session on one
 provider) run through ``run_scenario`` at 250, 1000 and 4000 sessions,
-seed 1. Each size runs ``REPEATS`` times; the script records the
-median wall-clock ms/session, raw and calibrated to the reference host
-by ``perfbench/calibrate.py`` (one slice right before and one right
-after each run), and transcript bytes/session. On one more run of each
-shape and size it records the median calibrated ms of one
+seed 1. Each size runs one generated world at least ``MIN_RUNS`` times
+and until the runs together last ``MIN_SECONDS``, so a 250-session
+cell is the median of about ten runs, not of three that a shift in
+host speed can move. The script records the median wall-clock
+ms/session, raw and calibrated to the reference host by
+``perfbench/calibrate.py`` (one slice right before and one right after
+each run), the number of runs, and transcript bytes/session. On one
+more run of each shape and size it records the median calibrated ms of one
 ``file_dispute`` + ``resolve`` on the finished world, so dispute cost
 shows against chain length.
 
@@ -46,7 +49,8 @@ from atcpip.sim import run_scenario  # noqa: E402
 
 SHAPES = ("market", "hot_provider")
 SIZES = (250, 1000, 4000)
-REPEATS = 3
+MIN_RUNS = 3
+MIN_SECONDS = 1.0  # raw run time each cell sums to at least
 SEED = 1
 DISPUTES = 7  # filed one at a time on each finished world
 
@@ -66,28 +70,40 @@ def _timed(function, *args):
     return result, seconds, seconds * 2 * calibrate.REFERENCE_S / (before + after)
 
 
-def measure(shape, sessions, seed=SEED):
-    """One ``run_scenario`` of a generated world: its ms/session, raw and
+def measure(scenario, sessions):
+    """One ``run_scenario``: its seconds, its ms/session, raw and
     calibrated, and its transcript bytes/session."""
-    (transcript, _), seconds, calibrated = _timed(run_scenario, _scenario(shape, sessions, seed))
-    return {
-        "ms_per_session_raw": round(1000 * seconds / sessions, 3),
-        "ms_per_session": round(1000 * calibrated / sessions, 3),
-        "bytes_per_session": round(len(transcript) / sessions, 1),
+    (transcript, _), seconds, calibrated = _timed(run_scenario, scenario)
+    return seconds, {
+        "ms_per_session_raw": 1000 * seconds / sessions,
+        "ms_per_session": 1000 * calibrated / sessions,
+        "bytes_per_session": len(transcript) / sessions,
     }
 
 
-def curve(sizes=SIZES, repeats=REPEATS):
-    """{shape: {size: median of each figure over ``repeats`` runs}}."""
-    table = {}
-    for shape in SHAPES:
-        table[shape] = {}
-        for sessions in sizes:
-            runs = [measure(shape, sessions) for _ in range(repeats)]
-            table[shape][str(sessions)] = {
-                key: statistics.median(run[key] for run in runs) for key in runs[0]
-            }
-    return table
+def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
+    """The median of each figure over at least ``MIN_RUNS`` runs of one
+    generated world that together last ``min_seconds``."""
+    scenario = _scenario(shape, sessions, seed)
+    runs, elapsed = [], 0.0
+    while len(runs) < MIN_RUNS or elapsed < min_seconds:
+        seconds, run = measure(scenario, sessions)
+        runs.append(run)
+        elapsed += seconds
+    return {
+        "ms_per_session_raw": round(statistics.median(run["ms_per_session_raw"] for run in runs), 3),
+        "ms_per_session": round(statistics.median(run["ms_per_session"] for run in runs), 3),
+        "bytes_per_session": round(runs[0]["bytes_per_session"], 1),
+        "runs": len(runs),
+    }
+
+
+def curve(sizes=SIZES, min_seconds=MIN_SECONDS):
+    """{shape: {size: cell}}."""
+    return {
+        shape: {str(sessions): cell(shape, sessions, min_seconds) for sessions in sizes}
+        for shape in SHAPES
+    }
 
 
 def dispute_ms(shape, sessions, seed=SEED, count=DISPUTES):
@@ -140,7 +156,8 @@ def main():
         "date": time.strftime("%Y-%m-%d"),
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "seed": SEED,
-        "repeats": REPEATS,
+        "min_runs": MIN_RUNS,
+        "min_seconds": MIN_SECONDS,
         "curve": curve(),
         "dispute_ms": dispute_row(),
         "disputes": DISPUTES,

@@ -37,7 +37,9 @@ as a ``Canonical``, is a value of its own: ``dumps`` appends it as it
 is, so a document that holds one is spliced around those bytes.
 ``LicenseTerms`` keeps its text this way, and every frame and ledger
 payload that carries terms holds it; a ledger export splices each
-entry's stored payload bytes. The text is trusted, not checked: it must
+entry's stored payload bytes. The terms write their text from a fixed
+template, not through ``dumps``, and tests hold that text to ``dumps``
+of the terms' map. The text is trusted, not checked: it must
 be what ``dumps`` gives for some value, and equal text means equal
 bytes, which is how a receiver knows a terms object it already holds.
 ``loads`` reads a ``Canonical`` like any other text. The simulator

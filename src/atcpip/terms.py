@@ -4,18 +4,25 @@ The terms document is the unit that gets negotiated, hashed, and bound
 into tokens, so everything here is geared toward one property: equal
 terms always produce equal canonical bytes. Construction normalizes
 representation (tag lists become sorted unique tuples, rates become
-four-digit decimals) and validates: a type error raises TypeError, and
-a value outside the domain (tags, dates, jurisdictions, modes, ranges)
+four-digit decimals) and validates: a type error raises TypeError (the
+string fields, every tag and the fee take the exact ``str`` and ``int``
+types, so a ``canon.Canonical`` or an ``IntEnum`` is refused), and a
+value outside the domain (tags, dates, jurisdictions, modes, ranges)
 raises InvalidTerms with the whole violation report. Every route that
 builds terms (the constructor, ``replace``, ``terms_from_value``,
 ``apply_delta``) goes through that check, so a ``LicenseTerms`` that
 exists is valid and there is no separate ``validate``.
 
 A ``LicenseTerms`` is encoded once: it keeps its own canonical text,
-and its digest is the sha256 of that text. Frames and ledger payloads
-carry the text (a ``canon.Canonical``), not a map, and a receiver
-handed text equal to that of a terms object it already holds takes
-that object instead of building another. Text is compared, never maps:
+and its digest is the sha256 of that text. The text is one fixed
+template, ``TEXT_TEMPLATE``, filled field by field from the types
+construction checked, without the generic encoder's walk.
+``canon.dumps(terms.to_value())`` defines the bytes, and tests hold the
+template to it; exact types make the two agree on every terms object
+that can exist. Frames and ledger payloads carry the text (a
+``canon.Canonical``), not a map, and a receiver handed text equal to
+that of a terms object it already holds takes that object instead of
+building another. Text is compared, never maps:
 ``1 == True`` and ``1 == Decimal(1)`` hold for values that encode
 apart.
 
@@ -31,8 +38,8 @@ from decimal import Decimal
 from functools import cached_property
 
 from . import canon
-from .canon import fixed4
-from .errors import InvalidResult, InvalidTerms, ParseError
+from .canon import encode_str, fixed4
+from .errors import CanonicalizationError, InvalidResult, InvalidTerms, ParseError
 
 PERPETUAL = "perpetual"
 
@@ -58,6 +65,10 @@ JURISDICTIONS = frozenset(
     }
 )
 
+STR_FIELDS = (
+    "name", "description", "duration", "jurisdiction", "governing_law",
+    "transferability", "dispute_resolution",
+)
 TAG_FIELDS = ("scope", "revocation_conditions", "compliance_requirements", "ip_restrictions")
 DECIMAL_FIELDS = ("royalty_rate", "rev_share")
 BOOL_FIELDS = ("onchain_enforcement", "offchain_enforcement", "chain_of_ownership")
@@ -80,8 +91,8 @@ def _normalize_tags(name, value):
         raise TypeError(f"{name} takes a collection of tags, got {value!r}")
     tags = list(value)
     for tag in tags:
-        if not isinstance(tag, str):
-            raise TypeError(f"{name} tags must be strings, got {tag!r}")
+        if type(tag) is not str:
+            raise TypeError(f"{name} tags must be exact strings, got {tag!r}")
     return tuple(sorted(set(tags)))
 
 
@@ -91,8 +102,10 @@ class LicenseTerms:
 
     Defaults give a conservative read-only grant so call sites only
     spell out what they mean to change. The object keeps its own bytes:
-    ``canonical`` is its canonical text, encoded on first use and kept;
-    it takes no part in ==, hash() or ``to_value()``.
+    ``canonical`` is its canonical text, filled into ``TEXT_TEMPLATE``
+    on first use and kept; it takes no part in ==, hash() or
+    ``to_value()``. It raises CanonicalizationError for a string with
+    no UTF-8 form.
     """
 
     name: str = "license"
@@ -118,15 +131,14 @@ class LicenseTerms:
             object.__setattr__(self, name, _normalize_tags(name, getattr(self, name)))
         for name in DECIMAL_FIELDS:
             object.__setattr__(self, name, fixed4(getattr(self, name)))
-        for name in ("name", "description", "duration", "jurisdiction", "governing_law",
-                     "transferability", "dispute_resolution"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a string")
+        for name in STR_FIELDS:
+            if type(getattr(self, name)) is not str:
+                raise TypeError(f"{name} must be an exact string")
         for name in BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a bool")
-        if isinstance(self.upfront_fee, bool) or not isinstance(self.upfront_fee, int):
-            raise TypeError("upfront_fee must be an integer micro-credit amount")
+        if type(self.upfront_fee) is not int:
+            raise TypeError("upfront_fee must be an exact integer micro-credit amount")
         report = _violations(self)
         if report:
             raise InvalidTerms(report)
@@ -145,11 +157,47 @@ class LicenseTerms:
     def canonical(self):
         # Kept in the instance __dict__, outside the dataclass fields. The
         # fields are frozen, and replace() builds a new instance, which
-        # encodes its own fields.
-        return canon.Canonical(canon.dumps(self.to_value()).decode("utf-8"))
+        # encodes its own fields. Each field is written by the exact type
+        # construction checked; tests hold the text to
+        # canon.dumps(self.to_value()).
+        text = TEXT_TEMPLATE % (
+            "true" if self.chain_of_ownership else "false",
+            ",".join(map(encode_str, self.compliance_requirements)),
+            encode_str(self.description),
+            encode_str(self.dispute_resolution),
+            encode_str(self.duration),
+            encode_str(self.governing_law),
+            ",".join(map(encode_str, self.ip_restrictions)),
+            encode_str(self.jurisdiction),
+            encode_str(self.name),
+            "true" if self.offchain_enforcement else "false",
+            "true" if self.onchain_enforcement else "false",
+            format(self.rev_share, "f"),
+            ",".join(map(encode_str, self.revocation_conditions)),
+            format(self.royalty_rate, "f"),
+            ",".join(map(encode_str, self.scope)),
+            encode_str(self.transferability),
+            self.upfront_fee,
+        )
+        if not text.isascii():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CanonicalizationError(f"string not encodable as UTF-8: {exc}") from None
+        return canon.Canonical(text)
 
 
 FIELD_ORDER = tuple(spec.name for spec in fields(LicenseTerms))
+
+# The canonical text of a terms object: its 17 keys in code point order,
+# tag lists bracketed around their joined encoded strings.
+TEXT_TEMPLATE = (
+    '{"chain_of_ownership":%s,"compliance_requirements":[%s],"description":%s,'
+    '"dispute_resolution":%s,"duration":%s,"governing_law":%s,"ip_restrictions":[%s],'
+    '"jurisdiction":%s,"name":%s,"offchain_enforcement":%s,"onchain_enforcement":%s,'
+    '"rev_share":%s,"revocation_conditions":[%s],"royalty_rate":%s,"scope":[%s],'
+    '"transferability":%s,"upfront_fee":%d}'
+)
 
 
 def terms_from_value(value, held=()):

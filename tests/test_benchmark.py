@@ -84,10 +84,13 @@ def test_scaling_script_measures_both_shapes_in_process(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_scaling", path)
     scaling = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scaling)
-    table = scaling.curve(sizes=(20, 40), repeats=1)
+    table = scaling.curve(sizes=(20, 40), min_seconds=0)
     assert sorted(table) == ["hot_provider", "market"]
     for row in table.values():
         assert sorted(row) == ["20", "40"]
         for cell in row.values():
-            assert sorted(cell) == ["bytes_per_session", "ms_per_session", "ms_per_session_raw"]
+            assert sorted(cell) == [
+                "bytes_per_session", "ms_per_session", "ms_per_session_raw", "runs"
+            ]
             assert all(figure > 0 for figure in cell.values())
+            assert cell["runs"] == scaling.MIN_RUNS

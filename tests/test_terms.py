@@ -1,6 +1,7 @@
 """Terms schema: normalization, validation at construction, hashing, counter edits."""
 
 import dataclasses
+import enum
 import re
 from collections import Counter
 from datetime import datetime
@@ -22,6 +23,7 @@ from atcpip.terms import (
     FIELD_ORDER,
     JURISDICTIONS,
     SCOPE_TAGS,
+    TEXT_TEMPLATE,
     TRANSFERABILITY_MODES,
     LicenseTerms,
     TermsDelta,
@@ -31,7 +33,7 @@ from atcpip.terms import (
     terms_hash,
 )
 from conftest import make_terms
-from strategies import any_terms_fields, valid_terms
+from strategies import any_terms_fields, free_text, valid_terms
 
 
 def test_tag_fields_normalize_to_sorted_unique_tuples():
@@ -197,6 +199,87 @@ def test_terms_with_a_lone_surrogate_have_no_text_and_no_digest():
         terms.canonical
     with pytest.raises(CanonicalizationError):
         terms_hash(terms)
+
+
+def test_template_keys_are_every_field_in_code_point_order():
+    # A field added to LicenseTerms but not to the template fails here.
+    assert re.findall(r'"(\w+)":', TEXT_TEMPLATE) == sorted(FIELD_ORDER)
+
+
+@given(
+    valid_terms(),
+    free_text(),
+    free_text(),
+    st.lists(free_text(min_size=1), max_size=3),
+    st.lists(free_text(min_size=1), max_size=3),
+    st.lists(free_text(min_size=1), max_size=3),
+)
+def test_template_text_is_the_encoded_map(
+    terms, name, description, revocation, compliance, restrictions
+):
+    terms = terms.replace(
+        name=name,
+        description=description,
+        revocation_conditions=revocation,
+        compliance_requirements=compliance,
+        ip_restrictions=restrictions,
+    )
+    assert terms.canonical.encode("utf-8") == canon.dumps(terms.to_value())
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        ({"royalty_rate": 0, "rev_share": "0"}, '"rev_share":0.0000,'),
+        ({"royalty_rate": Decimal("-0"), "rev_share": 0}, '"royalty_rate":0.0000,'),
+        ({"royalty_rate": 0, "rev_share": Decimal("-0.0000")}, '"rev_share":0.0000,'),
+        ({"royalty_rate": 1}, '"royalty_rate":1.0000,'),
+        ({"upfront_fee": 0}, '"upfront_fee":0}'),
+        ({"upfront_fee": canon.INT_MAX}, '"upfront_fee":9223372036854775807}'),
+        (
+            {
+                "scope": (),
+                "revocation_conditions": (),
+                "compliance_requirements": (),
+                "ip_restrictions": (),
+            },
+            '"compliance_requirements":[],',
+        ),
+    ],
+    ids=[
+        "zero_rates",
+        "negative_zero_royalty",
+        "negative_zero_rev_share",
+        "rate_one",
+        "fee_zero",
+        "fee_int_max",
+        "no_tags",
+    ],
+)
+def test_template_text_at_the_edges_is_the_encoded_map(overrides, fragment):
+    terms = make_terms(**overrides)
+    assert terms.canonical.encode("utf-8") == canon.dumps(terms.to_value())
+    assert fragment in terms.canonical
+
+
+class Fee(enum.IntEnum):
+    TEN = 10
+
+
+def test_text_fields_take_exact_strings_and_the_fee_an_exact_int():
+    # A str subclass spliced raw would write keys of its own into the text.
+    with pytest.raises(TypeError, match="name must be an exact string"):
+        make_terms(name=canon.Canonical('1,"upfront_fee":999'))
+    with pytest.raises(TypeError, match="exact strings"):
+        make_terms(ip_restrictions=[canon.Canonical('"x"')])
+    with pytest.raises(TypeError, match="exact integer"):
+        make_terms(upfront_fee=Fee.TEN)
+
+
+def test_counter_carrying_canonical_text_in_a_field_does_not_build():
+    edit = TermsDelta((("description", canon.Canonical('"x","upfront_fee":999')),))
+    with pytest.raises(InvalidResult, match="do not build: description must be an exact"):
+        apply_delta(make_terms(), edit)
 
 
 def test_from_value_round_trip():
