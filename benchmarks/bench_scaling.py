@@ -12,11 +12,12 @@ and until the runs together last ``MIN_SECONDS``, so a 250-session
 cell is the median of about ten runs, not of three that a shift in
 host speed can move. The script records the median wall-clock
 ms/session, raw and calibrated to the reference host by
-``perfbench/calibrate.py`` (one slice right before and one right after
-each run), the number of runs, and transcript bytes/session. On one
-more run of each shape and size it records the median calibrated ms of one
-``file_dispute`` + ``resolve`` on the finished world, so dispute cost
-shows against chain length.
+``perfbench/calibrate.py`` (over the median of the slices taken right
+before and right after each of the cell's runs), the number of runs,
+and transcript bytes/session. On one more run of each shape and size
+it records the median calibrated ms of one ``file_dispute`` +
+``resolve`` on the finished world, so dispute cost shows against chain
+length.
 
 Results go into ``BENCH_scaling.json`` at the root of the checkout,
 keyed by the commit the sources were measured at (``+dirty`` when
@@ -60,40 +61,44 @@ def _scenario(shape, sessions, seed):
 
 
 def _timed(function, *args):
-    """``function(*args)``'s result, its seconds, and those seconds
-    calibrated to the reference host (one slice before, one after)."""
+    """``function(*args)``'s result, its seconds, and the seconds of one
+    calibration slice right before it and one right after."""
     before = calibrate.slice_seconds()
     started = time.perf_counter()
     result = function(*args)
     seconds = time.perf_counter() - started
-    after = calibrate.slice_seconds()
-    return result, seconds, seconds * 2 * calibrate.REFERENCE_S / (before + after)
+    return result, seconds, (before, calibrate.slice_seconds())
 
 
-def measure(scenario, sessions):
-    """One ``run_scenario``: its seconds, its ms/session, raw and
-    calibrated, and its transcript bytes/session."""
-    (transcript, _), seconds, calibrated = _timed(run_scenario, scenario)
-    return seconds, {
-        "ms_per_session_raw": 1000 * seconds / sessions,
-        "ms_per_session": 1000 * calibrated / sessions,
-        "bytes_per_session": len(transcript) / sessions,
-    }
+def _calibrated(seconds, slices):
+    """``seconds`` as the reference host would take them, by the median
+    of ``slices``."""
+    return seconds * calibrate.REFERENCE_S / statistics.median(slices)
+
+
+def measure(scenario):
+    """One ``run_scenario``: its seconds, the calibration slices around
+    it, and its transcript bytes."""
+    (transcript, _), seconds, slices = _timed(run_scenario, scenario)
+    return seconds, slices, len(transcript)
 
 
 def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
-    """The median of each figure over at least ``MIN_RUNS`` runs of one
-    generated world that together last ``min_seconds``."""
+    """Median ms/session, raw and calibrated, over at least ``MIN_RUNS``
+    runs of one generated world that together last ``min_seconds``. The
+    calibration takes the median of every slice around the cell's runs,
+    so a host stall that catches one or two slices does not move it."""
     scenario = _scenario(shape, sessions, seed)
-    runs, elapsed = [], 0.0
-    while len(runs) < MIN_RUNS or elapsed < min_seconds:
-        seconds, run = measure(scenario, sessions)
-        runs.append(run)
-        elapsed += seconds
+    runs, slices = [], []
+    while len(runs) < MIN_RUNS or sum(runs) < min_seconds:
+        seconds, run_slices, transcript_bytes = measure(scenario)
+        runs.append(seconds)
+        slices.extend(run_slices)
+    seconds = statistics.median(runs)
     return {
-        "ms_per_session_raw": round(statistics.median(run["ms_per_session_raw"] for run in runs), 3),
-        "ms_per_session": round(statistics.median(run["ms_per_session"] for run in runs), 3),
-        "bytes_per_session": round(runs[0]["bytes_per_session"], 1),
+        "ms_per_session_raw": round(1000 * seconds / sessions, 3),
+        "ms_per_session": round(1000 * _calibrated(seconds, slices) / sessions, 3),
+        "bytes_per_session": round(transcript_bytes / sessions, 1),
         "runs": len(runs),
     }
 
@@ -124,7 +129,7 @@ def dispute_ms(shape, sessions, seed=SEED, count=DISPUTES):
         return court.resolve(claim.dispute_id)
 
     agreed = [sid for sid in scenario.session_ids() if ledger.session_agreement(sid)]
-    times = [_timed(dispute, session_id)[2] for session_id in agreed[:count]]
+    times = [_calibrated(*_timed(dispute, session_id)[1:]) for session_id in agreed[:count]]
     return round(1000 * statistics.median(times), 3)
 
 

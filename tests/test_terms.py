@@ -54,9 +54,21 @@ def test_float_rates_rejected():
         make_terms(royalty_rate=0.05)
 
 
+class Fee(enum.IntEnum):
+    TEN = 10
+
+
 def test_wrong_scalar_types_rejected():
     with pytest.raises(TypeError):
         make_terms(name=7)
+    # Subclasses too: a str subclass spliced raw into the text would
+    # write keys of its own there.
+    with pytest.raises(TypeError, match="name must be an exact string"):
+        make_terms(name=canon.Canonical('1,"upfront_fee":999'))
+    with pytest.raises(TypeError, match="exact strings"):
+        make_terms(ip_restrictions=[canon.Canonical('"x"')])
+    with pytest.raises(TypeError, match="exact integer"):
+        make_terms(upfront_fee=Fee.TEN)
     with pytest.raises(TypeError):
         make_terms(onchain_enforcement="yes")
     with pytest.raises(TypeError):
@@ -260,20 +272,6 @@ def test_template_text_at_the_edges_is_the_encoded_map(overrides, fragment):
     terms = make_terms(**overrides)
     assert terms.canonical.encode("utf-8") == canon.dumps(terms.to_value())
     assert fragment in terms.canonical
-
-
-class Fee(enum.IntEnum):
-    TEN = 10
-
-
-def test_text_fields_take_exact_strings_and_the_fee_an_exact_int():
-    # A str subclass spliced raw would write keys of its own into the text.
-    with pytest.raises(TypeError, match="name must be an exact string"):
-        make_terms(name=canon.Canonical('1,"upfront_fee":999'))
-    with pytest.raises(TypeError, match="exact strings"):
-        make_terms(ip_restrictions=[canon.Canonical('"x"')])
-    with pytest.raises(TypeError, match="exact integer"):
-        make_terms(upfront_fee=Fee.TEN)
 
 
 def test_counter_carrying_canonical_text_in_a_field_does_not_build():
