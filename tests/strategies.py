@@ -27,14 +27,16 @@ def tag_subset(pool, max_size=3):
 # Characters the canonical string escapes must get right: the two that
 # take a backslash, every control character, DEL, line and paragraph
 # separators, non-ASCII and astral code points.
-_HARD_CHARACTERS = '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028\u2029\u00e9\u4e2d\U0001f600"
+_HARD_CHARACTERS = (
+    '"\\' + "".join(map(chr, range(0x20))) + "\x7f\u2028\u2029\u00e9\u4e2d\U0001f600"
+)
 
 
 def free_text(min_size=0, max_size=12):
     """Any text with a UTF-8 form, weighted toward the characters the
     encoder escapes or leaves raw."""
     return st.text(
-        alphabet=st.one_of(st.sampled_from(_HARD_CHARACTERS), st.characters()),
+        alphabet=st.one_of(st.sampled_from(_HARD_CHARACTERS), st.characters(codec="utf-8")),
         min_size=min_size,
         max_size=max_size,
     )
