@@ -2,17 +2,17 @@
 
 Twelve wire actions drive a provider and a requester state machine
 through negotiation, payment, token minting, and delivery. A transition
-takes a session, one inbound message, and the agent runtime that owns
-the session. Where the next step needs the agent (judging terms,
-paying, minting, remembering), the transition calls the runtime, and
-the runtime answers by calling one of the step functions here
-(``provider_propose``, ``requester_accept``, ...). Steps set the new
-state and send the outbound messages, so every session state change
-happens in this module. Sending numbers a message and queues it on the
-session's ``outbox`` in one step, so no call returns messages and a
-message once numbered cannot be lost, not even when a later call in the
-same step raises; whoever hands the session an event takes the queue
-with ``Session.drain``.
+takes a session, one inbound message's action and parsed body, and the
+agent runtime that owns the session. Where the next step needs the
+agent (judging terms, paying, minting, remembering), the transition
+calls the runtime, and the runtime answers by calling one of the step
+functions here (``provider_propose``, ``requester_accept``, ...).
+Steps set the new state and send the outbound messages, so every
+session state change happens in this module. Sending numbers a message
+and queues it on the session's ``outbox`` in one step, so no call
+returns messages and a message once numbered cannot be lost, not even
+when a later call in the same step raises; whoever hands the session an
+event takes the queue with ``Session.drain``.
 
 The two roles share one event path: one ``Session`` base, one prelude
 that takes ``reject``, and the ``refuse`` and ``fail`` steps. What each
@@ -34,14 +34,16 @@ are parsed and validated in full.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
-is not byte-identical to its own re-encoding. ``check_body`` holds a
-message body to the keys its action requires, both in the decoder and
-where a runtime receives a message.
+is not byte-identical to its own re-encoding. Each action has one body
+parser, a row of ``BODIES``: ``parse_body`` checks every key once and
+returns typed values (terms, a delta, a token, payout lines, whole
+numbers), in the decoder and where a runtime receives a message, which
+drops a body that does not parse. The transitions read only those
+values, and check them against the session.
 """
 
 import enum
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Optional
 
 from . import canon
@@ -52,24 +54,8 @@ from .errors import (
     ParseError,
     ProtocolViolation,
 )
-from .ledger import token_to_value
-from .terms import delta_from_value, terms_from_value, terms_hash
-
-REQUIRED_BODY_KEYS = {
-    "request_info": ("content_id",),
-    "non_ip_notice": ("content_id", "content", "note"),
-    "propose_terms": ("terms", "round"),
-    "counter_terms": ("suggestions", "round"),
-    "final_terms": ("terms", "round"),
-    "accept_terms": ("terms_hash",),
-    "payment_required": ("amount", "split"),
-    "payment_confirmed": ("amount",),
-    "license_token": ("token",),
-    "deliver_ip": ("content_id", "content", "token"),
-    "acknowledge_receipt": ("license_id",),
-    "reject": ("reason",),
-}
-ACTIONS = tuple(REQUIRED_BODY_KEYS)
+from .ledger import token_from_value, token_to_value
+from .terms import delta_from_value, terms_from_value, terms_hash, wire_decimal
 
 NON_IP_NOTE = "Content not considered IP; no license required."
 NON_IP_MEMORY = "Non-IP content sent without contract."
@@ -102,44 +88,107 @@ class ProtocolMessage:
         }
 
 
-def check_body(action, body):
-    """Raise ParseError unless ``action`` is one of the twelve and
-    ``body`` is a map holding every key the action requires; a
-    ``request_info`` body opens a session, so its values are checked too,
-    and so are a ``reject`` reason and the license a ``propose_terms``
-    extends."""
-    required = REQUIRED_BODY_KEYS.get(action)
-    if required is None:
+# -- bodies: each action's body parsed once, where it arrives ---------------------
+#
+# A key's parser takes the value and the terms the receiving session holds
+# and returns the typed value, or raises saying what the value must be. It
+# builds new values and never changes the body map, which the sender may
+# still hold and the transcript is written from.
+
+
+def _text(value, held):
+    if not isinstance(value, str):
+        raise ParseError("must be a string")
+    return value
+
+
+def _name(value, held):
+    if not isinstance(value, str) or not value:
+        raise ParseError("must be a non-empty string")
+    return value
+
+
+def _whole(value, held):
+    """A round, or money in micro-credits: neither a boolean nor a decimal."""
+    if type(value) is not int:
+        raise ParseError("must be an integer")
+    return value
+
+
+def _offer(value, held):
+    """An opening offer: at most a fee and a rate, the rate to four digits."""
+    if not isinstance(value, dict) or not value.keys() <= {"upfront_fee", "royalty_rate"}:
+        raise ParseError("must be a map of upfront_fee and royalty_rate")
+    offer, fee = dict(value), value.get("upfront_fee", 0)
+    if type(fee) is not int or fee < 0:
+        raise ParseError("upfront_fee must be a non-negative integer")
+    if "royalty_rate" in offer:
+        offer["royalty_rate"] = wire_decimal("royalty_rate", offer["royalty_rate"])
+    return offer
+
+
+def _split(value, held):
+    """Payout lines as ``(payee, amount)``, exactly the lines the requester pays."""
+    if not isinstance(value, list) or not all(
+        isinstance(line, dict) and line.keys() == {"to", "amount"} for line in value
+    ):
+        raise ParseError("must be a list of {to, amount} lines")
+    lines = tuple((line["to"], line["amount"]) for line in value)
+    for payee, amount in lines:
+        if not isinstance(payee, str) or not payee or type(amount) is not int or amount < 0:
+            raise ParseError("lines must pay a non-negative integer to a named payee")
+    return lines
+
+
+def _encoded(value, held):
+    """A token the receiver compares byte for byte: its canonical bytes."""
+    if not isinstance(value, dict):
+        raise ParseError("must be a map")
+    return canon.dumps(value)
+
+
+# Each action's body, key by key, in the order the keys are checked.
+BODIES = {
+    "request_info": {"content_id": _name, "jurisdiction": _text, "offer": _offer},
+    "non_ip_notice": {"content_id": _name, "content": _text, "note": _text},
+    "propose_terms": {"terms": terms_from_value, "round": _whole, "previous_license_id": _name},
+    "counter_terms": {"suggestions": lambda value, held: delta_from_value(value), "round": _whole},
+    "final_terms": {"terms": terms_from_value, "round": _whole},
+    "accept_terms": {"terms_hash": _text},
+    "payment_required": {"amount": _whole, "split": _split},
+    "payment_confirmed": {"amount": _whole},
+    "license_token": {"token": token_from_value},
+    "deliver_ip": {"content_id": _name, "content": _text, "token": _encoded},
+    "acknowledge_receipt": {"license_id": _text},
+    "reject": {"reason": _text},
+}
+ACTIONS = tuple(BODIES)
+
+# The keys a body may leave out, and what each reads as when it does; a
+# parsed value is read, never changed.
+OPTIONAL = {"jurisdiction": "", "offer": {}, "previous_license_id": None}
+
+
+def parse_body(action, body, held=()):
+    """The typed values of one ``action`` body, by key; raises ParseError
+    naming the action and the key. A terms text that one of ``held`` has
+    is that object (see ``terms_from_value``)."""
+    parsers = BODIES.get(action)
+    if parsers is None:
         raise ParseError(f"unknown action {action!r}")
     if not isinstance(body, dict):
         raise ParseError("body must be a map")
-    for key in required:
-        if key not in body:
+    typed = {}
+    for key, parse in parsers.items():
+        if key not in body and key not in OPTIONAL:
             raise ParseError(f"{action} body missing {key!r}")
-    if action == "request_info":
-        _check_request(body)
-    if action == "reject" and not isinstance(body["reason"], str):
-        raise ParseError("reject reason must be a string")
-    if action == "propose_terms" and "previous_license_id" in body:
-        previous = body["previous_license_id"]
-        if not isinstance(previous, str) or not previous:
-            raise ParseError("propose_terms previous_license_id must be a non-empty string")
-
-
-def _check_request(body):
-    """The values a provider reads from a ``request_info`` body."""
-    content_id, offer = body["content_id"], body.get("offer", {})
-    if not isinstance(content_id, str) or not content_id:
-        raise ParseError("request_info content_id must be a non-empty string")
-    if not isinstance(body.get("jurisdiction", ""), str):
-        raise ParseError("request_info jurisdiction must be a string")
-    if not isinstance(offer, dict) or not offer.keys() <= {"upfront_fee", "royalty_rate"}:
-        raise ParseError("request_info offer must be a map of upfront_fee and royalty_rate")
-    fee, rate = offer.get("upfront_fee", 0), offer.get("royalty_rate", 0)
-    if isinstance(fee, bool) or not isinstance(fee, int) or fee < 0:
-        raise ParseError("request_info offer upfront_fee must be a non-negative integer")
-    if isinstance(rate, bool) or not isinstance(rate, (int, Decimal)):
-        raise ParseError("request_info offer royalty_rate must be an integer or a decimal")
+        try:
+            typed[key] = parse(body[key], held) if key in body else OPTIONAL[key]
+        except (ParseError, InvalidTerms, CanonicalizationError) as exc:
+            raise ParseError(f"{action} {key} {exc}") from None
+    if action == "payment_required" and sum(line[1] for line in typed["split"]) != typed["amount"]:
+        raise ParseError("payment_required split must sum to the amount")
+    return typed
 
 
 def message_from_value(value):
@@ -148,7 +197,7 @@ def message_from_value(value):
     expected = {"session_id", "seq", "sender", "recipient", "action", "body"}
     if set(value) != expected:
         raise ParseError("message must carry exactly session_id/seq/sender/recipient/action/body")
-    check_body(value["action"], value["body"])
+    parse_body(value["action"], value["body"])
     seq = value["seq"]
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise ParseError("seq must be a non-negative integer")
@@ -289,11 +338,13 @@ class Session:
 
 @dataclass(kw_only=True)
 class ProviderSession(Session):
-    """The provider's side; the digest and the fee are read from
-    ``terms``, not stored."""
+    """The provider's side: ``jurisdiction`` and ``offer`` are what the
+    request stated, as parsed (an empty string, an empty offer when it
+    stated none). The digest and the fee are read from ``terms``."""
 
     state: ProviderState = ProviderState.IDLE
-    request_body: dict = field(default_factory=dict)
+    jurisdiction: str = ""
+    offer: dict = field(default_factory=dict)
     revisions_used: int = 0
     acknowledged: bool = False
 
@@ -333,20 +384,20 @@ def _send(session, action, body):
     session.out_seq += 1
 
 
-def _violation(session, event):
+def _violation(session, action):
     return ProtocolViolation(
         f"{session.role} session {session.session_id!r} in {session.state.value}"
-        f" cannot take event {event.action!r}"
+        f" cannot take event {action!r}"
     )
 
 
-def _prelude(session, event):
-    """The start both transitions share. Returns True when ``event`` is
-    a ``reject`` that closed the live session, so the transition is
+def _prelude(session, action, body):
+    """The start both transitions share. Returns True when the message
+    is a ``reject`` that closed the live session, so the transition is
     done."""
-    if event.action != "reject" or session.terminal():
+    if action != "reject" or session.terminal():
         return False
-    session.reject_reason = event.body.get("reason", "")
+    session.reject_reason = body["reason"]
     session.state = type(session.state).REJECTED
     session.countered = None
     return True
@@ -370,46 +421,39 @@ def fail(session, agent, reason):
 # -- provider transition --------------------------------------------------------
 
 
-def provider_transition(session, event, agent):
-    """Apply one inbound message."""
-    if _prelude(session, event):
+def provider_transition(session, action, body, agent):
+    """Apply one inbound message: its action and its parsed body."""
+    if _prelude(session, action, body):
         return
-    state, action = session.state, event.action
+    state = session.state
     negotiating = state in (ProviderState.TERMS_PROPOSED, ProviderState.NEGOTIATING)
 
     if state is ProviderState.IDLE and action == "request_info":
-        session.content_id = event.body["content_id"]
-        session.request_body = dict(event.body)
+        session.content_id = body["content_id"]
+        session.jurisdiction, session.offer = body["jurisdiction"], body["offer"]
         session.state = ProviderState.EVALUATING
         agent.evaluate_request(session)
     elif negotiating and action == "counter_terms":
-        delta = _parse_delta(event.body["suggestions"])
-        session.round = max(session.round, _round_of(event))
+        session.round = max(session.round, body["round"])
         session.state = ProviderState.NEGOTIATING
-        agent.evaluate_counter(session, delta)
+        agent.evaluate_counter(session, body["suggestions"])
     elif negotiating and action == "accept_terms":
-        if event.body["terms_hash"] != terms_hash(session.terms):
-            raise _violation(session, event)
+        if body["terms_hash"] != terms_hash(session.terms):
+            raise _violation(session, action)
         _provider_enter_settlement(session, agent)
     elif state is ProviderState.AWAITING_PAYMENT and action == "payment_confirmed":
-        amount = event.body["amount"]
-        if not _is_amount(amount) or amount != session.terms.upfront_fee:
-            raise _violation(session, event)
+        if body["amount"] != session.terms.upfront_fee:
+            raise _violation(session, action)
         session.state = ProviderState.AWAITING_TOKEN
     elif state is ProviderState.AWAITING_TOKEN and action == "license_token":
-        agent.atomic_exchange(session, event.body["token"])
+        agent.atomic_exchange(session, body["token"])
     elif state is ProviderState.AWAITING_ACK and action == "acknowledge_receipt":
+        if body["license_id"] != agent.ledger.session_agreement(session.session_id).license_id:
+            raise _violation(session, action)
         session.acknowledged = True
         _provider_complete(session, agent)
     else:
-        raise _violation(session, event)
-
-
-def _round_of(event):
-    round_number = event.body.get("round", 0)
-    if isinstance(round_number, bool) or not isinstance(round_number, int):
-        return 0
-    return round_number
+        raise _violation(session, action)
 
 
 def _provider_enter_settlement(session, agent):
@@ -481,94 +525,51 @@ def provider_deliver(session, agent, token, content):
 # -- requester transition ---------------------------------------------------------
 
 
-def requester_transition(session, event, agent):
-    """Apply one inbound message."""
-    if _prelude(session, event):
+def requester_transition(session, action, body, agent):
+    """Apply one inbound message: its action and its parsed body."""
+    if _prelude(session, action, body):
         return
-    state, action = session.state, event.action
+    state = session.state
 
     if state is RequesterState.AWAITING_TERMS and action == "non_ip_notice":
-        session.content = event.body["content"]
+        if body["content_id"] != session.content_id:
+            raise _violation(session, action)
+        session.content = body["content"]
         session.state = RequesterState.COMPLETED
-        agent.remember(f"Received non-IP content: {event.body['content_id']}")
+        agent.remember(f"Received non-IP content: {session.content_id}")
     elif (
         state in (RequesterState.AWAITING_TERMS, RequesterState.COUNTERING)
         and action in ("propose_terms", "final_terms")
     ):
-        session.terms = _parse_terms(session, event.body["terms"])
+        session.terms = body["terms"]
         session.countered = None
         if action == "propose_terms":  # final terms revise the terms only
-            session.previous_license_id = event.body.get("previous_license_id")
-        session.round = max(session.round, _round_of(event))
+            session.previous_license_id = body["previous_license_id"]
+        session.round = max(session.round, body["round"])
         session.state = RequesterState.EVALUATING_TERMS
         agent.answer_offer(session)
     elif state is RequesterState.PAYING and action == "payment_required":
-        amount = event.body["amount"]
-        split = event.body["split"]
-        if not _is_amount(amount) or amount != session.terms.upfront_fee:
-            raise _violation(session, event)
-        if not isinstance(split, list) or not all(map(_is_split_line, split)):
-            raise _violation(session, event)
-        if sum(line["amount"] for line in split) != amount:
-            raise _violation(session, event)
-        agent.settle(session, amount, split)
+        if body["amount"] != session.terms.upfront_fee:
+            raise _violation(session, action)
+        agent.settle(session, body["amount"], body["split"])
     elif state is RequesterState.AWAITING_DELIVERY and action == "deliver_ip":
         # The license is the chain's agreement for this session; the
         # frame only has to carry it unchanged, in bytes.
         agreement = agent.ledger.session_agreement(session.session_id)
         if (
             agreement is None
+            or body["content_id"] != session.content_id
             or agreement.terms_hash != terms_hash(session.terms)
-            or not _same_bytes(event.body["token"], token_to_value(agreement))
+            or body["token"] != canon.dumps(token_to_value(agreement))
         ):
-            raise _violation(session, event)
-        session.content = event.body["content"]
+            raise _violation(session, action)
+        session.content = body["content"]
         if session.config.ack_required:
             _send(session, "acknowledge_receipt", {"license_id": agreement.license_id})
         agent.record_license(session)
         session.state = RequesterState.COMPLETED
     else:
-        raise _violation(session, event)
-
-
-def _parse_terms(session, value):
-    """The terms a frame carries: the standing offer or the requester's
-    own last counter when the text is theirs, else built in full."""
-    try:
-        return terms_from_value(value, (session.terms, session.countered))
-    except (ParseError, InvalidTerms) as exc:
-        raise ProtocolViolation(f"terms in message do not parse: {exc}") from None
-
-
-def _same_bytes(received, expected):
-    """True when a received value encodes to the bytes of ``expected``;
-    a value with no canonical form matches nothing."""
-    try:
-        return canon.dumps(received) == canon.dumps(expected)
-    except CanonicalizationError:
-        return False
-
-
-def _parse_delta(value):
-    try:
-        return delta_from_value(value)
-    except ParseError as exc:
-        raise ProtocolViolation(f"counter suggestions do not parse: {exc}") from None
-
-
-def _is_split_line(line):
-    """One payout line from the wire: a named payee and a whole,
-    non-negative amount. The requester pays exactly these lines."""
-    if not isinstance(line, dict) or set(line) != {"to", "amount"}:
-        return False
-    payee, amount = line["to"], line["amount"]
-    return isinstance(payee, str) and bool(payee) and _is_amount(amount) and amount >= 0
-
-
-def _is_amount(value):
-    """Money on the wire is a whole number of micro-credits; a boolean
-    or a decimal is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+        raise _violation(session, action)
 
 
 # -- requester steps: the runtime's decisions, applied ----------------------------

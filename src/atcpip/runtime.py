@@ -27,14 +27,16 @@ the rest. The runtime also notes the id of every session an entry point
 acts on, and ``sessions(acted=True)`` hands the caller exactly the
 sessions whose state may have changed since its last such call.
 
-Inbound messages are deduplicated per session by sequence number. A
-message whose body lacks a key its action requires is dropped with a
-memory note before any session is opened or touched, and anything a
-session cannot take in its current state is dropped with a memory note
-too, rather than crashing the agent. Any other typed error a decision
-raises in an entry point fails its session, with the error as the
-reason, through the one ``_decision_failed``; ``decide_courtship`` goes
-on to the next session.
+Inbound messages are deduplicated per session by sequence number. Each
+body is parsed once, by its action's parser, against the terms its
+session holds (``protocol.parse_body``), and the transition gets the
+typed values. A body that does not parse is dropped with a memory note
+before any session is opened or touched, and anything a session cannot
+take in its current state is dropped with a memory note too, rather
+than crashing the agent. Any other typed error a decision raises in an
+entry point fails its session, with the error as the reason, through
+the one ``_decision_failed``; ``decide_courtship`` goes on to the next
+session.
 """
 
 from dataclasses import dataclass
@@ -50,7 +52,6 @@ from .errors import (
     ProtocolViolation,
     UnknownContent,
 )
-from .ledger import token_from_value
 from .negotiation import (
     Accept,
     Counter,
@@ -68,9 +69,9 @@ from .protocol import (
     ProviderState,
     RequesterSession,
     SessionConfig,
-    check_body,
     expire,
     fail,
+    parse_body,
     provider_deliver,
     provider_non_ip,
     provider_propose,
@@ -259,12 +260,13 @@ class AgentRuntime:
     def receive_message(self, message):
         if message.recipient != self.agent_id:
             raise ValueError(f"message for {message.recipient!r} routed to {self.agent_id!r}")
+        session = self._sessions.get(message.session_id)
+        held = () if session is None else (session.terms, session.countered)
         try:
-            check_body(message.action, message.body)
+            body = parse_body(message.action, message.body, held)
         except ParseError as exc:
             self.remember(f"Dropped malformed message in session {message.session_id}: {exc}")
             return []
-        session = self._sessions.get(message.session_id)
         if session is None:
             if message.action != "request_info":
                 self.remember(f"Dropped {message.action} for unknown session {message.session_id}.")
@@ -284,7 +286,7 @@ class AgentRuntime:
             )
             return []
         transition = provider_transition if session.role == "provider" else requester_transition
-        if self._apply(session, transition, message):
+        if self._apply(session, transition, message.action, body):
             session.last_seq_seen = message.seq
         return session.drain()
 
@@ -338,12 +340,8 @@ class AgentRuntime:
         item = self._require_item(content_id)
 
         def utility(session):
-            offer = session.request_body.get("offer", {})
-            value = Decimal(offer.get("upfront_fee", 0))
-            royalty = offer.get("royalty_rate")
-            if royalty is not None:
-                value += fixed4(royalty) * ROYALTY_WEIGHT
-            return value
+            fee, rate = session.offer.get("upfront_fee", 0), session.offer.get("royalty_rate", 0)
+            return Decimal(fee) + rate * ROYALTY_WEIGHT
 
         winner = live[0]
         for session in live[1:]:
@@ -395,9 +393,7 @@ class AgentRuntime:
     def _gate(self, session, item):
         """Why the parties may not deal over ``item``, or ``""``."""
         provider_code = self.directory.get(self.agent_id)
-        requester_code = session.request_body.get("jurisdiction") or self.directory.get(
-            session.requester_id
-        )
+        requester_code = session.jurisdiction or self.directory.get(session.requester_id)
         if provider_code is None or requester_code is None:
             return "jurisdiction unknown for one of the parties"
         for code in (requester_code, provider_code):
@@ -419,18 +415,11 @@ class AgentRuntime:
             terms = LicenseTerms(name=item.content_id)
             if "style_guide" in item.tags:
                 terms = terms.replace(upfront_fee=0, rev_share=STYLE_GUIDE_REV_SHARE)
-        overrides = {}
-        if "upfront_fee" in offer:
-            overrides["upfront_fee"] = offer["upfront_fee"]
-        if "royalty_rate" in offer:
-            overrides["royalty_rate"] = fixed4(offer["royalty_rate"])
-        if overrides:
-            terms = terms.replace(**overrides)
-        return terms
+        return terms.replace(**offer) if offer else terms
 
     def _propose(self, item, session):
         try:
-            terms = self._opening_terms(item, session.request_body.get("offer", {}))
+            terms = self._opening_terms(item, session.offer)
         except InvalidTerms as exc:
             refuse(session, f"terms invalid: {exc.violations[0].reason}")
             return
@@ -494,13 +483,9 @@ class AgentRuntime:
         )
         return obligations
 
-    def atomic_exchange(self, session, token_value):
+    def atomic_exchange(self, session, token):
         """Commit the requester's token and deliver, or abort the session."""
-        try:
-            token = token_from_value(token_value, (session.terms,))
-        except (ParseError, InvalidTerms):
-            token = None
-        fits = token is not None and (
+        fits = (
             token.metadata.issuer_id == session.provider_id
             and token.metadata.holder_id == session.requester_id
             and token.session_id == session.session_id
@@ -575,8 +560,9 @@ class AgentRuntime:
             requester_counter(session, self, decision.delta.to_value(), countered)
 
     def settle(self, session, amount, split):
-        """Pay the provider's split from this agent's wallet."""
-        plan = SplitPlan(price=amount, lines=tuple((line["to"], line["amount"]) for line in split))
+        """Pay the provider's split, its ``(payee, amount)`` lines, from
+        this agent's wallet."""
+        plan = SplitPlan(price=amount, lines=split)
         self.wallets.settle(
             self.agent_id, plan, purpose="license_fee", session_id=session.session_id
         )

@@ -222,18 +222,18 @@ def terms_from_value(value, held=()):
         raise ParseError(f"missing terms field {sorted(missing)[0]!r}")
     kwargs = dict(value)
     for name in DECIMAL_FIELDS:
-        kwargs[name] = _wire_decimal(name, kwargs[name])
+        kwargs[name] = wire_decimal(name, kwargs[name])
     try:
         return LicenseTerms(**kwargs)
     except TypeError as exc:
         raise ParseError(f"bad terms document: {exc}") from None
 
 
-def _wire_decimal(name, value):
+def wire_decimal(name, value):
     """A rate as the canonical format carries it: a non-bool integer or
     a decimal, to four digits; a string is not a number there."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
-        raise ParseError(f"{name} must be a number, got {value!r}")
+        raise ParseError(f"{name} must be an integer or a decimal, got {value!r}")
     return fixed4(value)
 
 
@@ -319,7 +319,7 @@ def delta_from_value(value):
             raise ParseError(f"edit path must name one terms field, got {path!r}")
         name, new = path[0], item["value"]
         if name in DECIMAL_FIELDS:
-            new = _wire_decimal(name, new)
+            new = wire_decimal(name, new)
         changes.append((name, new))
     return TermsDelta(tuple(changes))
 

@@ -1,21 +1,40 @@
-"""docs/protocol.md against the code: its state lists, its Clocks table
-and its failure reasons are read from the document and compared with
-the protocol module, so a change to either one shows up here."""
+"""docs/protocol.md against the code: its Actions table, its state
+lists, its Clocks table and its failure reasons are read from the
+document and compared with the protocol module, so a change to either
+one shows up here."""
 
 import re
 from pathlib import Path
 
 from atcpip import protocol
-from atcpip.protocol import WAITS, ProviderState, RequesterState
+from atcpip.protocol import BODIES, OPTIONAL, WAITS, ProviderState, RequesterState
 
 DOC = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
 
 
-def section(title):
-    """The text under a ``###`` heading, up to the next heading."""
-    start = DOC.index(f"\n### {title}\n")
+def section(title, level="###"):
+    """The text under a heading, up to the next heading."""
+    start = DOC.index(f"\n{level} {title}\n")
     end = DOC.find("\n#", start + 1)
     return DOC[start:end]
+
+
+def action_rows():
+    """action -> [(key, optional)] for each row of the Actions table, each
+    key written as ``key`` or ``key`` (optional), then a colon."""
+    rows = {}
+    for line in section("Actions", "##").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            keys = re.findall(r"`([a-z_]+)`( \(optional\))?:", cells[2])
+            rows[cells[0].strip("`")] = [(key, bool(optional)) for key, optional in keys]
+    return rows
+
+
+def test_action_table_matches_the_body_parsers():
+    assert action_rows() == {
+        action: [(key, key in OPTIONAL) for key in parsers] for action, parsers in BODIES.items()
+    }
 
 
 def listed_states(role):

@@ -21,7 +21,9 @@ error that nothing can raise any more goes with the code that raised it.
 A ``ProtocolMessage`` is built under ``src/`` only where the protocol
 numbers and queues one (``_send``) and where one is decoded
 (``message_from_value``), so every message sent went through a
-session's outbox.
+session's outbox. Bodies are type-checked once, by their action's
+parser, so neither transition calls ``isinstance`` or compares
+``type(...)`` by identity.
 """
 
 import ast
@@ -441,3 +443,41 @@ def test_protocol_messages_are_built_only_where_they_are_numbered_or_decoded():
         for _, function in message_constructions(path.read_text())
     ]
     assert sorted(found) == sorted(MESSAGE_BUILDERS)
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def type_checks(source, functions):
+    """(function, line) for each ``isinstance(...)`` call and each
+    ``type(...) is`` or ``is not`` comparison inside the named functions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in functions):
+            continue
+        for inner in ast.walk(node):
+            if _calls(inner, "isinstance") or (
+                isinstance(inner, ast.Compare)
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in inner.ops)
+                and any(_calls(side, "type") for side in (inner.left, *inner.comparators))
+            ):
+                found.append((node.name, inner.lineno))
+    return sorted(found)
+
+
+def test_type_checks_are_found():
+    source = (
+        "def step(session, body):\n"
+        "    if isinstance(body['round'], int):\n"
+        "        return type(body['amount']) is not int\n"
+        "    return type(session.state).REJECTED is session.state\n"
+        "def parse(value):\n"
+        "    return isinstance(value, str)\n"
+    )
+    assert type_checks(source, {"step"}) == [("step", 2), ("step", 3)]
+
+
+def test_transitions_check_no_types():
+    source = (ROOT / "src" / "atcpip" / "protocol.py").read_text()
+    assert type_checks(source, {"provider_transition", "requester_transition"}) == []

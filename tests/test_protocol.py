@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 from atcpip import canon
-from atcpip.errors import MalformedFrame, ProtocolViolation
+from atcpip.errors import MalformedFrame, ParseError, ProtocolViolation
 from atcpip.ledger import Ledger, token_to_value
 from atcpip.payments import SplitPlan
 from atcpip.protocol import (
@@ -25,6 +25,7 @@ from atcpip.protocol import (
     encode_message,
     expire,
     fail,
+    parse_body,
     provider_deliver,
     provider_propose,
     provider_transition,
@@ -43,6 +44,14 @@ from conftest import make_terms, make_world, mint_agreement, pump, transaction_r
 
 def msg(action, body, sender="requester", recipient="provider", seq=0, session="s1"):
     return ProtocolMessage(session, seq, sender, recipient, action, body)
+
+
+def take(session, message, agent):
+    """Hand ``session`` one message as a runtime does: the body parsed
+    against the terms the session holds, then the role's transition."""
+    transition = provider_transition if session.role == "provider" else requester_transition
+    body = parse_body(message.action, message.body, (session.terms, session.countered))
+    transition(session, message.action, body, agent)
 
 
 # -- codec ---------------------------------------------------------------------
@@ -193,9 +202,10 @@ def paid_terms():
 def test_provider_happy_path_states():
     session = provider_session()
     agent = RecordingAgent(session, plan=SplitPlan(10, (("provider", 10),)))
-    provider_transition(session, msg("request_info", {"content_id": "data-1"}), agent)
+    take(session, msg("request_info", {"content_id": "data-1"}), agent)
     assert session.state is ProviderState.EVALUATING
-    assert session.drain() == [] and session.request_body == {"content_id": "data-1"}
+    assert session.drain() == [] and session.content_id == "data-1"
+    assert session.jurisdiction == "" and session.offer == {}
     assert agent.calls == [("evaluate_request", ProviderState.EVALUATING, 0)]
 
     terms = paid_terms()
@@ -208,31 +218,37 @@ def test_provider_happy_path_states():
     assert proposal.action == "propose_terms" and proposal.body["round"] == 1
     assert proposal.seq == 0 and "previous_license_id" not in proposal.body
 
-    provider_transition(session, msg("accept_terms", {"terms_hash": digest}), agent)
+    take(session, msg("accept_terms", {"terms_hash": digest}), agent)
     outputs = session.drain()
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls[-1] == ("payment_plan", ProviderState.AWAITING_PAYMENT, 1)
     assert outputs[0].action == "payment_required"
     assert outputs[0].body == {"amount": 10, "split": [{"to": "provider", "amount": 10}]}
 
-    provider_transition(session, msg("payment_confirmed", {"amount": 10}, seq=1), agent)
+    take(session, msg("payment_confirmed", {"amount": 10}, seq=1), agent)
     assert session.state is ProviderState.AWAITING_TOKEN
 
-    provider_transition(session, msg("license_token", {"token": {"fake": True}}, seq=2), agent)
-    # The exchange runs while the session still waits for the token.
+    book = Ledger()
+    book.register_agent("provider", b"p")
+    book.register_agent("requester", b"r")
+    token = book.prepare_agreement("requester", "provider", terms, terms.duration, session_id="s1")
+    take(session, msg("license_token", {"token": token_to_value(token)}, seq=2), agent)
+    # The exchange runs while the session still waits for the token, and
+    # gets it parsed, holding the session's own terms.
     assert session.state is ProviderState.AWAITING_TOKEN
     assert session.drain() == []
-    assert agent.calls[-1] == ("atomic_exchange", ProviderState.AWAITING_TOKEN, 2, {"fake": True})
+    assert agent.calls[-1] == ("atomic_exchange", ProviderState.AWAITING_TOKEN, 2, token)
+    assert agent.calls[-1][3].terms is terms
 
 
 def test_provider_zero_fee_skips_payment():
     session = provider_session()
     agent = RecordingAgent(session)
-    provider_transition(session, msg("request_info", {"content_id": "c"}), agent)
+    take(session, msg("request_info", {"content_id": "c"}), agent)
     terms = make_terms(upfront_fee=0)
     provider_propose(session, agent, terms)
     session.drain()
-    provider_transition(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}), agent)
+    take(session, msg("accept_terms", {"terms_hash": terms_hash(terms)}), agent)
     assert session.state is ProviderState.AWAITING_TOKEN
     assert session.drain() == [] and "payment_plan" not in [call[0] for call in agent.calls]
 
@@ -254,15 +270,18 @@ def test_provider_delivery_and_ack_paths():
     # The deal is recorded after the delivery took its seq.
     assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
 
-    acky = ProviderSession(session_id="s2", provider_id="provider", requester_id="requester",
-                           config=SessionConfig(ack_required=True),
-                           state=ProviderState.AWAITING_TOKEN, content_id="c")
-    agent = RecordingAgent(acky)
+    acky = provider_session(config=SessionConfig(ack_required=True),
+                            state=ProviderState.AWAITING_TOKEN, content_id="c")
+    agent = RecordingAgent(acky, ledger=book)
     provider_deliver(acky, agent, token, "bytes")
     assert acky.state is ProviderState.AWAITING_ACK
     assert agent.calls == []
     assert [message.action for message in acky.drain()] == ["deliver_ip"]
-    provider_transition(acky, msg("acknowledge_receipt", {"license_id": "x"}), agent)
+    # Only the acknowledgement of this session's license counts.
+    with pytest.raises(ProtocolViolation):
+        take(acky, msg("acknowledge_receipt", {"license_id": "x"}), agent)
+    assert acky.state is ProviderState.AWAITING_ACK and not acky.acknowledged
+    take(acky, msg("acknowledge_receipt", {"license_id": token.license_id}), agent)
     assert acky.state is ProviderState.COMPLETED and acky.acknowledged
     assert acky.drain() == []
     assert agent.calls == [("record_issue", ProviderState.COMPLETED, 1)]
@@ -312,8 +331,9 @@ def test_provider_refuses_a_confirmation_for_another_amount(fee, amount):
         state=ProviderState.AWAITING_PAYMENT, terms=make_terms(upfront_fee=fee)
     )
     agent = RecordingAgent(session)
-    with pytest.raises(ProtocolViolation):
-        provider_transition(session, msg("payment_confirmed", {"amount": amount}), agent)
+    # An amount that is not a whole number does not parse.
+    with pytest.raises(ProtocolViolation if type(amount) is int else ParseError):
+        take(session, msg("payment_confirmed", {"amount": amount}), agent)
     assert session.state is ProviderState.AWAITING_PAYMENT
     assert agent.calls == []
 
@@ -331,10 +351,10 @@ def test_provider_rejects_wrong_accept_hash_and_terminal_events():
     session.terms = paid_terms()
     agent = RecordingAgent(session)
     with pytest.raises(ProtocolViolation):
-        provider_transition(session, msg("accept_terms", {"terms_hash": "f" * 64}), agent)
+        take(session, msg("accept_terms", {"terms_hash": "f" * 64}), agent)
     done = provider_session(state=ProviderState.COMPLETED)
     with pytest.raises(ProtocolViolation):
-        provider_transition(done, msg("request_info", {"content_id": "c"}), RecordingAgent(done))
+        take(done, msg("request_info", {"content_id": "c"}), RecordingAgent(done))
     with pytest.raises(ProtocolViolation):
         expire(done, RecordingAgent(done))
     assert agent.calls == [] and session.state is ProviderState.TERMS_PROPOSED
@@ -342,22 +362,20 @@ def test_provider_rejects_wrong_accept_hash_and_terminal_events():
 
 def test_reject_message_closes_either_side():
     provider = provider_session(state=ProviderState.AWAITING_TOKEN)
-    provider_transition(provider, msg("reject", {"reason": "changed my mind"}),
-                        RecordingAgent(provider))
+    take(provider, msg("reject", {"reason": "changed my mind"}), RecordingAgent(provider))
     assert provider.state is ProviderState.REJECTED
     assert provider.reject_reason == "changed my mind"
 
     requester = requester_session(state=RequesterState.AWAITING_TERMS)
-    requester_transition(requester, msg("reject", {"reason": "not for sale"},
-                                        sender="provider", recipient="requester"),
-                         RecordingAgent(requester))
+    take(requester, msg("reject", {"reason": "not for sale"}, sender="provider",
+                        recipient="requester"), RecordingAgent(requester))
     assert requester.state is RequesterState.REJECTED
 
 
 def test_non_ip_notice_completes_without_license():
-    session = requester_session(state=RequesterState.AWAITING_TERMS)
+    session = requester_session(state=RequesterState.AWAITING_TERMS, content_id="c")
     agent = RecordingAgent(session)
-    requester_transition(
+    take(
         session,
         msg("non_ip_notice", {"content_id": "c", "content": "plain text", "note": NON_IP_NOTE},
             sender="provider", recipient="requester"),
@@ -390,7 +408,7 @@ def test_requester_happy_path_states():
     assert outputs[0].body == {"content_id": "data-1"}
 
     terms = paid_terms()
-    requester_transition(
+    take(
         session,
         msg("propose_terms", {"terms": terms.to_value(), "round": 1},
             sender="provider", recipient="requester"),
@@ -408,14 +426,14 @@ def test_requester_happy_path_states():
     assert outputs[0].body == {"terms_hash": terms_hash(terms)}
 
     split = [{"to": "provider", "amount": 10}]
-    requester_transition(
+    take(
         session,
         msg("payment_required", {"amount": 10, "split": split},
             sender="provider", recipient="requester", seq=1),
         agent,
     )
     assert session.drain() == []
-    assert agent.calls[-1] == ("settle", RequesterState.PAYING, 2, 10, split)
+    assert agent.calls[-1] == ("settle", RequesterState.PAYING, 2, 10, (("provider", 10),))
 
     requester_paid(session, agent, 10)
     assert session.state is RequesterState.PAYING
@@ -457,7 +475,7 @@ def test_requester_counter_flow():
 
     final = msg("final_terms", {"terms": countered.to_value(), "round": 2},
                 sender="provider", recipient="requester", seq=1)
-    requester_transition(session, final, agent)
+    take(session, final, agent)
     assert session.state is RequesterState.EVALUATING_TERMS
     assert session.round == 2
     assert session.drain() == []
@@ -472,7 +490,7 @@ def test_requester_reuses_held_terms_only_for_their_own_text():
         session.terms, session.countered = standing, countered
         final = msg("final_terms", {"terms": terms, "round": 2},
                     sender="provider", recipient="requester")
-        requester_transition(session, final, RecordingAgent(session))
+        take(session, final, RecordingAgent(session))
         assert session.state is RequesterState.EVALUATING_TERMS
         assert session.countered is None
         return session.terms
@@ -489,7 +507,7 @@ def test_requester_reuses_held_terms_only_for_their_own_text():
     assert countered.onchain_enforcement is True
     loose = dict(countered.to_value(), onchain_enforcement=1)
     assert loose == countered.to_value()
-    with pytest.raises(ProtocolViolation, match="terms in message do not parse"):
+    with pytest.raises(ParseError, match="final_terms terms bad terms document"):
         answer(canon.Canonical(canon.dumps(loose).decode("utf-8")))
 
 
@@ -504,7 +522,9 @@ def test_terms_text_that_no_held_terms_have_is_refused_when_it_breaks_a_rule():
         assert requester.receive_message(proposal) == []
         assert requester.session("s1").state is RequesterState.AWAITING_TERMS
         note = requester.memory_texts()[-1]
-        assert note.startswith("Protocol violation: terms in message do not parse: ")
+        assert note.startswith(
+            "Dropped malformed message in session s1: propose_terms terms terms failed validation: "
+        )
         assert note.endswith("jurisdiction: not a recognized jurisdiction code")
 
 
@@ -515,7 +535,9 @@ def test_requester_validates_payment_request():
     bad_amount = msg("payment_required", {"amount": 11, "split": [{"to": "p", "amount": 11}]},
                      sender="provider", recipient="requester")
     with pytest.raises(ProtocolViolation):
-        requester_transition(session, bad_amount, agent)
+        take(session, bad_amount, agent)
+    # A split that is not whole named lines summing to the amount does
+    # not parse.
     for split in (
         [{"to": "p", "amount": 9}],
         [{"to": "p", "amount": 110}, {"to": "bystander", "amount": -100}],
@@ -529,15 +551,15 @@ def test_requester_validates_payment_request():
     ):
         bad_split = msg("payment_required", {"amount": 10, "split": split},
                         sender="provider", recipient="requester")
-        with pytest.raises(ProtocolViolation):
-            requester_transition(session, bad_split, agent)
+        with pytest.raises(ParseError):
+            take(session, bad_split, agent)
     assert session.state is RequesterState.PAYING
     assert agent.calls == []
     good_split = [{"to": "q", "amount": 0}, {"to": "p", "amount": 10}]
     good = msg("payment_required", {"amount": 10, "split": good_split},
                sender="provider", recipient="requester")
-    requester_transition(session, good, agent)
-    assert agent.calls == [("settle", RequesterState.PAYING, 0, 10, good_split)]
+    take(session, good, agent)
+    assert agent.calls == [("settle", RequesterState.PAYING, 0, 10, (("q", 0), ("p", 10)))]
 
 
 def test_requester_delivery_checks_token_binding():
@@ -547,13 +569,13 @@ def test_requester_delivery_checks_token_binding():
     terms = make_terms()
     token = mint_agreement(book, "requester", "provider", terms, "2025-01-01", session_id="s1")
 
-    session = requester_session(state=RequesterState.AWAITING_DELIVERY)
+    session = requester_session(state=RequesterState.AWAITING_DELIVERY, content_id="c")
     session.terms = terms
     agent = RecordingAgent(session, ledger=book)
     delivery = msg("deliver_ip",
                    {"content_id": "c", "content": "bytes", "token": token_to_value(token)},
                    sender="provider", recipient="requester")
-    requester_transition(session, delivery, agent)
+    take(session, delivery, agent)
     assert session.content == "bytes"
     assert session.drain() == []
     # The license is recorded while the session still awaits delivery,
@@ -562,12 +584,12 @@ def test_requester_delivery_checks_token_binding():
     assert session.state is RequesterState.COMPLETED
 
     # uncommitted token (no height) must be refused
-    stale = requester_session(state=RequesterState.AWAITING_DELIVERY)
+    stale = requester_session(state=RequesterState.AWAITING_DELIVERY, content_id="c")
     stale.terms = terms
     uncommitted = token_to_value(token)
     del uncommitted["height"]
     with pytest.raises(ProtocolViolation):
-        requester_transition(
+        take(
             stale,
             msg("deliver_ip", {"content_id": "c", "content": "b", "token": uncommitted},
                 sender="provider", recipient="requester"),
@@ -623,7 +645,9 @@ def test_terms_breaking_a_rule_are_a_protocol_violation_on_receipt():
     assert requester.receive_message(proposal) == []
     assert requester.session("s1").state is RequesterState.AWAITING_TERMS
     note = requester.memory_texts()[-1]
-    assert note.startswith("Protocol violation: terms in message do not parse: ")
+    assert note.startswith(
+        "Dropped malformed message in session s1: propose_terms terms terms failed validation: "
+    )
     assert note.endswith("royalty_rate: out of range [0,1]")
 
 
@@ -640,8 +664,15 @@ def test_token_whose_terms_break_a_rule_makes_the_provider_abort():
     token["terms"] = dict(canon.loads(token["terms"]), jurisdiction="ZZ")
     tampered = msg("license_token", {"token": token}, sender="req", recipient="prov",
                    seq=token_message.seq)
+    # The token is dropped where it arrives; the provider waits on and
+    # fails when the settlement clock runs out.
     assert provider.receive_message(tampered) == []
     session = provider.session("s1")
+    assert session.state is ProviderState.AWAITING_TOKEN
+    assert provider.memory_texts()[-1].startswith(
+        "Dropped malformed message in session s1: license_token token terms failed validation: "
+    )
+    assert provider.expire_timer("s1") == []
     assert session.state is ProviderState.FAILED
     assert session.failure_reason == NO_TOKEN_FAILURE
     assert ledger.session_agreement("s1") is None

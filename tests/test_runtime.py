@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from atcpip import canon
 from atcpip.negotiation import (
     NegotiationPolicy,
     NumericBound,
@@ -16,6 +17,7 @@ from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
     NO_TOKEN_FAILURE,
     NON_IP_MEMORY,
+    NON_IP_NOTE,
     ProtocolMessage,
     ProviderState,
     RequesterState,
@@ -491,6 +493,20 @@ def test_courtship_tie_goes_to_the_smaller_agent_id():
     assert runtimes["r3"].session("c3").state is RequesterState.REJECTED
 
 
+def test_an_offer_rate_past_four_digits_is_dropped_and_courtship_decides_the_rest():
+    _, _, _, runtimes = courtship_world()
+    pump(runtimes, runtimes["r1"].start_request(
+        "c1", "prov", "model-weights", offer={"upfront_fee": 12_000_000}))
+    pump(runtimes, runtimes["r2"].start_request(
+        "c2", "prov", "model-weights", offer={"royalty_rate": Decimal("0.00001")}))
+    provider = runtimes["prov"]
+    assert not provider.has_session("c2")
+    assert provider.memory_texts()[-1].startswith(
+        "Dropped malformed message in session c2: request_info offer "
+    )
+    pump(runtimes, provider.decide_courtship("model-weights"))
+    assert runtimes["r1"].session("c1").state is RequesterState.COMPLETED
+
 def test_replayed_messages_are_dropped():
     item = CatalogItem("forecast-today", "sunny", tags=("forecast",))
     _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
@@ -660,6 +676,143 @@ def test_proposal_with_a_mistyped_previous_license_is_dropped(previous):
         message_from_value(proposal.to_value())
 
 
+# Bodies that do not parse, one or more per action that can arrive in a
+# live session: (action, the key named in the drop note, body). A body
+# is built from a token the requester could have prepared for the session.
+def _zz_terms(token):
+    return dict(canon.loads(token["terms"]), jurisdiction="ZZ")
+
+
+def _without(token, name):
+    return {key: value for key, value in token.items() if key != name}
+
+
+TERMS_TEXT = IP_TERMS.canonical
+SPLIT = [{"to": "prov", "amount": 10_000_000}]
+DROPS = [
+    ("non_ip_notice", "content", lambda token: {
+        "content_id": DATASET.content_id, "content": 5, "note": NON_IP_NOTE}),
+    ("propose_terms", "round", lambda token: {"terms": TERMS_TEXT, "round": "2"}),
+    ("propose_terms", "round", lambda token: {"terms": TERMS_TEXT, "round": True}),
+    ("final_terms", "round", lambda token: {"terms": TERMS_TEXT, "round": Decimal("2")}),
+    ("propose_terms", "terms", lambda token: {"terms": _zz_terms(token), "round": 1}),
+    ("counter_terms", "suggestions", lambda token: {"suggestions": "cheaper", "round": 2}),
+    ("accept_terms", "terms_hash", lambda token: {"terms_hash": 5}),
+    ("payment_required", "amount", lambda token: {"amount": True, "split": SPLIT}),
+    ("payment_required", "split", lambda token: {"amount": 10_000_001, "split": SPLIT}),
+    ("payment_confirmed", "amount", lambda token: {"amount": Decimal("10000000")}),
+    ("license_token", "token", lambda token: {"token": _without(token, "session_id")}),
+    ("license_token", "token", lambda token: {"token": dict(token, terms=_zz_terms(token))}),
+    ("deliver_ip", "token", lambda token: {
+        "content_id": DATASET.content_id, "content": DATASET.content, "token": "signed"}),
+    ("acknowledge_receipt", "license_id", lambda token: {"license_id": 5}),
+    ("reject", "reason", lambda token: {"reason": ["x"]}),
+]
+TO_PROVIDER = {"counter_terms", "accept_terms", "payment_confirmed", "license_token",
+               "acknowledge_receipt"}
+
+
+def fields_a_drop_keeps(session):
+    return (session.state, session.round, session.terms, session.countered,
+            session.last_seq_seen, list(session.outbox))
+
+
+@pytest.mark.parametrize(
+    "action,key,build",
+    DROPS,
+    ids=["content", "round_text", "round_bool", "round_decimal", "terms_zz", "suggestions",
+         "terms_hash", "amount_bool", "split_sum", "amount_decimal", "token_missing_field",
+         "token_terms_zz", "delivered_token", "license_id", "reason"],
+)
+def test_a_body_that_does_not_parse_is_dropped_before_its_session_is_touched(action, key, build):
+    ledger, _, _, runtimes = make_world(
+        {"prov": {"items": (DATASET,)}, "req": {"balance": 50_000_000}}
+    )
+    [request] = runtimes["req"].start_request("s1", "prov", DATASET.content_id)
+    runtimes["prov"].receive_message(request)  # the provider proposes
+    token = token_to_value(
+        ledger.prepare_agreement("req", "prov", IP_TERMS, IP_TERMS.duration, session_id="s1")
+    )
+    sender, recipient = ("req", "prov") if action in TO_PROVIDER else ("prov", "req")
+    runtime = runtimes[recipient]
+    session = runtime.session("s1")
+    runtime.sessions(acted=True)
+    kept, notes = fields_a_drop_keeps(session), len(runtime.memory_texts())
+    message = ProtocolMessage("s1", 5, sender, recipient, action, build(token))
+
+    assert runtime.receive_message(message) == []
+    assert fields_a_drop_keeps(session) == kept
+    assert runtime.sessions(acted=True) == {}
+    [note] = runtime.memory_texts()[notes:]
+    assert note.startswith(f"Dropped malformed message in session s1: {action} {key} ")
+    with pytest.raises(ParseError, match=f"^{action} {key} "):
+        message_from_value(message.to_value())
+
+
+def free_deal_up_to_delivery(config=None):
+    """A free deal run until the provider has sent ``deliver_ip``."""
+    item = CatalogItem(DATASET.content_id, DATASET.content, tags=("dataset",),
+                       terms=IP_TERMS.replace(upfront_fee=0))
+    _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}}, config=config)
+    provider, requester = runtimes["prov"], runtimes["req"]
+    [request] = requester.start_request("s1", "prov", item.content_id)
+    [proposal] = provider.receive_message(request)
+    acceptance, token_message = requester.receive_message(proposal)
+    provider.receive_message(acceptance)
+    [delivery] = provider.receive_message(token_message)
+    return provider, requester, delivery
+
+
+def forged(message, **body):
+    return ProtocolMessage(message.session_id, message.seq, message.sender, message.recipient,
+                           message.action, dict(message.body, **body))
+
+
+def violation(role, state, action):
+    return f"Protocol violation: {role} session 's1' in {state} cannot take event {action!r}"
+
+
+def test_a_delivery_of_other_content_is_a_protocol_violation():
+    _, requester, delivery = free_deal_up_to_delivery()
+    session = requester.session("s1")
+    seen = session.last_seq_seen
+    assert requester.receive_message(forged(delivery, content_id="other-data")) == []
+    assert requester.memory_texts()[-1] == violation("requester", "awaiting_delivery", "deliver_ip")
+    assert session.state is RequesterState.AWAITING_DELIVERY and session.content is None
+    assert session.last_seq_seen == seen
+    assert requester.receive_message(delivery) == []
+    assert session.state is RequesterState.COMPLETED
+
+
+def test_a_notice_of_other_content_is_a_protocol_violation():
+    item = CatalogItem("forecast-today", "sunny", tags=("forecast",))
+    _, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    [request] = runtimes["req"].start_request("s1", "prov", item.content_id)
+    [notice] = runtimes["prov"].receive_message(request)
+    requester = runtimes["req"]
+    session = requester.session("s1")
+    assert requester.receive_message(forged(notice, content_id="forecast-tomorrow")) == []
+    assert requester.memory_texts()[-1] == violation("requester", "awaiting_terms", "non_ip_notice")
+    assert session.state is RequesterState.AWAITING_TERMS and session.content is None
+    assert session.last_seq_seen == -1
+    assert requester.receive_message(notice) == []
+    assert session.state is RequesterState.COMPLETED and session.content == "sunny"
+
+
+def test_an_acknowledgement_of_another_license_is_a_protocol_violation():
+    provider, requester, delivery = free_deal_up_to_delivery(SessionConfig(ack_required=True))
+    [ack] = requester.receive_message(delivery)
+    session = provider.session("s1")
+    assert session.state is ProviderState.AWAITING_ACK
+    assert provider.receive_message(forged(ack, license_id="0" * 32)) == []
+    assert provider.memory_texts()[-1] == violation(
+        "provider", "awaiting_ack", "acknowledge_receipt"
+    )
+    assert session.state is ProviderState.AWAITING_ACK and not session.acknowledged
+    assert provider.receive_message(ack) == []
+    assert session.state is ProviderState.COMPLETED and session.acknowledged
+
+
 def test_timer_for_follows_session_state():
     config = SessionConfig(negotiation_timeout=7, settlement_timeout=19)
     _, _, _, runtimes = make_world(
@@ -775,7 +928,7 @@ def test_malformed_counter_is_a_protocol_violation_before_any_revision(suggestio
     assert runtimes["prov"].receive_message(counter) == []
     prov = runtimes["prov"].session("s1")
     assert runtimes["prov"].memory_texts()[-1].startswith(
-        "Protocol violation: counter suggestions do not parse:"
+        "Dropped malformed message in session s1: counter_terms suggestions "
     )
     assert prov.revisions_used == 0
     assert prov.state is ProviderState.TERMS_PROPOSED

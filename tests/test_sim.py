@@ -20,6 +20,9 @@ from atcpip.protocol import (
     RequesterSession,
     RequesterState,
     SessionConfig,
+    decode_message,
+    encode_message,
+    message_from_value,
 )
 from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
@@ -540,6 +543,19 @@ def test_golden_transcript_lines_are_canonical(name):
             entry = value["entry"]
             assert entry["payload_hash"] == canon.sha256_hex(canon.dumps(entry["payload"]))
     assert ledger_lines > 0
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_every_golden_frame_parses_with_nothing_held(name):
+    # Each frame as the transcript carries it, its terms as maps: the
+    # body parsers take everything the goldens send, off the wire too.
+    transcript, _ = run_scenario(golden_scenario(name))
+    frames = [line["frame"] for line in map(canon.loads, transcript.splitlines())
+              if line["kind"] == "msg"]
+    assert frames
+    for frame in frames:
+        message = message_from_value(frame)
+        assert decode_message(encode_message(message)) == message
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
