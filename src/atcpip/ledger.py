@@ -390,24 +390,32 @@ class Ledger:
                 raise UnknownLicense(f"previous license {previous_license_id!r} not on ledger")
             version = previous.metadata.version + 1
         digest = terms_hash(terms)
+        identity = {
+            "issuer_id": issuer_id,
+            "holder_id": requester_id,
+            "issue_date": self.height,
+            "expiry_date": expiry_date,
+            "version": version,
+            "link_to_terms": digest,
+        }
+        if previous_license_id is not None:
+            identity["previous_license_id"] = previous_license_id
+        license_id = derive_license_id(identity, digest)
+        identity["license_id"] = license_id
+        signature = simulated_signature(
+            self._secrets[requester_id], canon.dumps(identity) + digest.encode("ascii")
+        )
         metadata = LicenseMetadata(
-            license_id="",
+            license_id=license_id,
             issuer_id=issuer_id,
             holder_id=requester_id,
             issue_date=self.height,
             expiry_date=expiry_date,
             version=version,
             link_to_terms=digest,
-            signature="",
+            signature=signature,
             previous_license_id=previous_license_id,
         )
-        metadata = replace(
-            metadata, license_id=derive_license_id(_identity_value(metadata), digest)
-        )
-        signature = simulated_signature(
-            self._secrets[requester_id], _metadata_signing_bytes(metadata, digest)
-        )
-        metadata = replace(metadata, signature=signature)
         return AgreementToken(
             metadata=metadata,
             terms=terms,

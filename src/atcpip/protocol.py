@@ -109,9 +109,17 @@ def _name(value, held):
 
 
 def _whole(value, held):
-    """A round, or money in micro-credits: neither a boolean nor a decimal."""
+    """Money in micro-credits: neither a boolean nor a decimal."""
     if type(value) is not int:
         raise ParseError("must be an integer")
+    return value
+
+
+def _round(value, held):
+    """A round one step below the 64-bit bound, so the next round a
+    receiver numbers still encodes."""
+    if type(value) is not int or not 0 <= value < canon.INT_MAX:
+        raise ParseError("must be an integer from 0 below the 64-bit bound")
     return value
 
 
@@ -151,9 +159,9 @@ def _encoded(value, held):
 BODIES = {
     "request_info": {"content_id": _name, "jurisdiction": _text, "offer": _offer},
     "non_ip_notice": {"content_id": _name, "content": _text, "note": _text},
-    "propose_terms": {"terms": terms_from_value, "round": _whole, "previous_license_id": _name},
-    "counter_terms": {"suggestions": lambda value, held: delta_from_value(value), "round": _whole},
-    "final_terms": {"terms": terms_from_value, "round": _whole},
+    "propose_terms": {"terms": terms_from_value, "round": _round, "previous_license_id": _name},
+    "counter_terms": {"suggestions": lambda value, held: delta_from_value(value), "round": _round},
+    "final_terms": {"terms": terms_from_value, "round": _round},
     "accept_terms": {"terms_hash": _text},
     "payment_required": {"amount": _whole, "split": _split},
     "payment_confirmed": {"amount": _whole},

@@ -4,14 +4,21 @@ The terms document is the unit that gets negotiated, hashed, and bound
 into tokens, so everything here is geared toward one property: equal
 terms always produce equal canonical bytes. Construction normalizes
 representation (tag lists become sorted unique tuples, rates become
-four-digit decimals) and validates: a type error raises TypeError (the
-string fields, every tag and the fee take the exact ``str`` and ``int``
-types, so a ``canon.Canonical`` or an ``IntEnum`` is refused), and a
-value outside the domain (tags, dates, jurisdictions, modes, ranges)
-raises InvalidTerms with the whole violation report. Every route that
-builds terms (the constructor, ``replace``, ``terms_from_value``,
-``apply_delta``) goes through that check, so a ``LicenseTerms`` that
-exists is valid and there is no separate ``validate``.
+four-digit decimals) and validates in two steps. First each field
+passes its one check, its row of ``FIELD_CHECKS``: the string fields,
+every tag and the fee take the exact ``str`` and ``int`` types (so a
+``canon.Canonical`` or an ``IntEnum`` is refused), the flags take
+``bool``, and a wrong type raises TypeError. Then the whole document
+passes the domain check (tags, dates, jurisdictions, modes, ranges),
+and a value outside the domain raises InvalidTerms with the whole
+violation report. The constructor, ``terms_from_value`` and
+``dataclasses.replace`` run both steps on every field. A derived value,
+``LicenseTerms.replace`` (which ``apply_delta`` and every counter and
+revision go through), takes its parent's fields as they were checked,
+runs the field checks of the changed fields only, and then the whole
+domain check; it raises what the constructor would for the same
+fields. So a ``LicenseTerms`` that exists is valid and there is no
+separate ``validate``.
 
 A ``LicenseTerms`` is encoded once: it keeps its own canonical text,
 and its digest is the sha256 of that text. The text is one fixed
@@ -96,6 +103,41 @@ def _normalize_tags(name, value):
     return tuple(sorted(set(tags)))
 
 
+def _rate(name, value):
+    return fixed4(value)
+
+
+def _exact_str(name, value):
+    if type(value) is not str:
+        raise TypeError(f"{name} must be an exact string")
+    return value
+
+
+def _flag(name, value):
+    if not isinstance(value, bool):
+        raise TypeError(f"{name} must be a bool")
+    return value
+
+
+def _fee(name, value):
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an exact integer micro-credit amount")
+    return value
+
+
+# Each field's one check: it takes the field's name and value and
+# returns the value as stored, or raises TypeError (a rate, what
+# ``fixed4`` raises). Rows are in the order construction checks them,
+# so the first field to fail is the same on every route.
+FIELD_CHECKS = {
+    **{name: _normalize_tags for name in TAG_FIELDS},
+    **{name: _rate for name in DECIMAL_FIELDS},
+    **{name: _exact_str for name in STR_FIELDS},
+    **{name: _flag for name in BOOL_FIELDS},
+    "upfront_fee": _fee,
+}
+
+
 @dataclass(frozen=True)
 class LicenseTerms:
     """A complete machine-readable license offer.
@@ -127,18 +169,9 @@ class LicenseTerms:
     upfront_fee: int = 0
 
     def __post_init__(self):
-        for name in TAG_FIELDS:
-            object.__setattr__(self, name, _normalize_tags(name, getattr(self, name)))
-        for name in DECIMAL_FIELDS:
-            object.__setattr__(self, name, fixed4(getattr(self, name)))
-        for name in STR_FIELDS:
-            if type(getattr(self, name)) is not str:
-                raise TypeError(f"{name} must be an exact string")
-        for name in BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be a bool")
-        if type(self.upfront_fee) is not int:
-            raise TypeError("upfront_fee must be an exact integer micro-credit amount")
+        checked = self.__dict__
+        for name, check in FIELD_CHECKS.items():
+            checked[name] = check(name, checked[name])
         report = _violations(self)
         if report:
             raise InvalidTerms(report)
@@ -151,7 +184,24 @@ class LicenseTerms:
         return out
 
     def replace(self, **changes):
-        return replace(self, **changes)
+        """These terms with ``changes`` applied. Only the changed fields
+        pass their field checks, in construction's order, and then the
+        result passes the whole domain check, so the error is the one
+        the constructor raises for the same fields. An unknown field
+        name is the constructor's TypeError."""
+        if not changes.keys() <= FIELD_CHECKS.keys():
+            return replace(self, **changes)
+        derived = object.__new__(LicenseTerms)
+        values = derived.__dict__
+        values.update(self.__dict__)
+        values.pop("canonical", None)  # the parent's text, not this value's
+        for name, check in FIELD_CHECKS.items():
+            if name in changes:
+                values[name] = check(name, changes[name])
+        report = _violations(derived)
+        if report:
+            raise InvalidTerms(report)
+        return derived
 
     @cached_property
     def canonical(self):
@@ -220,21 +270,25 @@ def terms_from_value(value, held=()):
     missing = set(FIELD_ORDER) - set(value)
     if missing:
         raise ParseError(f"missing terms field {sorted(missing)[0]!r}")
-    kwargs = dict(value)
     for name in DECIMAL_FIELDS:
-        kwargs[name] = wire_decimal(name, kwargs[name])
+        _wire_number(name, value[name])
     try:
-        return LicenseTerms(**kwargs)
+        return LicenseTerms(**value)
     except TypeError as exc:
         raise ParseError(f"bad terms document: {exc}") from None
 
 
-def wire_decimal(name, value):
+def _wire_number(name, value):
     """A rate as the canonical format carries it: a non-bool integer or
-    a decimal, to four digits; a string is not a number there."""
+    a decimal; a string is not a number there."""
     if isinstance(value, bool) or not isinstance(value, (int, Decimal)):
         raise ParseError(f"{name} must be an integer or a decimal, got {value!r}")
-    return fixed4(value)
+    return value
+
+
+def wire_decimal(name, value):
+    """A rate off the wire (see ``_wire_number``), to four digits."""
+    return fixed4(_wire_number(name, value))
 
 
 @dataclass(frozen=True)
@@ -328,7 +382,7 @@ def apply_delta(terms, delta):
     """The terms with every change applied; InvalidResult when they
     cannot be built."""
     try:
-        return replace(terms, **dict(delta.changes))
+        return terms.replace(**dict(delta.changes))
     except TypeError as exc:
         raise InvalidResult(f"edited terms do not build: {exc}") from None
     except InvalidTerms as exc:

@@ -112,16 +112,29 @@ def test_mint_round_trips_and_verifies():
     assert book.session_agreement("s1") == token
 
 
-def test_license_id_matches_identity_digest():
+@pytest.mark.parametrize("renewal", [False, True], ids=["first", "renewal"])
+def test_license_id_matches_identity_digest(renewal):
     book = fresh_ledger()
     terms = make_terms()
-    token = mint_agreement(book, "requester", "provider", terms, "perpetual")
-    identity = token.metadata.to_value()
-    identity.pop("license_id")
-    identity.pop("signature")
-    digest = hashlib.sha256(canon.dumps(identity) + token.terms_hash.encode()).hexdigest()
-    assert token.license_id == digest[:32]
-    assert token.license_id == derive_license_id(identity, token.terms_hash)
+    previous = None
+    if renewal:
+        previous = mint_agreement(book, "requester", "provider", terms, "perpetual").license_id
+    prepared = book.prepare_agreement(
+        "requester", "provider", terms, "perpetual", previous_license_id=previous
+    )
+    metadata = prepared.metadata.to_value()
+    assert metadata.get("previous_license_id") == previous
+    assert metadata["version"] == (2 if renewal else 1)
+    signature = metadata.pop("signature")
+    signed = canon.dumps(metadata) + prepared.terms_hash.encode()
+    assert signature == simulated_signature(b"requester-secret", signed)
+    assert signature == prepared.requester_signature
+    license_id = metadata.pop("license_id")
+    digest = hashlib.sha256(canon.dumps(metadata) + prepared.terms_hash.encode()).hexdigest()
+    assert license_id == digest[:32]
+    assert license_id == derive_license_id(metadata, prepared.terms_hash)
+    assert book.token_problems(prepared) == []
+    assert book.commit_agreement(prepared).license_id == license_id
 
 
 def test_prepare_commits_nothing_until_commit():

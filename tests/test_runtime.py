@@ -14,6 +14,7 @@ from atcpip.negotiation import (
 from atcpip.errors import ParseError, UnknownContent
 from atcpip.ledger import token_to_value
 from atcpip.protocol import (
+    FRAME_HEADER,
     NO_PAYMENT_FAILURE,
     NO_TOKEN_FAILURE,
     NON_IP_MEMORY,
@@ -587,6 +588,42 @@ def test_proposal_without_terms_is_dropped_before_the_session_is_touched():
     assert requester.memory_texts() == [
         "Dropped malformed message in session s1: propose_terms body missing 'terms'"
     ]
+
+
+def countering_requester():
+    """A requester whose royalty ceiling sits below DATASET's rate, so it
+    answers DATASET's terms with a counter, and its session awaiting terms."""
+    policy = NegotiationPolicy(
+        bounds={"royalty_rate": NumericBound(Decimal("0.0000"), Decimal("0.0100"))},
+    )
+    _, _, _, runtimes = make_world(
+        {"prov": {"items": (DATASET,)}, "req": {"balance": 50_000_000, "policy": policy}}
+    )
+    requester = runtimes["req"]
+    requester.start_request("s1", "prov", DATASET.content_id)
+    return requester
+
+
+@pytest.mark.parametrize("round_", [canon.INT_MAX, -1], ids=["at_the_bound", "negative"])
+def test_a_proposal_round_outside_the_bound_is_dropped_and_nothing_is_sent(round_):
+    requester = countering_requester()
+    body = {"terms": IP_TERMS.canonical, "round": round_}
+    proposal = ProtocolMessage("s1", 0, "prov", "req", "propose_terms", body)
+    assert requester.receive_message(proposal) == []
+    session = requester.session("s1")
+    assert session.state is RequesterState.AWAITING_TERMS and session.round == 0
+    [note] = requester.memory_texts()
+    assert note.startswith("Dropped malformed message in session s1: propose_terms round ")
+
+
+def test_a_proposal_one_round_below_the_bound_yields_a_counter_that_encodes():
+    requester = countering_requester()
+    body = {"terms": IP_TERMS.canonical, "round": canon.INT_MAX - 1}
+    proposal = ProtocolMessage("s1", 0, "prov", "req", "propose_terms", body)
+    [counter] = requester.receive_message(proposal)
+    assert counter.action == "counter_terms" and counter.body["round"] == canon.INT_MAX
+    frame = encode_message(counter)
+    assert canon.loads(frame[FRAME_HEADER:]) == counter.to_value()
 
 
 def free_deal_whose_record_issue_raises(monkeypatch):

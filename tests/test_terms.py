@@ -20,6 +20,7 @@ from atcpip.errors import (
 )
 from atcpip.terms import (
     DISPUTE_RESOLUTION_MODES,
+    FIELD_CHECKS,
     FIELD_ORDER,
     JURISDICTIONS,
     SCOPE_TAGS,
@@ -480,3 +481,50 @@ def test_apply_delta_never_returns_terms_the_oracle_rejects(base, delta):
     except InvalidResult:
         return
     assert oracle_paths(edited.to_value()) == Counter()
+
+
+# Values no field's check takes, or that only some fields' checks take.
+WRONG_TYPES = [
+    7, -1, True, None, 0.25, "personal", "", Decimal("0.1"), Decimal("0.00001"),
+    Decimal("NaN"), Fee.TEN, canon.Canonical('"x"'), ["personal", 3], ("read_only",), b"US",
+]
+
+
+@st.composite
+def edits_of_any_type(draw):
+    """Changes to any fields: values in and out of the domain, and of the
+    wrong type."""
+    values = draw(any_terms_fields())
+    changes = {}
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(FIELD_ORDER))
+        changes[name] = draw(st.one_of(st.just(values[name]), st.sampled_from(WRONG_TYPES)))
+    return changes
+
+
+def outcome(build):
+    try:
+        return build()
+    except (TypeError, InvalidTerms, CanonicalizationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(valid_terms(), edits_of_any_type())
+def test_derived_terms_are_what_the_constructor_builds(base, changes):
+    derived = outcome(lambda: base.replace(**changes))
+    built = outcome(lambda: LicenseTerms(**{**base.to_value(), **changes}))
+    assert derived == built
+    if isinstance(built, LicenseTerms):
+        assert derived.canonical == built.canonical
+
+
+def test_every_field_has_one_check():
+    assert FIELD_CHECKS.keys() == set(FIELD_ORDER)
+
+
+def test_an_unknown_field_is_the_constructors_type_error():
+    with pytest.raises(TypeError) as derived:
+        make_terms().replace(fee=1)
+    with pytest.raises(TypeError) as built:
+        LicenseTerms(fee=1)
+    assert str(derived.value) == str(built.value)
