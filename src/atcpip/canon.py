@@ -45,8 +45,21 @@ bytes, which is how a receiver knows a terms object it already holds.
 ``loads`` reads a ``Canonical`` like any other text. The simulator
 builds its transcript lines the same way, as templates around encoded
 strings and the bytes the ledger hashed.
+
+A map's keys are sorted and encoded once per shape, not once per map.
+The shape table, ``_shape``, is keyed by the map's keys in insertion
+order and holds them in code-point order, each with its prefix: the
+separator, the encoded key and the colon. Maps repeat a few shapes
+(frames, ledger payloads, terms), so nearly every map is a hit. The
+table holds at most ``_SHAPES_HELD`` shapes, least recently used out
+first. That bound is a constant, not a setting: it is a few times the
+shapes the package writes, and it keeps the encoding of arbitrary maps
+(an imported export) from growing the table. The key rule is checked
+on every map, hit or miss: a key that is not a string raises, even one
+that hashes and compares equal to a string key the table holds.
 """
 
+import functools
 import hashlib
 import json
 import re
@@ -63,6 +76,9 @@ ZERO4 = Decimal("0.0000")
 # One 60-digit context for every quantize, built once rather than per
 # call; a value that needs more digits is out of range.
 _QUANTIZE_CONTEXT = Context(prec=60)
+# Map shapes whose sorted, encoded keys are held (see the module
+# docstring). A constant: a round of the benchmark uses about 55.
+_SHAPES_HELD = 256
 
 
 class Canonical(str):
@@ -155,22 +171,39 @@ def _encode_list(value, parts):
 
 
 def _encode_map(value, parts):
-    for key in value:
-        if not isinstance(key, str):
-            raise CanonicalizationError(f"map keys must be strings, got {type(key).__name__}")
     if not value:
         parts.append("{}")
         return
-    separator = "{"
-    for key in sorted(value):
+    keys = tuple(value)
+    try:
+        "".join(keys)
+    except TypeError:
+        _refuse_keys(keys)
+    for key, prefix in _shape(keys):
         item = value[key]
         if type(item) is str:
-            parts.append(separator + encode_str(key) + ":" + encode_str(item))
+            parts.append(prefix + encode_str(item))
         else:
-            parts.append(separator + encode_str(key) + ":")
+            parts.append(prefix)
             _encode(item, parts)
-        separator = ","
     parts.append("}")
+
+
+def _refuse_keys(keys):
+    for key in keys:
+        if not isinstance(key, str):
+            raise CanonicalizationError(f"map keys must be strings, got {type(key).__name__}")
+
+
+@functools.lru_cache(maxsize=_SHAPES_HELD)
+def _shape(keys):
+    """``(key, prefix)`` for each key of a map, in code-point order;
+    ``prefix`` is the separator, the encoded key and the colon."""
+    ordered = sorted(keys)
+    return tuple(
+        (key, ("{" if index == 0 else ",") + encode_str(key) + ":")
+        for index, key in enumerate(ordered)
+    )
 
 
 def dumps(value):

@@ -652,7 +652,7 @@ def _walk(entries):
             recorded_entry_hash = item["entry_hash"]
         else:
             raise TamperedLedger(f"entry {position} is not a ledger entry")
-        if height != position:
+        if type(height) is not int or height != position:
             raise TamperedLedger(f"entry {position} records height {height!r}")
         if not isinstance(kind, str) or kind not in ENTRY_KINDS:
             raise TamperedLedger(f"entry {position} has no valid kind or payload map")

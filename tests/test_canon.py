@@ -127,9 +127,26 @@ def test_tuple_encodes_as_list(dumps):
     assert dumps((1, 2)) == b"[1,2]"
 
 
+class LooksLikeA:
+    """Hashes and compares equal to the string "a", and is not one."""
+
+    def __hash__(self):
+        return hash("a")
+
+    def __eq__(self, other):
+        return other == "a"
+
+
 def test_non_string_keys_rejected(dumps):
     with pytest.raises(CanonicalizationError):
         dumps({1: "x"})
+    with pytest.raises(CanonicalizationError):
+        dumps([{1: "x"}])
+    # The shape table now holds ("a",); a key equal to it is still no string.
+    assert dumps({"a": 1}) == b'{"a":1}'
+    assert ("a",) == (LooksLikeA(),)
+    with pytest.raises(CanonicalizationError, match="map keys must be strings"):
+        dumps({LooksLikeA(): 1})
 
 
 def test_unencodable_type_rejected(dumps):
@@ -292,12 +309,29 @@ def test_encode_is_stable_under_round_trip(value):
     assert canon.dumps(canon.loads(encoded)) == encoded
 
 
-@given(ascii_value_strategy)
-def test_matches_stdlib_json_on_shared_domain(value):
+@given(st.dictionaries(text_strategy, value_strategy, max_size=6))
+def test_map_bytes_ignore_insertion_order(value):
+    assert canon.dumps(value) == canon.dumps(dict(reversed(value.items())))
+
+
+def stdlib_bytes(value):
     # For values without decimals the stdlib compact encoding is an
     # independent oracle: same escapes, same key order, same separators.
-    expected = json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    assert canon.dumps(value) == expected.encode("utf-8")
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode()
+
+
+@given(ascii_value_strategy)
+def test_matches_stdlib_json_on_shared_domain(value):
+    assert canon.dumps(value) == stdlib_bytes(value)
+
+
+def test_more_map_shapes_than_the_table_holds():
+    maxsize = canon._shape.cache_info().maxsize
+    assert maxsize == 256
+    for count in range(maxsize + 44):
+        value = {f"k{count}": count, "z": "\n", "\u00e9": [{"b": True, f"a{count}": "x"}]}
+        assert canon.dumps(value) == stdlib_bytes(value)
+        assert canon._shape.cache_info().currsize <= maxsize
 
 
 @given(decimal_strategy)

@@ -3,12 +3,14 @@
 import copy
 import dataclasses
 import hashlib
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atcpip import canon
+from atcpip.cli import main
 from atcpip.errors import (
     AbortedExchange,
     CanonicalizationError,
@@ -433,6 +435,26 @@ def test_any_single_mutation_breaks_verification(mutate):
     assert not verify_entries(exported)
     with pytest.raises(TamperedLedger):
         Ledger.from_export(exported)
+
+
+# Each of these compares equal to the position it sits at, and none is
+# the integer the ledger writes there.
+@pytest.mark.parametrize(
+    "position, height",
+    [(1, True), (1, Decimal("1.0000")), (0, False)],
+    ids=["true", "decimal", "false"],
+)
+def test_a_height_that_is_not_an_integer_breaks_verification(tmp_path, capsys, position, height):
+    exported = fresh_ledger().export_entries()
+    exported[position]["height"] = height
+    assert exported[position]["height"] == position
+    assert not verify_entries(exported)
+    with pytest.raises(TamperedLedger, match="records height"):
+        Ledger.from_export(exported)
+    export = tmp_path / "ledger.json"
+    export.write_bytes(canon.dumps(exported) + b"\n")
+    assert main(["verify-ledger", str(export)]) == 1
+    assert "ledger tampered" in capsys.readouterr().out
 
 
 def chained(payloads):
