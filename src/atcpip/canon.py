@@ -77,7 +77,7 @@ ZERO4 = Decimal("0.0000")
 # call; a value that needs more digits is out of range.
 _QUANTIZE_CONTEXT = Context(prec=60)
 # Map shapes whose sorted, encoded keys are held (see the module
-# docstring). A constant: a round of the benchmark uses about 55.
+# docstring). A constant: a round of the benchmark writes about 60.
 _SHAPES_HELD = 256
 
 
@@ -199,10 +199,9 @@ def _refuse_keys(keys):
 def _shape(keys):
     """``(key, prefix)`` for each key of a map, in code-point order;
     ``prefix`` is the separator, the encoded key and the colon."""
-    ordered = sorted(keys)
     return tuple(
         (key, ("{" if index == 0 else ",") + encode_str(key) + ":")
-        for index, key in enumerate(ordered)
+        for index, key in enumerate(sorted(keys))
     )
 
 

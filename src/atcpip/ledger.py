@@ -647,12 +647,16 @@ def _walk(entries):
             recorded_payload_hash, recorded_entry_hash = item.payload_hash, item.entry_hash
         elif isinstance(item, dict) and item.keys() == ENTRY_FIELDS:
             height, kind, payload = item["height"], item["kind"], item["payload"]
+            # A LedgerEntry's height is the int its ledger gave it; a map's is
+            # what was parsed, and True or 1.0000 compares equal to 1.
+            if type(height) is not int:
+                raise TamperedLedger(f"entry {position} records height {height!r}")
             encoded = None
             recorded_payload_hash = item["payload_hash"]
             recorded_entry_hash = item["entry_hash"]
         else:
             raise TamperedLedger(f"entry {position} is not a ledger entry")
-        if type(height) is not int or height != position:
+        if height != position:
             raise TamperedLedger(f"entry {position} records height {height!r}")
         if not isinstance(kind, str) or kind not in ENTRY_KINDS:
             raise TamperedLedger(f"entry {position} has no valid kind or payload map")
