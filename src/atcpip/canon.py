@@ -178,7 +178,10 @@ def _encode_map(value, parts):
     try:
         "".join(keys)
     except TypeError:
-        _refuse_keys(keys)
+        for key in keys:
+            if not isinstance(key, str):
+                kind = type(key).__name__
+                raise CanonicalizationError(f"map keys must be strings, got {kind}") from None
     for key, prefix in _shape(keys):
         item = value[key]
         if type(item) is str:
@@ -187,12 +190,6 @@ def _encode_map(value, parts):
             parts.append(prefix)
             _encode(item, parts)
     parts.append("}")
-
-
-def _refuse_keys(keys):
-    for key in keys:
-        if not isinstance(key, str):
-            raise CanonicalizationError(f"map keys must be strings, got {type(key).__name__}")
 
 
 @functools.lru_cache(maxsize=_SHAPES_HELD)
