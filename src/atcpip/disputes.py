@@ -262,15 +262,16 @@ class DisputeCourt:
         if recorded is not None:
             return recorded
         evidence = self.collect_evidence(dispute_id)
+        token = self._agreement(claim.session_id)
         if claim.kind == "misrepresentation":
-            claimant_wins, rationale = self._judge_misrepresentation(claim, evidence)
+            judge = self._judge_misrepresentation
         elif claim.kind == "payment_default":
-            claimant_wins, rationale = self._judge_payment_default(claim, evidence)
+            judge = self._judge_payment_default
         else:
-            claimant_wins, rationale = self._judge_usage_violation(claim, evidence)
+            judge = self._judge_usage_violation
+        claimant_wins, rationale = judge(claim, evidence, token.terms)
         winner = claim.claimant_id if claimant_wins else claim.respondent_id
         loser = claim.respondent_id if claimant_wins else claim.claimant_id
-        token = self._agreement(claim.session_id)
         revokes = ""
         if (
             loser == token.metadata.holder_id
@@ -279,9 +280,9 @@ class DisputeCourt:
             revokes = token.license_id
         return Verdict(dispute_id, winner, loser, rationale, revokes)
 
-    def _judge_misrepresentation(self, claim, evidence):
+    def _judge_misrepresentation(self, claim, evidence, terms):
         if claim.asserted_clause:
-            if _clause_in_terms(claim.asserted_clause, _final_terms(evidence)):
+            if _clause_in_terms(claim.asserted_clause, terms):
                 return False, "clause_present_in_final"
             for entry in evidence.entries:
                 if entry.kind != "draft_token":
@@ -300,26 +301,26 @@ class DisputeCourt:
             return True, "hash_mismatch_respondent"
         return False, "record_matches_assertion"
 
-    def _judge_payment_default(self, claim, evidence):
-        required = _final_terms(evidence).upfront_fee
+    def _judge_payment_default(self, claim, evidence, terms):
         paid = sum(
             _paid_amount(entry.payload) for entry in evidence.entries if entry.kind == "payment"
         )
-        if paid < required:
+        if paid < terms.upfront_fee:
             return True, "payments_deficient"
         return False, "payments_satisfied"
 
-    def _judge_usage_violation(self, claim, evidence):
-        restrictions = _final_terms(evidence).ip_restrictions
+    def _judge_usage_violation(self, claim, evidence, terms):
         banned = set()
-        for restriction in restrictions:
+        for restriction in terms.ip_restrictions:
             banned |= RESTRICTION_CONFLICTS.get(restriction, frozenset())
         for entry in evidence.entries:
+            if entry.kind != "reputation_event":
+                continue
+            event = entry.payload
             if (
-                entry.kind == "reputation_event"
-                and entry.payload.get("event") == USAGE_EVENT
-                and entry.payload.get("agent_id") == claim.respondent_id
-                and banned.intersection(_usage_tags(entry.payload))
+                event.get("event") == USAGE_EVENT
+                and event.get("agent_id") == claim.respondent_id
+                and banned.intersection(_usage_tags(event))
             ):
                 return True, "usage_outside_restrictions"
         return False, "usage_within_restrictions"
@@ -338,13 +339,6 @@ class DisputeCourt:
 
     def resolve(self, dispute_id):
         return self.apply_verdict(self.arbitrate(dispute_id))
-
-
-def _final_terms(evidence):
-    for entry in evidence.entries:
-        if entry.kind == "agreement_token":
-            return terms_from_value(entry.payload["terms"])
-    raise UnknownLicense(f"no agreement entry for dispute {evidence.claim.dispute_id!r}")
 
 
 def _paid_amount(payment):

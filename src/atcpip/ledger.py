@@ -9,7 +9,15 @@ tamper evidence and replayability, not cryptographic strength.
 Agreement tokens are minted in two steps so the token/delivery exchange
 can be atomic: ``prepare_agreement`` builds and signs an uncommitted
 token, ``commit_agreement`` re-verifies everything and appends. A token
-is only ever valid if its entry is on an intact chain.
+is only ever valid if its entry is on an intact chain. Both steps use
+the same three derivations: ``metadata_license_id`` (the first 32 hex
+characters of sha256 over the canonical identity map, the metadata
+without ``license_id`` and ``signature``, plus the terms hash),
+``metadata_signature`` (sha256 over the holder's key, the canonical
+metadata without its signature, and the terms hash) and
+``Ledger._next_version`` (1, or one past the previous license's). A
+chain holds at most one agreement per session and per license id, on
+append and on import alike.
 
 An entry is sealed: it keeps the canonical payload bytes it was hashed
 from, and every read of its ``payload`` decodes a fresh map from them,
@@ -107,41 +115,34 @@ class LicenseMetadata:
         return out
 
 
+# Each metadata field's exact type; only previous_license_id may be absent.
+METADATA_TYPES = {
+    "license_id": str,
+    "issuer_id": str,
+    "holder_id": str,
+    "issue_date": int,
+    "expiry_date": str,
+    "version": int,
+    "link_to_terms": str,
+    "signature": str,
+    "previous_license_id": str,
+}
+METADATA_REQUIRED = frozenset(METADATA_TYPES) - {"previous_license_id"}
+
+
 def metadata_from_value(value):
     if not isinstance(value, dict):
         raise ParseError("license metadata must be a map")
-    required = {
-        "license_id", "issuer_id", "holder_id", "issue_date",
-        "expiry_date", "version", "link_to_terms", "signature",
-    }
-    missing = required - set(value)
-    if missing:
-        raise ParseError(f"missing metadata field {sorted(missing)[0]!r}")
-    extra = set(value) - required - {"previous_license_id"}
-    if extra:
-        raise ParseError(f"unknown metadata field {sorted(extra)[0]!r}")
-    try:
-        return LicenseMetadata(
-            license_id=value["license_id"],
-            issuer_id=value["issuer_id"],
-            holder_id=value["holder_id"],
-            issue_date=value["issue_date"],
-            expiry_date=value["expiry_date"],
-            version=value["version"],
-            link_to_terms=value["link_to_terms"],
-            signature=value["signature"],
-            previous_license_id=value.get("previous_license_id"),
-        )
-    except TypeError as exc:
-        raise ParseError(f"bad metadata document: {exc}") from None
-
-
-def _identity_value(metadata):
-    """The fields a license id is derived from: metadata without
-    license_id and signature."""
-    out = metadata.to_value()
-    del out["license_id"], out["signature"]
-    return out
+    keys = value.keys()
+    if not METADATA_REQUIRED <= keys:
+        raise ParseError(f"missing metadata field {sorted(METADATA_REQUIRED - keys)[0]!r}")
+    if not keys <= METADATA_TYPES.keys():
+        raise ParseError(f"unknown metadata field {sorted(keys - METADATA_TYPES.keys())[0]!r}")
+    for name, item in value.items():
+        if type(item) is not METADATA_TYPES[name]:
+            what = "a string" if METADATA_TYPES[name] is str else "an integer"
+            raise ParseError(f"metadata {name} must be {what}")
+    return LicenseMetadata(**value)
 
 
 @dataclass(frozen=True)
@@ -204,24 +205,23 @@ def chain_entry_hash(previous_hash, payload_hash):
     return canon.sha256_hex((previous_hash + payload_hash).encode("ascii"))
 
 
-def derive_license_id(metadata_value, link_to_terms):
-    """First 32 hex chars of the hash over identity fields plus the terms hash.
-
-    ``metadata_value`` must not contain license_id or signature; both are
-    derived from this digest.
-    """
-    digest = canon.sha256_hex(canon.dumps(metadata_value) + link_to_terms.encode("ascii"))
+def metadata_license_id(metadata):
+    """First 32 hex chars of the hash over the canonical identity map
+    (the metadata without license_id and signature) plus the terms hash."""
+    identity = metadata.to_value()
+    del identity["license_id"], identity["signature"]
+    digest = canon.sha256_hex(canon.dumps(identity) + metadata.link_to_terms.encode("ascii"))
     return digest[:LICENSE_ID_LENGTH]
 
 
-def simulated_signature(secret_key, payload):
-    return canon.sha256_hex(secret_key + payload)
-
-
-def _metadata_signing_bytes(metadata, link_to_terms):
-    doc = metadata.to_value()
-    doc.pop("signature", None)
-    return canon.dumps(doc) + link_to_terms.encode("ascii")
+def metadata_signature(secret_key, metadata):
+    """The holder's simulated signature: the hash over its secret key, the
+    canonical metadata without its signature, and the terms hash."""
+    signed = metadata.to_value()
+    del signed["signature"]
+    return canon.sha256_hex(
+        secret_key + canon.dumps(signed) + metadata.link_to_terms.encode("ascii")
+    )
 
 
 class Ledger:
@@ -290,6 +290,11 @@ class Ledger:
         # Parse whatever is read back by key before touching the chain,
         # so a malformed payload cannot leave a half-applied append.
         token = _indexed_token(kind, payload, height, token)
+        if token is not None:
+            if token.license_id in self._tokens:
+                raise ParseError(f"license {token.license_id!r} already committed")
+            if self.session_agreement(token.session_id) is not None:
+                raise ParseError(f"session {token.session_id!r} already has an agreement")
         if walked is None:
             encoded = canon.dumps(payload)
             payload_hash = canon.sha256_hex(encoded)
@@ -349,19 +354,15 @@ class Ledger:
 
     # -- agreement tokens -------------------------------------------------------
 
-    def _check_version_and_lineage(self, version, previous_license_id):
+    def _next_version(self, previous_license_id):
+        """The version a license extending ``previous_license_id`` takes:
+        1 without one, else one past the committed previous license's."""
         if previous_license_id is None:
-            if version != 1:
-                raise UnknownLicense("version above 1 requires previous_license_id")
-            return
+            return 1
         previous = self._tokens.get(previous_license_id)
         if previous is None:
             raise UnknownLicense(f"previous license {previous_license_id!r} not on ledger")
-        if version != previous.metadata.version + 1:
-            raise UnknownLicense(
-                f"version must be {previous.metadata.version + 1} to extend"
-                f" {previous_license_id!r}, got {version}"
-            )
+        return previous.metadata.version + 1
 
     def prepare_agreement(
         self,
@@ -383,46 +384,26 @@ class Ledger:
                 raise ExpiredTerms(
                     f"expiry {expiry_date} predates ledger date {self.current_date}"
                 )
-        version = 1
-        if previous_license_id is not None:
-            previous = self._tokens.get(previous_license_id)
-            if previous is None:
-                raise UnknownLicense(f"previous license {previous_license_id!r} not on ledger")
-            version = previous.metadata.version + 1
         digest = terms_hash(terms)
-        identity = {
-            "issuer_id": issuer_id,
-            "holder_id": requester_id,
-            "issue_date": self.height,
-            "expiry_date": expiry_date,
-            "version": version,
-            "link_to_terms": digest,
-        }
-        if previous_license_id is not None:
-            identity["previous_license_id"] = previous_license_id
-        license_id = derive_license_id(identity, digest)
-        identity["license_id"] = license_id
-        signature = simulated_signature(
-            self._secrets[requester_id], canon.dumps(identity) + digest.encode("ascii")
-        )
         metadata = LicenseMetadata(
-            license_id=license_id,
+            license_id="",
             issuer_id=issuer_id,
             holder_id=requester_id,
             issue_date=self.height,
             expiry_date=expiry_date,
-            version=version,
+            version=self._next_version(previous_license_id),
             link_to_terms=digest,
-            signature=signature,
+            signature="",
             previous_license_id=previous_license_id,
         )
+        metadata = replace(metadata, license_id=metadata_license_id(metadata))
+        signature = metadata_signature(self._secrets[requester_id], metadata)
         return AgreementToken(
-            metadata=metadata,
+            metadata=replace(metadata, signature=signature),
             terms=terms,
             terms_hash=digest,
             requester_signature=signature,
             session_id=session_id,
-            height=None,
         )
 
     def token_problems(self, token):
@@ -437,34 +418,35 @@ class Ledger:
             problems.append("terms_hash does not match terms")
         if md.link_to_terms != token.terms_hash:
             problems.append("link_to_terms does not match terms_hash")
-        if derive_license_id(_identity_value(md), md.link_to_terms) != md.license_id:
+        if metadata_license_id(md) != md.license_id:
             problems.append("license_id does not match identity fields")
         if md.signature != token.requester_signature:
             problems.append("metadata signature differs from requester signature")
         secret = self._secrets.get(md.holder_id)
-        if secret is None or md.signature != simulated_signature(
-            secret, _metadata_signing_bytes(md, md.link_to_terms)
-        ):
+        if secret is None or md.signature != metadata_signature(secret, md):
             problems.append("signature verification failed")
         try:
-            self._check_version_and_lineage(md.version, md.previous_license_id)
+            version = self._next_version(md.previous_license_id)
         except UnknownLicense as exc:
             problems.append(str(exc))
+        else:
+            if md.version != version:
+                problems.append(f"version must be {version}, got {md.version}")
         return problems
 
     def commit_agreement(self, token):
         """Append a prepared token. Raises AbortedExchange and commits
-        nothing if any content check fails."""
+        nothing if any content check fails, or if the append refuses a
+        second agreement for its session or license id."""
         if token.height is not None:
             raise AbortedExchange("token already committed")
         problems = self.token_problems(token)
         if problems:
             raise AbortedExchange(f"token content verification failed: {problems[0]}")
-        if token.license_id in self._tokens:
-            raise AbortedExchange(f"license {token.license_id!r} already committed")
-        if self.session_agreement(token.session_id) is not None:
-            raise AbortedExchange(f"session {token.session_id!r} already has an agreement")
-        self._append("agreement_token", token_to_value(token), token=token)
+        try:
+            self._append("agreement_token", token_to_value(token), token=token)
+        except ParseError as exc:
+            raise AbortedExchange(str(exc)) from None
         return self._tokens[token.license_id]
 
     # -- verification -----------------------------------------------------------
@@ -493,9 +475,9 @@ class Ledger:
             return False
 
     def session_agreement(self, session_id):
-        """The session's last committed agreement; session id ``""`` has none."""
-        last = self._last("agreement_token", "session_id", session_id) if session_id else None
-        return None if last is None else self._agreements[last.height]
+        """The session's committed agreement; session id ``""`` has none."""
+        heights = self._named["session_id"].get(session_id, ()) if session_id else ()
+        return next((self._agreements[h] for h in heights if h in self._agreements), None)
 
     def entries_with(self, name, value):
         """Entries whose payload maps ``name`` (one of ``NAMED_FIELDS``)

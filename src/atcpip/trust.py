@@ -93,10 +93,11 @@ def replay_records(entries):
     for entry in entries:
         if entry.kind != "reputation_event":
             continue
-        agent_id = entry.payload.get("agent_id")
+        payload = entry.payload
+        agent_id = payload.get("agent_id")
         if not isinstance(agent_id, str):
             continue
-        event = entry.payload.get("event")
+        event = payload.get("event")
         current = records.get(agent_id, ReputationRecord(agent_id))
         if isinstance(event, str) and event in _EVENT_FIELDS:
             current = current.bump(event)

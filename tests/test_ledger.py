@@ -29,9 +29,9 @@ from atcpip.ledger import (
     Ledger,
     LicenseMetadata,
     chain_entry_hash,
-    derive_license_id,
     metadata_from_value,
-    simulated_signature,
+    metadata_license_id,
+    metadata_signature,
     token_to_value,
     verify_entries,
 )
@@ -82,14 +82,14 @@ def test_registration_is_idempotent_never():
 
 
 def test_signatures_simulated_from_secret_and_payload():
-    signature = simulated_signature(b"alice-secret", b"payload")
-    assert signature == hashlib.sha256(b"alice-secret" + b"payload").hexdigest()
     book = fresh_ledger("alice")
     token = book.prepare_agreement("alice", "alice", make_terms(), "perpetual")
+    signature = metadata_signature(b"alice-secret", token.metadata)
     signed = token.metadata.to_value()
     signed.pop("signature")
     signed = canon.dumps(signed) + token.terms_hash.encode()
-    assert token.metadata.signature == simulated_signature(b"alice-secret", signed)
+    assert signature == hashlib.sha256(b"alice-secret" + signed).hexdigest()
+    assert token.metadata.signature == signature
     assert token.requester_signature == token.metadata.signature
     with pytest.raises(UnknownAgent):
         book.prepare_agreement("mallory", "alice", make_terms(), "perpetual")
@@ -129,12 +129,13 @@ def test_license_id_matches_identity_digest(renewal):
     assert metadata["version"] == (2 if renewal else 1)
     signature = metadata.pop("signature")
     signed = canon.dumps(metadata) + prepared.terms_hash.encode()
-    assert signature == simulated_signature(b"requester-secret", signed)
+    assert signature == hashlib.sha256(b"requester-secret" + signed).hexdigest()
+    assert signature == metadata_signature(b"requester-secret", prepared.metadata)
     assert signature == prepared.requester_signature
     license_id = metadata.pop("license_id")
     digest = hashlib.sha256(canon.dumps(metadata) + prepared.terms_hash.encode()).hexdigest()
     assert license_id == digest[:32]
-    assert license_id == derive_license_id(metadata, prepared.terms_hash)
+    assert license_id == metadata_license_id(prepared.metadata)
     assert book.token_problems(prepared) == []
     assert book.commit_agreement(prepared).license_id == license_id
 
@@ -168,7 +169,9 @@ def test_commit_rejects_tampered_token_content():
 def test_commit_rejects_a_valid_signature_over_other_bytes():
     book = fresh_ledger()
     token = book.prepare_agreement("requester", "provider", make_terms(), "2025-01-01", session_id="s")
-    other = simulated_signature(b"requester-secret", b"other bytes")
+    other = metadata_signature(
+        b"requester-secret", dataclasses.replace(token.metadata, expiry_date="2026-01-01")
+    )
     forged = dataclasses.replace(
         token,
         metadata=dataclasses.replace(token.metadata, signature=other),
@@ -240,12 +243,13 @@ def test_renewal_chains_versions_and_lineage():
 def test_cyclic_lineage_detected_on_crafted_entries():
     book = fresh_ledger()
     token = mint_agreement(book, "requester", "provider", make_terms(), "2025-01-01")
-    # Craft an entry whose previous pointer loops back to itself.
+    # Craft an entry for a new license whose previous pointer loops back
+    # to itself.
     payload = copy.deepcopy(book.entry(token.height).payload)
-    payload["metadata"]["previous_license_id"] = payload["metadata"]["license_id"]
+    payload["metadata"]["license_id"] = payload["metadata"]["previous_license_id"] = "c" * 32
     book.append("agreement_token", payload)
     with pytest.raises(CyclicLineage):
-        book.chain_of_ownership(token.license_id)
+        book.chain_of_ownership("c" * 32)
 
 
 def test_agreement_payload_is_the_token_wire_form():
@@ -492,6 +496,35 @@ def test_import_refuses_agreement_terms_that_break_a_rule():
     assert [(v.path, v.reason) for v in exc.value.violations] == [
         ((), "royalty_rate + rev_share > 1")
     ]
+
+
+def test_import_refuses_a_second_agreement_for_a_session():
+    book = fresh_ledger()
+    mint_agreement(book, "requester", "provider", make_terms(upfront_fee=100), "2025-01-01",
+                   session_id="s1")
+    second = book.prepare_agreement("requester", "provider", make_terms(upfront_fee=10_000),
+                                    "2025-01-01", session_id="s1")
+    payload = {"kind": "agreement_token", **token_to_value(second)}
+    exported = chained([*(entry["payload"] for entry in book.export_entries()), payload])
+    assert verify_entries(exported)
+    with pytest.raises(ParseError, match="session 's1' already has an agreement"):
+        Ledger.from_export(exported)
+    with pytest.raises(ParseError, match="session 's1' already has an agreement"):
+        book.append("agreement_token", payload)
+    assert book.session_agreement("s1").terms.upfront_fee == 100
+
+
+def test_import_refuses_a_license_already_committed():
+    book = fresh_ledger()
+    token = mint_agreement(book, "requester", "provider", make_terms(), "2025-01-01")
+    payloads = [entry["payload"] for entry in book.export_entries()]
+    exported = chained([*payloads, payloads[token.height]])
+    assert verify_entries(exported)
+    with pytest.raises(ParseError, match=f"license '{token.license_id}' already committed"):
+        Ledger.from_export(exported)
+    with pytest.raises(ParseError, match=f"license '{token.license_id}' already committed"):
+        book.append("agreement_token", payloads[token.height])
+    assert book.chain_of_ownership(token.license_id) == [token]
 
 
 def test_verify_rejects_malformed_containers():

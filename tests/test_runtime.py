@@ -740,6 +740,8 @@ DROPS = [
     ("payment_confirmed", "amount", lambda token: {"amount": Decimal("10000000")}),
     ("license_token", "token", lambda token: {"token": _without(token, "session_id")}),
     ("license_token", "token", lambda token: {"token": dict(token, terms=_zz_terms(token))}),
+    ("license_token", "token", lambda token: {
+        "token": dict(token, metadata=dict(token["metadata"], link_to_terms=5))}),
     ("deliver_ip", "token", lambda token: {
         "content_id": DATASET.content_id, "content": DATASET.content, "token": "signed"}),
     ("acknowledge_receipt", "license_id", lambda token: {"license_id": 5}),
@@ -759,7 +761,7 @@ def fields_a_drop_keeps(session):
     DROPS,
     ids=["content", "round_text", "round_bool", "round_decimal", "terms_zz", "suggestions",
          "terms_hash", "amount_bool", "split_sum", "amount_decimal", "token_missing_field",
-         "token_terms_zz", "delivered_token", "license_id", "reason"],
+         "token_terms_zz", "token_link_int", "delivered_token", "license_id", "reason"],
 )
 def test_a_body_that_does_not_parse_is_dropped_before_its_session_is_touched(action, key, build):
     ledger, _, _, runtimes = make_world(
