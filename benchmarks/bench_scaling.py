@@ -14,10 +14,13 @@ host speed can move. The script records the median wall-clock
 ms/session, raw and calibrated to the reference host by
 ``perfbench/calibrate.py`` (over the median of the slices taken right
 before and right after each of the cell's runs), the number of runs,
-and transcript bytes/session. On one more run of each shape and size
-it records the median calibrated ms of one ``file_dispute`` +
-``resolve`` on the finished world, so dispute cost shows against chain
-length.
+and transcript bytes/session. One more run of each cell, untimed and
+under ``tracemalloc``, records in kB (1,000 bytes) per session the
+run's peak and what it returns (transcript plus world, after a
+collection), so a run that holds more than it hands back shows. On one
+more run of each shape and size it records the median calibrated ms of
+one ``file_dispute`` + ``resolve`` on the finished world, so dispute
+cost shows against chain length.
 
 Results go into ``BENCH_scaling.json`` at the root of the checkout,
 keyed by the commit the sources were measured at (``+dirty`` when
@@ -26,6 +29,7 @@ commit measured. Linear scaling means a flat row: ms/session at 4000
 sessions about what it is at 250.
 """
 
+import gc
 import json
 import pathlib
 import platform
@@ -33,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_scaling.json"
@@ -83,6 +88,22 @@ def measure(scenario):
     return seconds, slices, len(transcript)
 
 
+def memory(scenario):
+    """One untimed ``run_scenario`` under ``tracemalloc``: the bytes it
+    peaked at and the bytes still held, after a collection, by what it
+    returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        returned = run_scenario(scenario)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del returned
+    return peak, retained
+
+
 def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
     """Median ms/session, raw and calibrated, over at least ``MIN_RUNS``
     runs of one generated world that together last ``min_seconds``. The
@@ -95,11 +116,14 @@ def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
         runs.append(seconds)
         slices.extend(run_slices)
     seconds = statistics.median(runs)
+    peak, retained = memory(scenario)
     return {
         "ms_per_session_raw": round(1000 * seconds / sessions, 3),
         "ms_per_session": round(1000 * _calibrated(seconds, slices) / sessions, 3),
         "bytes_per_session": round(transcript_bytes / sessions, 1),
         "runs": len(runs),
+        "peak_kb_per_session": round(peak / 1000 / sessions, 2),
+        "retained_kb_per_session": round(retained / 1000 / sessions, 2),
     }
 
 
@@ -171,6 +195,11 @@ def main():
     for shape, row in results[commit]["curve"].items():
         figures = "  ".join(f"{size}: {cell['ms_per_session']:.2f}" for size, cell in row.items())
         print(f"{commit} {shape} calibrated ms/session  {figures}")
+        figures = "  ".join(
+            f"{size}: {cell['peak_kb_per_session']:.1f}/{cell['retained_kb_per_session']:.1f}"
+            for size, cell in row.items()
+        )
+        print(f"{commit} {shape} peak/retained kB/session  {figures}")
     for shape, row in results[commit]["dispute_ms"].items():
         figures = "  ".join(f"{size}: {ms:.1f}" for size, ms in row.items())
         print(f"{commit} {shape} calibrated ms/dispute  {figures}")

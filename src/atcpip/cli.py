@@ -58,10 +58,12 @@ def _cmd_run(args):
     problems = check_expectations(scenario, world)
     if not world.conservation_intact():
         problems.append("total balances changed; the closed economy leaked")
+    # Every line ends in a newline, and canonical strings escape theirs.
+    lines = transcript.count(b"\n")
     print(
         f"{scenario.name}: {world.final_tick} ticks,"
         f" {len(world.ledger.entries())} ledger entries,"
-        f" {len(transcript.splitlines())} transcript lines"
+        f" {lines} transcript lines"
     )
     for problem in problems:
         print(f"expectation failed: {problem}")

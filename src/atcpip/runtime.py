@@ -484,13 +484,21 @@ class AgentRuntime:
         return obligations
 
     def atomic_exchange(self, session, token):
-        """Commit the requester's token and deliver, or abort the session."""
+        """Commit the requester's token and deliver, or abort the session.
+
+        The token must be the one the agreed terms make: between these
+        parties, for this session and lineage, on these terms, expiring
+        when they end, and issued at a height between the session's last
+        draft and now."""
+        metadata = token.metadata
         fits = (
-            token.metadata.issuer_id == session.provider_id
-            and token.metadata.holder_id == session.requester_id
+            metadata.issuer_id == session.provider_id
+            and metadata.holder_id == session.requester_id
             and token.session_id == session.session_id
-            and token.metadata.previous_license_id == session.previous_license_id
+            and metadata.previous_license_id == session.previous_license_id
             and token.terms_hash == terms_hash(session.terms)
+            and metadata.expiry_date == session.terms.duration
+            and self._last_draft_height(session) <= metadata.issue_date <= self.ledger.height
         )
         try:
             committed = self.ledger.commit_agreement(token) if fits else None
@@ -501,6 +509,10 @@ class AgentRuntime:
         else:
             item = self._require_item(session.content_id)
             provider_deliver(session, self, committed, item.content)
+
+    def _last_draft_height(self, session):
+        entries = self.ledger.entries_with("session_id", session.session_id)
+        return max((e.height for e in entries if e.kind == "draft_token"), default=0)
 
     def record_issue(self, session):
         token = self.ledger.session_agreement(session.session_id)

@@ -3,10 +3,16 @@
 One seeded generator drives every random choice (message loss, latency
 jitter), and the event queue orders work by (deliver_tick, insertion
 sequence), so a scenario plus a seed fully determines the run. The
-transcript is a newline-separated list of canonical JSON lines: one meta
-line, then message, ledger, balance, state change, and memory lines in
-the order they happened; each payment's ledger line is followed by its
-balance line. Replays compare transcripts byte for byte.
+transcript is a sequence of canonical JSON lines, each ending in a
+newline: one meta line, then message, ledger, balance, state change, and
+memory lines in the order they happened; each payment's ledger line is
+followed by its balance line. Replays compare transcripts byte for byte.
+
+Each line is written once, complete with its newline, into one buffer
+the simulation owns, and the run returns that buffer's bytes: no list of
+lines is kept and no joined copy is made, so a run holds about what it
+returns. A line is encoded in full before its one write, so a line that
+cannot be encoded writes nothing.
 
 Timers follow the protocol tables: every event a session processes
 restarts the wait its new state listens on, and each reschedule bumps
@@ -23,6 +29,7 @@ the agent just did, not the number of sessions it holds.
 """
 
 import heapq
+import io
 import random
 from dataclasses import dataclass
 
@@ -60,7 +67,7 @@ class Simulation:
         self.tick = 0
         self._counter = 0
         self._queue = []
-        self._lines = []
+        self._transcript = io.BytesIO()
         self._session_state = {}  # (agent_id, session_id) -> last seen state
         self._epoch = {}  # (agent_id, session_id) -> live timer epoch
         self._queued = {}  # (tick, recipient, session_id) -> messages in the queue
@@ -109,13 +116,14 @@ class Simulation:
         return self.tick
 
     def _emit(self, value):
-        self._lines.append(canon.dumps(value))
+        self._transcript.write(canon.dumps(value) + b"\n")
 
     def _emit_text(self, text):
-        """Append a line built as canonical text; a string in it with no
-        UTF-8 form raises as it does in ``canon.dumps``."""
+        """Write a line built as canonical text, newline included; a
+        string in it with no UTF-8 form raises as it does in
+        ``canon.dumps``, and nothing is written."""
         try:
-            self._lines.append(text.encode("utf-8"))
+            self._transcript.write(text.encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise CanonicalizationError(f"string not encodable as UTF-8: {exc}") from None
 
@@ -124,18 +132,18 @@ class Simulation:
         self._counter += 1
 
     # Every line after the meta line is canon.dumps of a map with a fixed
-    # key set, written as a template in key order around encoded strings
-    # and bytes already encoded; tests/test_sim.py holds each template to
-    # the map it stands for.
+    # key set plus its newline, written as a template in key order around
+    # encoded strings and bytes already encoded; tests/test_sim.py holds
+    # each template to the map it stands for.
 
     def _on_ledger(self, entry, payload, encoded):
         # {"kind": "ledger", "tick": ..., "entry": entry.to_value()},
         # built around the payload bytes the ledger has already encoded.
         # A payment line is followed by its balance line, read from the
         # map the ledger encoded, so the sealed entry is not decoded.
-        self._lines.append(
+        self._transcript.write(
             b'{"entry":{"entry_hash":"%s","height":%d,"kind":"%s","payload":%s,'
-            b'"payload_hash":"%s"},"kind":"ledger","tick":%d}'
+            b'"payload_hash":"%s"},"kind":"ledger","tick":%d}\n'
             % (
                 entry.entry_hash.encode("ascii"),
                 entry.height,
@@ -149,7 +157,7 @@ class Simulation:
             payer, payee = payload["from"], payload["to"]
             self._emit_text(
                 '{"amount":%d,"from":%s,"from_balance":%d,"kind":"balance","purpose":%s,'
-                '"tick":%d,"to":%s,"to_balance":%d}'
+                '"tick":%d,"to":%s,"to_balance":%d}\n'
                 % (
                     payload["amount"],
                     encode_str(payer),
@@ -179,7 +187,7 @@ class Simulation:
                 )
             )
         self._emit_text(
-            '{"agent":%s,"kind":"memory","record":%s,"tick":%d}'
+            '{"agent":%s,"kind":"memory","record":%s,"tick":%d}\n'
             % (encode_str(agent_id), body, self.tick)
         )
 
@@ -187,7 +195,7 @@ class Simulation:
         # {"kind": "msg", "tick": ..., "status": ..., "frame": message.to_value()}
         self._emit_text(
             '{"frame":{"action":%s,"body":%s,"recipient":%s,"sender":%s,"seq":%d,'
-            '"session_id":%s},"kind":"msg","status":"%s","tick":%d}'
+            '"session_id":%s},"kind":"msg","status":"%s","tick":%d}\n'
             % (
                 encode_str(message.action),
                 canon.dumps(message.body).decode("utf-8"),
@@ -229,11 +237,13 @@ class Simulation:
             initial_balances=self.initial_balances,
             final_tick=self.tick,
         )
-        transcript = b"\n".join(self._lines) + b"\n"
+        # getvalue hands the buffer's own bytes over without a copy.
+        transcript = self._transcript.getvalue()
         # The world outlives the run, and its ledger and runtimes hold
-        # this simulation through their hooks: drop the lines, and write
-        # none for what happens on the world after the run.
-        self._lines = []
+        # this simulation through their hooks and clocks: release the
+        # buffer, and write no line for what happens on the world after
+        # the run.
+        self._transcript.close()
         self.ledger.on_append = None
         for runtime in self.runtimes.values():
             runtime.on_memory = None
@@ -294,7 +304,7 @@ class Simulation:
                 # when the session has those reasons.
                 failure, reject = session.failure_reason, session.reject_reason
                 self._emit_text(
-                    '{"agent":%s%s,"kind":"state"%s,"role":"%s","session":%s,"state":"%s","tick":%d}'
+                    '{"agent":%s%s,"kind":"state"%s,"role":"%s","session":%s,"state":"%s","tick":%d}\n'
                     % (
                         encode_str(runtime.agent_id),
                         ',"failure":' + encode_str(failure) if failure else "",

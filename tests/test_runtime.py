@@ -1,5 +1,6 @@
 """Runtime: catalogs, gating, negotiation wiring, settlement, courtship."""
 
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -12,7 +13,12 @@ from atcpip.negotiation import (
     SetBound,
 )
 from atcpip.errors import ParseError, UnknownContent
-from atcpip.ledger import token_to_value
+from atcpip.ledger import (
+    metadata_license_id,
+    metadata_signature,
+    token_from_value,
+    token_to_value,
+)
 from atcpip.protocol import (
     FRAME_HEADER,
     NO_PAYMENT_FAILURE,
@@ -922,6 +928,44 @@ def test_token_with_swapped_parties_is_refused():
     assert prov.state is ProviderState.FAILED
     assert prov.failure_reason == NO_TOKEN_FAILURE
     assert ledger.session_agreement("s1") is None
+
+
+@pytest.mark.parametrize(
+    "expiry_date, issue_date",
+    [("9999-12-31", 0), ("9999-12-31", None), ("2030-01-01", 0), ("2030-01-01", 99)],
+    ids=["both", "expiry", "issued_before_the_draft", "issued_ahead_of_the_ledger"],
+)
+def test_token_with_dates_the_terms_do_not_give_is_refused(expiry_date, issue_date):
+    item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",),
+                       terms=IP_TERMS.replace(upfront_fee=0))
+    ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
+    msgs = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
+    msgs = step(runtimes, msgs)  # request_info -> propose_terms
+    msgs = step(runtimes, msgs)  # propose_terms -> accept_terms + license_token
+    step(runtimes, [m for m in msgs if m.action == "accept_terms"])
+    assert runtimes["prov"].session("s1").state is ProviderState.AWAITING_TOKEN
+    # swallow the real token and re-sign it with dates of the requester's choosing
+    (honest,) = [m.body["token"] for m in msgs if m.action == "license_token"]
+    honest = token_from_value(honest)
+    metadata = replace(
+        honest.metadata,
+        expiry_date=expiry_date,
+        issue_date=honest.metadata.issue_date if issue_date is None else issue_date,
+    )
+    metadata = replace(metadata, license_id=metadata_license_id(metadata))
+    metadata = replace(metadata, signature=metadata_signature(b"req-key", metadata))
+    resigned = replace(honest, metadata=metadata, requester_signature=metadata.signature)
+    assert ledger.token_problems(resigned) == []
+    fake = ProtocolMessage(
+        "s1", 2, "req", "prov", "license_token", {"token": token_to_value(resigned)}
+    )
+    height = ledger.height
+    assert step(runtimes, [fake]) == []
+    prov = runtimes["prov"].session("s1")
+    assert prov.state is ProviderState.FAILED
+    assert prov.failure_reason == NO_TOKEN_FAILURE
+    assert ledger.session_agreement("s1") is None
+    assert ledger.height == height
 
 
 @pytest.mark.parametrize("wire", [False, True], ids=["in_memory", "off_the_wire"])

@@ -1,7 +1,9 @@
 """Simulator: determinism, timers, loss handling, conservation, replay."""
 
+import gc
 import hashlib
 import pathlib
+import tracemalloc
 import types
 from decimal import Decimal
 
@@ -565,6 +567,25 @@ def test_export_bytes_are_the_encoded_export(name):
     assert world.ledger.export_bytes() == canon.dumps(world.ledger.export_entries())
 
 
+def test_a_run_peaks_near_what_it_returns():
+    # Each line is written once into the transcript buffer, so the run's
+    # high-water mark is what it hands back (transcript plus world) and a
+    # little slack, not a second copy of the transcript.
+    scenario = golden_scenario("market_60_1")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        transcript, world = run_scenario(scenario)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # What it returns is the transcript and the world built around it
+    # (about the transcript's size again), nothing kept besides.
+    assert retained < 2.5 * len(transcript)
+    assert peak <= 1.25 * retained
+
+
 # -- templated transcript lines ------------------------------------------------
 #
 # State, memory, msg and balance lines are written as templates; each must
@@ -590,6 +611,14 @@ def bare_simulation():
     sim = Simulation(golden_scenario("uc1_dataset"))
     sim.tick = 7
     return sim
+
+
+def written_lines(sim):
+    """The lines the simulation has written so far, each without the
+    newline that ends it."""
+    written = sim._transcript.getvalue()
+    assert written.endswith(b"\n")
+    return written.split(b"\n")[:-1]
 
 
 @pytest.mark.parametrize(
@@ -621,7 +650,7 @@ def test_state_line_is_the_canonical_map(state, failure, reject):
         value["failure"] = failure
     if reject:
         value["reject"] = reject
-    assert sim._lines[-1] == canon.dumps(value)
+    assert written_lines(sim)[-1] == canon.dumps(value)
 
 
 @pytest.mark.parametrize(
@@ -638,7 +667,7 @@ def test_memory_line_is_the_canonical_map(record):
     sim = bare_simulation()
     sim._on_memory(ESCAPED, record)
     value = {"kind": "memory", "tick": 7, "agent": ESCAPED, "record": record.to_value()}
-    assert sim._lines[-1] == canon.dumps(value)
+    assert written_lines(sim)[-1] == canon.dumps(value)
 
 
 @pytest.mark.parametrize("status", ["delivered", "dropped"])
@@ -650,7 +679,7 @@ def test_msg_line_is_the_canonical_map(status):
     sim._emit_message(status, message)
     frame = dict(message.to_value(), body={"terms": terms.to_value(), "round": 1})
     value = {"kind": "msg", "tick": 7, "status": status, "frame": frame}
-    assert sim._lines[-1] == canon.dumps(value)
+    assert written_lines(sim)[-1] == canon.dumps(value)
 
 
 def test_balance_line_is_the_canonical_map():
@@ -660,7 +689,7 @@ def test_balance_line_is_the_canonical_map():
     sim.wallets.open_account(payee, 5)
     payload = {"from": payer, "to": payee, "amount": 3, "purpose": ESCAPED}
     entry = sim.ledger.append("payment", payload)
-    ledger_line, balance_line = sim._lines[-2:]
+    ledger_line, balance_line = written_lines(sim)[-2:]
     assert ledger_line == canon.dumps({"kind": "ledger", "tick": 7, "entry": entry.to_value()})
     value = {
         "kind": "balance",
@@ -677,6 +706,7 @@ def test_balance_line_is_the_canonical_map():
 
 def test_templated_line_with_a_lone_surrogate_raises_a_canonicalization_error():
     sim = bare_simulation()
+    written = sim._transcript.getvalue()
     with pytest.raises(CanonicalizationError):
         sim._on_memory("agent", MemoryRecord(kind="log", tick=7, text="\ud800"))
     session = RequesterSession(
@@ -687,6 +717,7 @@ def test_templated_line_with_a_lone_surrogate_raises_a_canonicalization_error():
     message = ProtocolMessage("s1", 0, "a", "b", "reject", {"reason": "\udfff"})
     with pytest.raises(CanonicalizationError):
         sim._emit_message("delivered", message)
+    assert sim._transcript.getvalue() == written
 
 
 class FullSweepSimulation(Simulation):
