@@ -17,10 +17,15 @@ before and right after each of the cell's runs), the number of runs,
 and transcript bytes/session. One more run of each cell, untimed and
 under ``tracemalloc``, records in kB (1,000 bytes) per session the
 run's peak and what it returns (transcript plus world, after a
-collection), so a run that holds more than it hands back shows. On one
-more run of each shape and size it records the median calibrated ms of
-one ``file_dispute`` + ``resolve`` on the finished world, so dispute
-cost shows against chain length.
+collection), so a run that holds more than it hands back shows. One
+more untimed run gives each cell a finished world with one dispute
+filed on it; over that world's chain the cell records the median
+calibrated µs per entry of ``verify_entries`` on the export (the
+``verify-ledger`` path) and of the export-evidence path on the
+export's bytes (``canon.loads``, ``Ledger.from_export``, then
+``collect_evidence``). On one more run of each shape and size it
+records the median calibrated ms of one ``file_dispute`` + ``resolve``
+on the finished world, so dispute cost shows against chain length.
 
 Results go into ``BENCH_scaling.json`` at the root of the checkout,
 keyed by the commit the sources were measured at (``+dirty`` when
@@ -50,8 +55,11 @@ import worlds  # noqa: E402
 sys.dont_write_bytecode = _write_bytecode
 
 from atcpip import canon  # noqa: E402
+from atcpip.disputes import DisputeCourt  # noqa: E402
+from atcpip.ledger import Ledger, verify_entries  # noqa: E402
 from atcpip.scenario import scenario_from_bytes  # noqa: E402
 from atcpip.sim import run_scenario  # noqa: E402
+from atcpip.trust import ReputationBoard  # noqa: E402
 
 SHAPES = ("market", "hot_provider")
 SIZES = (250, 1000, 4000)
@@ -59,6 +67,7 @@ MIN_RUNS = 3
 MIN_SECONDS = 1.0  # raw run time each cell sums to at least
 SEED = 1
 DISPUTES = 7  # filed one at a time on each finished world
+TOOL_RUNS = 5  # timed runs of each chain tool per cell
 
 
 def _scenario(shape, sessions, seed):
@@ -104,6 +113,51 @@ def memory(scenario):
     return peak, retained
 
 
+def _file_dispute(world, session_id):
+    """A provider's ``payment_default`` claim on ``session_id``, filed
+    and resolved on ``world``; returns the dispute id."""
+    metadata = world.ledger.session_agreement(session_id).metadata
+    claim = world.court.file_dispute(
+        session_id, metadata.issuer_id, metadata.holder_id, "payment_default"
+    )
+    world.court.resolve(claim.dispute_id)
+    return claim.dispute_id
+
+
+def _agreed(scenario, ledger):
+    return [sid for sid in scenario.session_ids() if ledger.session_agreement(sid)]
+
+
+def chain_tools(scenario, runs=TOOL_RUNS):
+    """Median calibrated µs per chain entry of ``verify_entries`` and of
+    the export-evidence path, on the world of one untimed run with one
+    dispute filed (on its first agreed session)."""
+    _, world = run_scenario(scenario)
+    dispute_id = _file_dispute(world, _agreed(scenario, world.ledger)[0])
+    export = world.ledger.export_entries()
+    raw = canon.dumps(export)
+    del world
+
+    def export_evidence():
+        book = Ledger.from_export(canon.loads(raw))
+        court = DisputeCourt(book, ReputationBoard(book))
+        return court.collect_evidence(dispute_id)
+
+    verify, evidence = [], []
+    for _ in range(runs):
+        intact, *timing = _timed(verify_entries, export)
+        assert intact
+        verify.append(_calibrated(*timing))
+        bundle, *timing = _timed(export_evidence)
+        assert bundle.entries
+        evidence.append(_calibrated(*timing))
+    return {
+        "chain_entries": len(export),
+        "verify_us_per_entry": round(1e6 * statistics.median(verify) / len(export), 3),
+        "export_evidence_us_per_entry": round(1e6 * statistics.median(evidence) / len(export), 3),
+    }
+
+
 def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
     """Median ms/session, raw and calibrated, over at least ``MIN_RUNS``
     runs of one generated world that together last ``min_seconds``. The
@@ -117,6 +171,7 @@ def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
         slices.extend(run_slices)
     seconds = statistics.median(runs)
     peak, retained = memory(scenario)
+    tools = chain_tools(scenario)
     return {
         "ms_per_session_raw": round(1000 * seconds / sessions, 3),
         "ms_per_session": round(1000 * _calibrated(seconds, slices) / sessions, 3),
@@ -124,6 +179,7 @@ def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
         "runs": len(runs),
         "peak_kb_per_session": round(peak / 1000 / sessions, 2),
         "retained_kb_per_session": round(retained / 1000 / sessions, 2),
+        **tools,
     }
 
 
@@ -142,18 +198,11 @@ def dispute_ms(shape, sessions, seed=SEED, count=DISPUTES):
     the whole chain, so this grows with the chain."""
     scenario = _scenario(shape, sessions, seed)
     _, world = run_scenario(scenario)
-    ledger, court = world.ledger, world.court
-
-    def dispute(session_id):
-        token = ledger.session_agreement(session_id)
-        metadata = token.metadata
-        claim = court.file_dispute(
-            session_id, metadata.issuer_id, metadata.holder_id, "payment_default"
-        )
-        return court.resolve(claim.dispute_id)
-
-    agreed = [sid for sid in scenario.session_ids() if ledger.session_agreement(sid)]
-    times = [_calibrated(*_timed(dispute, session_id)[1:]) for session_id in agreed[:count]]
+    agreed = _agreed(scenario, world.ledger)
+    times = [
+        _calibrated(*_timed(_file_dispute, world, session_id)[1:])
+        for session_id in agreed[:count]
+    ]
     return round(1000 * statistics.median(times), 3)
 
 
@@ -200,6 +249,11 @@ def main():
             for size, cell in row.items()
         )
         print(f"{commit} {shape} peak/retained kB/session  {figures}")
+        figures = "  ".join(
+            f"{size}: {cell['verify_us_per_entry']:.2f}/{cell['export_evidence_us_per_entry']:.2f}"
+            for size, cell in row.items()
+        )
+        print(f"{commit} {shape} calibrated verify/export-evidence µs/entry  {figures}")
     for shape, row in results[commit]["dispute_ms"].items():
         figures = "  ".join(f"{size}: {ms:.1f}" for size, ms in row.items())
         print(f"{commit} {shape} calibrated ms/dispute  {figures}")

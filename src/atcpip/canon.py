@@ -57,6 +57,25 @@ shapes the package writes, and it keeps the encoding of arbitrary maps
 (an imported export) from growing the table. The key rule is checked
 on every map, hit or miss: a key that is not a string raises, even one
 that hashes and compares equal to a string key the table holds.
+
+Each number is checked once, where it is read or written:
+
+- ``loads`` lets the stdlib scanner build ints as it does, and checks
+  their 64-bit range in the one pass ``_check_items`` makes over each
+  map's values (from ``_pairs_hook``), over the items of each list in
+  them and over the top-level value: strings are skipped first, and
+  nulls are refused in the same pass. An int token past the
+  interpreter's digit limit fails in the scanner and is refused as out
+  of range.
+- A decimal token is matched against the canonical token pattern in
+  ``_parse_decimal_token``. One with four fractional digits and at most
+  60 digits in all becomes a ``Decimal`` as it is; any other is
+  quantized to four places, which refuses more than 60 digits.
+- ``format_decimal`` writes a finite ``Decimal`` already at four places
+  (and within 60 digits, and not negative zero) as it is, and passes
+  any other through the quantize check.
+- Input nested deeper than the interpreter's recursion limit is refused
+  by both ``loads`` and ``dumps``.
 """
 
 import functools
@@ -125,6 +144,11 @@ def _quantize4(dec):
 
 def format_decimal(dec):
     """Render a Decimal in canonical fixed-point form (exactly 4 digits)."""
+    text = format(dec, "f")
+    # Already at four places, within 60 digits and not negative zero: the
+    # text is final. Anything else goes through _quantize4.
+    if text[-5:-4] == "." and len(text) <= 61 and text != "-0.0000":
+        return text
     return format(_quantize4(dec), "f")
 
 
@@ -205,7 +229,10 @@ def _shape(keys):
 def dumps(value):
     """Encode a value to canonical bytes."""
     parts = []
-    _encode(value, parts)
+    try:
+        _encode(value, parts)
+    except RecursionError:
+        raise CanonicalizationError("value nested too deep") from None
     try:
         return "".join(parts).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -221,18 +248,16 @@ def _parse_decimal_token(token):
             f"number token {token!r} is not canonical: decimals carry one to four "
             "fractional digits and no exponent"
         )
-    try:
-        dec = Decimal(token).quantize(QUANTUM, context=_QUANTIZE_CONTEXT)
-    except InvalidOperation:
-        raise ParseError(f"decimal out of range: {token}") from None
-    return ZERO4 if dec == 0 else dec
-
-
-def _parse_int_token(token):
-    value = int(token)
-    if value < INT_MIN or value > INT_MAX:
-        raise ParseError(f"integer out of 64-bit range: {token}")
-    return value
+    if token[-5:-4] == "." and len(token) <= 61:
+        # Four fractional digits and at most 60 digits in all: the value
+        # the quantize below would give, without the quantize.
+        dec = Decimal(token)
+    else:
+        try:
+            dec = Decimal(token).quantize(QUANTUM, context=_QUANTIZE_CONTEXT)
+        except InvalidOperation:
+            raise ParseError(f"decimal out of range: {token}") from None
+    return dec if dec else ZERO4
 
 
 def _reject_constant(token):
@@ -249,20 +274,24 @@ def _pairs_hook(pairs):
             if key in seen:
                 raise ParseError(f"duplicate map key {key!r}")
             seen.add(key)
-    for value in result.values():
-        if value is None:
-            raise ParseError("null is not a canonical value")
-        if type(value) is list:
-            _reject_null_items(value)
+    _check_items(result.values())
     return result
 
 
-def _reject_null_items(items):
+def _check_items(items):
+    """Refuse a null or an int outside 64 bits among ``items``, and in
+    the lists among them; strings, the most common items, go first."""
     for item in items:
-        if item is None:
+        kind = type(item)
+        if kind is str:
+            continue
+        if kind is int:
+            if item < INT_MIN or item > INT_MAX:
+                raise ParseError(f"integer out of 64-bit range: {item}")
+        elif kind is list:
+            _check_items(item)
+        elif item is None:
             raise ParseError("null is not a canonical value")
-        if type(item) is list:
-            _reject_null_items(item)
 
 
 def loads(data):
@@ -270,7 +299,8 @@ def loads(data):
 
     Accepts any insignificant whitespace the stdlib parser accepts; use
     dumps round-trip comparison where byte-strictness matters (the wire
-    codec does exactly that).
+    codec does exactly that). Input nested deeper than the interpreter's
+    recursion limit raises ParseError.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -285,16 +315,18 @@ def loads(data):
         value = json.loads(
             text,
             parse_float=_parse_decimal_token,
-            parse_int=_parse_int_token,
             parse_constant=_reject_constant,
             object_pairs_hook=_pairs_hook,
         )
+        _check_items((value,))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    if value is None:
-        raise ParseError("null is not a canonical value")
-    if type(value) is list:
-        _reject_null_items(value)
+    except ValueError:
+        # The scanner's own int() of a token longer than the interpreter's
+        # digit limit (4,300 by default), far outside 64 bits.
+        raise ParseError("integer out of 64-bit range") from None
+    except RecursionError:
+        raise ParseError("input nested too deep") from None
     return value
 
 

@@ -27,6 +27,7 @@ chain hashes those stored bytes.
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from hashlib import sha256
 from typing import Optional
 
 from . import canon
@@ -179,6 +180,12 @@ def token_to_value(token):
 def token_from_value(value, held=()):
     """Parse a token map; its terms are one of ``held`` when their text
     is that object's (see ``terms_from_value``)."""
+    return _token_from_value(value, held)
+
+
+def _token_from_value(value, held=(), committed_at=None):
+    """``token_from_value``, with the token's height ``committed_at``
+    when that is given (the height of the entry it is imported from)."""
     if not isinstance(value, dict):
         raise ParseError("token must be a map")
     required = {"metadata", "terms", "terms_hash", "requester_signature", "session_id"}
@@ -197,12 +204,24 @@ def token_from_value(value, held=()):
         terms_hash=value["terms_hash"],
         requester_signature=value["requester_signature"],
         session_id=value["session_id"],
-        height=height,
+        height=height if committed_at is None else committed_at,
+    )
+
+
+def _at_height(token, height):
+    """``token`` committed at ``height`` (None: not committed)."""
+    return AgreementToken(
+        token.metadata,
+        token.terms,
+        token.terms_hash,
+        token.requester_signature,
+        token.session_id,
+        height,
     )
 
 
 def chain_entry_hash(previous_hash, payload_hash):
-    return canon.sha256_hex((previous_hash + payload_hash).encode("ascii"))
+    return sha256((previous_hash + payload_hash).encode("ascii")).hexdigest()
 
 
 def metadata_license_id(metadata):
@@ -268,10 +287,12 @@ class Ledger:
         return self._entries[-1].entry_hash if self._entries else GENESIS_HASH
 
     def append(self, kind, payload):
-        return self._append(kind, payload)
+        return self._append(kind, _entry_payload(kind, payload))
 
     def _append(self, kind, payload, walked=None, token=None):
-        """The one append path.
+        """The one append path, for a ``payload`` map whose ``kind`` is
+        ``kind``, one of ``ENTRY_KINDS`` (``_entry_payload`` builds it;
+        the chain walk checks it of an imported entry).
 
         ``walked`` is the chain walk's ``(encoded, payload_hash,
         entry_hash)`` for this payload at this height, so an import does
@@ -279,13 +300,6 @@ class Ledger:
         ``agreement_token`` payload was built from, so its index entry is
         not parsed back out of the payload.
         """
-        if kind not in ENTRY_KINDS:
-            raise ParseError(f"unknown entry kind {kind!r}")
-        if not isinstance(payload, dict):
-            raise ParseError("payload must be a map")
-        if payload.get("kind", kind) != kind:
-            raise ParseError("payload kind field contradicts entry kind")
-        payload = {"kind": kind, **payload}
         height = len(self._entries)
         # Parse whatever is read back by key before touching the chain,
         # so a malformed payload cannot leave a half-applied append.
@@ -444,7 +458,8 @@ class Ledger:
         if problems:
             raise AbortedExchange(f"token content verification failed: {problems[0]}")
         try:
-            self._append("agreement_token", token_to_value(token), token=token)
+            payload = {"kind": "agreement_token", **token_to_value(token)}
+            self._append("agreement_token", payload, token=token)
         except ParseError as exc:
             raise AbortedExchange(str(exc)) from None
         return self._tokens[token.license_id]
@@ -463,7 +478,7 @@ class Ledger:
             encoded = _entry_bytes(entry)
             if canon.sha256_hex(encoded) != entry.payload_hash:
                 return False
-            recorded = {"kind": entry.kind, **token_to_value(replace(token, height=None))}
+            recorded = {"kind": entry.kind, **token_to_value(_at_height(token, None))}
             if canon.dumps(recorded) != encoded:
                 return False
             if recorded["terms"] != terms.canonical:
@@ -570,6 +585,18 @@ class Ledger:
         return book
 
 
+def _entry_payload(kind, payload):
+    """The payload map an entry of ``kind`` stores: ``payload`` with
+    ``kind`` in its ``"kind"`` field, which it may already hold."""
+    if kind not in ENTRY_KINDS:
+        raise ParseError(f"unknown entry kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise ParseError("payload must be a map")
+    if payload.get("kind", kind) != kind:
+        raise ParseError("payload kind field contradicts entry kind")
+    return {"kind": kind, **payload}
+
+
 def _indexed_token(kind, payload, height, token):
     """Check the payload fields the ledger reads back by key; returns the
     committed token an ``agreement_token`` payload holds, else None."""
@@ -581,8 +608,9 @@ def _indexed_token(kind, payload, height, token):
         elif kind == "agreement_token":
             if token is None:
                 value = {key: item for key, item in payload.items() if key != "kind"}
-                token = token_from_value(value)
-            token = replace(token, height=height)
+                token = _token_from_value(value, committed_at=height)
+            else:
+                token = _at_height(token, height)
             _index_key(kind, "license_id", token.license_id)
             _index_key(kind, "session_id", token.session_id)
             return token
@@ -649,7 +677,7 @@ def _walk(entries):
                 encoded = canon.dumps(payload)
             except AtcpipError:
                 raise TamperedLedger(f"entry {position} payload is not canonical") from None
-        payload_hash = canon.sha256_hex(encoded)
+        payload_hash = sha256(encoded).hexdigest()
         if payload_hash != recorded_payload_hash:
             raise TamperedLedger(f"entry {position} payload hash does not match")
         entry_hash = chain_entry_hash(previous, payload_hash)

@@ -241,12 +241,14 @@ class Simulation:
         transcript = self._transcript.getvalue()
         # The world outlives the run, and its ledger and runtimes hold
         # this simulation through their hooks and clocks: release the
-        # buffer, and write no line for what happens on the world after
-        # the run.
+        # buffer, write no line for what happens on the world after the
+        # run, and stop each runtime's clock at the final tick.
         self._transcript.close()
         self.ledger.on_append = None
+        final_tick = self.tick
         for runtime in self.runtimes.values():
             runtime.on_memory = None
+            runtime.clock = lambda: final_tick
         return transcript, world
 
     def _advance_date(self, tick):

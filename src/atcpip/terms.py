@@ -238,6 +238,8 @@ class LicenseTerms:
 
 
 FIELD_ORDER = tuple(spec.name for spec in fields(LicenseTerms))
+_FIELD_NAMES = frozenset(FIELD_ORDER)
+_ZERO = Decimal(0)
 
 # The canonical text of a terms object: its 17 keys in code point order,
 # tag lists bracketed around their joined encoded strings.
@@ -264,11 +266,11 @@ def terms_from_value(value, held=()):
         value = canon.loads(value)
     if not isinstance(value, dict):
         raise ParseError("terms document must be a map")
-    unknown = set(value) - set(FIELD_ORDER)
-    if unknown:
-        raise ParseError(f"unknown terms field {sorted(unknown)[0]!r}")
-    missing = set(FIELD_ORDER) - set(value)
-    if missing:
+    if value.keys() != _FIELD_NAMES:
+        unknown = value.keys() - _FIELD_NAMES
+        if unknown:
+            raise ParseError(f"unknown terms field {sorted(unknown)[0]!r}")
+        missing = _FIELD_NAMES - value.keys()
         raise ParseError(f"missing terms field {sorted(missing)[0]!r}")
     for name in DECIMAL_FIELDS:
         _wire_number(name, value[name])
@@ -315,7 +317,7 @@ def _violations(terms):
         rate = getattr(terms, name)
         if rate < 0 or rate > 1:
             flag((name,), "out of range [0,1]")
-    if Decimal(0) <= terms.royalty_rate <= 1 and Decimal(0) <= terms.rev_share <= 1:
+    if _ZERO <= terms.royalty_rate <= 1 and _ZERO <= terms.rev_share <= 1:
         if terms.royalty_rate + terms.rev_share > 1:
             flag((), "royalty_rate + rev_share > 1")
     if terms.transferability not in TRANSFERABILITY_MODES:

@@ -3,14 +3,15 @@
 import collections
 import enum
 import json
-from decimal import Decimal
+import re
+from decimal import Context, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from atcpip import canon
-from atcpip.errors import CanonicalizationError, ParseError
+from atcpip.errors import AtcpipError, CanonicalizationError, ParseError
 
 
 # The encoder tests keep one parameter, named by canon.BACKEND, so that
@@ -252,6 +253,50 @@ def test_loads_int_stays_int():
     assert parsed["d"] == Decimal("3.0000") and isinstance(parsed["d"], Decimal)
 
 
+INT_BOUND_SHAPES = [
+    pytest.param("{}", id="top-level"),
+    pytest.param('{{"n":{}}}', id="map-value"),
+    pytest.param("[1,[[{}]]]", id="nested-list"),
+    pytest.param('[[{{"a":[{}]}}]]', id="list-of-maps-in-a-list"),
+]
+
+
+@pytest.mark.parametrize("shape", INT_BOUND_SHAPES)
+def test_loads_takes_both_int_bounds(shape):
+    for bound in (canon.INT_MIN, canon.INT_MAX):
+        text = shape.format(bound)
+        assert canon.dumps(canon.loads(text)) == text.encode()
+
+
+@pytest.mark.parametrize("shape", INT_BOUND_SHAPES)
+def test_loads_refuses_ints_past_the_bounds(shape):
+    for outside in (canon.INT_MAX + 1, canon.INT_MIN - 1):
+        with pytest.raises(ParseError, match="64-bit range"):
+            canon.loads(shape.format(outside))
+
+
+@pytest.mark.parametrize("shape", INT_BOUND_SHAPES)
+def test_loads_refuses_ints_past_the_digit_limit(shape):
+    # Longer than the interpreter's 4,300-digit int conversion limit.
+    for token in ("1" * 5000, "-" + "9" * 5000):
+        with pytest.raises(ParseError, match="integer out of 64-bit range"):
+            canon.loads(shape.format(token))
+
+
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")])
+def test_loads_refuses_input_nested_too_deep(opening, closing):
+    with pytest.raises(ParseError, match="nested too deep"):
+        canon.loads(opening * 5000 + "1" + closing * 5000)
+
+
+def test_dumps_refuses_a_value_nested_too_deep(dumps):
+    value = 1
+    for _ in range(5000):
+        value = [value]
+    with pytest.raises(CanonicalizationError, match="nested too deep"):
+        dumps(value)
+
+
 # -- fixed4 ----------------------------------------------------------------
 
 
@@ -346,3 +391,105 @@ def test_decimal_tokens_always_have_four_digits(value):
 def test_digest_of_the_empty_map_is_pinned():
     digest = canon.sha256_hex(canon.dumps({}))
     assert digest == "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a"
+
+
+# -- decimal fast paths ----------------------------------------------------
+#
+# ``_parse_decimal_token`` and ``format_decimal`` skip the quantize for a
+# value already at four places; each must agree with the route through
+# the token regex and the 60-digit quantize on every input.
+
+_REFERENCE_TOKEN_RE = re.compile(r"-?(?:0|[1-9][0-9]*)\.[0-9]{1,4}")
+_REFERENCE_CONTEXT = Context(prec=60)
+
+
+def _outcome(function, *args):
+    try:
+        return "value", str(function(*args))
+    except AtcpipError as exc:
+        return "error", type(exc)
+
+
+def reference_parse_decimal_token(token):
+    if not _REFERENCE_TOKEN_RE.fullmatch(token):
+        raise ParseError(f"not canonical: {token!r}")
+    try:
+        dec = Decimal(token).quantize(canon.QUANTUM, context=_REFERENCE_CONTEXT)
+    except InvalidOperation:
+        raise ParseError(f"decimal out of range: {token}") from None
+    return canon.ZERO4 if dec == 0 else dec
+
+
+def reference_format_decimal(dec):
+    if not dec.is_finite():
+        raise CanonicalizationError(f"not finite: {dec}")
+    try:
+        quantized = dec.quantize(canon.QUANTUM, context=_REFERENCE_CONTEXT)
+    except InvalidOperation:
+        raise CanonicalizationError(f"decimal out of range: {dec}") from None
+    if quantized != dec:
+        raise CanonicalizationError(f"more than four fractional digits: {dec}")
+    return format(canon.ZERO4 if quantized == 0 else quantized, "f")
+
+
+def _digits(low, high):
+    return st.integers(low, high).flatmap(
+        lambda count: st.from_regex(rf"[1-9][0-9]{{{count - 1}}}", fullmatch=True)
+    )
+
+
+number_token_strategy = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", "-", "+"]),
+    st.one_of(st.just("0"), _digits(1, 20), _digits(54, 59), st.from_regex(r"0[0-9]{1,3}", fullmatch=True)),
+    st.one_of(st.just(""), st.from_regex(r"\.[0-9]{0,6}", fullmatch=True)),
+    st.one_of(st.just(""), st.from_regex(r"[eE][-+]?[0-9]{1,3}", fullmatch=True)),
+)
+special_token_strategy = st.sampled_from(
+    ["NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "0.0000", "-0.0000", "-0.0", "0.0", "-0.00001"]
+)
+
+
+@given(number_token_strategy | special_token_strategy | st.text("0123456789.-+eE_ ", max_size=14))
+def test_parse_decimal_token_agrees_with_the_quantize_route(token):
+    assert _outcome(canon._parse_decimal_token, token) == _outcome(
+        reference_parse_decimal_token, token
+    )
+
+
+def test_parse_decimal_token_digit_bound():
+    # Fifty-six integer digits and four fractional ones are 60 digits,
+    # the most a decimal may carry; one more is out of range.
+    for sign in ("", "-"):
+        inside = sign + "9" * 56 + ".9999"
+        assert str(canon._parse_decimal_token(inside)) == inside
+        with pytest.raises(ParseError, match="out of range"):
+            canon._parse_decimal_token(sign + "1" + "0" * 56 + ".0000")
+    assert canon._parse_decimal_token("-0.0000") is canon.ZERO4
+
+
+decimal_value_strategy = st.one_of(
+    st.builds(
+        lambda sign, digits, exponent: Decimal((sign, tuple(map(int, digits)), exponent)),
+        st.integers(0, 1),
+        _digits(1, 8) | _digits(58, 62) | st.just("0"),
+        st.integers(-6, 3),
+    ),
+    st.sampled_from(
+        [Decimal(text) for text in ("NaN", "-NaN", "sNaN", "Infinity", "-Infinity", "-0.0000", "0E-4", "-0E+2")]
+    ),
+)
+
+
+@given(decimal_value_strategy)
+def test_format_decimal_agrees_with_the_quantize_route(dec):
+    assert _outcome(canon.format_decimal, dec) == _outcome(reference_format_decimal, dec)
+
+
+def test_format_decimal_digit_bound():
+    for sign in ("", "-"):
+        inside = Decimal(sign + "9" * 56 + ".9999")
+        assert canon.format_decimal(inside) == sign + "9" * 56 + ".9999"
+        with pytest.raises(CanonicalizationError, match="out of range"):
+            canon.format_decimal(Decimal(sign + "1" + "0" * 56 + ".0000"))
+    assert canon.format_decimal(Decimal("-0.0000")) == "0.0000"

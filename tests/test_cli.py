@@ -137,6 +137,22 @@ def test_verify_ledger_intact_tampered_and_garbage(tmp_path, capsys):
     assert "ledger intact" in out and "ledger tampered" in out
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param(b"[" * 5000 + b"]" * 5000, id="nested-too-deep"),
+        pytest.param(b"[" + b"1" * 5000 + b"]", id="int-past-the-digit-limit"),
+    ],
+)
+def test_verify_ledger_refuses_unparseable_exports_as_errors(tmp_path, capsys, document):
+    # Exit 1 means a tampered chain; a document that does not parse is
+    # an input error, exit 2.
+    path = tmp_path / "export.json"
+    path.write_bytes(document)
+    assert main(["verify-ledger", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_export_evidence_prints_a_canonical_bundle(tmp_path, capsys):
     value = demo_value()
     value["script"].extend(

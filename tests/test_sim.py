@@ -5,6 +5,7 @@ import hashlib
 import pathlib
 import tracemalloc
 import types
+import weakref
 from decimal import Decimal
 
 import pytest
@@ -584,6 +585,17 @@ def test_a_run_peaks_near_what_it_returns():
     # (about the transcript's size again), nothing kept besides.
     assert retained < 2.5 * len(transcript)
     assert peak <= 1.25 * retained
+
+
+def test_the_returned_world_does_not_keep_the_simulation():
+    simulation = Simulation(golden_scenario("market_60_1"))
+    freed = weakref.ref(simulation)
+    _, world = simulation.run()
+    del simulation
+    gc.collect()
+    assert freed() is None
+    # Each runtime's clock stopped at the final tick.
+    assert {runtime.clock() for runtime in world.runtimes.values()} == {world.final_tick}
 
 
 # -- templated transcript lines ------------------------------------------------
