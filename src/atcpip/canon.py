@@ -73,7 +73,9 @@ Each number is checked once, where it is read or written:
   quantized to four places, which refuses more than 60 digits.
 - ``format_decimal`` writes a finite ``Decimal`` already at four places
   (and within 60 digits, and not negative zero) as it is, and passes
-  any other through the quantize check.
+  any other through the quantize check. ``fixed4`` returns such a
+  ``Decimal`` as it is too (zero as ``ZERO4``), so a rate ``loads``
+  has just read is not quantized again.
 - Input nested deeper than the interpreter's recursion limit is refused
   by both ``loads`` and ``dumps``.
 """
@@ -116,6 +118,13 @@ def fixed4(value):
     """
     if isinstance(value, bool) or isinstance(value, float):
         raise CanonicalizationError(f"not a decimal value: {value!r}")
+    if type(value) is Decimal:
+        # Written plainly with four fractional digits, and within 60
+        # digits in all: the value the quantize would give, so it is
+        # kept as it is. Any other Decimal goes through _quantize4.
+        text = str(value)
+        if text[-5:-4] == "." and text[-4:].isdigit() and len(text) <= 61:
+            return value if value else ZERO4
     if isinstance(value, Decimal):
         dec = value
     elif isinstance(value, (int, str)):

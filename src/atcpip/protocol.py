@@ -29,8 +29,11 @@ session.
 Terms travel as their canonical text (``LicenseTerms.canonical``), in
 ``propose_terms``, ``final_terms`` and every token. A receiver handed
 the text of terms its session already holds (the standing offer, or
-the requester's own last counter) takes that object; any other terms
-are parsed and validated in full.
+the requester's own last counter) takes that object. Text that some
+other live terms object in the process wrote (a catalogue offer sent
+to many requesters) is that writer, checked when it was built. Only
+text that no live object wrote is parsed and validated in full, as is
+every frame the wire codec decodes, whose terms arrive as maps.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload

@@ -29,9 +29,15 @@ template to it; exact types make the two agree on every terms object
 that can exist. Frames and ledger payloads carry the text (a
 ``canon.Canonical``), not a map, and a receiver handed text equal to
 that of a terms object it already holds takes that object instead of
-building another. Text is compared, never maps:
-``1 == True`` and ``1 == Decimal(1)`` hold for values that encode
-apart.
+building another. Failing that, it takes the live terms object in this
+process that wrote the text: each object enters a weak table, text to
+writer, when it fills its template, and leaves it when it dies. So
+"parsed and validated" means, inside one process, that text is parsed
+and checked in full only when no live object wrote it; an object that
+did was checked when it was built, and parsing its text would build an
+equal one. The table holds no object alive and has no bound. Text is
+compared, never maps: ``1 == True`` and ``1 == Decimal(1)`` hold for
+values that encode apart.
 
 Negotiation edits terms in one form only: a ``TermsDelta`` of
 whole-field sets, which is what a counter carries on the wire.
@@ -39,6 +45,7 @@ whole-field sets, which is what a counter carries on the wire.
 replaces the named fields and builds the result.
 """
 
+import weakref
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from decimal import Decimal
@@ -234,8 +241,14 @@ class LicenseTerms:
                 text.encode("utf-8")
             except UnicodeEncodeError as exc:
                 raise CanonicalizationError(f"string not encodable as UTF-8: {exc}") from None
-        return canon.Canonical(text)
+        text = canon.Canonical(text)
+        _WRITERS.setdefault(text, self)
+        return text
 
+
+# Canonical text -> the live terms object that wrote it, the first to
+# write it while no earlier writer lives. An entry dies with its object.
+_WRITERS = weakref.WeakValueDictionary()
 
 FIELD_ORDER = tuple(spec.name for spec in fields(LicenseTerms))
 _FIELD_NAMES = frozenset(FIELD_ORDER)
@@ -257,12 +270,18 @@ def terms_from_value(value, held=()):
     (a ``canon.Canonical``), which is parsed first; closed-world keys.
 
     Text equal to the ``canonical`` text of a terms object in ``held``
-    (None entries are skipped) returns that object as it is.
+    (None entries are skipped) returns that object as it is. Other text
+    that a live terms object in this process wrote returns that writer,
+    which was checked when it was built. Only text that no live object
+    wrote is parsed and checked in full, and a map always is.
     """
     if type(value) is canon.Canonical:
         for terms in held:
             if terms is not None and terms.canonical == value:
                 return terms
+        written = _WRITERS.get(value)
+        if written is not None:
+            return written
         value = canon.loads(value)
     if not isinstance(value, dict):
         raise ParseError("terms document must be a map")

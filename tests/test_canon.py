@@ -7,7 +7,7 @@ import re
 from decimal import Context, Decimal, InvalidOperation
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from atcpip import canon
@@ -420,7 +420,7 @@ def reference_parse_decimal_token(token):
     return canon.ZERO4 if dec == 0 else dec
 
 
-def reference_format_decimal(dec):
+def reference_fixed4(dec):
     if not dec.is_finite():
         raise CanonicalizationError(f"not finite: {dec}")
     try:
@@ -429,7 +429,11 @@ def reference_format_decimal(dec):
         raise CanonicalizationError(f"decimal out of range: {dec}") from None
     if quantized != dec:
         raise CanonicalizationError(f"more than four fractional digits: {dec}")
-    return format(canon.ZERO4 if quantized == 0 else quantized, "f")
+    return canon.ZERO4 if quantized == 0 else quantized
+
+
+def reference_format_decimal(dec):
+    return format(reference_fixed4(dec), "f")
 
 
 def _digits(low, high):
@@ -484,6 +488,45 @@ decimal_value_strategy = st.one_of(
 @given(decimal_value_strategy)
 def test_format_decimal_agrees_with_the_quantize_route(dec):
     assert _outcome(canon.format_decimal, dec) == _outcome(reference_format_decimal, dec)
+
+
+# Four places, where ``fixed4`` keeps the value, at 59 to 62 digits,
+# across the 60-digit bound.
+four_places_strategy = st.builds(
+    lambda sign, digits: Decimal((sign, tuple(map(int, digits)), -4)),
+    st.integers(0, 1),
+    _digits(1, 8) | _digits(59, 62),
+)
+
+
+class Rate(Decimal):
+    pass
+
+
+@given(decimal_value_strategy | four_places_strategy)
+@example(Decimal("1.2E+4"))  # a point five from the end, in exponent form
+@example(Rate("0.0500"))  # a subclass comes back a plain Decimal
+def test_fixed4_agrees_with_the_quantize_route(dec):
+    outcome = _outcome(canon.fixed4, dec)
+    assert outcome == _outcome(reference_fixed4, dec)
+    if outcome[0] == "value":
+        assert type(canon.fixed4(dec)) is Decimal
+        assert (canon.fixed4(dec) is canon.ZERO4) == (dec == 0)
+
+
+def test_fixed4_keeps_a_decimal_already_at_four_places(monkeypatch):
+    def refuse(dec):
+        raise AssertionError(f"{dec} quantized again")
+
+    monkeypatch.setattr(canon, "_quantize4", refuse)
+    for text in ("0.0500", "-1.2500", "9" * 56 + ".9999"):
+        rate = Decimal(text)
+        assert canon.fixed4(rate) is rate
+    assert canon.fixed4(Decimal("-0.0000")) is canon.ZERO4
+    # Written in exponent form, at other places or past 60 digits: quantized.
+    for text in ("1.2E+5", "0.05", "1" + "0" * 56 + ".0000"):
+        with pytest.raises(AssertionError, match="quantized again"):
+            canon.fixed4(Decimal(text))
 
 
 def test_format_decimal_digit_bound():

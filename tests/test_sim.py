@@ -1,5 +1,6 @@
 """Simulator: determinism, timers, loss handling, conservation, replay."""
 
+import collections
 import gc
 import hashlib
 import pathlib
@@ -31,6 +32,7 @@ from atcpip.scenario import scenario_from_bytes, scenario_from_value
 from atcpip.scenarios import BUILTIN_SCENARIOS, builtin_bytes
 from atcpip.runtime import AgentRuntime, MemoryRecord
 from atcpip.sim import Simulation, check_expectations, replay, run_scenario
+from atcpip.terms import LicenseTerms
 from atcpip.trust import replay_records
 from conftest import make_terms
 
@@ -596,6 +598,43 @@ def test_the_returned_world_does_not_keep_the_simulation():
     assert freed() is None
     # Each runtime's clock stopped at the final tick.
     assert {runtime.clock() for runtime in world.runtimes.values()} == {world.final_tick}
+
+
+def test_a_run_checks_no_terms_in_full_and_shares_the_catalogue_objects(monkeypatch):
+    # Every terms text a run sends was written by a live catalogue or
+    # derived object, so the receiver takes that object; nothing is
+    # parsed and checked again.
+    scenario = golden_scenario("market_60_1")
+    checks = []
+    post_init = LicenseTerms.__post_init__
+
+    def counted(self):
+        checks.append(self.name)
+        post_init(self)
+
+    offered = collections.defaultdict(list)  # (provider, item) -> [(requester, terms)]
+    receive_message = AgentRuntime.receive_message
+
+    def receive(runtime, message):
+        sent = receive_message(runtime, message)
+        if message.action == "propose_terms" and runtime.has_session(message.session_id):
+            session = runtime.session(message.session_id)
+            if session.role == "requester":
+                key = session.provider_id, session.content_id
+                offered[key].append((runtime.agent_id, session.terms))
+        return sent
+
+    monkeypatch.setattr(LicenseTerms, "__post_init__", counted)
+    monkeypatch.setattr(AgentRuntime, "receive_message", receive)
+    _, world = run_scenario(scenario)
+    assert checks == []
+    shared = 0
+    for (provider_id, content_id), held in offered.items():
+        item = world.runtimes[provider_id].catalog[content_id]
+        holders = {requester for requester, terms in held if terms == item.terms}
+        assert all(terms is item.terms for _, terms in held if terms == item.terms)
+        shared += len(holders) >= 2
+    assert shared > 0
 
 
 # -- templated transcript lines ------------------------------------------------

@@ -2,7 +2,9 @@
 
 import dataclasses
 import enum
+import gc
 import re
+import weakref
 from collections import Counter
 from datetime import datetime
 from decimal import Decimal
@@ -204,6 +206,88 @@ def test_held_terms_are_matched_by_text_not_by_map():
     # document.
     with pytest.raises(ParseError, match="must be a map"):
         terms_from_value(str(held.canonical), (held,))
+
+
+# -- text a live terms object wrote ---------------------------------------------
+#
+# Each test names its terms after itself, so no other live object wrote
+# the same text first.
+
+
+@pytest.fixture
+def loads_calls(monkeypatch):
+    """The texts ``canon.loads`` parses while the test runs."""
+    calls = []
+    loads = canon.loads
+
+    def counted(text):
+        calls.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(canon, "loads", counted)
+    return calls
+
+
+def test_text_a_live_object_wrote_returns_that_object_unparsed(monkeypatch):
+    writer = make_terms(name="writer-returned", upfront_fee=7)
+    text = canon.Canonical(str(writer.canonical))  # equal text, another object
+
+    def refuse(text):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(canon, "loads", refuse)
+    assert terms_from_value(text) is writer
+    assert terms_from_value(text, (None, make_terms())) is writer
+
+
+def test_text_whose_writer_is_gone_is_parsed_again(loads_calls):
+    writer = make_terms(name="writer-gone")
+    text = canon.Canonical(str(writer.canonical))
+    gone = weakref.ref(writer)
+    del writer
+    gc.collect()
+    assert gone() is None
+    expected = make_terms(name="writer-gone")  # its text is never written
+    rebuilt = terms_from_value(text)
+    assert loads_calls == [text]
+    assert rebuilt == expected and rebuilt is not expected
+    assert rebuilt.canonical == text
+
+
+def test_held_terms_win_over_an_equal_writer():
+    writer = make_terms(name="writer-held")
+    text = writer.canonical
+    held = make_terms(name="writer-held")
+    assert held.canonical == text
+    assert terms_from_value(held.canonical, (held,)) is held
+    # The first writer keeps the text while it lives.
+    assert terms_from_value(held.canonical) is writer
+
+
+def test_text_no_object_wrote_is_parsed_in_full_on_every_call(loads_calls):
+    writer = make_terms(name="writer-unsorted", scope=("commercial", "personal"))
+    unsorted = canon.Canonical(
+        writer.canonical.replace('["commercial","personal"]', '["personal","commercial"]')
+    )
+    invalid = canon.Canonical(writer.canonical.replace('"US"', '"XX"'))
+    unknown = canon.Canonical(writer.canonical.replace('"name"', '"title"'))
+    assert unsorted != writer.canonical
+    for _ in range(2):
+        rebuilt = terms_from_value(unsorted, (writer,))
+        assert rebuilt == writer and rebuilt is not writer
+        with pytest.raises(InvalidTerms, match="jurisdiction"):
+            terms_from_value(invalid, (writer,))
+        with pytest.raises(ParseError, match="unknown terms field 'title'"):
+            terms_from_value(unknown, (writer,))
+    assert loads_calls == [unsorted, invalid, unknown] * 2
+
+
+def test_a_map_is_never_taken_for_its_writer():
+    writer = make_terms(name="writer-map")
+    writer.canonical
+    for value in (writer.to_value(), canon.loads(writer.canonical)):
+        rebuilt = terms_from_value(value)
+        assert rebuilt == writer and rebuilt is not writer
 
 
 def test_terms_with_a_lone_surrogate_have_no_text_and_no_digest():
