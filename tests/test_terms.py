@@ -232,8 +232,8 @@ def test_text_a_live_object_wrote_returns_that_object_unparsed(monkeypatch):
     writer = make_terms(name="writer-returned", upfront_fee=7)
     text = canon.Canonical(str(writer.canonical))  # equal text, another object
 
-    def refuse(text):
-        raise AssertionError("parsed")
+    def refuse(value):
+        raise AssertionError(f"{value} parsed")
 
     monkeypatch.setattr(canon, "loads", refuse)
     assert terms_from_value(text) is writer
