@@ -177,13 +177,13 @@ def token_to_value(token):
     return out
 
 
-def token_from_value(value, held=()):
-    """Parse a token map; its terms are one of ``held`` when their text
-    is that object's (see ``terms_from_value``)."""
-    return _token_from_value(value, held)
+def token_from_value(value):
+    """Parse a token map; its terms text resolves as ``terms_from_value``
+    resolves it."""
+    return _token_from_value(value)
 
 
-def _token_from_value(value, held=(), committed_at=None):
+def _token_from_value(value, committed_at=None):
     """``token_from_value``, with the token's height ``committed_at``
     when that is given (the height of the entry it is imported from)."""
     if not isinstance(value, dict):
@@ -200,7 +200,7 @@ def _token_from_value(value, held=(), committed_at=None):
         raise ParseError("token height must be an integer")
     return AgreementToken(
         metadata=metadata_from_value(value["metadata"]),
-        terms=terms_from_value(value["terms"], held),
+        terms=terms_from_value(value["terms"]),
         terms_hash=value["terms_hash"],
         requester_signature=value["requester_signature"],
         session_id=value["session_id"],

@@ -27,13 +27,12 @@ unchanged, byte for byte; the content it delivered is kept on the
 session.
 
 Terms travel as their canonical text (``LicenseTerms.canonical``), in
-``propose_terms``, ``final_terms`` and every token. A receiver handed
-the text of terms its session already holds (the standing offer, or
-the requester's own last counter) takes that object. Text that some
-other live terms object in the process wrote (a catalogue offer sent
-to many requesters) is that writer, checked when it was built. Only
-text that no live object wrote is parsed and validated in full, as is
-every frame the wire codec decodes, whose terms arrive as maps.
+``propose_terms``, ``final_terms`` and every token. A receiver takes
+the live terms object in the process that wrote that text (the
+sender's own offer or counter, or a catalogue offer sent to many
+requesters), checked when it was built. Only text that no live object
+wrote is parsed and validated in full, as is every frame the wire codec
+decodes, whose terms arrive as maps.
 
 The wire format is a 4-byte big-endian length prefix over the canonical
 JSON of the message map, and decoding rejects any frame whose payload
@@ -93,32 +92,32 @@ class ProtocolMessage:
 
 # -- bodies: each action's body parsed once, where it arrives ---------------------
 #
-# A key's parser takes the value and the terms the receiving session holds
-# and returns the typed value, or raises saying what the value must be. It
-# builds new values and never changes the body map, which the sender may
-# still hold and the transcript is written from.
+# A key's parser takes the value and returns the typed value, or raises
+# saying what the value must be. It builds new values and never changes
+# the body map, which the sender may still hold and the transcript is
+# written from.
 
 
-def _text(value, held):
+def _text(value):
     if not isinstance(value, str):
         raise ParseError("must be a string")
     return value
 
 
-def _name(value, held):
+def _name(value):
     if not isinstance(value, str) or not value:
         raise ParseError("must be a non-empty string")
     return value
 
 
-def _whole(value, held):
+def _whole(value):
     """Money in micro-credits: neither a boolean nor a decimal."""
     if type(value) is not int:
         raise ParseError("must be an integer")
     return value
 
 
-def _round(value, held):
+def _round(value):
     """A round one step below the 64-bit bound, so the next round a
     receiver numbers still encodes."""
     if type(value) is not int or not 0 <= value < canon.INT_MAX:
@@ -126,7 +125,7 @@ def _round(value, held):
     return value
 
 
-def _offer(value, held):
+def _offer(value):
     """An opening offer: at most a fee and a rate, the rate to four digits."""
     if not isinstance(value, dict) or not value.keys() <= {"upfront_fee", "royalty_rate"}:
         raise ParseError("must be a map of upfront_fee and royalty_rate")
@@ -138,7 +137,7 @@ def _offer(value, held):
     return offer
 
 
-def _split(value, held):
+def _split(value):
     """Payout lines as ``(payee, amount)``, exactly the lines the requester pays."""
     if not isinstance(value, list) or not all(
         isinstance(line, dict) and line.keys() == {"to", "amount"} for line in value
@@ -151,7 +150,7 @@ def _split(value, held):
     return lines
 
 
-def _encoded(value, held):
+def _encoded(value):
     """A token the receiver compares byte for byte: its canonical bytes."""
     if not isinstance(value, dict):
         raise ParseError("must be a map")
@@ -163,7 +162,7 @@ BODIES = {
     "request_info": {"content_id": _name, "jurisdiction": _text, "offer": _offer},
     "non_ip_notice": {"content_id": _name, "content": _text, "note": _text},
     "propose_terms": {"terms": terms_from_value, "round": _round, "previous_license_id": _name},
-    "counter_terms": {"suggestions": lambda value, held: delta_from_value(value), "round": _round},
+    "counter_terms": {"suggestions": delta_from_value, "round": _round},
     "final_terms": {"terms": terms_from_value, "round": _round},
     "accept_terms": {"terms_hash": _text},
     "payment_required": {"amount": _whole, "split": _split},
@@ -180,10 +179,10 @@ ACTIONS = tuple(BODIES)
 OPTIONAL = {"jurisdiction": "", "offer": {}, "previous_license_id": None}
 
 
-def parse_body(action, body, held=()):
+def parse_body(action, body):
     """The typed values of one ``action`` body, by key; raises ParseError
-    naming the action and the key. A terms text that one of ``held`` has
-    is that object (see ``terms_from_value``)."""
+    naming the action and the key. Terms text resolves as
+    ``terms_from_value`` resolves it."""
     parsers = BODIES.get(action)
     if parsers is None:
         raise ParseError(f"unknown action {action!r}")
@@ -194,7 +193,7 @@ def parse_body(action, body, held=()):
         if key not in body and key not in OPTIONAL:
             raise ParseError(f"{action} body missing {key!r}")
         try:
-            typed[key] = parse(body[key], held) if key in body else OPTIONAL[key]
+            typed[key] = parse(body[key]) if key in body else OPTIONAL[key]
         except (ParseError, InvalidTerms, CanonicalizationError) as exc:
             raise ParseError(f"{action} {key} {exc}") from None
     if action == "payment_required" and sum(line[1] for line in typed["split"]) != typed["amount"]:
@@ -318,10 +317,8 @@ TERMINAL = frozenset(
 class Session:
     """What both sides of one session keep: ``terms`` and
     ``previous_license_id`` are the standing offer as the provider last
-    sent it, ``countered`` the terms the requester's counter asked for,
-    held until an answer comes or the session closes, and ``outbox`` the
-    messages numbered and not yet drained. Each role adds its ``state``
-    and its own fields."""
+    sent it, and ``outbox`` the messages numbered and not yet drained.
+    Each role adds its ``state`` and its own fields."""
 
     session_id: str
     provider_id: str
@@ -330,7 +327,6 @@ class Session:
     content_id: str = ""
     terms: object = None
     previous_license_id: Optional[str] = None
-    countered: object = None
     round: int = 0
     failure_reason: str = ""
     reject_reason: str = ""
@@ -410,7 +406,6 @@ def _prelude(session, action, body):
         return False
     session.reject_reason = body["reason"]
     session.state = type(session.state).REJECTED
-    session.countered = None
     return True
 
 
@@ -425,7 +420,6 @@ def fail(session, agent, reason):
     """Close the session as failed; nothing goes on the wire."""
     session.failure_reason = reason
     session.state = type(session.state).FAILED
-    session.countered = None
     agent.remember(f"Session failed: {reason}")
 
 
@@ -553,7 +547,6 @@ def requester_transition(session, action, body, agent):
         and action in ("propose_terms", "final_terms")
     ):
         session.terms = body["terms"]
-        session.countered = None
         if action == "propose_terms":  # final terms revise the terms only
             session.previous_license_id = body["previous_license_id"]
         session.round = max(session.round, body["round"])
@@ -610,7 +603,6 @@ def requester_counter(session, agent, delta_value, countered):
     session.counters_used += 1
     session.round += 1
     session.state = RequesterState.COUNTERING
-    session.countered = countered
     agent.mint_draft(session, countered)
     _send(session, "counter_terms", {"suggestions": delta_value, "round": session.round})
 

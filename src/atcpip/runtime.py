@@ -28,12 +28,11 @@ acts on, and ``sessions(acted=True)`` hands the caller exactly the
 sessions whose state may have changed since its last such call.
 
 Inbound messages are deduplicated per session by sequence number. Each
-body is parsed once, by its action's parser, against the terms its
-session holds (``protocol.parse_body``), and the transition gets the
-typed values. A body that does not parse is dropped with a memory note
-before any session is opened or touched, and anything a session cannot
-take in its current state is dropped with a memory note too, rather
-than crashing the agent. Any other typed error a decision raises in an
+body is parsed once, by its action's parser (``protocol.parse_body``),
+and the transition gets the typed values. A body that does not parse is
+dropped with a memory note before any session is opened or touched, and
+anything a session cannot take in its current state is dropped with a
+memory note too, rather than crashing the agent. Any other typed error a decision raises in an
 entry point fails its session, with the error as the reason, through
 the one ``_decision_failed``; ``decide_courtship`` goes on to the next
 session.
@@ -261,9 +260,8 @@ class AgentRuntime:
         if message.recipient != self.agent_id:
             raise ValueError(f"message for {message.recipient!r} routed to {self.agent_id!r}")
         session = self._sessions.get(message.session_id)
-        held = () if session is None else (session.terms, session.countered)
         try:
-            body = parse_body(message.action, message.body, held)
+            body = parse_body(message.action, message.body)
         except ParseError as exc:
             self.remember(f"Dropped malformed message in session {message.session_id}: {exc}")
             return []

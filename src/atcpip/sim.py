@@ -1,12 +1,17 @@
 """Deterministic discrete-event simulator for scenario files.
 
 One seeded generator drives every random choice (message loss, latency
-jitter), and the event queue orders work by (deliver_tick, insertion
-sequence), so a scenario plus a seed fully determines the run. The
-transcript is a sequence of canonical JSON lines, each ending in a
-newline: one meta line, then message, ledger, balance, state change, and
-memory lines in the order they happened; each payment's ledger line is
-followed by its balance line. Replays compare transcripts byte for byte.
+jitter), and the event queue keeps one bucket of events per tick: ticks
+run in ascending order, the events of a tick run in the order they were
+pushed, and an event pushed for the running tick (a frame with no
+latency) runs after everything already in its bucket. A scenario plus a
+seed therefore fully determines the run. Only a tick that has a bucket
+goes on the queue's heap, so the heap's cost follows the ticks a run
+uses, not the events it queues. The transcript is a sequence of
+canonical JSON lines, each ending in a newline: one meta line, then
+message, ledger, balance, state change, and memory lines in the order
+they happened; each payment's ledger line is followed by its balance
+line. Replays compare transcripts byte for byte.
 
 Each line is written once, complete with its newline, into one buffer
 the simulation owns, and the run returns that buffer's bytes: no list of
@@ -65,8 +70,8 @@ class Simulation:
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.tick = 0
-        self._counter = 0
-        self._queue = []
+        self._buckets = {}  # tick -> payloads, in push order
+        self._ticks = []  # heap of the ticks that have a bucket
         self._transcript = io.BytesIO()
         self._session_state = {}  # (agent_id, session_id) -> last seen state
         self._epoch = {}  # (agent_id, session_id) -> live timer epoch
@@ -128,8 +133,12 @@ class Simulation:
             raise CanonicalizationError(f"string not encodable as UTF-8: {exc}") from None
 
     def _push(self, tick, payload):
-        heapq.heappush(self._queue, (tick, self._counter, payload))
-        self._counter += 1
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            self._buckets[tick] = [payload]
+            heapq.heappush(self._ticks, tick)
+        else:
+            bucket.append(payload)
 
     # Every line after the meta line is canon.dumps of a map with a fixed
     # key set plus its newline, written as a template in key order around
@@ -212,23 +221,29 @@ class Simulation:
 
     def run(self):
         max_ticks = self.scenario.max_ticks
-        while self._queue:
-            tick, _, payload = heapq.heappop(self._queue)
+        buckets, ticks = self._buckets, self._ticks
+        while ticks:
+            tick = heapq.heappop(ticks)
             if tick > max_ticks:
                 break
             self.tick = tick
             self._advance_date(tick)
-            if payload[0] == "msg":
-                message = payload[1]
-                key = (tick, message.recipient, message.session_id)
-                left = self._queued.pop(key) - 1
-                if left:
-                    self._queued[key] = left
-                self._deliver(message)
-            elif payload[0] == "timer":
-                self._fire_timer(*payload[1:])
-            else:
-                self._run_script_event(payload[1])
+            # The list iterator reads the bucket's length at every step,
+            # so an event pushed for this tick during the walk runs after
+            # everything already in the bucket.
+            for payload in buckets[tick]:
+                if payload[0] == "msg":
+                    message = payload[1]
+                    key = (tick, message.recipient, message.session_id)
+                    left = self._queued.pop(key) - 1
+                    if left:
+                        self._queued[key] = left
+                    self._deliver(message)
+                elif payload[0] == "timer":
+                    self._fire_timer(*payload[1:])
+                else:
+                    self._run_script_event(payload[1])
+            del buckets[tick]
         world = WorldState(
             ledger=self.ledger,
             wallets=self.wallets,

@@ -265,20 +265,15 @@ TEXT_TEMPLATE = (
 )
 
 
-def terms_from_value(value, held=()):
+def terms_from_value(value):
     """Rebuild LicenseTerms from a canonical map, or from canonical text
     (a ``canon.Canonical``), which is parsed first; closed-world keys.
 
-    Text equal to the ``canonical`` text of a terms object in ``held``
-    (None entries are skipped) returns that object as it is. Other text
-    that a live terms object in this process wrote returns that writer,
-    which was checked when it was built. Only text that no live object
-    wrote is parsed and checked in full, and a map always is.
+    Text that a live terms object in this process wrote returns that
+    writer, which was checked when it was built. Only text that no live
+    object wrote is parsed and checked in full, and a map always is.
     """
     if type(value) is canon.Canonical:
-        for terms in held:
-            if terms is not None and terms.canonical == value:
-                return terms
         written = _WRITERS.get(value)
         if written is not None:
             return written

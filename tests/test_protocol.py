@@ -47,10 +47,10 @@ def msg(action, body, sender="requester", recipient="provider", seq=0, session="
 
 
 def take(session, message, agent):
-    """Hand ``session`` one message as a runtime does: the body parsed
-    against the terms the session holds, then the role's transition."""
+    """Hand ``session`` one message as a runtime does: the body parsed,
+    then the role's transition."""
     transition = provider_transition if session.role == "provider" else requester_transition
-    body = parse_body(message.action, message.body, (session.terms, session.countered))
+    body = parse_body(message.action, message.body)
     transition(session, message.action, body, agent)
 
 
@@ -482,17 +482,17 @@ def test_requester_counter_flow():
 
 
 def test_requester_reuses_held_terms_only_for_their_own_text():
-    standing = make_terms(royalty_rate="0.30")
+    # Named after the test, so no other live object wrote their text first.
+    standing = make_terms(name="reuses-held", royalty_rate="0.30")
     countered = standing.replace(royalty_rate=Decimal("0.1000"))
 
     def answer(terms):
         session = requester_session(state=RequesterState.COUNTERING)
-        session.terms, session.countered = standing, countered
+        session.terms = standing
         final = msg("final_terms", {"terms": terms, "round": 2},
                     sender="provider", recipient="requester")
         take(session, final, RecordingAgent(session))
         assert session.state is RequesterState.EVALUATING_TERMS
-        assert session.countered is None
         return session.terms
 
     assert answer(countered.canonical) is countered

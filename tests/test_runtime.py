@@ -758,7 +758,7 @@ TO_PROVIDER = {"counter_terms", "accept_terms", "payment_confirmed", "license_to
 
 
 def fields_a_drop_keeps(session):
-    return (session.state, session.round, session.terms, session.countered,
+    return (session.state, session.round, session.terms,
             session.last_seq_seen, list(session.outbox))
 
 

@@ -3,6 +3,7 @@
 import collections
 import gc
 import hashlib
+import heapq
 import pathlib
 import tracemalloc
 import types
@@ -13,6 +14,7 @@ import pytest
 
 from atcpip import canon
 from atcpip import runtime as runtime_module
+from atcpip import sim as sim_module
 from atcpip.errors import AtcpipError, CanonicalizationError, ParseError
 from atcpip.protocol import (
     NO_PAYMENT_FAILURE,
@@ -904,6 +906,102 @@ def test_sweep_visits_about_one_session_per_call_at_any_size(monkeypatch):
         means.append(sum(visits) / len(visits))
     assert means[0] == means[1]
     assert means[0] <= 1.1
+
+
+class HeapQueueSimulation(Simulation):
+    """The oracle for the simulator's per-tick buckets: one heap of
+    ``(tick, counter, payload)`` tuples, popped one event at a time, so
+    events run by tick and, within a tick, in push order."""
+
+    def __init__(self, scenario, seed=None):
+        self._queue = []
+        self._counter = 0
+        self.same_tick_messages = 0
+        super().__init__(scenario, seed=seed)
+
+    def _push(self, tick, payload):
+        if payload[0] == "msg" and tick == self.tick:
+            self.same_tick_messages += 1
+        heapq.heappush(self._queue, (tick, self._counter, payload))
+        self._counter += 1
+
+    def run(self):
+        max_ticks = self.scenario.max_ticks
+        while self._queue:
+            tick, _, payload = heapq.heappop(self._queue)
+            if tick > max_ticks:
+                break
+            self.tick = tick
+            self._advance_date(tick)
+            if payload[0] == "msg":
+                message = payload[1]
+                key = (tick, message.recipient, message.session_id)
+                left = self._queued.pop(key) - 1
+                if left:
+                    self._queued[key] = left
+                self._deliver(message)
+            elif payload[0] == "timer":
+                self._fire_timer(*payload[1:])
+            else:
+                self._run_script_event(payload[1])
+        # Nothing was pushed into the buckets, so the simulator's own run
+        # only builds the world and ends the run.
+        return super().run()
+
+
+def zero_latency_market(seed):
+    """``market(60, seed)`` on a network whose latency can be 0, so a
+    frame can arrive in the tick it was sent."""
+    value = load_worlds().market(60, seed)
+    value["network"]["latency"] = {"min": 0, "max": 3}
+    return scenario_from_bytes(canon.dumps(value))
+
+
+@pytest.mark.parametrize(
+    "name", [*BUILTIN_SCENARIOS, "lossy_jitter", "market", "hot_provider", "zero_latency"]
+)
+def test_event_buckets_run_events_in_heap_order(name):
+    same_tick_messages = 0
+    for seed in range(1, 6):
+        if name == "zero_latency":
+            scenario = zero_latency_market(seed)
+        elif name in ("market", "hot_provider"):
+            scenario = scenario_from_bytes(canon.dumps(getattr(load_worlds(), name)(60, seed)))
+        else:
+            scenario = golden_scenario(name)
+        transcript, world = run_scenario(scenario, seed=seed)
+        oracle = HeapQueueSimulation(scenario, seed=seed)
+        assert transcript == oracle.run()[0]
+        assert world.final_tick == oracle.tick
+        same_tick_messages += oracle.same_tick_messages
+    # A frame sent with no latency joins the tick that is running.
+    assert (same_tick_messages > 0) is (name == "zero_latency")
+
+
+def test_event_heap_holds_ticks_not_events(monkeypatch):
+    """Counts, not times: the heap takes one push per tick that has
+    events, so pushes per session fall as the world grows, far below the
+    events each session queues."""
+    counts = collections.Counter()
+
+    def heappush(heap, tick):
+        counts["push"] += 1
+        heapq.heappush(heap, tick)
+
+    def heappop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(
+        sim_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heappop)
+    )
+    per_session = []
+    for size in (240, 480):
+        counts.clear()
+        _, world = run_scenario(scenario_from_bytes(canon.dumps(load_worlds().market(size, 1))))
+        assert counts["push"] == counts["pop"] <= world.final_tick + 1
+        per_session.append(counts["push"] / size)
+    assert per_session[1] <= per_session[0] <= 1
 
 
 def personal_data_value(jurisdictions=None, item_terms=None):

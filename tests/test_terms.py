@@ -188,24 +188,23 @@ def test_cached_digest_stays_out_of_value_equality_and_hash():
 
 @given(valid_terms())
 def test_terms_rebuilt_from_their_text_are_equal_and_encode_identically(terms):
-    # The soundness of reuse: a receiver that takes a held object for text
-    # equal to its own gets what parsing that text would have built.
+    # The soundness of reuse: a receiver that takes the live writer of a
+    # text gets what parsing that text would have built.
     rebuilt = terms_from_value(canon.loads(terms.canonical))
     assert rebuilt == terms
     assert rebuilt.canonical == terms.canonical
     assert canon.dumps(terms.canonical) == canon.dumps(terms.to_value())
     assert terms_hash(terms) == canon.sha256_hex(canon.dumps(terms.to_value()))
     assert terms_from_value(terms.canonical) == terms
-    assert terms_from_value(terms.canonical, (None, terms)) is terms
 
 
 def test_held_terms_are_matched_by_text_not_by_map():
     held = make_terms(upfront_fee=5)
-    assert terms_from_value(held.to_value(), (held,)) is not held
+    assert terms_from_value(held.to_value()) is not held
     # A plain string is not taken for canonical text: it is no terms
     # document.
     with pytest.raises(ParseError, match="must be a map"):
-        terms_from_value(str(held.canonical), (held,))
+        terms_from_value(str(held.canonical))
 
 
 # -- text a live terms object wrote ---------------------------------------------
@@ -237,7 +236,6 @@ def test_text_a_live_object_wrote_returns_that_object_unparsed(monkeypatch):
 
     monkeypatch.setattr(canon, "loads", refuse)
     assert terms_from_value(text) is writer
-    assert terms_from_value(text, (None, make_terms())) is writer
 
 
 def test_text_whose_writer_is_gone_is_parsed_again(loads_calls):
@@ -254,14 +252,21 @@ def test_text_whose_writer_is_gone_is_parsed_again(loads_calls):
     assert rebuilt.canonical == text
 
 
-def test_held_terms_win_over_an_equal_writer():
-    writer = make_terms(name="writer-held")
+def test_equal_text_resolves_to_the_first_live_writer(loads_calls):
+    writer = make_terms(name="writer-equal")
     text = writer.canonical
-    held = make_terms(name="writer-held")
-    assert held.canonical == text
-    assert terms_from_value(held.canonical, (held,)) is held
-    # The first writer keeps the text while it lives.
-    assert terms_from_value(held.canonical) is writer
+    equal = make_terms(name="writer-equal")
+    assert equal.canonical == text
+    # The first writer keeps the text while it lives, whoever else wrote
+    # it since.
+    assert terms_from_value(equal.canonical) is writer
+    assert terms_from_value(text) is writer
+    del writer
+    gc.collect()
+    # Once the first writer is gone, the next to write the text has it.
+    fresh = make_terms(name="writer-equal")
+    assert terms_from_value(fresh.canonical) is fresh
+    assert loads_calls == []
 
 
 def test_text_no_object_wrote_is_parsed_in_full_on_every_call(loads_calls):
@@ -273,12 +278,12 @@ def test_text_no_object_wrote_is_parsed_in_full_on_every_call(loads_calls):
     unknown = canon.Canonical(writer.canonical.replace('"name"', '"title"'))
     assert unsorted != writer.canonical
     for _ in range(2):
-        rebuilt = terms_from_value(unsorted, (writer,))
+        rebuilt = terms_from_value(unsorted)
         assert rebuilt == writer and rebuilt is not writer
         with pytest.raises(InvalidTerms, match="jurisdiction"):
-            terms_from_value(invalid, (writer,))
+            terms_from_value(invalid)
         with pytest.raises(ParseError, match="unknown terms field 'title'"):
-            terms_from_value(unknown, (writer,))
+            terms_from_value(unknown)
     assert loads_calls == [unsorted, invalid, unknown] * 2
 
 
