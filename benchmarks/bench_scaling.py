@@ -7,14 +7,19 @@ Usage, from the root of a checkout:
 Both shapes of ``perfbench/worlds.py`` (``market``: many agents with a
 few dozen sessions each; ``hot_provider``: every session on one
 provider) run through ``run_scenario`` at 250, 1000 and 4000 sessions,
-seed 1. Each size runs one generated world at least ``MIN_RUNS`` times
-and until the runs together last ``MIN_SECONDS``, so a 250-session
-cell is the median of about ten runs, not of three that a shift in
-host speed can move. The script records the median wall-clock
-ms/session, raw and calibrated to the reference host by
+seed 1. Each cell runs one generated world. The timed runs go
+round-robin over the cells, one run of every cell a round, until each
+cell has at least ``MIN_RUNS`` runs that together last ``MIN_SECONDS``:
+every cell runs as often as the 250-session cells need (about ten
+times), and a shift in host speed lands on every cell rather than on
+the one that happened to be running. The script records the median
+wall-clock ms/session, raw and calibrated to the reference host by
 ``perfbench/calibrate.py`` (over the median of the slices taken right
-before and right after each of the cell's runs), the number of runs,
-and transcript bytes/session. One more run of each cell, untimed and
+before and right after each of the cell's runs), the interquartile
+range of the calibrated runs beside it, the number of runs, and
+transcript bytes/session; per shape, it records the calibrated
+ms/session of the largest size over the smallest (4000 over 250), the
+number a flat row holds at 1. One more run of each cell, untimed and
 under ``tracemalloc``, records in kB (1,000 bytes) per session the
 run's peak and what it returns (transcript plus world, after a
 collection), so a run that holds more than it hands back shows. One
@@ -158,23 +163,20 @@ def chain_tools(scenario, runs=TOOL_RUNS):
     }
 
 
-def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
-    """Median ms/session, raw and calibrated, over at least ``MIN_RUNS``
-    runs of one generated world that together last ``min_seconds``. The
-    calibration takes the median of every slice around the cell's runs,
-    so a host stall that catches one or two slices does not move it."""
-    scenario = _scenario(shape, sessions, seed)
-    runs, slices = [], []
-    while len(runs) < MIN_RUNS or sum(runs) < min_seconds:
-        seconds, run_slices, transcript_bytes = measure(scenario)
-        runs.append(seconds)
-        slices.extend(run_slices)
+def cell(scenario, sessions, runs, slices, transcript_bytes):
+    """A cell's figures from its timed ``runs`` (seconds each) and the
+    calibration ``slices`` around them: median ms/session, raw and
+    calibrated, and the calibrated interquartile range. The calibration
+    takes the median of every slice around the cell's runs, so a host
+    stall that catches one or two slices does not move it."""
+    q1, _, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     seconds = statistics.median(runs)
     peak, retained = memory(scenario)
     tools = chain_tools(scenario)
     return {
         "ms_per_session_raw": round(1000 * seconds / sessions, 3),
         "ms_per_session": round(1000 * _calibrated(seconds, slices) / sessions, 3),
+        "ms_per_session_iqr": round(1000 * _calibrated(q3 - q1, slices) / sessions, 4),
         "bytes_per_session": round(transcript_bytes / sessions, 1),
         "runs": len(runs),
         "peak_kb_per_session": round(peak / 1000 / sessions, 2),
@@ -184,11 +186,43 @@ def cell(shape, sessions, min_seconds=MIN_SECONDS, seed=SEED):
 
 
 def curve(sizes=SIZES, min_seconds=MIN_SECONDS):
-    """{shape: {size: cell}}."""
+    """{shape: {size: cell}}, the cells' timed runs taken round-robin
+    until every cell has at least ``MIN_RUNS`` runs that together last
+    ``min_seconds``."""
+    scenarios = {
+        (shape, sessions): _scenario(shape, sessions, SEED) for shape in SHAPES for sessions in sizes
+    }
+    runs = {key: [] for key in scenarios}
+    slices = {key: [] for key in scenarios}
+    transcript_bytes = {}
+    while any(len(times) < MIN_RUNS or sum(times) < min_seconds for times in runs.values()):
+        for key, scenario in scenarios.items():
+            seconds, run_slices, transcript_bytes[key] = measure(scenario)
+            runs[key].append(seconds)
+            slices[key].extend(run_slices)
     return {
-        shape: {str(sessions): cell(shape, sessions, min_seconds) for sessions in sizes}
+        shape: {
+            str(sessions): cell(
+                scenarios[shape, sessions],
+                sessions,
+                runs[shape, sessions],
+                slices[shape, sessions],
+                transcript_bytes[shape, sessions],
+            )
+            for sessions in sizes
+        }
         for shape in SHAPES
     }
+
+
+def flatness(table):
+    """{shape: calibrated ms/session at the largest size over the
+    smallest}; a row that scales linearly reads 1."""
+    ratios = {}
+    for shape, row in table.items():
+        largest, smallest = row[max(row, key=int)], row[min(row, key=int)]
+        ratios[shape] = round(largest["ms_per_session"] / smallest["ms_per_session"], 3)
+    return ratios
 
 
 def dispute_ms(shape, sessions, seed=SEED, count=DISPUTES):
@@ -230,20 +264,26 @@ def _commit():
 def main():
     results = json.loads(OUTPUT.read_text()) if OUTPUT.is_file() else {}
     commit = _commit()
+    table = curve()
     results[commit] = {
         "date": time.strftime("%Y-%m-%d"),
         "host": f"{platform.machine()}, Python {platform.python_version()}",
         "seed": SEED,
         "min_runs": MIN_RUNS,
         "min_seconds": MIN_SECONDS,
-        "curve": curve(),
+        "curve": table,
+        "ms_per_session_ratio": flatness(table),
         "dispute_ms": dispute_row(),
         "disputes": DISPUTES,
     }
     OUTPUT.write_text(json.dumps(results, indent=2) + "\n")
-    for shape, row in results[commit]["curve"].items():
-        figures = "  ".join(f"{size}: {cell['ms_per_session']:.2f}" for size, cell in row.items())
-        print(f"{commit} {shape} calibrated ms/session  {figures}")
+    for shape, row in table.items():
+        figures = "  ".join(
+            f"{size}: {cell['ms_per_session']:.3f} (IQR {cell['ms_per_session_iqr']:.3f})"
+            for size, cell in row.items()
+        )
+        ratio = results[commit]["ms_per_session_ratio"][shape]
+        print(f"{commit} {shape} calibrated ms/session  {figures}  largest/smallest {ratio:.3f}")
         figures = "  ".join(
             f"{size}: {cell['peak_kb_per_session']:.1f}/{cell['retained_kb_per_session']:.1f}"
             for size, cell in row.items()

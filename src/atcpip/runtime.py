@@ -32,10 +32,10 @@ body is parsed once, by its action's parser (``protocol.parse_body``),
 and the transition gets the typed values. A body that does not parse is
 dropped with a memory note before any session is opened or touched, and
 anything a session cannot take in its current state is dropped with a
-memory note too, rather than crashing the agent. Any other typed error a decision raises in an
-entry point fails its session, with the error as the reason, through
-the one ``_decision_failed``; ``decide_courtship`` goes on to the next
-session.
+memory note too, rather than crashing the agent. Any other typed error
+a decision raises in an entry point fails its session, with the error
+as the reason, through the one ``_decision_failed``;
+``decide_courtship`` goes on to the next session.
 """
 
 from dataclasses import dataclass

@@ -91,9 +91,12 @@ def test_scaling_script_measures_both_shapes_in_process(monkeypatch):
         for cell in row.values():
             assert sorted(cell) == [
                 "bytes_per_session", "chain_entries", "export_evidence_us_per_entry",
-                "ms_per_session", "ms_per_session_raw", "peak_kb_per_session",
+                "ms_per_session", "ms_per_session_iqr", "ms_per_session_raw", "peak_kb_per_session",
                 "retained_kb_per_session", "runs", "verify_us_per_entry",
             ]
             assert all(figure > 0 for figure in cell.values())
             assert cell["peak_kb_per_session"] >= cell["retained_kb_per_session"]
             assert cell["runs"] == scaling.MIN_RUNS
+    ratios = scaling.flatness(table)
+    assert sorted(ratios) == ["hot_provider", "market"]
+    assert all(ratio > 0 for ratio in ratios.values())

@@ -970,8 +970,10 @@ def test_token_with_dates_the_terms_do_not_give_is_refused(expiry_date, issue_da
 
 @pytest.mark.parametrize("wire", [False, True], ids=["in_memory", "off_the_wire"])
 def test_committed_token_holds_the_session_terms_when_its_text_is_theirs(wire):
+    # Named after the test, so the provider's catalogue terms are the
+    # first live object to write their text: text resolves to its writer.
     item = CatalogItem("weather-data-2023", DATASET.content, tags=("dataset",),
-                       terms=IP_TERMS.replace(upfront_fee=0))
+                       terms=IP_TERMS.replace(name="committed-token-holds", upfront_fee=0))
     ledger, _, _, runtimes = make_world({"prov": {"items": (item,)}, "req": {}})
     msgs = runtimes["req"].start_request("s1", "prov", "weather-data-2023")
     msgs = step(runtimes, msgs)  # request_info -> propose_terms
@@ -981,7 +983,8 @@ def test_committed_token_holds_the_session_terms_when_its_text_is_theirs(wire):
     step(runtimes, msgs)  # -> deliver_ip
     standing = runtimes["prov"].session("s1").terms
     committed = ledger.session_agreement("s1").terms
-    # Text is taken as the session's own terms; a map is parsed anew.
+    # Text resolves to the session's own terms, its writer; a map is
+    # parsed anew.
     assert committed == standing
     assert (committed is standing) is not wire
 

@@ -995,13 +995,17 @@ def test_event_heap_holds_ticks_not_events(monkeypatch):
     monkeypatch.setattr(
         sim_module, "heapq", types.SimpleNamespace(heappush=heappush, heappop=heappop)
     )
-    per_session = []
-    for size in (240, 480):
+    per_session = {}
+    for shape, size in (("market", 240), ("market", 800), ("hot_provider", 900)):
         counts.clear()
-        _, world = run_scenario(scenario_from_bytes(canon.dumps(load_worlds().market(size, 1))))
+        value = getattr(load_worlds(), shape)(size, 1)
+        _, world = run_scenario(scenario_from_bytes(canon.dumps(value)))
         assert counts["push"] == counts["pop"] <= world.final_tick + 1
-        per_session.append(counts["push"] / size)
-    assert per_session[1] <= per_session[0] <= 1
+        per_session[shape, size] = counts["push"] / size
+    # The old heap took about 17.4 pushes per session at every size.
+    assert per_session["market", 800] <= per_session["market", 240] <= 1
+    assert per_session["market", 800] <= 0.4
+    assert per_session["hot_provider", 900] <= 0.4
 
 
 def personal_data_value(jurisdictions=None, item_terms=None):
